@@ -18,13 +18,9 @@ from .coloring import chi3_difference, chromatic_numbers, count_colorations
 from .frustration import alpha_k, frustration_number
 from .graphs import petersen
 from .groups import GroupLabel, aut_signed, identify_group, swaut
-from .signed import (SIX_ORDER, SignedGraph, SixType, classify_six_mask, negate,
+from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType, negate,
                      negative_circle_counts, petersen_cut_masks,
                      petersen_frustration_of_mask, petersen_pentagon_masks)
-
-
-def class_name(t: SixType) -> str:
-    return t.value
 
 
 def standard_representative(t: SixType) -> SignedGraph:
@@ -51,29 +47,17 @@ def standard_mask(t: SixType) -> int:
 @lru_cache(maxsize=1)
 def _deletion_tables():
     """For every vertex set W with |W| <= 3: the kept-edge mask and the set
-    of all cut masks of P minus W, restricted to kept edges. A signature
-    minus W is balanced exactly when its restricted mask is such a cut."""
+    of all cut masks of P minus W. A signature minus W is balanced exactly
+    when its restricted mask is such a cut. Every cut of P minus W is a cut
+    of P restricted to the kept edges, and every such restriction is one."""
     g, _ = petersen()
     tables = []
     for k in range(4):
         for w in itertools.combinations(range(10), k):
-            ws = set(w)
-            keep = 0
-            for i, (a, b) in enumerate(g.edges):
-                if a not in ws and b not in ws:
-                    keep |= 1 << i
-            verts = [v for v in range(10) if v not in ws]
-            vert_cut = {}
-            for v in verts:
-                m = 0
-                for i, (a, b) in enumerate(g.edges):
-                    if keep >> i & 1 and v in (a, b):
-                        m |= 1 << i
-                vert_cut[v] = m
-            cuts = {0}
-            for v in verts[1:]:
-                cuts |= {c ^ vert_cut[v] for c in cuts}
-            tables.append((k, keep, frozenset(cuts)))
+            keep = sum(1 << i for i, e in enumerate(g.edges)
+                       if not set(e) & set(w))
+            cuts = frozenset(c & keep for c in petersen_cut_masks())
+            tables.append((k, keep, cuts))
     return tables
 
 
@@ -106,30 +90,35 @@ class CensusReport:
     total_switching_classes: int
 
 
+def _switching_orbits():
+    """Every switching class of Petersen signatures once, as the list of
+    its 512 masks; the first is the least mask of the class."""
+    cuts = petersen_cut_masks()
+    seen = bytearray(1 << 15)
+    for base in range(1 << 15):
+        if not seen[base]:
+            orbit = [base ^ c for c in cuts]
+            for m in orbit:
+                seen[m] = 1
+            yield orbit
+
+
 def run_census() -> CensusReport:
     """Classify every 15-bit signature by walking switching orbits: each
     orbit holds the 512 switchings of a base signature, shares its class,
     and contributes its minimum-weight members to the minimal count."""
-    cuts = petersen_cut_masks()
     pentagons = petersen_pentagon_masks()
-    seen = bytearray(1 << 15)
     sig = {t: 0 for t in SIX_ORDER}
     cls = {t: 0 for t in SIX_ORDER}
     mins = {t: 0 for t in SIX_ORDER}
     rep = {t: None for t in SIX_ORDER}
-    for base in range(1 << 15):
-        if seen[base]:
-            continue
-        orbit = [base ^ c for c in cuts]
+    for orbit in _switching_orbits():
         weights = [m.bit_count() for m in orbit]
         l = min(weights)
-        c5 = sum(1 for p in pentagons if (base & p).bit_count() & 1)
-        t = expected_fingerprint(l, c5)
+        c5 = sum(1 for p in pentagons if (orbit[0] & p).bit_count() & 1)
+        t = SIX_FINGERPRINT[(l, c5)]
         best = min(m for m, w in zip(orbit, weights) if w == l)
-        for m, w in zip(orbit, weights):
-            seen[m] = 1
-            if w == l:
-                mins[t] += 1
+        mins[t] += weights.count(l)
         sig[t] += 512
         cls[t] += 1
         if rep[t] is None or best < rep[t]:
@@ -140,18 +129,13 @@ def run_census() -> CensusReport:
     return CensusReport(per_class, sum(sig.values()), sum(cls.values()))
 
 
-def expected_fingerprint(l: int, c5: int) -> SixType:
-    from .signed import SIX_FINGERPRINT
-    return SIX_FINGERPRINT[(l, c5)]
-
-
 def verify_l0_equals_l_everywhere() -> bool:
     """Frustration number equals frustration index on all 32768
-    signatures, both computed per mask."""
-    cuts = petersen_cut_masks()
-    for mask in range(1 << 15):
-        l = min((mask ^ c).bit_count() for c in cuts)
-        if petersen_l0_of_mask(mask) != l:
+    signatures: the number per mask from the deletion tables, the index as
+    the least weight in the mask's switching class."""
+    for orbit in _switching_orbits():
+        l = min(m.bit_count() for m in orbit)
+        if any(petersen_l0_of_mask(m) != l for m in orbit):
             return False
     return True
 

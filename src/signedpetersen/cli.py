@@ -1,16 +1,12 @@
 """Command-line interface: census, table emission, per-signature
 classification, groups, coloring counts, clustering, and verification.
 
-Exit codes: 0 success, 1 verification difference, 2 input error. The
-SIGNEDPETERSEN_WORKERS environment variable caps worker processes for the
-census (the default of 1 is already fast; values above 1 split the mask
-range across a process pool).
+Exit codes: 0 success, 1 verification difference, 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import census as census_mod
@@ -24,15 +20,6 @@ from .groups import (aut_signed, coset_system, format_cycles, identify_group,
 from .signed import SignedGraph, classify_six, negative_circle_counts
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SIGNEDPETERSEN_WORKERS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise io_mod.InputError(f"bad SIGNEDPETERSEN_WORKERS value {raw!r}")
-    return max(1, count)
-
-
 def _load(args) -> SignedGraph:
     if getattr(args, "mask", None) is not None:
         return SignedGraph.from_mask(petersen()[0], io_mod.parse_mask(args.mask))
@@ -40,7 +27,6 @@ def _load(args) -> SignedGraph:
 
 
 def cmd_census(args) -> int:
-    _worker_count()  # validated; the orbit walk needs no pool at this scale
     print(census_mod.build_table("census").render(args.format), end="")
     return 0
 

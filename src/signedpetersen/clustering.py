@@ -153,12 +153,8 @@ def inclusterability_index(s: SignedGraph):
     g = s.graph
     if len(g.edges) > MAX_EDGES:
         raise SearchSizeError("too many edges for deletion search")
-    neg_mask = 0
-    for i, sig in enumerate(s.signs):
-        if sig < 0:
-            neg_mask |= 1 << i
-    bad = _bad_cycles(_cycle_edge_masks(g), neg_mask)
-    hit = _min_hitting_mask(bad, neg_mask.bit_count())
+    bad = _bad_cycles(_cycle_edge_masks(g), s.mask)
+    hit = _min_hitting_mask(bad, s.mask.bit_count())
     dels = frozenset(g.edges[i] for i in range(len(g.edges)) if hit >> i & 1)
     return hit.bit_count(), dels
 

@@ -7,8 +7,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, MAX_SEARCH_VERTICES, SearchSizeError, cut, independent_sets
-from .signed import SignedGraph, SwitchingFunction, is_balanced, switch
+from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
+                     cut_space, independent_sets)
+from .signed import SignedGraph, is_balanced
 
 
 @dataclass(frozen=True)
@@ -21,25 +22,18 @@ class FrustrationReport:
 
 def frustration_index(s: SignedGraph) -> tuple[int, frozenset]:
     """Minimum negative-edge count over all switchings, with the negative
-    edge set of a minimizing switching as balancing witness."""
+    edge set of a minimizing switching as balancing witness. On a
+    disconnected graph this is the sum over the components."""
     g = s.graph
-    n = g.vertex_count
-    if n > MAX_SEARCH_VERTICES:
+    if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for switching enumeration")
-    if not g.is_connected():
-        raise ValueError("frustration index requires a connected graph")
-    best = None
-    best_neg = None
-    for sub in range(1 << (n - 1)) if n else (0,):
-        x = {b + 1 for b in range(n - 1) if sub >> b & 1}
-        sw = switch(s, SwitchingFunction.from_set(n, x))
-        neg = sw.negative_edges
-        if best is None or len(neg) < best:
-            best = len(neg)
-            best_neg = neg
-            if best == 0:
-                break
-    return best, best_neg
+    mask = best = s.mask
+    for _, c in cut_space(g):
+        if not best:
+            break
+        if (mask ^ c).bit_count() < best.bit_count():
+            best = mask ^ c
+    return best.bit_count(), frozenset(g.edges[i] for i in bits(best))
 
 
 def frustration_number(s: SignedGraph) -> tuple[int, frozenset]:
@@ -86,20 +80,12 @@ def cut_dominance_check(s: SignedGraph):
     """A vertex set whose cut holds more negative than positive edges, if
     any exists; such a set certifies that switching it lowers the negative
     count, so its absence certifies minimality."""
-    g = s.graph
-    n = g.vertex_count
-    if n > MAX_SEARCH_VERTICES:
+    if s.graph.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for cut enumeration")
-    for sub in range(1, 1 << (n - 1)):
-        x = {b + 1 for b in range(n - 1) if sub >> b & 1}
-        neg = pos = 0
-        for i in cut(g, x):
-            if s.signs[i] < 0:
-                neg += 1
-            else:
-                pos += 1
-        if neg > pos:
-            return frozenset(x)
+    mask = s.mask
+    for x, c in cut_space(s.graph):
+        if 2 * (mask & c).bit_count() > c.bit_count():
+            return frozenset(bits(x))
     return None
 
 

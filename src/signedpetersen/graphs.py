@@ -87,8 +87,40 @@ class Graph:
             out.append(tuple(dist))
         return tuple(out)
 
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Edge mask of the edges at each vertex: the cut of that vertex
+        alone."""
+        inc = [0] * self.vertex_count
+        for i, (u, v) in enumerate(self.edges):
+            inc[u] |= 1 << i
+            inc[v] |= 1 << i
+        return tuple(inc)
+
+    @cached_property
+    def spanning_forest(self) -> tuple[tuple[int, int, int], ...]:
+        """Breadth-first spanning forest as (vertex, parent, edge index)
+        triples in visiting order. Each component is rooted at its least
+        vertex, which carries parent and edge index -1."""
+        seen = [False] * self.vertex_count
+        out = []
+        for root in range(self.vertex_count):
+            if seen[root]:
+                continue
+            seen[root] = True
+            i = len(out)
+            out.append((root, -1, -1))
+            while i < len(out):
+                u = out[i][0]
+                i += 1
+                for w in sorted(self.adjacency[u]):
+                    if not seen[w]:
+                        seen[w] = True
+                        out.append((w, u, self.index_of(u, w)))
+        return tuple(out)
+
     def is_connected(self) -> bool:
-        return self.vertex_count == 0 or all(d >= 0 for d in self.distances[0])
+        return sum(1 for _, parent, _ in self.spanning_forest if parent < 0) <= 1
 
     def closed_neighborhood(self, v: int) -> frozenset:
         return self.adjacency[v] | {v}
@@ -222,6 +254,52 @@ def cut(g: Graph, x) -> frozenset:
     xs = set(x)
     return frozenset(i for i, (u, v) in enumerate(g.edges)
                      if (u in xs) != (v in xs))
+
+
+def bits(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def cut_space(g: Graph):
+    """Every cut of g as a pair (vertex mask X, edge mask of cut(X)).
+
+    Switching X flips the signs on cut(X), so these XOR masks are the whole
+    switching action on a sign mask. The least vertex of each connected
+    component stays out of X, which makes the pairs one per cut: 2^(n -
+    components) of them, starting with (0, 0). Gray-code order switches one
+    vertex per step, so each step costs one XOR. It is a generator because a
+    16-vertex graph has up to 2^15 cuts.
+    """
+    free = sorted(v for v, parent, _ in g.spanning_forest if parent >= 0)
+    inc = g.incidence
+    x = c = 0
+    yield x, c
+    for step in range(1, 1 << len(free)):
+        v = free[(step & -step).bit_length() - 1]
+        x ^= 1 << v
+        c ^= inc[v]
+        yield x, c
+
+
+def cut_preimage(g: Graph, d: int):
+    """The vertex mask X with cut(X) = d (as edge masks) that leaves the
+    least vertex of every component out, or None when d is not a cut.
+
+    X is read off the spanning forest, an edge of d separating a vertex from
+    its parent; the check that cut(X) gives back d covers the other edges.
+    """
+    x = 0
+    for v, parent, i in g.spanning_forest:
+        if parent >= 0 and ((x >> parent) ^ (d >> i)) & 1:
+            x |= 1 << v
+    c = 0
+    for v in bits(x):
+        c ^= g.incidence[v]
+    return x if c == d else None
 
 
 def independent_sets(g: Graph, k: int) -> list[frozenset]:

@@ -16,9 +16,10 @@ import enum
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .graphs import Graph, MAX_SEARCH_VERTICES, SearchSizeError, automorphism_images, cut
+from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError,
+                     automorphism_images, cut_preimage)
 from .signed import SignedGraph, SwitchingFunction, switch
 
 # ---------------------------------------------------------------------------
@@ -27,7 +28,7 @@ from .signed import SignedGraph, SwitchingFunction, switch
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Left-to-right composition: p first, then q."""
-    return tuple(q[x] for x in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -128,11 +129,11 @@ def sp_from_set(x, perm: tuple[int, ...]) -> SwitchingPermutation:
 def sp_multiply(a: SwitchingPermutation, b: SwitchingPermutation) -> SwitchingPermutation:
     """Semidirect product: the switching set of b is pulled back through the
     permutation of a, then combined by symmetric difference."""
-    if a.n != b.n:
+    if len(a.perm) != len(b.perm):
         raise ValueError("size mismatch")
     pulled = 0
-    for w in range(a.n):
-        if b.switch_mask >> a.perm[w] & 1:
+    for w, x in enumerate(a.perm):
+        if b.switch_mask >> x & 1:
             pulled |= 1 << w
     return SwitchingPermutation(a.switch_mask ^ pulled, compose(a.perm, b.perm))
 
@@ -207,9 +208,10 @@ class FiniteGroup:
             row = []
             for b in self.elements:
                 c = mul(a, b)
-                if c not in self.index:
+                k = self.index.get(c)
+                if k is None:
                     raise GroupAxiomError(f"not closed: {a} * {b} = {c}")
-                row.append(self.index[c])
+                row.append(k)
             self.table.append(row)
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
@@ -238,9 +240,7 @@ class FiniteGroup:
         if n <= 30:
             triples = itertools.product(range(n), repeat=3)
         else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(2000))
+            triples = _sampled_triples(n)
         t = self.table
         for i, j, k in triples:
             if t[t[i][j]][k] != t[i][t[j][k]]:
@@ -304,6 +304,15 @@ class FiniteGroup:
         return cls(sorted(seen, key=repr), mul)
 
 
+@lru_cache(maxsize=8)
+def _sampled_triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The 2000 seeded index triples whose associativity is checked in a
+    group of order n > 30."""
+    rng = random.Random(0)
+    return tuple((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                 for _ in range(2000))
+
+
 class GroupLabel(enum.Enum):
     TRIVIAL = "1"
     Z2 = "Z2"
@@ -359,60 +368,45 @@ def graph_automorphisms(g: Graph) -> FiniteGroup:
     return _sp_group(SwitchingPermutation(0, p) for p in automorphism_images(g))
 
 
-def aut_signed(s: SignedGraph) -> FiniteGroup:
-    """Sign-preserving automorphisms: the stabilizer of the negative edge
-    set inside the automorphism group of the underlying graph."""
-    g = s.graph
-    neg = s.negative_edges
-    keep = []
-    for p in automorphism_images(g):
-        image = {tuple(sorted((p[u], p[v]))) for u, v in neg}
-        if image == set(neg):
-            keep.append(SwitchingPermutation(0, p))
-    return _sp_group(keep)
+def _pullback(g: Graph, mask: int, perm: tuple[int, ...]) -> int:
+    """The sign mask that relabeling by the automorphism perm carries onto
+    mask."""
+    ep = edge_permutation(g, perm)
+    return sum(1 << i for i, j in enumerate(ep) if mask >> j & 1)
 
 
-def swaut(s: SignedGraph) -> FiniteGroup:
-    """Switching automorphism group by exhaustive scan over canonical
-    switching sets and graph automorphisms."""
-    g = s.graph
-    n = g.vertex_count
-    if n > MAX_SEARCH_VERTICES:
+def _switching_scan_guard(g: Graph) -> None:
+    """Switching automorphisms are computed on connected graphs of at most
+    MAX_SEARCH_VERTICES vertices, where the lift with vertex 0 unswitched
+    is unique."""
+    if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for switching scan")
     if not g.is_connected():
         raise ValueError("switching automorphisms need a connected graph")
 
-    # Per-vertex cut masks let switching act on the sign mask by XOR.
-    vert_cut = []
-    for v in range(n):
-        m = 0
-        for i in cut(g, {v}):
-            m |= 1 << i
-        vert_cut.append(m)
 
-    mask = 0
-    for i, sig in enumerate(s.signs):
-        if sig < 0:
-            mask |= 1 << i
+def aut_signed(s: SignedGraph) -> FiniteGroup:
+    """Sign-preserving automorphisms: the stabilizer of the sign mask
+    inside the automorphism group of the underlying graph."""
+    g = s.graph
+    return _sp_group(SwitchingPermutation(0, p) for p in automorphism_images(g)
+                     if _pullback(g, s.mask, p) == s.mask)
 
-    perms = automorphism_images(g)
-    edge_perms = [edge_permutation(g, p) for p in perms]
+
+def swaut(s: SignedGraph) -> FiniteGroup:
+    """Switching automorphism group: the stabilizer of the switching class
+    of s inside the automorphism group of the underlying graph.
+
+    An automorphism p lifts when switching some X and then relabeling by p
+    fixes the sign mask, that is when mask xor its pullback through p is
+    the cut of X. The lift leaves vertex 0 unswitched.
+    """
+    _switching_scan_guard(s.graph)
     found = []
-    for sub in range(1 << (n - 1)):
-        switched = mask
-        x = sub << 1
-        for b in range(1, n):
-            if x >> b & 1:
-                switched ^= vert_cut[b]
-        for p, ep in zip(perms, edge_perms):
-            out = 0
-            m = switched
-            while m:
-                low = m & -m
-                out |= 1 << ep[low.bit_length() - 1]
-                m ^= low
-            if out == mask:
-                found.append(SwitchingPermutation(x, p))
+    for p in automorphism_images(s.graph):
+        x = cut_preimage(s.graph, s.mask ^ _pullback(s.graph, s.mask, p))
+        if x is not None:
+            found.append(SwitchingPermutation(x, p))
     return _sp_group(found)
 
 
@@ -426,11 +420,16 @@ def orbit_counts(s: SignedGraph) -> tuple[int, int]:
 
 def lift_permutation(s: SignedGraph, xi: tuple[int, ...]):
     """The unique switching automorphism of s whose permutation part is xi,
-    or None when xi is not in the projection."""
-    for e in swaut(s).elements:
-        if e.perm == xi:
-            return e
-    return None
+    or None when xi is not in the projection: when it is not an
+    automorphism of the underlying graph or has no lift."""
+    g = s.graph
+    _switching_scan_guard(g)
+    xi = tuple(xi)
+    if sorted(xi) != list(range(g.vertex_count)) or \
+            not all(g.has_edge(xi[u], xi[v]) for u, v in g.edges):
+        return None
+    x = cut_preimage(g, s.mask ^ _pullback(g, s.mask, xi))
+    return None if x is None else SwitchingPermutation(x, xi)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 and the six-way classifier for signatures of the Petersen graph.
 
 Signs are stored as a tuple of +1/-1 over the canonical edge order, with an
-equivalent bitmask view (bit set = negative edge) used heavily by the census.
+equivalent bitmask view (bit set = negative edge). Switching acts on the
+bitmask by XOR with a cut from ``graphs.cut_space``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .graphs import Cycle, Graph, cut, enumerate_cycles, petersen
+from .graphs import (Cycle, Graph, bits, cut_preimage, cut_space,
+                     enumerate_cycles, petersen)
 
 
 @dataclass(frozen=True)
@@ -36,13 +38,10 @@ class SignedGraph:
     def all_positive(cls, g: Graph) -> "SignedGraph":
         return cls(g, (1,) * len(g.edges))
 
-    @property
+    @cached_property
     def mask(self) -> int:
-        m = 0
-        for i, s in enumerate(self.signs):
-            if s < 0:
-                m |= 1 << i
-        return m
+        """Sign bitmask: bit i set when edge i is negative."""
+        return sum(1 << i for i, s in enumerate(self.signs) if s < 0)
 
     @cached_property
     def negative_edges(self) -> frozenset:
@@ -58,8 +57,8 @@ class SignedGraph:
 
 @dataclass(frozen=True)
 class SwitchingFunction:
-    """A +1/-1 vertex labeling, compared modulo global sign flip per
-    connected component."""
+    """A +1/-1 vertex labeling; switching by it negates the edges between
+    its +1 and -1 vertices."""
 
     values: tuple[int, ...]
 
@@ -79,27 +78,6 @@ class SwitchingFunction:
     @property
     def negative_set(self) -> frozenset:
         return frozenset(v for v, s in enumerate(self.values) if s < 0)
-
-    def canonical_form(self, g: Graph) -> "SwitchingFunction":
-        """Flip each connected component so its least vertex carries +1."""
-        vals = list(self.values)
-        seen = [False] * g.vertex_count
-        for root in range(g.vertex_count):
-            if seen[root]:
-                continue
-            comp = [root]
-            seen[root] = True
-            i = 0
-            while i < len(comp):
-                for w in g.adjacency[comp[i]]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                i += 1
-            if vals[root] < 0:
-                for v in comp:
-                    vals[v] = -vals[v]
-        return SwitchingFunction(tuple(vals))
 
 
 def switch(s: SignedGraph, z: SwitchingFunction) -> SignedGraph:
@@ -181,33 +159,15 @@ def _tree_cycle(g: Graph, parent, u: int, w: int) -> Cycle:
 
 
 def switching_equivalence(s1: SignedGraph, s2: SignedGraph):
-    """A switching function carrying s1 to s2, or None.
-
-    Spanning-tree method: fix each component root at +1, propagate the
-    required value along tree edges from the sign ratio, then verify every
-    remaining edge.
-    """
+    """A switching function carrying s1 to s2, or None: the signatures are
+    switching equivalent exactly when the edges where they differ form a
+    cut. Each component's least vertex stays at +1."""
     if s1.graph != s2.graph:
         raise ValueError("underlying graphs differ")
-    g = s1.graph
-    n = g.vertex_count
-    vals = [0] * n
-    for root in range(n):
-        if vals[root]:
-            continue
-        vals[root] = 1
-        queue = [root]
-        i = 0
-        while i < len(queue):
-            u = queue[i]
-            i += 1
-            for w in g.adjacency[u]:
-                ratio = s1.sign(u, w) * s2.sign(u, w)
-                if vals[w] == 0:
-                    vals[w] = vals[u] * ratio
-                    queue.append(w)
-    z = SwitchingFunction(tuple(vals))
-    return z if switch(s1, z).signs == s2.signs else None
+    x = cut_preimage(s1.graph, s1.mask ^ s2.mask)
+    if x is None:
+        return None
+    return SwitchingFunction.from_set(s1.graph.vertex_count, bits(x))
 
 
 def negative_circle_counts(s: SignedGraph, lengths) -> dict[int, int]:
@@ -251,24 +211,9 @@ SIX_FINGERPRINT = {
 
 @lru_cache(maxsize=1)
 def petersen_cut_masks() -> tuple[int, ...]:
-    """Edge bitmask of the cut of every vertex subset containing neither
-    side twice: all 512 cuts, indexed by subsets of vertices 1..9 (vertex 0
-    pinned positive).  Entry 0 is the empty cut."""
-    g, _ = petersen()
-    vert_cut = []
-    for v in range(10):
-        m = 0
-        for i in cut(g, {v}):
-            m |= 1 << i
-        vert_cut.append(m)
-    out = []
-    for sub in range(512):
-        m = 0
-        for b in range(9):
-            if sub >> b & 1:
-                m ^= vert_cut[b + 1]
-        out.append(m)
-    return tuple(out)
+    """Edge bitmasks of all 512 cuts of the Petersen graph, in
+    ``cut_space`` order; entry 0 is the empty cut."""
+    return tuple(c for _, c in cut_space(petersen()[0]))
 
 
 @lru_cache(maxsize=1)
@@ -319,14 +264,7 @@ def minimal_representative(s: SignedGraph) -> tuple[SignedGraph, SwitchingFuncti
     if s.graph != g:
         raise ValueError("requires the canonical Petersen graph")
     mask = s.mask
-    best = None
-    best_sub = 0
-    for sub, c in enumerate(petersen_cut_masks()):
-        m = mask ^ c
-        key = (m.bit_count(), m)
-        if best is None or key < best:
-            best = key
-            best_sub = sub
-    x = {b + 1 for b in range(9) if best_sub >> b & 1}
-    z = SwitchingFunction.from_set(10, x)
+    x, _ = min(cut_space(g), key=lambda xc: ((mask ^ xc[1]).bit_count(),
+                                             mask ^ xc[1]))
+    z = SwitchingFunction.from_set(10, bits(x))
     return switch(s, z), z

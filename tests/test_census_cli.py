@@ -134,6 +134,16 @@ def test_cli_classify_file(capsys, tmp_path, pg):
     assert code == 0 and "class P1" in out
 
 
+def test_cli_classify_disconnected_file(capsys, tmp_path):
+    # two negative triangles, one balanced edge between vertices 6 and 7
+    path = tmp_path / "two.txt"
+    path.write_text("n 8\n0 1 -\n1 2 +\n0 2 +\n3 4 -\n4 5 -\n3 5 -\n6 7 -\n")
+    code, out, _ = run_cli(capsys, "classify", "--file", str(path))
+    assert code == 0
+    assert "frustration index 2" in out
+    assert "frustration number 2" in out
+
+
 def test_cli_group(capsys, rep_masks):
     code, out, _ = run_cli(capsys, "group", "--mask",
                            format_mask(rep_masks[4]), "--coset-table")
@@ -163,13 +173,10 @@ def test_cli_verify(capsys):
     assert code == 0 and "all tables verified" in out
 
 
-def test_cli_errors(capsys, monkeypatch):
+def test_cli_errors(capsys):
     code, _, err = run_cli(capsys, "classify", "--mask", "0xFFFFF")
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "color", "--mask", "0x0", "--k", "9")
     assert code == 2
     code, _, err = run_cli(capsys, "classify", "--file", "/nonexistent")
-    assert code == 2
-    monkeypatch.setenv("SIGNEDPETERSEN_WORKERS", "bogus")
-    code, _, err = run_cli(capsys, "census")
     assert code == 2

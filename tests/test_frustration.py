@@ -9,7 +9,8 @@ from signedpetersen.frustration import (alpha_k, cut_dominance_check,
                                         frustration_number, frustration_report,
                                         is_minimal)
 from signedpetersen.graphs import Graph, SearchSizeError
-from signedpetersen.signed import SignedGraph, is_balanced, negate
+from signedpetersen.signed import (SignedGraph, SwitchingFunction,
+                                   is_balanced, negate, switch)
 
 
 def k4_signed(mask):
@@ -96,7 +97,42 @@ def test_size_guards():
         frustration_number(s)
 
 
-def test_disconnected_rejected():
-    g = Graph.from_edges(4, ((0, 1), (2, 3)))
-    with pytest.raises(ValueError):
-        frustration_index(SignedGraph.all_positive(g))
+def brute_force_index(s):
+    """Fewest negative edges over all 2^n switching sets, none pinned."""
+    n = s.graph.vertex_count
+    return min(len(switch(s, SwitchingFunction.from_set(
+        n, [v for v in range(n) if x >> v & 1])).negative_edges)
+        for x in range(1 << n))
+
+
+def test_index_matches_brute_force():
+    k4 = k4_signed(0).graph
+    k33 = k33_signed(0).graph
+    # two triangles and an isolated vertex; K4 beside a triangle
+    triangles = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2),
+                                     (3, 4), (3, 5), (4, 5)])
+    k4_tri = Graph.from_edges(7, list(k4.edges) + [(4, 5), (4, 6), (5, 6)])
+    rng = random.Random(41)
+    for g in (k4, k33, triangles, k4_tri):
+        m = len(g.edges)
+        masks = range(1 << m) if m <= 6 else rng.sample(range(1 << m), 40)
+        for mask in masks:
+            s = SignedGraph.from_mask(g, mask)
+            l, we = frustration_index(s)
+            assert l == brute_force_index(s), (g, mask)
+            assert len(we) == l
+
+
+def test_disconnected_is_sum_of_components():
+    k4 = k4_signed(0).graph
+    c5 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
+    # K4 on vertices 0..3 takes edge indices 0..5, C5 on 4..8 takes 6..10
+    both = Graph.from_edges(9, list(k4.edges) +
+                            [(u + 4, v + 4) for u, v in c5.edges])
+    assert not both.is_connected()
+    for m1 in range(1 << 6):
+        for m2 in (0, 1, 0b11111, 0b10101):
+            s = SignedGraph.from_mask(both, m1 | m2 << 6)
+            parts = (frustration_index(SignedGraph.from_mask(k4, m1))[0] +
+                     frustration_index(SignedGraph.from_mask(c5, m2))[0])
+            assert frustration_index(s)[0] == parts

@@ -7,7 +7,8 @@ from signedpetersen.graphs import (Cycle, Graph, MatchingClass, SearchSizeError,
                                    all_independent_sets, all_matchings,
                                    automorphism_images, chromatic_number,
                                    classify_matching, contract, cut,
-                                   edge_distance, enumerate_cycles,
+                                   cut_preimage, cut_space, edge_distance,
+                                   enumerate_cycles,
                                    hexagon_of_vertex, independent_sets,
                                    is_petersen, petersen)
 
@@ -104,6 +105,42 @@ def test_cut(pg):
     # symmetric difference law on cut indices
     a, b = cut(g, {0, 3}), cut(g, {3, 7})
     assert cut(g, {0, 7}) == (a | b) - (a & b)
+
+
+def two_components():
+    # a triangle and a path, plus the isolated vertex 6: three components
+    return Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
+
+
+def edge_mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def test_cut_space(pg):
+    for g, components in ((pg[0], 1), (k4(), 1), (two_components(), 3)):
+        pairs = list(cut_space(g))
+        assert len(pairs) == 2 ** (g.vertex_count - components)
+        assert pairs[0] == (0, 0)
+        assert len({c for _, c in pairs}) == len(pairs)
+        for x, c in pairs:
+            verts = {v for v in range(g.vertex_count) if x >> v & 1}
+            assert c == edge_mask(cut(g, verts))
+    # the least vertex of each component is never switched
+    assert all(x & 0b1001001 == 0 for x, _ in cut_space(two_components()))
+
+
+def test_cut_preimage(pg):
+    g, _ = pg
+    for x, c in cut_space(g):
+        assert cut_preimage(g, c) == x
+    for i in range(len(g.edges)):
+        assert cut_preimage(g, 1 << i) is None
+    h = two_components()
+    for x, c in cut_space(h):
+        assert cut_preimage(h, c) == x
+    # a single triangle edge is not a cut; a path edge is
+    assert cut_preimage(h, 1) is None
+    assert cut_preimage(h, 1 << h.index_of(4, 5)) == 1 << 5
 
 
 def test_independent_sets(pg):

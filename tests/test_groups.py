@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from signedpetersen.expected import (AUT_LABELS, AUT_ORDERS, CLASS_NAMES,
                                      COPIES, SWAUT_LABELS, SWAUT_ORDERS,
                                      SWITCHING_CLASSES)
-from signedpetersen.graphs import Graph, cut, petersen
+from signedpetersen.graphs import Graph, automorphism_images, cut, petersen
 from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
                                    GroupLabel, SwitchingPermutation,
                                    aut_signed, compose, coset_system,
@@ -247,6 +248,58 @@ def test_swaut_elements_fix_signature(reps, sw6):
             assert sp_act(e, s) == s
 
 
+@functools.lru_cache(maxsize=1)
+def _scan_tables(g):
+    """Cut mask of every switching set without vertex 0, from the cut
+    definition; each graph automorphism with its edge permutation split into
+    two byte tables, so that permuting a mask costs two lookups."""
+    n, m = g.vertex_count, len(g.edges)
+    cut_masks = []
+    for sub in range(1 << (n - 1)):
+        x = sub << 1
+        verts = {v for v in range(n) if x >> v & 1}
+        cut_masks.append((x, sum(1 << i for i in cut(g, verts))))
+    tables = []
+    for p in automorphism_images(g):
+        ep = edge_permutation(g, p)
+        lo = [sum(1 << ep[i] for i in range(min(8, m)) if b >> i & 1)
+              for b in range(256)]
+        hi = [sum(1 << ep[i] for i in range(8, m) if b >> (i - 8) & 1)
+              for b in range(1 << max(m - 8, 0))]
+        tables.append((p, lo, hi))
+    return cut_masks, tables
+
+
+def exhaustive_swaut(s):
+    """Reference SwAut: every pair (switching set X without vertex 0, graph
+    automorphism p) whose action fixes the sign mask, scanned in full; on
+    the Petersen graph that is 512 x 120 pairs."""
+    cut_masks, tables = _scan_tables(s.graph)
+    found = set()
+    for x, c in cut_masks:
+        switched = s.mask ^ c
+        low, high = switched & 0xFF, switched >> 8
+        for p, lo, hi in tables:
+            if lo[low] | hi[high] == s.mask:
+                found.add(SwitchingPermutation(x, p))
+    return found
+
+
+def test_swaut_matches_exhaustive_scan(pg, reps, sw6):
+    g, _ = pg
+    rng = random.Random(31)
+    signatures = list(zip(reps, sw6))
+    signatures += [(negate(s), swaut(negate(s))) for s in reps]
+    signatures += [(s, swaut(s)) for s in (
+        SignedGraph.from_mask(g, rng.randrange(1 << 15)) for _ in range(30))]
+    perms = automorphism_images(g)
+    for s, w in signatures:
+        assert set(w.elements) == exhaustive_swaut(s), s.mask
+        by_perm = {e.perm: e for e in w.elements}
+        for p in perms:
+            assert lift_permutation(s, p) == by_perm.get(p)
+
+
 def test_lift_permutation(pg, reps):
     g, lab = pg
     s32, s33 = reps[4], reps[5]
@@ -271,6 +324,12 @@ def test_lift_permutation(pg, reps):
             v = lab.vertex(j, 5)
             want = sp_canonical(sp_from_set(g.closed_neighborhood(v), xi))
             assert e == want
+    # swapping two adjacent vertices is not an automorphism
+    u, v = g.edges[0]
+    swapped = list(range(10))
+    swapped[u], swapped[v] = v, u
+    for s in reps:
+        assert lift_permutation(s, tuple(swapped)) is None
 
 
 # --------------------------------------------------------------------------
