@@ -17,7 +17,7 @@ from .clustering import cluster_number, inclusterability_index, max_inclusterabi
 from .coloring import chi3_difference, chromatic_numbers, count_colorations
 from .frustration import alpha_k, frustration_number
 from .graphs import petersen
-from .groups import GroupLabel, aut_signed, identify_group, swaut
+from .groups import aut_signed, identify_group, orbit_counts, swaut
 from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType, negate,
                      negative_circle_counts, petersen_cut_masks,
                      petersen_frustration_of_mask, petersen_pentagon_masks)
@@ -254,11 +254,10 @@ def _table_t4() -> TableArtifact:
 
 
 def _table_t5() -> TableArtifact:
-    copies = tuple(120 // aut_signed(s).order for s in _reps())
-    classes = tuple(120 // swaut(s).order for s in _reps())
+    counts = [orbit_counts(s) for s in _reps()]
     return TableArtifact("T5", expected.CLASS_NAMES, (
-        ("copies", copies),
-        ("switching classes", classes),
+        ("copies", tuple(c for c, _ in counts)),
+        ("switching classes", tuple(w for _, w in counts)),
     ))
 
 

@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 verification difference, 2 input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from functools import lru_cache
 
 from . import census as census_mod
 from . import io as io_mod
@@ -16,7 +18,7 @@ from .coloring import BudgetError, chromatic_numbers, count_colorations
 from .frustration import frustration_index, frustration_number
 from .graphs import petersen
 from .groups import (aut_signed, coset_system, format_cycles, identify_group,
-                     swaut)
+                     induced_permutation, swaut)
 from .signed import SignedGraph, classify_six, negative_circle_counts
 
 
@@ -78,13 +80,16 @@ def cmd_group(args) -> int:
 def _vertex_perm_name(perm) -> str:
     """Cycle notation on {1..5} when the vertex permutation is induced from
     one, else the raw image vector."""
-    from .groups import induced_permutation
-    import itertools
+    return _induced_names().get(tuple(perm)) or str(list(perm))
+
+
+@lru_cache(maxsize=1)
+def _induced_names() -> dict[tuple[int, ...], str]:
+    """Cycle notation of each of the 120 permutations of {1..5}, keyed by
+    the vertex permutation of the Petersen graph it induces."""
     _, lab = petersen()
-    for base in itertools.permutations(range(1, 6)):
-        if induced_permutation(lab, base) == tuple(perm):
-            return format_cycles(base)
-    return str(list(perm))
+    return {induced_permutation(lab, base): format_cycles(base)
+            for base in itertools.permutations(range(1, 6))}
 
 
 def cmd_color(args) -> int:

@@ -12,7 +12,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 MAX_SEARCH_VERTICES = 16
 
@@ -119,6 +119,13 @@ class Graph:
                         out.append((w, u, self.index_of(u, w)))
         return tuple(out)
 
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """All adjacency-preserving vertex bijections, as image tuples in
+        the order the backtracking search finds them; searched once per
+        graph."""
+        return _automorphism_search(self)
+
     def is_connected(self) -> bool:
         return sum(1 for _, parent, _ in self.spanning_forest if parent < 0) <= 1
 
@@ -148,9 +155,12 @@ class PetersenLabeling:
         return self.vertex_of[frozenset((i, j))]
 
 
+@lru_cache(maxsize=1)
 def petersen() -> tuple[Graph, PetersenLabeling]:
     """Petersen graph on the canonical pair labeling: v_{ij} ~ v_{kl} iff
-    the pairs {i,j} and {k,l} are disjoint."""
+    the pairs {i,j} and {k,l} are disjoint. Every call returns the same
+    frozen graph, so what it caches (automorphisms, incidence, spanning
+    forest) is computed once per process."""
     edges = []
     for a in range(10):
         for b in range(a + 1, 10):
@@ -469,12 +479,15 @@ def contract(g: Graph, s) -> ContractionResult:
 # Automorphisms
 # ---------------------------------------------------------------------------
 
-def automorphism_images(g: Graph) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex bijections, as image tuples.
+def automorphism_images(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All adjacency-preserving vertex bijections of g, as image tuples
+    (``Graph.automorphisms``)."""
+    return g.automorphisms
 
-    Backtracking over vertices with degree filtering and full adjacency
-    consistency against already-mapped vertices.
-    """
+
+def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Backtracking over vertices with degree filtering and full adjacency
+    consistency against already-mapped vertices."""
     n = g.vertex_count
     if n > MAX_SEARCH_VERTICES:
         raise SearchSizeError(f"{n} vertices exceeds cap {MAX_SEARCH_VERTICES}")
@@ -504,7 +517,7 @@ def automorphism_images(g: Graph) -> list[tuple[int, ...]]:
         image[i] = -1
 
     extend(0)
-    return result
+    return tuple(result)
 
 
 # ---------------------------------------------------------------------------

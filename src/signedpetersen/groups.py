@@ -17,6 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError,
                      automorphism_images, cut_preimage)
@@ -202,8 +203,14 @@ class FiniteGroup:
         if len(set(self.elements)) != len(self.elements):
             raise GroupAxiomError("repeated elements")
         self.index = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        self.table = []
+        self.table = self._cayley_table(mul)
+        self.identity = self._find_identity()
+        self.inverses = self._find_inverses()
+        self._check_associativity()
+
+    def _cayley_table(self, mul) -> list[list[int]]:
+        """Row a, column b: the index of mul(a, b), which must be listed."""
+        table = []
         for a in self.elements:
             row = []
             for b in self.elements:
@@ -212,10 +219,8 @@ class FiniteGroup:
                 if k is None:
                     raise GroupAxiomError(f"not closed: {a} * {b} = {c}")
                 row.append(k)
-            self.table.append(row)
-        self.identity = self._find_identity()
-        self.inverses = self._find_inverses()
-        self._check_associativity()
+            table.append(row)
+        return table
 
     def _find_identity(self) -> int:
         for i in range(len(self.elements)):
@@ -250,9 +255,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def mul_idx(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def element_order(self, i: int) -> int:
         k, x = 1, i
         while x != self.identity:
@@ -272,9 +274,6 @@ class FiniteGroup:
         n = self.order
         return all(self.table[i][j] == self.table[j][i]
                    for i in range(n) for j in range(i + 1, n))
-
-    def contains(self, e) -> bool:
-        return e in self.index
 
     def is_subgroup(self, other: "FiniteGroup") -> bool:
         """Whether this group's elements form a subgroup of other."""
@@ -355,17 +354,51 @@ def identify_group(g: FiniteGroup) -> GroupLabel:
 # Automorphism groups of signed graphs
 # ---------------------------------------------------------------------------
 
-def _sp_group(elements) -> FiniteGroup:
-    return FiniteGroup(
-        sorted(elements, key=lambda e: (e.switch_mask, e.perm)),
-        lambda a, b: sp_canonical(sp_multiply(a, b)),
-    )
+class SwitchingGroup(FiniteGroup):
+    """Switching permutations stored as canonical lifts, sorted by switching
+    mask and permutation. On a connected graph a lift is fixed by its
+    permutation, so a Cayley cell composes two permutations and looks the
+    product up in ``by_perm``; its switching part must then equal x_a xor
+    the pullback of x_b through p_a, canonicalised, or the list is not
+    closed."""
+
+    def __init__(self, elements):
+        elements = sorted(elements, key=lambda e: (e.switch_mask, e.perm))
+        self.by_perm = {e.perm: i for i, e in enumerate(elements)}
+        if len(self.by_perm) != len(elements):
+            raise GroupAxiomError("two elements share a permutation")
+        super().__init__(elements, None)
+
+    def _cayley_table(self, mul) -> list[list[int]]:
+        elements, by_perm = self.elements, self.by_perm
+        perms = [e.perm for e in elements]
+        xs = [e.switch_mask for e in elements]
+        full = (1 << elements[0].n) - 1 if elements else 0
+        switch_parts = set(xs)
+        table = []
+        for a in elements:
+            p, x = a.perm, a.switch_mask
+            # the switching part of a * b for each switching part y of b
+            want = {}
+            for y in switch_parts:
+                z = x ^ sum(1 << w for w, v in enumerate(p) if y >> v & 1)
+                want[y] = z ^ full if z & 1 else z
+            # itemgetter(*p)(q) is compose(p, q) in one call, for len(p) > 1
+            after_p = itemgetter(*p) if len(p) > 1 else lambda q: compose(p, q)
+            row = [by_perm.get(q) for q in map(after_p, perms)]
+            if None in row or \
+                    list(map(xs.__getitem__, row)) != list(map(want.__getitem__, xs)):
+                j = next(j for j, k in enumerate(row)
+                         if k is None or xs[k] != want[xs[j]])
+                raise GroupAxiomError(f"not closed: {a} * {elements[j]}")
+            table.append(row)
+        return table
 
 
-def graph_automorphisms(g: Graph) -> FiniteGroup:
+def graph_automorphisms(g: Graph) -> SwitchingGroup:
     """All graph automorphisms, as switching permutations with empty
     switching part."""
-    return _sp_group(SwitchingPermutation(0, p) for p in automorphism_images(g))
+    return SwitchingGroup(SwitchingPermutation(0, p) for p in automorphism_images(g))
 
 
 def _pullback(g: Graph, mask: int, perm: tuple[int, ...]) -> int:
@@ -385,15 +418,23 @@ def _switching_scan_guard(g: Graph) -> None:
         raise ValueError("switching automorphisms need a connected graph")
 
 
-def aut_signed(s: SignedGraph) -> FiniteGroup:
+def _mask_changes(s: SignedGraph):
+    """Each automorphism p of the underlying graph with mask xor the
+    pullback of mask through p: zero when p preserves the signs, a cut when
+    p lifts to a switching automorphism."""
+    g, mask = s.graph, s.mask
+    for p in automorphism_images(g):
+        yield p, mask ^ _pullback(g, mask, p)
+
+
+def aut_signed(s: SignedGraph) -> SwitchingGroup:
     """Sign-preserving automorphisms: the stabilizer of the sign mask
     inside the automorphism group of the underlying graph."""
-    g = s.graph
-    return _sp_group(SwitchingPermutation(0, p) for p in automorphism_images(g)
-                     if _pullback(g, s.mask, p) == s.mask)
+    return SwitchingGroup(SwitchingPermutation(0, p)
+                          for p, d in _mask_changes(s) if d == 0)
 
 
-def swaut(s: SignedGraph) -> FiniteGroup:
+def swaut(s: SignedGraph) -> SwitchingGroup:
     """Switching automorphism group: the stabilizer of the switching class
     of s inside the automorphism group of the underlying graph.
 
@@ -403,19 +444,25 @@ def swaut(s: SignedGraph) -> FiniteGroup:
     """
     _switching_scan_guard(s.graph)
     found = []
-    for p in automorphism_images(s.graph):
-        x = cut_preimage(s.graph, s.mask ^ _pullback(s.graph, s.mask, p))
+    for p, d in _mask_changes(s):
+        x = cut_preimage(s.graph, d)
         if x is not None:
             found.append(SwitchingPermutation(x, p))
-    return _sp_group(found)
+    return SwitchingGroup(found)
 
 
 def orbit_counts(s: SignedGraph) -> tuple[int, int]:
-    """(isomorphic copies, switching-equivalence classes in the orbit):
-    index of the stabilizers Aut and SwAut inside Aut of the underlying
-    graph."""
+    """(isomorphic copies, switching-equivalence classes in the orbit), by
+    orbit-stabilizer: the order of Aut of the underlying graph divided by
+    the number of automorphisms that fix the sign mask, and by the number
+    whose change to the mask is a cut. No group is built."""
+    _switching_scan_guard(s.graph)
+    fixed = lifted = 0
+    for _, d in _mask_changes(s):
+        fixed += d == 0
+        lifted += cut_preimage(s.graph, d) is not None
     full = len(automorphism_images(s.graph))
-    return full // aut_signed(s).order, full // swaut(s).order
+    return full // fixed, full // lifted
 
 
 def lift_permutation(s: SignedGraph, xi: tuple[int, ...]):

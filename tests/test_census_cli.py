@@ -44,6 +44,42 @@ def test_verify_all_empty():
     assert verify_all() == []
 
 
+def test_verify_all_does_group_work_once(monkeypatch):
+    """verify_all scans the Petersen automorphisms once, builds the twelve
+    T4 groups once each, and builds no group for T5, whose orbit sizes come
+    from stabilizer counts."""
+    from signedpetersen import census, graphs, groups
+    scans, built, current = [], [], []
+    search, init, build = (graphs._automorphism_search,
+                           groups.FiniteGroup.__init__, census.build_table)
+
+    def counted_search(g):
+        scans.append(g)
+        return search(g)
+
+    def counted_init(self, elements, mul):
+        init(self, elements, mul)
+        built.append((current[-1], self.order))
+
+    def tracked_build(table_id):
+        current.append(table_id)
+        return build(table_id)
+
+    monkeypatch.setattr(graphs, "_automorphism_search", counted_search)
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", counted_init)
+    monkeypatch.setattr(census, "build_table", tracked_build)
+    graphs.petersen.cache_clear()  # a fresh graph, automorphisms unscanned
+    try:
+        assert verify_all() == []
+    finally:
+        graphs.petersen.cache_clear()
+    assert len(scans) == 1 and graphs.is_petersen(scans[0])
+    assert {table for table, _ in built} == {"T4_orders"}
+    orders = [order for _, order in built]
+    assert sorted(orders) == sorted(expected.AUT_ORDERS + expected.SWAUT_ORDERS)
+    assert sum(order * order for order in orders) == 47688
+
+
 def test_table_artifacts_render():
     for tid in TABLE_IDS:
         art = build_table(tid)
@@ -152,6 +188,17 @@ def test_cli_group(capsys, rep_masks):
     assert "swaut order 60 label A5" in out
     assert "cosets 10 conjugation-closed True" in out
     assert sum(1 for ln in out.splitlines() if ln.startswith("rep ")) == 10
+
+
+def test_vertex_perm_name(pg):
+    g, lab = pg
+    from signedpetersen.groups import induced_permutation, parse_cycles
+    for text in ("()", "(12)(45)", "(145)", "(12345)"):
+        perm = induced_permutation(lab, parse_cycles(text))
+        assert cli._vertex_perm_name(list(perm)) == text
+    # a vertex permutation induced by no permutation of {1..5}
+    swapped = [1, 0] + list(range(2, 10))
+    assert cli._vertex_perm_name(swapped) == str(swapped)
 
 
 def test_cli_color_and_cluster(capsys, rep_masks):

@@ -9,7 +9,8 @@ from signedpetersen.expected import (AUT_LABELS, AUT_ORDERS, CLASS_NAMES,
                                      SWITCHING_CLASSES)
 from signedpetersen.graphs import Graph, automorphism_images, cut, petersen
 from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
-                                   GroupLabel, SwitchingPermutation,
+                                   GroupLabel, SwitchingGroup,
+                                   SwitchingPermutation,
                                    aut_signed, compose, coset_system,
                                    edge_permutation, format_cycles,
                                    general_product, graph_automorphisms,
@@ -192,6 +193,7 @@ def test_graph_automorphism_groups(pg):
     assert identify_group(graph_automorphisms(g)) is GroupLabel.S5
     c5 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
     assert graph_automorphisms(c5).order == 10
+    assert graph_automorphisms(Graph(1, ())).order == 1
 
 
 # --------------------------------------------------------------------------
@@ -285,19 +287,59 @@ def exhaustive_swaut(s):
     return found
 
 
+def checked_signatures(g, reps):
+    """The six representatives, their negations and 30 seeded random
+    signatures."""
+    rng = random.Random(31)
+    return (list(reps) + [negate(s) for s in reps] +
+            [SignedGraph.from_mask(g, rng.randrange(1 << 15)) for _ in range(30)])
+
+
 def test_swaut_matches_exhaustive_scan(pg, reps, sw6):
     g, _ = pg
-    rng = random.Random(31)
     signatures = list(zip(reps, sw6))
-    signatures += [(negate(s), swaut(negate(s))) for s in reps]
-    signatures += [(s, swaut(s)) for s in (
-        SignedGraph.from_mask(g, rng.randrange(1 << 15)) for _ in range(30))]
+    signatures += [(s, swaut(s)) for s in checked_signatures(g, reps)[6:]]
     perms = automorphism_images(g)
     for s, w in signatures:
         assert set(w.elements) == exhaustive_swaut(s), s.mask
         by_perm = {e.perm: e for e in w.elements}
         for p in perms:
             assert lift_permutation(s, p) == by_perm.get(p)
+
+
+def oracle_group(elements):
+    """Reference Cayley table: each cell is the canonical lift of the
+    semidirect product of two elements, looked up among the elements."""
+    return FiniteGroup(sorted(elements, key=lambda e: (e.switch_mask, e.perm)),
+                       lambda a, b: sp_canonical(sp_multiply(a, b)))
+
+
+def test_cayley_tables_match_oracle(pg, reps):
+    g, _ = pg
+    for s in checked_signatures(g, reps):
+        aut, w = aut_signed(s), swaut(s)
+        for group in (aut, w):
+            oracle = oracle_group(group.elements)
+            assert oracle.elements == group.elements, s.mask
+            assert oracle.table == group.table, s.mask
+        # orbit-stabilizer counts against the orders of the built groups
+        assert orbit_counts(s) == (120 // aut.order, 120 // w.order), s.mask
+
+
+def test_switching_group_rejects_bad_elements(sw6):
+    elements = sw6[4].elements
+    # a wrong switching part: the permutations still close up, the
+    # switching parts of the products do not
+    e = elements[-1]
+    wrong = SwitchingPermutation(e.switch_mask ^ 0b110, e.perm)
+    with pytest.raises(GroupAxiomError):
+        SwitchingGroup(elements[:-1] + [wrong])
+    # one element missing: not closed
+    with pytest.raises(GroupAxiomError):
+        SwitchingGroup(elements[:-1])
+    # two elements with one permutation
+    with pytest.raises(GroupAxiomError):
+        SwitchingGroup(elements + [wrong])
 
 
 def test_lift_permutation(pg, reps):
@@ -395,19 +437,24 @@ def test_no_order10_complement_in_swaut_p32(aut6, sw6):
     automorphism group trivially, so no representative system of SwAut of
     the 3-negative-edge matching signature forms a subgroup."""
     w = sw6[4]
-    aut_set = set(aut6[4].elements)
-    mul = lambda a, b: sp_canonical(sp_multiply(a, b))
+    aut_set = {w.index[e] for e in aut6[4].elements}
     by_order = {5: [], 2: []}
-    for i, e in enumerate(w.elements):
+    for i in range(w.order):
         o = w.element_order(i)
         if o in by_order:
-            by_order[o].append(e)
+            by_order[o].append(i)
     subgroups = set()
     for a in by_order[5]:
         for b in by_order[2]:
-            h = FiniteGroup.generate([a, b], mul, sp_identity(10))
-            if h.order == 10:
-                subgroups.add(frozenset(h.elements))
+            # closure of <a, b> as element indices over the verified table
+            h = {w.identity}
+            frontier = [w.identity]
+            while frontier:
+                frontier = [w.table[x][y] for x in frontier for y in (a, b)
+                            if w.table[x][y] not in h]
+                h.update(frontier)
+            if len(h) == 10:
+                subgroups.add(frozenset(h))
     assert len(subgroups) == 6
     for h in subgroups:
         assert len(h & aut_set) > 1
