@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import expected
-from .clustering import cluster_number, inclusterability_index, max_inclusterability
+from .clustering import cluster_number, inclusterability_index
 from .coloring import chi3_difference, chromatic_numbers, count_colorations
 from .frustration import alpha_k, frustration_number
 from .graphs import petersen
@@ -26,7 +26,7 @@ from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType, negate,
 def standard_representative(t: SixType) -> SignedGraph:
     """The standard minimal signature of a class, from the embedded
     negative-edge lists."""
-    return SignedGraph.from_mask(petersen()[0], standard_mask(t))
+    return SignedGraph(petersen()[0], standard_mask(t))
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 from . import census as census_mod
 from . import io as io_mod
-from .clustering import cluster_report, max_inclusterability
-from .coloring import BudgetError, chromatic_numbers, count_colorations
+from .clustering import cluster_report
+from .coloring import chromatic_numbers, count_colorations
 from .frustration import frustration_index, frustration_number
 from .graphs import petersen
 from .groups import (aut_signed, coset_system, format_cycles, identify_group,
@@ -24,7 +24,7 @@ from .signed import SignedGraph, classify_six, negative_circle_counts
 
 def _load(args) -> SignedGraph:
     if getattr(args, "mask", None) is not None:
-        return SignedGraph.from_mask(petersen()[0], io_mod.parse_mask(args.mask))
+        return SignedGraph(petersen()[0], io_mod.parse_mask(args.mask))
     return io_mod.load_signed_graph(args.file)
 
 
@@ -59,7 +59,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_group(args) -> int:
-    s = SignedGraph.from_mask(petersen()[0], io_mod.parse_mask(args.mask))
+    s = SignedGraph(petersen()[0], io_mod.parse_mask(args.mask))
     aut = aut_signed(s)
     sw = swaut(s)
     print(f"aut order {aut.order} label {identify_group(aut).value}")
@@ -94,13 +94,11 @@ def _induced_names() -> dict[tuple[int, ...], str]:
 
 def cmd_color(args) -> int:
     s = _load(args)
-    try:
-        count = count_colorations(s, args.k, zero_free=args.zero_free)
-    except BudgetError as exc:
-        raise io_mod.InputError(str(exc))
+    # Every count first: a budget error (exit 2) then leaves no output.
+    count = count_colorations(s, args.k, zero_free=args.zero_free)
+    chi, chi_star = chromatic_numbers(s)
     kind = "zero-free colorations" if args.zero_free else "colorations"
     print(f"{kind} at k={args.k}: {count}")
-    chi, chi_star = chromatic_numbers(s)
     print(f"chromatic number {chi}")
     print(f"zero-free chromatic number {chi_star}")
     return 0

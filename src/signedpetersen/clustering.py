@@ -12,13 +12,12 @@ view keeps the exhaustive 2^15 signature scan fast.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import (Graph, SearchSizeError, all_matchings, chromatic_number,
                      contract, enumerate_cycles)
-from .signed import SignedGraph, sign_of_circle
+from .signed import SignedGraph
 
 MAX_EDGES = 20
 
@@ -39,12 +38,15 @@ def positive_contraction(s: SignedGraph):
 def is_clusterable(s: SignedGraph):
     """(flag, witness): a clustering partition when the positive-edge
     contraction is loop-free, else a circle carrying exactly one negative
-    edge."""
+    edge. The circle search, like the deletion search that follows it in
+    ``cluster_report``, is limited to MAX_EDGES edges."""
     res = positive_contraction(s)
     if not res.loop_flag:
         return True, clustering_partition(s)
+    if len(s.graph.edges) > MAX_EDGES:
+        raise SearchSizeError("too many edges for deletion search")
     for c in enumerate_cycles(s.graph, s.graph.vertex_count):
-        if sum(1 for i in c.edge_indices if s.signs[i] < 0) == 1:
+        if (c.edge_mask & s.mask).bit_count() == 1:
             return False, c
     raise AssertionError("loopy contraction but no one-negative circle")
 
@@ -95,23 +97,19 @@ def cluster_number(s: SignedGraph) -> int | None:
 
 def delete_edges(s: SignedGraph, drop) -> SignedGraph:
     dropset = {tuple(sorted(e)) for e in drop}
-    pairs = [(e, sig) for e, sig in zip(s.graph.edges, s.signs)
-             if e not in dropset]
-    g = Graph(s.graph.vertex_count, tuple(e for e, _ in pairs))
-    return SignedGraph(g, tuple(sig for _, sig in pairs))
+    edges, mask = [], 0
+    for i, e in enumerate(s.graph.edges):
+        if e not in dropset:
+            mask |= (s.mask >> i & 1) << len(edges)
+            edges.append(e)
+    return SignedGraph(Graph(s.graph.vertex_count, tuple(edges)), mask)
 
 
 # --- hitting-set core -------------------------------------------------------
 
 @lru_cache(maxsize=8)
 def _cycle_edge_masks(g: Graph) -> tuple[int, ...]:
-    masks = []
-    for c in enumerate_cycles(g, g.vertex_count):
-        m = 0
-        for i in c.edge_indices:
-            m |= 1 << i
-        masks.append(m)
-    return tuple(masks)
+    return tuple(c.edge_mask for c in enumerate_cycles(g, g.vertex_count))
 
 
 def _bad_cycles(cycle_masks, neg_mask: int) -> list[int]:

@@ -70,16 +70,15 @@ def chromatic_numbers(s: SignedGraph) -> tuple[int, int]:
     raise BudgetError("chromatic number exceeds the k <= 2 budget")
 
 
-def balanced_expansion_check(s: SignedGraph, mu: int = 1) -> tuple[bool, int, int]:
-    """Verify that the count at 2*mu+1 colors equals the sum over
-    independent sets W of the zero-free count of s minus W at 2*mu colors.
-    Returns (equal, left side, right side)."""
-    if mu != 1:
-        raise BudgetError("only mu = 1 is within the enumeration budget")
-    left = count_colorations(s, mu, zero_free=False)
+def balanced_expansion_check(s: SignedGraph) -> tuple[bool, int, int]:
+    """Verify that the count at 3 colors equals the sum over independent
+    sets W of the zero-free count of s minus W at 2 colors (the expansion
+    at mu = 1, the only one within the k <= 2 budget). Returns (equal, left
+    side, right side)."""
+    left = count_colorations(s, 1, zero_free=False)
     right = 0
     for w in all_independent_sets(s.graph):
-        right += count_colorations(delete_vertices(s, w), mu, zero_free=True)
+        right += count_colorations(delete_vertices(s, w), 1, zero_free=True)
     return left == right, left, right
 
 

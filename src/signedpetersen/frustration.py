@@ -51,19 +51,19 @@ def frustration_number(s: SignedGraph) -> tuple[int, frozenset]:
 
 
 def delete_vertices(s: SignedGraph, w) -> SignedGraph:
-    """Signature induced on the remaining vertices (ids compacted)."""
+    """Signature induced on the remaining vertices (ids compacted). The
+    relabeling keeps the vertex order, so the kept edges stay in canonical
+    order."""
     ws = set(w)
     keep = [v for v in range(s.graph.vertex_count) if v not in ws]
     new_id = {v: i for i, v in enumerate(keep)}
-    edges, signs = [], []
-    for (u, v), sig in zip(s.graph.edges, s.signs):
+    edges, mask = [], 0
+    for i, (u, v) in enumerate(s.graph.edges):
         if u in ws or v in ws:
             continue
+        mask |= (s.mask >> i & 1) << len(edges)
         edges.append((new_id[u], new_id[v]))
-        signs.append(sig)
-    order = sorted(range(len(edges)), key=lambda i: edges[i])
-    g = Graph(len(keep), tuple(edges[i] for i in order))
-    return SignedGraph(g, tuple(signs[i] for i in order))
+    return SignedGraph(Graph(len(keep), tuple(edges)), mask)
 
 
 def frustration_report(s: SignedGraph) -> FrustrationReport:
@@ -73,7 +73,7 @@ def frustration_report(s: SignedGraph) -> FrustrationReport:
 
 
 def is_minimal(s: SignedGraph) -> bool:
-    return len(s.negative_edges) == frustration_index(s)[0]
+    return s.mask.bit_count() == frustration_index(s)[0]
 
 
 def cut_dominance_check(s: SignedGraph):

@@ -102,6 +102,12 @@ class Graph:
         """Breadth-first spanning forest as (vertex, parent, edge index)
         triples in visiting order. Each component is rooted at its least
         vertex, which carries parent and edge index -1."""
+        # In canonical edge order each vertex meets its neighbours in
+        # increasing order, so these lists need no sort.
+        nbrs = [[] for _ in range(self.vertex_count)]
+        for i, (u, v) in enumerate(self.edges):
+            nbrs[u].append((v, i))
+            nbrs[v].append((u, i))
         seen = [False] * self.vertex_count
         out = []
         for root in range(self.vertex_count):
@@ -113,10 +119,10 @@ class Graph:
             while i < len(out):
                 u = out[i][0]
                 i += 1
-                for w in sorted(self.adjacency[u]):
+                for w, j in nbrs[u]:
                     if not seen[w]:
                         seen[w] = True
-                        out.append((w, u, self.index_of(u, w)))
+                        out.append((w, u, j))
         return tuple(out)
 
     @cached_property
@@ -179,8 +185,11 @@ def is_petersen(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class Cycle:
+    """A simple cycle: its vertices in canonical rotation and the edge mask
+    of its edges (bit i set when edge i lies on it)."""
+
     vertices: tuple[int, ...]
-    edge_indices: frozenset
+    edge_mask: int
 
     @property
     def length(self) -> int:
@@ -191,14 +200,13 @@ class Cycle:
         verts = tuple(verts)
         if len(verts) < 3 or len(set(verts)) != len(verts):
             raise ValueError(f"not a cycle: {verts}")
+        mask = 0
         for a, b in zip(verts, verts[1:] + verts[:1]):
-            if not g.has_edge(a, b):
+            i = g.edge_index.get((a, b) if a < b else (b, a))
+            if i is None:
                 raise ValueError(f"not a cycle: {a}-{b} is not an edge")
-        verts = _canonical_rotation(verts)
-        edges = frozenset(
-            g.index_of(a, b) for a, b in zip(verts, verts[1:] + verts[:1])
-        )
-        return cls(verts, edges)
+            mask |= 1 << i
+        return cls(_canonical_rotation(verts), mask)
 
 
 def _canonical_rotation(verts: tuple[int, ...]) -> tuple[int, ...]:
@@ -295,21 +303,35 @@ def cut_space(g: Graph):
         yield x, c
 
 
-def cut_preimage(g: Graph, d: int):
-    """The vertex mask X with cut(X) = d (as edge masks) that leaves the
-    least vertex of every component out, or None when d is not a cut.
+def cut_mask(g: Graph, x: int) -> int:
+    """Edge mask of the cut of the vertex mask x: switching x flips the
+    signs on exactly these edges."""
+    c = 0
+    for v in bits(x):
+        c ^= g.incidence[v]
+    return c
 
-    X is read off the spanning forest, an edge of d separating a vertex from
-    its parent; the check that cut(X) gives back d covers the other edges.
-    """
+
+def forest_preimage(g: Graph, d: int) -> int:
+    """The vertex mask X, least vertex of every component left out, whose
+    cut agrees with the edge mask d on every spanning-forest edge: X is read
+    off the forest, an edge of d separating a vertex from its parent."""
     x = 0
     for v, parent, i in g.spanning_forest:
         if parent >= 0 and ((x >> parent) ^ (d >> i)) & 1:
             x |= 1 << v
-    c = 0
-    for v in bits(x):
-        c ^= g.incidence[v]
-    return x if c == d else None
+    return x
+
+
+def cut_preimage(g: Graph, d: int):
+    """The vertex mask X with cut(X) = d (as edge masks) that leaves the
+    least vertex of every component out, or None when d is not a cut.
+
+    X is ``forest_preimage(g, d)``; the check that cut(X) gives back d
+    covers the edges off the forest.
+    """
+    x = forest_preimage(g, d)
+    return x if cut_mask(g, x) == d else None
 
 
 def independent_sets(g: Graph, k: int) -> list[frozenset]:
@@ -405,9 +427,9 @@ def classify_matching(g: Graph, m) -> MatchingClass:
         if dists == [2, 2, 3]:
             return MatchingClass.M3_2_3
         if dists == [2, 2, 2]:
-            edge_ids = {g.edge_index[e] for e in edges}
+            m = sum(1 << g.edge_index[e] for e in edges)
             for v in range(g.vertex_count):
-                if edge_ids <= hexagon_of_vertex(g, v).edge_indices:
+                if m & hexagon_of_vertex(g, v).edge_mask == m:
                     return MatchingClass.M32
             return MatchingClass.M3PRIME
         raise ValueError(f"unexpected 3-matching distances {dists}")

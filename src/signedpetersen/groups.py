@@ -20,8 +20,8 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError,
-                     automorphism_images, cut_preimage)
-from .signed import SignedGraph, SwitchingFunction, switch
+                     automorphism_images, cut_mask, cut_preimage)
+from .signed import SignedGraph
 
 # ---------------------------------------------------------------------------
 # Plain permutations
@@ -171,15 +171,12 @@ def sp_canonical(a: SwitchingPermutation) -> SwitchingPermutation:
 
 
 def sp_act(a: SwitchingPermutation, s: SignedGraph) -> SignedGraph:
-    """Switch by the switching set, then relabel by the permutation."""
-    z = SwitchingFunction(tuple(-1 if a.switch_mask >> v & 1 else 1
-                                for v in range(a.n)))
-    sw = switch(s, z)
+    """Switch by the switching set, then relabel by the permutation: edge
+    i takes the sign of the edge that the inverse permutation sends it to."""
     g = s.graph
-    signs = [0] * len(g.edges)
-    for (u, v), sig in zip(g.edges, sw.signs):
-        signs[g.index_of(a.perm[u], a.perm[v])] = sig
-    return SignedGraph(g, tuple(signs))
+    switched = s.mask ^ cut_mask(g, a.switch_mask)
+    return SignedGraph(g, _pullback(switched,
+                                    edge_permutation(g, inverse(a.perm))))
 
 
 def edge_permutation(g: Graph, perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -401,11 +398,17 @@ def graph_automorphisms(g: Graph) -> SwitchingGroup:
     return SwitchingGroup(SwitchingPermutation(0, p) for p in automorphism_images(g))
 
 
-def _pullback(g: Graph, mask: int, perm: tuple[int, ...]) -> int:
-    """The sign mask that relabeling by the automorphism perm carries onto
-    mask."""
-    ep = edge_permutation(g, perm)
+def _pullback(mask: int, ep: tuple[int, ...]) -> int:
+    """The sign mask that relabeling by an automorphism with edge
+    permutation ep carries onto mask."""
     return sum(1 << i for i, j in enumerate(ep) if mask >> j & 1)
+
+
+@lru_cache(maxsize=8)
+def _automorphism_edge_maps(g: Graph):
+    """Each automorphism of g with its edge permutation, built once per
+    graph."""
+    return tuple((p, edge_permutation(g, p)) for p in automorphism_images(g))
 
 
 def _switching_scan_guard(g: Graph) -> None:
@@ -422,9 +425,9 @@ def _mask_changes(s: SignedGraph):
     """Each automorphism p of the underlying graph with mask xor the
     pullback of mask through p: zero when p preserves the signs, a cut when
     p lifts to a switching automorphism."""
-    g, mask = s.graph, s.mask
-    for p in automorphism_images(g):
-        yield p, mask ^ _pullback(g, mask, p)
+    mask = s.mask
+    for p, ep in _automorphism_edge_maps(s.graph):
+        yield p, mask ^ _pullback(mask, ep)
 
 
 def aut_signed(s: SignedGraph) -> SwitchingGroup:
@@ -475,7 +478,7 @@ def lift_permutation(s: SignedGraph, xi: tuple[int, ...]):
     if sorted(xi) != list(range(g.vertex_count)) or \
             not all(g.has_edge(xi[u], xi[v]) for u, v in g.edges):
         return None
-    x = cut_preimage(g, s.mask ^ _pullback(g, s.mask, xi))
+    x = cut_preimage(g, s.mask ^ _pullback(s.mask, edge_permutation(g, xi)))
     return None if x is None else SwitchingPermutation(x, xi)
 
 

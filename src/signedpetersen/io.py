@@ -45,10 +45,10 @@ def parse_signed_graph(text: str) -> SignedGraph:
         key = (min(u, v), max(u, v))
         if key in edges:
             raise InputError(f"duplicate edge in {ln!r}")
-        edges[key] = 1 if parts[2] == "+" else -1
+        edges[key] = parts[2] == "-"
     order = sorted(edges)
-    g = Graph(n, tuple(order))
-    return SignedGraph(g, tuple(edges[e] for e in order))
+    return SignedGraph(Graph(n, tuple(order)),
+                       sum(1 << i for i, e in enumerate(order) if edges[e]))
 
 
 def load_signed_graph(path: str) -> SignedGraph:
@@ -62,8 +62,8 @@ def load_signed_graph(path: str) -> SignedGraph:
 
 def serialize_signed_graph(s: SignedGraph) -> str:
     out = [f"n {s.graph.vertex_count}"]
-    for (u, v), sig in zip(s.graph.edges, s.signs):
-        out.append(f"{u} {v} {'+' if sig > 0 else '-'}")
+    for i, (u, v) in enumerate(s.graph.edges):
+        out.append(f"{u} {v} {'-' if s.mask >> i & 1 else '+'}")
     return "\n".join(out) + "\n"
 
 

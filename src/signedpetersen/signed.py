@@ -1,9 +1,11 @@
 """Signed graphs: switching, balance, circle signs, switching equivalence,
 and the six-way classifier for signatures of the Petersen graph.
 
-Signs are stored as a tuple of +1/-1 over the canonical edge order, with an
-equivalent bitmask view (bit set = negative edge). Switching acts on the
-bitmask by XOR with a cut from ``graphs.cut_space``.
+A signature is stored as its sign mask over the canonical edge order (bit i
+set when edge i is negative); ``SignedGraph.sign`` is the one place that
+turns an edge bit into +1/-1. Switching a vertex set acts on the mask by XOR
+with the edge mask of its cut, from ``graphs.cut_mask`` or
+``graphs.cut_space``.
 """
 
 from __future__ import annotations
@@ -12,47 +14,32 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .graphs import (Cycle, Graph, bits, cut_preimage, cut_space,
-                     enumerate_cycles, petersen)
+from .graphs import (Cycle, Graph, bits, cut_mask, cut_preimage, cut_space,
+                     enumerate_cycles, forest_preimage, petersen)
 
 
 @dataclass(frozen=True)
 class SignedGraph:
+    """A graph with a sign mask: bit i set when edge i is negative."""
+
     graph: Graph
-    signs: tuple[int, ...]
+    mask: int
 
     def __post_init__(self):
-        if len(self.signs) != len(self.graph.edges):
-            raise ValueError("sign vector length mismatch")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
-
-    @classmethod
-    def from_mask(cls, g: Graph, mask: int) -> "SignedGraph":
-        m = len(g.edges)
-        if not 0 <= mask < (1 << m):
-            raise ValueError(f"mask {mask:#x} out of range for {m} edges")
-        return cls(g, tuple(-1 if mask >> i & 1 else 1 for i in range(m)))
-
-    @classmethod
-    def all_positive(cls, g: Graph) -> "SignedGraph":
-        return cls(g, (1,) * len(g.edges))
-
-    @cached_property
-    def mask(self) -> int:
-        """Sign bitmask: bit i set when edge i is negative."""
-        return sum(1 << i for i, s in enumerate(self.signs) if s < 0)
+        m = len(self.graph.edges)
+        if not 0 <= self.mask < (1 << m):
+            raise ValueError(f"mask {self.mask:#x} out of range for {m} edges")
 
     @cached_property
     def negative_edges(self) -> frozenset:
-        return frozenset(e for e, s in zip(self.graph.edges, self.signs) if s < 0)
+        return frozenset(self.graph.edges[i] for i in bits(self.mask))
 
     @cached_property
     def positive_edges(self) -> frozenset:
-        return frozenset(e for e, s in zip(self.graph.edges, self.signs) if s > 0)
+        return frozenset(self.graph.edges) - self.negative_edges
 
     def sign(self, u: int, v: int) -> int:
-        return self.signs[self.graph.index_of(u, v)]
+        return -1 if self.mask >> self.graph.index_of(u, v) & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -83,20 +70,16 @@ class SwitchingFunction:
 def switch(s: SignedGraph, z: SwitchingFunction) -> SignedGraph:
     if len(z.values) != s.graph.vertex_count:
         raise ValueError("switching function size mismatch")
-    signs = tuple(sig * z.values[u] * z.values[v]
-                  for (u, v), sig in zip(s.graph.edges, s.signs))
-    return SignedGraph(s.graph, signs)
+    x = sum(1 << v for v in z.negative_set)
+    return SignedGraph(s.graph, s.mask ^ cut_mask(s.graph, x))
 
 
 def negate(s: SignedGraph) -> SignedGraph:
-    return SignedGraph(s.graph, tuple(-x for x in s.signs))
+    return SignedGraph(s.graph, s.mask ^ ((1 << len(s.graph.edges)) - 1))
 
 
 def sign_of_circle(s: SignedGraph, c: Cycle) -> int:
-    prod = 1
-    for i in c.edge_indices:
-        prod *= s.signs[i]
-    return prod
+    return -1 if (s.mask & c.edge_mask).bit_count() & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -110,34 +93,22 @@ class BalanceResult:
 
 
 def is_balanced(s: SignedGraph) -> BalanceResult:
-    """Sign-aware BFS 2-labeling.  Balanced signatures get the bipartition
-    with all positive edges inside a side; unbalanced ones get a negative
-    cycle built from the BFS tree."""
+    """A signature is balanced exactly when its negative edges form a cut
+    (Harary), which is the ``cut_preimage`` test: X = forest_preimage(mask)
+    and cut(X) must give back the mask. Balanced signatures get the
+    bipartition (V - X, X), positive edges inside a side; unbalanced ones
+    get a negative cycle, the edge of least index where cut(X) and the mask
+    differ (never a forest edge) closed by the forest paths from its ends."""
     g = s.graph
-    n = g.vertex_count
-    label = [0] * n  # 0 unknown, else +1/-1
-    parent = [-1] * n
-    for root in range(n):
-        if label[root]:
-            continue
-        label[root] = 1
-        queue = [root]
-        i = 0
-        while i < len(queue):
-            u = queue[i]
-            i += 1
-            for w in g.adjacency[u]:
-                want = label[u] * s.sign(u, w)
-                if label[w] == 0:
-                    label[w] = want
-                    parent[w] = u
-                    queue.append(w)
-                elif label[w] != want:
-                    return BalanceResult(False, None,
-                                         _tree_cycle(g, parent, u, w))
-    pos = frozenset(v for v in range(n) if label[v] > 0)
-    neg = frozenset(v for v in range(n) if label[v] < 0)
-    return BalanceResult(True, (pos, neg), None)
+    x = forest_preimage(g, s.mask)
+    off = s.mask ^ cut_mask(g, x)
+    if not off:
+        neg = frozenset(bits(x))
+        return BalanceResult(True, (frozenset(range(g.vertex_count)) - neg, neg),
+                             None)
+    u, w = g.edges[(off & -off).bit_length() - 1]
+    parent = {v: p for v, p, _ in g.spanning_forest}
+    return BalanceResult(False, None, _tree_cycle(g, parent, u, w))
 
 
 def _tree_cycle(g: Graph, parent, u: int, w: int) -> Cycle:
@@ -219,22 +190,13 @@ def petersen_cut_masks() -> tuple[int, ...]:
 @lru_cache(maxsize=1)
 def petersen_pentagon_masks() -> tuple[int, ...]:
     g, _ = petersen()
-    return tuple(_edge_mask(c) for c in enumerate_cycles(g, 5)
-                 if c.length == 5)
+    return tuple(c.edge_mask for c in enumerate_cycles(g, 5) if c.length == 5)
 
 
 @lru_cache(maxsize=1)
 def petersen_hexagon_masks() -> tuple[int, ...]:
     g, _ = petersen()
-    return tuple(_edge_mask(c) for c in enumerate_cycles(g, 6)
-                 if c.length == 6)
-
-
-def _edge_mask(c: Cycle) -> int:
-    m = 0
-    for i in c.edge_indices:
-        m |= 1 << i
-    return m
+    return tuple(c.edge_mask for c in enumerate_cycles(g, 6) if c.length == 6)
 
 
 def petersen_frustration_of_mask(mask: int) -> int:

@@ -1,9 +1,15 @@
 import csv
 import io as stdio
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import signedpetersen
 from signedpetersen import cli
 from signedpetersen import expected
 from signedpetersen.census import (TABLE_IDS, build_table, run_census,
@@ -45,17 +51,23 @@ def test_verify_all_empty():
 
 
 def test_verify_all_does_group_work_once(monkeypatch):
-    """verify_all scans the Petersen automorphisms once, builds the twelve
-    T4 groups once each, and builds no group for T5, whose orbit sizes come
-    from stabilizer counts."""
+    """verify_all scans the Petersen automorphisms once, builds their 120
+    edge permutations once, builds the twelve T4 groups once each, and
+    builds no group for T5, whose orbit sizes come from stabilizer
+    counts."""
     from signedpetersen import census, graphs, groups
-    scans, built, current = [], [], []
+    scans, edge_maps, built, current = [], [], [], []
     search, init, build = (graphs._automorphism_search,
                            groups.FiniteGroup.__init__, census.build_table)
+    edge_permutation = groups.edge_permutation
 
     def counted_search(g):
         scans.append(g)
         return search(g)
+
+    def counted_edge_permutation(g, perm):
+        edge_maps.append(perm)
+        return edge_permutation(g, perm)
 
     def counted_init(self, elements, mul):
         init(self, elements, mul)
@@ -68,12 +80,17 @@ def test_verify_all_does_group_work_once(monkeypatch):
     monkeypatch.setattr(graphs, "_automorphism_search", counted_search)
     monkeypatch.setattr(groups.FiniteGroup, "__init__", counted_init)
     monkeypatch.setattr(census, "build_table", tracked_build)
-    graphs.petersen.cache_clear()  # a fresh graph, automorphisms unscanned
+    monkeypatch.setattr(groups, "edge_permutation", counted_edge_permutation)
+    # a fresh graph, automorphisms unscanned and edge maps unbuilt
+    graphs.petersen.cache_clear()
+    groups._automorphism_edge_maps.cache_clear()
     try:
         assert verify_all() == []
     finally:
         graphs.petersen.cache_clear()
+        groups._automorphism_edge_maps.cache_clear()
     assert len(scans) == 1 and graphs.is_petersen(scans[0])
+    assert len(edge_maps) == 120 and len(set(edge_maps)) == 120
     assert {table for table, _ in built} == {"T4_orders"}
     orders = [order for _, order in built]
     assert sorted(orders) == sorted(expected.AUT_ORDERS + expected.SWAUT_ORDERS)
@@ -118,11 +135,11 @@ def test_mask_round_trip():
 
 def test_edge_list_round_trip(pg):
     g, _ = pg
-    s = SignedGraph.from_mask(g, 0x1234)
+    s = SignedGraph(g, 0x1234)
     assert parse_signed_graph(serialize_signed_graph(s)) == s
     # sign column optional, comments ignored
     t = parse_signed_graph("# comment\nn 3\n0 1\n1 2 -\n")
-    assert t.signs == (1, -1)
+    assert t.mask == 0b10
 
 
 @pytest.mark.parametrize("text", [
@@ -165,7 +182,7 @@ def test_cli_classify(capsys, rep_masks):
 def test_cli_classify_file(capsys, tmp_path, pg):
     g, _ = pg
     path = tmp_path / "sig.txt"
-    path.write_text(serialize_signed_graph(SignedGraph.from_mask(g, 1)))
+    path.write_text(serialize_signed_graph(SignedGraph(g, 1)))
     code, out, _ = run_cli(capsys, "classify", "--file", str(path))
     assert code == 0 and "class P1" in out
 
@@ -227,3 +244,32 @@ def test_cli_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "classify", "--file", "/nonexistent")
     assert code == 2
+
+
+def complete_graph_file(tmp_path, n, negative=()):
+    path = tmp_path / f"k{n}.txt"
+    path.write_text(f"n {n}\n" + "".join(
+        f"{u} {v} {'-' if (u, v) in negative else '+'}\n"
+        for u, v in itertools.combinations(range(n), 2)))
+    return path
+
+
+def test_cli_color_budget_error_prints_nothing(capsys, tmp_path):
+    # all-positive K6 needs 6 colors, beyond the k <= 2 budget
+    path = complete_graph_file(tmp_path, 6)
+    code, out, err = run_cli(capsys, "color", "--file", str(path), "--k", "1")
+    assert code == 2 and out == "" and "budget" in err
+
+
+def test_cli_cluster_too_many_edges_fails_fast(tmp_path):
+    # K12 (66 edges) with one negative edge is unclusterable; the edge limit
+    # must stop it before any circle is listed
+    path = complete_graph_file(tmp_path, 12, negative={(0, 1)})
+    src = str(Path(signedpetersen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "signedpetersen.cli", "cluster", "--file",
+         str(path)], capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "too many edges" in done.stderr

@@ -23,7 +23,7 @@ def t10_signatures(reps):
 
 def test_clusterability_witnesses(pg, reps):
     g, _ = pg
-    ok, partition = is_clusterable(SignedGraph.all_positive(g))
+    ok, partition = is_clusterable(SignedGraph(g, 0))
     assert ok and len(partition) == 1
     for s in t10_signatures(reps):
         ok, witness = is_clusterable(s)
@@ -33,12 +33,12 @@ def test_clusterability_witnesses(pg, reps):
             for ci, part in enumerate(witness):
                 for v in part:
                     owner[v] = ci
-            for (u, v), sig in zip(s.graph.edges, s.signs):
-                assert (owner[u] == owner[v]) == (sig > 0)
+            for u, v in s.graph.edges:
+                assert (owner[u] == owner[v]) == (s.sign(u, v) > 0)
         else:
             # witness is a circle with exactly one negative edge
             assert sign_of_circle(s, witness) == -1
-            assert sum(1 for i in witness.edge_indices if s.signs[i] < 0) == 1
+            assert (witness.edge_mask & s.mask).bit_count() == 1
 
 
 def test_table_t10(reps):
@@ -87,9 +87,8 @@ def test_one_negative_edge_criterion(pg):
     rng = random.Random(41)
     cycles = enumerate_cycles(g, 10)
     for _ in range(150):
-        s = SignedGraph.from_mask(g, rng.randrange(1 << 15))
-        bad = any(sum(1 for i in c.edge_indices if s.signs[i] < 0) == 1
-                  for c in cycles)
+        s = SignedGraph(g, rng.randrange(1 << 15))
+        bad = any((c.edge_mask & s.mask).bit_count() == 1 for c in cycles)
         assert is_clusterable(s)[0] == (not bad)
 
 
@@ -101,7 +100,7 @@ def test_max_inclusterability(pg):
 
 def test_delete_edges(pg):
     g, _ = pg
-    s = SignedGraph.from_mask(g, 0b111)
+    s = SignedGraph(g, 0b111)
     t = delete_edges(s, [g.edges[0]])
     assert len(t.graph.edges) == 14
     assert t.graph.vertex_count == 10

@@ -19,7 +19,7 @@ def signed_cycle(length, negatives):
     mask = 0
     for i in range(negatives):
         mask |= 1 << i
-    return SignedGraph.from_mask(g, mask)
+    return SignedGraph(g, mask)
 
 
 def test_cycle_closed_forms():
@@ -53,7 +53,7 @@ def test_chromatic_numbers_table(reps):
 
 def test_all_positive_matches_unsigned_counts(pg):
     g, _ = pg
-    s = SignedGraph.all_positive(g)
+    s = SignedGraph(g, 0)
     # 2k+1 colors of an all-positive signature behave like ordinary colors
     assert count_colorations(s, 1) == 120
     # ordinary chromatic polynomial of the Petersen graph at 4
@@ -79,11 +79,11 @@ def test_chi3_difference_formula(reps):
 
 def test_balanced_expansion(reps):
     for s in (reps[0], reps[1], negate(reps[0])):
-        equal, left, right = balanced_expansion_check(s, 1)
+        equal, left, right = balanced_expansion_check(s)
         assert equal and left == right
-    equal, left, right = balanced_expansion_check(reps[1], 1)
+    equal, left, right = balanced_expansion_check(reps[1])
     assert left == 112
-    equal, left, right = balanced_expansion_check(negate(reps[0]), 1)
+    equal, left, right = balanced_expansion_check(negate(reps[0]))
     assert left == 202
 
 
@@ -108,7 +108,7 @@ def test_two_of_three_law():
     for graph in (g, gb):
         bip = chromatic_number(graph) <= 2
         for _ in range(200):
-            s = SignedGraph.from_mask(graph, rng.randrange(1 << len(graph.edges)))
+            s = SignedGraph(graph, rng.randrange(1 << len(graph.edges)))
             bal = bool(is_balanced(s))
             anti = bool(is_balanced(negate(s)))
             assert not (bal and anti) or bip

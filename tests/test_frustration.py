@@ -15,12 +15,12 @@ from signedpetersen.signed import (SignedGraph, SwitchingFunction,
 
 def k4_signed(mask):
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    return SignedGraph.from_mask(g, mask)
+    return SignedGraph(g, mask)
 
 
 def k33_signed(mask):
     g = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
-    return SignedGraph.from_mask(g, mask)
+    return SignedGraph(g, mask)
 
 
 def test_six_class_values(reps):
@@ -31,8 +31,8 @@ def test_six_class_values(reps):
         assert l0 == FRUSTRATION_NUMBER[i], CLASS_NAMES[i]
         # witness checks: the edge witness is a negative set of some
         # switching, so flipping exactly those signs balances
-        flipped = SignedGraph(s.graph, tuple(
-            -sig if e in we else sig for e, sig in zip(s.graph.edges, s.signs)))
+        flipped = SignedGraph(s.graph, s.mask ^ sum(
+            1 << s.graph.index_of(u, v) for u, v in we))
         assert len(we) == l and is_balanced(flipped)
         assert len(wv) == l0 and is_balanced(delete_vertices(s, wv))
 
@@ -80,7 +80,7 @@ def test_alpha_k(reps):
 
 def test_delete_vertices(pg):
     g, _ = pg
-    s = SignedGraph.from_mask(g, 0x55)
+    s = SignedGraph(g, 0x55)
     t = delete_vertices(s, {0})
     assert t.graph.vertex_count == 9
     assert len(t.graph.edges) == 12
@@ -90,7 +90,7 @@ def test_delete_vertices(pg):
 
 def test_size_guards():
     big = Graph.from_edges(17, [(i, i + 1) for i in range(16)])
-    s = SignedGraph.all_positive(big)
+    s = SignedGraph(big, 0)
     with pytest.raises(SearchSizeError):
         frustration_index(s)
     with pytest.raises(SearchSizeError):
@@ -117,7 +117,7 @@ def test_index_matches_brute_force():
         m = len(g.edges)
         masks = range(1 << m) if m <= 6 else rng.sample(range(1 << m), 40)
         for mask in masks:
-            s = SignedGraph.from_mask(g, mask)
+            s = SignedGraph(g, mask)
             l, we = frustration_index(s)
             assert l == brute_force_index(s), (g, mask)
             assert len(we) == l
@@ -132,7 +132,7 @@ def test_disconnected_is_sum_of_components():
     assert not both.is_connected()
     for m1 in range(1 << 6):
         for m2 in (0, 1, 0b11111, 0b10101):
-            s = SignedGraph.from_mask(both, m1 | m2 << 6)
-            parts = (frustration_index(SignedGraph.from_mask(k4, m1))[0] +
-                     frustration_index(SignedGraph.from_mask(c5, m2))[0])
+            s = SignedGraph(both, m1 | m2 << 6)
+            parts = (frustration_index(SignedGraph(k4, m1))[0] +
+                     frustration_index(SignedGraph(c5, m2))[0])
             assert frustration_index(s)[0] == parts

@@ -40,7 +40,7 @@ def p32_signature():
     for i, j, k, l in ((1, 4, 2, 5), (3, 4, 1, 5), (2, 4, 3, 5)):
         mask |= 1 << g.index_of(*sorted((lab.vertex(i, j), lab.vertex(k, l))))
     from signedpetersen.signed import SignedGraph
-    return SignedGraph.from_mask(g, mask)
+    return SignedGraph(g, mask)
 
 
 def test_representatives_fix_the_signature():
