@@ -3,14 +3,13 @@ switching, frustration, switching automorphisms, signed coloring,
 clusterability, and an exhaustive census of all 2^15 signatures."""
 
 from .graphs import Graph, MatchingClass, petersen
-from .signed import SignedGraph, SixType, SwitchingFunction, classify_six
+from .signed import SignedGraph, SixType, classify_six
 
 __all__ = [
     "Graph",
     "MatchingClass",
     "SignedGraph",
     "SixType",
-    "SwitchingFunction",
     "classify_six",
     "petersen",
 ]

@@ -16,10 +16,11 @@ from . import io as io_mod
 from .clustering import cluster_report
 from .coloring import chromatic_numbers, count_colorations
 from .frustration import frustration_index, frustration_number
-from .graphs import petersen
+from .graphs import bits, petersen
 from .groups import (aut_signed, coset_system, format_cycles, identify_group,
                      induced_permutation, swaut)
-from .signed import SignedGraph, classify_six, negative_circle_counts
+from .signed import (SignedGraph, classify_six, negative_circle_counts,
+                     petersen_frustration_of_mask)
 
 
 def _load(args) -> SignedGraph:
@@ -44,17 +45,16 @@ def cmd_table(args) -> int:
 
 def cmd_classify(args) -> int:
     s = _load(args)
-    g, _ = petersen()
-    if s.graph == g:
-        print(f"class {classify_six(s).value}")
-    l, _ = frustration_index(s)
-    l0, _ = frustration_number(s)
-    print(f"frustration index {l}")
-    print(f"frustration number {l0}")
-    if s.graph == g:
-        counts = negative_circle_counts(s, {5, 6})
-        print(f"negative pentagons {counts[5]}")
-        print(f"negative hexagons {counts[6]}")
+    if s.graph != petersen()[0]:
+        print(f"frustration index {frustration_index(s)[0]}")
+        print(f"frustration number {frustration_number(s)[0]}")
+        return 0
+    print(f"class {classify_six(s).value}")
+    print(f"frustration index {petersen_frustration_of_mask(s.mask)}")
+    print(f"frustration number {census_mod.petersen_l0_of_mask(s.mask)}")
+    counts = negative_circle_counts(s, {5, 6})
+    print(f"negative pentagons {counts[5]}")
+    print(f"negative hexagons {counts[6]}")
     return 0
 
 
@@ -71,7 +71,7 @@ def cmd_group(args) -> int:
         _, lab = petersen()
         for i, r in enumerate(system.representatives):
             sset = ",".join(f"{a}{b}" for a, b in
-                            sorted(lab.pair_of[v] for v in sorted(r.switch_set)))
+                            sorted(lab.pair_of[v] for v in bits(r.switch_mask)))
             perm = _vertex_perm_name(r.perm)
             print(f"rep {i}: switch {{{sset}}} perm {perm}")
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import (Graph, SearchSizeError, all_matchings, chromatic_number,
-                     contract, enumerate_cycles)
+                     contract, enumerate_cycles, minimum_coloring)
 from .signed import SignedGraph
 
 MAX_EDGES = 20
@@ -58,32 +58,11 @@ def clustering_partition(s: SignedGraph) -> tuple[frozenset, ...]:
     res = positive_contraction(s)
     if res.loop_flag:
         raise ValueError("not clusterable")
-    k = chromatic_number(res.quotient)
-    coloring = _some_coloring(res.quotient, max(k, 1))
-    parts = [set() for _ in range(max(k, 1))]
+    coloring = minimum_coloring(res.quotient)
+    parts = [set() for _ in range(max(coloring, default=-1) + 1)]
     for qv, orig in enumerate(res.origin):
         parts[coloring[qv]] |= set(orig)
-    return tuple(frozenset(p) for p in parts if p)
-
-
-def _some_coloring(g: Graph, k: int) -> list[int]:
-    n = g.vertex_count
-    colors = [-1] * n
-
-    def extend(v):
-        if v == n:
-            return True
-        for c in range(k):
-            if all(colors[u] != c for u in g.adjacency[v] if u < v):
-                colors[v] = c
-                if extend(v + 1):
-                    return True
-        colors[v] = -1
-        return False
-
-    if n and not extend(0):
-        raise ValueError(f"graph is not {k}-colorable")
-    return colors
+    return tuple(frozenset(p) for p in parts)
 
 
 def cluster_number(s: SignedGraph) -> int | None:

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 from .frustration import alpha_k, delete_vertices
 from .graphs import all_independent_sets, petersen
-from .signed import (SignedGraph, SwitchingFunction, negate,
-                     negative_circle_counts, switch)
+from .signed import SignedGraph, negate, negative_circle_counts, switch
 
 MAX_K = 2
 
@@ -95,10 +94,11 @@ def chi3_difference(s: SignedGraph) -> int:
     return 2 * a0 + 2 * a1 + 2 * a2 - 4 * c6
 
 
-def switching_color_invariance_check(s: SignedGraph, z: SwitchingFunction) -> bool:
+def switching_color_invariance_check(s: SignedGraph, x: int) -> bool:
     """Counts at k <= 2, both zero-free settings, agree between s and its
-    switching (budget keeps the k = 2 checks to the zero-free ones)."""
-    t = switch(s, z)
+    switching by the vertex mask x (budget keeps the k = 2 checks to the
+    zero-free ones)."""
+    t = switch(s, x)
     for k, zero_free in ((1, False), (1, True), (2, True)):
         if count_colorations(s, k, zero_free) != count_colorations(t, k, zero_free):
             return False

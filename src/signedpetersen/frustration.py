@@ -76,16 +76,16 @@ def is_minimal(s: SignedGraph) -> bool:
     return s.mask.bit_count() == frustration_index(s)[0]
 
 
-def cut_dominance_check(s: SignedGraph):
-    """A vertex set whose cut holds more negative than positive edges, if
-    any exists; such a set certifies that switching it lowers the negative
-    count, so its absence certifies minimality."""
+def cut_dominance_check(s: SignedGraph) -> int | None:
+    """The mask of a vertex set whose cut holds more negative than positive
+    edges, if any exists; such a set certifies that switching it lowers the
+    negative count, so its absence certifies minimality."""
     if s.graph.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for cut enumeration")
     mask = s.mask
     for x, c in cut_space(s.graph):
         if 2 * (mask & c).bit_count() > c.bit_count():
-            return frozenset(bits(x))
+            return x
     return None
 
 

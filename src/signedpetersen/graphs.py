@@ -546,12 +546,10 @@ def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
 # Chromatic number
 # ---------------------------------------------------------------------------
 
-def _colorable(g: Graph, k: int) -> bool:
+def _coloring(g: Graph, k: int) -> list[int] | None:
+    """A proper colouring of g with colours 0..k-1, one per vertex, or
+    None when there is none."""
     n = g.vertex_count
-    if n == 0:
-        return True
-    if k == 0:
-        return len(g.edges) == 0 and n == 0
     order = sorted(range(n), key=g.degree, reverse=True)
     pos = {v: i for i, v in enumerate(order)}
     earlier = [[w for w in g.adjacency[v] if pos[w] < pos[v]] for v in order]
@@ -571,7 +569,20 @@ def _colorable(g: Graph, k: int) -> bool:
         colors[v] = -1
         return False
 
-    return extend(0)
+    return colors if extend(0) else None
+
+
+def minimum_coloring(g: Graph) -> list[int]:
+    """A proper vertex colouring with the fewest colours, one per vertex.
+    A minimum colouring uses every one of its colours, so the chromatic
+    number is one more than the largest."""
+    if g.vertex_count > MAX_SEARCH_VERTICES:
+        raise SearchSizeError("graph too large for exact chromatic number")
+    # an edge needs two colours, a vertex one
+    for k in itertools.count(2 if g.edges else min(g.vertex_count, 1)):
+        colors = _coloring(g, k)
+        if colors is not None:
+            return colors
 
 
 def chromatic_number(x) -> int | float:
@@ -583,15 +594,5 @@ def chromatic_number(x) -> int | float:
     if isinstance(x, ContractionResult):
         if x.loop_flag:
             return math.inf
-        g = x.quotient
-    else:
-        g = x
-    if g.vertex_count > MAX_SEARCH_VERTICES:
-        raise SearchSizeError("graph too large for exact chromatic number")
-    if g.vertex_count == 0:
-        return 0
-    if not g.edges:
-        return 1
-    for k in itertools.count(2):
-        if _colorable(g, k):
-            return k
+        x = x.quotient
+    return max(minimum_coloring(x), default=-1) + 1

@@ -43,6 +43,13 @@ def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+def _pullback(mask: int, index_map: tuple[int, ...]) -> int:
+    """Bit i of the result is bit index_map[i] of mask. Through an edge
+    permutation this moves a sign mask, through a vertex permutation a
+    vertex mask."""
+    return sum(1 << i for i, j in enumerate(index_map) if mask >> j & 1)
+
+
 # Base permutations act on {1..5}; stored as image tuples of length 5 with
 # entry i-1 giving the image of i.
 
@@ -111,20 +118,9 @@ class SwitchingPermutation:
     def n(self) -> int:
         return len(self.perm)
 
-    @property
-    def switch_set(self) -> frozenset:
-        return frozenset(v for v in range(self.n) if self.switch_mask >> v & 1)
-
 
 def sp_identity(n: int) -> SwitchingPermutation:
     return SwitchingPermutation(0, identity_perm(n))
-
-
-def sp_from_set(x, perm: tuple[int, ...]) -> SwitchingPermutation:
-    m = 0
-    for v in x:
-        m |= 1 << v
-    return SwitchingPermutation(m, perm)
 
 
 def sp_multiply(a: SwitchingPermutation, b: SwitchingPermutation) -> SwitchingPermutation:
@@ -132,31 +128,21 @@ def sp_multiply(a: SwitchingPermutation, b: SwitchingPermutation) -> SwitchingPe
     permutation of a, then combined by symmetric difference."""
     if len(a.perm) != len(b.perm):
         raise ValueError("size mismatch")
-    pulled = 0
-    for w, x in enumerate(a.perm):
-        if b.switch_mask >> x & 1:
-            pulled |= 1 << w
-    return SwitchingPermutation(a.switch_mask ^ pulled, compose(a.perm, b.perm))
+    return SwitchingPermutation(a.switch_mask ^ _pullback(b.switch_mask, a.perm),
+                                compose(a.perm, b.perm))
 
 
 def sp_inverse(a: SwitchingPermutation) -> SwitchingPermutation:
     inv = inverse(a.perm)
-    pushed = 0
-    for v in range(a.n):
-        if a.switch_mask >> inv[v] & 1:
-            pushed |= 1 << v
-    return SwitchingPermutation(pushed, inv)
+    return SwitchingPermutation(_pullback(a.switch_mask, inv), inv)
 
 
 def sp_conjugate(a: SwitchingPermutation, alpha: tuple[int, ...]) -> SwitchingPermutation:
     """Conjugate by a plain permutation: the switching set is relabeled by
     alpha and the permutation part becomes alpha^-1 * a.perm * alpha."""
-    moved = 0
-    for v in range(a.n):
-        if a.switch_mask >> v & 1:
-            moved |= 1 << alpha[v]
     ai = inverse(alpha)
-    return SwitchingPermutation(moved, compose(compose(ai, a.perm), alpha))
+    return SwitchingPermutation(_pullback(a.switch_mask, ai),
+                                compose(compose(ai, a.perm), alpha))
 
 
 def sp_negate(a: SwitchingPermutation) -> SwitchingPermutation:
@@ -378,7 +364,7 @@ class SwitchingGroup(FiniteGroup):
             # the switching part of a * b for each switching part y of b
             want = {}
             for y in switch_parts:
-                z = x ^ sum(1 << w for w, v in enumerate(p) if y >> v & 1)
+                z = x ^ _pullback(y, p)
                 want[y] = z ^ full if z & 1 else z
             # itemgetter(*p)(q) is compose(p, q) in one call, for len(p) > 1
             after_p = itemgetter(*p) if len(p) > 1 else lambda q: compose(p, q)
@@ -396,12 +382,6 @@ def graph_automorphisms(g: Graph) -> SwitchingGroup:
     """All graph automorphisms, as switching permutations with empty
     switching part."""
     return SwitchingGroup(SwitchingPermutation(0, p) for p in automorphism_images(g))
-
-
-def _pullback(mask: int, ep: tuple[int, ...]) -> int:
-    """The sign mask that relabeling by an automorphism with edge
-    permutation ep carries onto mask."""
-    return sum(1 << i for i, j in enumerate(ep) if mask >> j & 1)
 
 
 @lru_cache(maxsize=8)
@@ -520,15 +500,14 @@ class CosetSystem:
         return sign, k, t
 
 
-def coset_system(group: FiniteGroup, subgroup: FiniteGroup,
-                 representatives=None) -> CosetSystem:
+def coset_system(group: FiniteGroup, subgroup: FiniteGroup) -> CosetSystem:
     """Left-coset representatives of the subgroup (trivial switching parts)
     inside a switching automorphism group.
 
     All elements of one left coset share the same switching class, so cosets
-    are keyed by canonical switching mask. Representatives may be supplied
-    (exact switching sets); otherwise one is chosen per coset with switching
-    set of size at most n/2, tie-broken to the least mask and permutation.
+    are keyed by canonical switching mask. One exact representative is
+    chosen per coset with switching set of size at most n/2, tie-broken to
+    the least mask and permutation.
     A conjugation-closed system is preferred when the default choice is not
     closed; closure is reported, never assumed.
     """
@@ -542,19 +521,11 @@ def coset_system(group: FiniteGroup, subgroup: FiniteGroup,
     for e in group.elements:
         cosets.setdefault(e.switch_mask, []).append(e)
 
-    if representatives is not None:
-        reps = list(representatives)
-        if sorted(sp_canonical(r).switch_mask for r in reps) != sorted(cosets):
-            raise CosetError("supplied representatives do not cover the cosets")
-        for r in reps:
-            if sp_canonical(r) not in group.index:
-                raise CosetError("representative not in the group")
-    else:
-        reps = _default_reps(cosets, n)
-        if not _is_conjugation_closed(reps, subgroup):
-            closed = _closed_reps(cosets, subgroup, n)
-            if closed is not None:
-                reps = closed
+    reps = _default_reps(cosets, n)
+    if not _is_conjugation_closed(reps, subgroup):
+        closed = _closed_reps(cosets, subgroup)
+        if closed is not None:
+            reps = closed
     return CosetSystem(group, subgroup, reps,
                        _is_conjugation_closed(reps, subgroup))
 
@@ -579,7 +550,7 @@ def _is_conjugation_closed(reps, subgroup: FiniteGroup) -> bool:
                for r in reps for a in subgroup.elements)
 
 
-def _closed_reps(cosets, subgroup: FiniteGroup, n: int):
+def _closed_reps(cosets, subgroup: FiniteGroup):
     """Try to pick one exact representative per coset so the whole system is
     closed under conjugation by the subgroup; None when impossible.
 
@@ -638,11 +609,7 @@ def general_product(system: CosetSystem,
     # Raw switching set of the product: X xor the pullback of Y through
     # (gamma_X alpha).
     ga = compose(rx.perm, alpha.perm)
-    pulled = 0
-    for w in range(rx.n):
-        if ry.switch_mask >> ga[w] & 1:
-            pulled |= 1 << w
-    u_raw = rx.switch_mask ^ pulled
+    u_raw = rx.switch_mask ^ _pullback(ry.switch_mask, ga)
     k = system.rep_for_mask(sp_canonical(SwitchingPermutation(u_raw, ga)).switch_mask)
     ru = system.representatives[k]
     sign = 1 if u_raw == ru.switch_mask else -1

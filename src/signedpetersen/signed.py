@@ -3,9 +3,9 @@ and the six-way classifier for signatures of the Petersen graph.
 
 A signature is stored as its sign mask over the canonical edge order (bit i
 set when edge i is negative); ``SignedGraph.sign`` is the one place that
-turns an edge bit into +1/-1. Switching a vertex set acts on the mask by XOR
-with the edge mask of its cut, from ``graphs.cut_mask`` or
-``graphs.cut_space``.
+turns an edge bit into +1/-1. A switching set is a vertex mask (bit v set
+when vertex v is switched); switching it acts on the sign mask by XOR with
+the edge mask of its cut, from ``graphs.cut_mask`` or ``graphs.cut_space``.
 """
 
 from __future__ import annotations
@@ -42,35 +42,11 @@ class SignedGraph:
         return -1 if self.mask >> self.graph.index_of(u, v) & 1 else 1
 
 
-@dataclass(frozen=True)
-class SwitchingFunction:
-    """A +1/-1 vertex labeling; switching by it negates the edges between
-    its +1 and -1 vertices."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(v not in (1, -1) for v in self.values):
-            raise ValueError("switching values must be +1 or -1")
-
-    @classmethod
-    def from_set(cls, n: int, x) -> "SwitchingFunction":
-        xs = set(x)
-        return cls(tuple(-1 if v in xs else 1 for v in range(n)))
-
-    @classmethod
-    def identity(cls, n: int) -> "SwitchingFunction":
-        return cls((1,) * n)
-
-    @property
-    def negative_set(self) -> frozenset:
-        return frozenset(v for v, s in enumerate(self.values) if s < 0)
-
-
-def switch(s: SignedGraph, z: SwitchingFunction) -> SignedGraph:
-    if len(z.values) != s.graph.vertex_count:
-        raise ValueError("switching function size mismatch")
-    x = sum(1 << v for v in z.negative_set)
+def switch(s: SignedGraph, x: int) -> SignedGraph:
+    """Switch the vertex set with mask x: flip the signs on its cut."""
+    n = s.graph.vertex_count
+    if not 0 <= x < (1 << n):
+        raise ValueError(f"switching mask {x:#x} out of range for {n} vertices")
     return SignedGraph(s.graph, s.mask ^ cut_mask(s.graph, x))
 
 
@@ -129,16 +105,13 @@ def _tree_cycle(g: Graph, parent, u: int, w: int) -> Cycle:
     return Cycle.from_vertices(g, verts)
 
 
-def switching_equivalence(s1: SignedGraph, s2: SignedGraph):
-    """A switching function carrying s1 to s2, or None: the signatures are
-    switching equivalent exactly when the edges where they differ form a
-    cut. Each component's least vertex stays at +1."""
+def switching_equivalence(s1: SignedGraph, s2: SignedGraph) -> int | None:
+    """The vertex mask whose switching carries s1 to s2, or None: the
+    signatures are switching equivalent exactly when the edges where they
+    differ form a cut. Each component's least vertex stays unswitched."""
     if s1.graph != s2.graph:
         raise ValueError("underlying graphs differ")
-    x = cut_preimage(s1.graph, s1.mask ^ s2.mask)
-    if x is None:
-        return None
-    return SwitchingFunction.from_set(s1.graph.vertex_count, bits(x))
+    return cut_preimage(s1.graph, s1.mask ^ s2.mask)
 
 
 def negative_circle_counts(s: SignedGraph, lengths) -> dict[int, int]:
@@ -219,14 +192,14 @@ def classify_six_mask(mask: int) -> SixType:
     return SIX_FINGERPRINT[(l, c5)]
 
 
-def minimal_representative(s: SignedGraph) -> tuple[SignedGraph, SwitchingFunction]:
-    """Among the 512 switchings, one with fewest negative edges; ties break
-    to the least sign bitmask."""
+def minimal_representative(s: SignedGraph) -> tuple[SignedGraph, int]:
+    """Among the 512 switchings, one with fewest negative edges, and the
+    vertex mask switched to reach it; ties break to the least sign
+    bitmask."""
     g, _ = petersen()
     if s.graph != g:
         raise ValueError("requires the canonical Petersen graph")
     mask = s.mask
-    x, _ = min(cut_space(g), key=lambda xc: ((mask ^ xc[1]).bit_count(),
+    x, c = min(cut_space(g), key=lambda xc: ((mask ^ xc[1]).bit_count(),
                                              mask ^ xc[1]))
-    z = SwitchingFunction.from_set(10, bits(x))
-    return switch(s, z), z
+    return SignedGraph(g, mask ^ c), x

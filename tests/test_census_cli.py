@@ -3,6 +3,7 @@ import io as stdio
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from signedpetersen import cli
 from signedpetersen import expected
 from signedpetersen.census import (TABLE_IDS, build_table, run_census,
                                    standard_mask, verify_all)
+from signedpetersen.frustration import frustration_index, frustration_number
 from signedpetersen.io import (InputError, format_mask, parse_mask,
                                parse_signed_graph, serialize_signed_graph)
 from signedpetersen.signed import SIX_ORDER, SignedGraph
@@ -177,6 +179,20 @@ def test_cli_classify(capsys, rep_masks):
     assert "class P3,2" in out
     assert "frustration index 3" in out
     assert "negative pentagons 6" in out
+
+
+def test_cli_classify_matches_generic_searches(capsys, rep_masks, pg):
+    """On Petersen masks the CLI reads l and l0 from the Petersen routes
+    (512 cuts, deletion tables); they agree with the generic searches."""
+    g, _ = pg
+    rng = random.Random(37)
+    for mask in list(rep_masks) + [rng.randrange(1 << 15) for _ in range(30)]:
+        code, out, _ = run_cli(capsys, "classify", "--mask", format_mask(mask))
+        s = SignedGraph(g, mask)
+        assert code == 0
+        assert out.splitlines()[1:3] == [
+            f"frustration index {frustration_index(s)[0]}",
+            f"frustration number {frustration_number(s)[0]}"]
 
 
 def test_cli_classify_file(capsys, tmp_path, pg):

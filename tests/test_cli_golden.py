@@ -1,0 +1,66 @@
+"""Golden CLI output: every command line in ``data/cli_golden.json`` must
+print the recorded stdout and stderr byte for byte and exit with the
+recorded code.
+
+The fixture covers ``census`` and the nine tables in every format, and
+``classify``, ``group --coset-table`` and ``cluster`` on the six standard
+masks and their negations, plus ``color --k 1`` on two of them. To record
+it again (only when an output is meant to change):
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from functools import lru_cache
+from pathlib import Path
+
+from signedpetersen import census, cli
+from signedpetersen.io import format_mask
+from signedpetersen.signed import SIX_ORDER
+
+FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def golden_commands() -> list[list[str]]:
+    cmds = [["census", "--format", f] for f in ("text", "csv", "json")]
+    cmds += [["table", t, "--format", f]
+             for t in census.TABLE_IDS for f in ("text", "csv", "json")]
+    masks = [census.standard_mask(t) for t in SIX_ORDER]
+    for m in masks + [m ^ 0x7FFF for m in masks]:
+        hx = format_mask(m)
+        cmds += [["classify", "--mask", hx],
+                 ["group", "--mask", hx, "--coset-table"],
+                 ["cluster", "--mask", hx]]
+    cmds += [["color", "--mask", format_mask(m), "--k", "1"]
+             for m in (masks[1], masks[4])]
+    return cmds
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def test_golden_fixture_covers_the_commands():
+    recorded = json.loads(FIXTURE.read_text())
+    assert [r["argv"] for r in recorded] == golden_commands()
+
+
+def test_cli_output_matches_golden(monkeypatch):
+    # Each table is built once and rendered in every format; the CLI still
+    # renders and prints it on each call.
+    monkeypatch.setattr(census, "build_table",
+                        lru_cache(maxsize=None)(census.build_table))
+    recorded = json.loads(FIXTURE.read_text())
+    differ = [" ".join(r["argv"]) for r in recorded if run(r["argv"]) != r]
+    assert differ == []
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps([run(a) for a in golden_commands()],
+                                  indent=1) + "\n")

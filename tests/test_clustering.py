@@ -65,6 +65,10 @@ def test_cluster_number_is_contraction_chromatic(reps):
                 assert not union & p
                 union |= p
             assert union == set(range(s.graph.vertex_count))
+            # positive edges inside parts, negative edges across
+            part_of = {v: i for i, p in enumerate(parts) for v in p}
+            for u, v in s.graph.edges:
+                assert (part_of[u] == part_of[v]) == (s.sign(u, v) > 0)
 
 
 def test_inclusterability_witness(reps):

@@ -9,8 +9,7 @@ from signedpetersen.coloring import (BudgetError, balanced_expansion_check,
 from signedpetersen.expected import (CHI, CHI3, CHI3_DIFFERENCE, CHI_STAR,
                                      CLASS_NAMES)
 from signedpetersen.graphs import Graph, chromatic_number
-from signedpetersen.signed import (SignedGraph, SwitchingFunction, is_balanced,
-                                   negate, switch)
+from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
 
 def signed_cycle(length, negatives):
@@ -66,7 +65,7 @@ def test_zero_free_at_two_detects_antibalance(pg, reps):
     assert count_colorations(negate(reps[0]), 1, zero_free=True) == 2
     # balanced but not antibalanced: 0 (odd cycles cannot alternate)
     assert count_colorations(reps[0], 1, zero_free=True) == 0
-    z = SwitchingFunction.from_set(10, {2, 3, 8})
+    z = 0b100001100  # vertices 2, 3, 8
     assert count_colorations(switch(negate(reps[0]), z), 1, zero_free=True) == 2
 
 
@@ -90,7 +89,7 @@ def test_balanced_expansion(reps):
 def test_switching_invariance(reps):
     rng = random.Random(31)
     for s in reps:
-        z = SwitchingFunction.from_set(10, rng.sample(range(10), 5))
+        z = sum(1 << v for v in rng.sample(range(10), 5))
         assert switching_color_invariance_check(s, z)
 
 

@@ -18,10 +18,9 @@ from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
                                    induced_permutation, inverse,
                                    lift_permutation, orbit_counts,
                                    parse_cycles, sp_act, sp_canonical,
-                                   sp_conjugate, sp_from_set, sp_identity,
+                                   sp_conjugate, sp_identity,
                                    sp_inverse, sp_multiply, sp_negate, swaut)
-from signedpetersen.signed import (SignedGraph, SwitchingFunction, negate,
-                                   switch)
+from signedpetersen.signed import SignedGraph, negate, switch
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def test_negation_and_switching_invariance(reps, sw6):
     rng = random.Random(29)
     for s, w in list(zip(reps, sw6))[:3] + list(zip(reps, sw6))[4:]:
         assert set(swaut(negate(s)).elements) == set(w.elements)
-        z = SwitchingFunction.from_set(10, rng.sample(range(10), 3))
+        z = sum(1 << v for v in rng.sample(range(10), 3))
         w2 = swaut(switch(s, z))
         assert w2.order == w.order
         assert {e.perm for e in w2.elements} == {e.perm for e in w.elements}
@@ -238,7 +237,8 @@ def test_cut_balance_of_switch_parts(reps, sw6):
     for s, w in zip(reps, sw6):
         g = s.graph
         for e in w.elements:
-            for x in (e.switch_set, frozenset(range(10)) - e.switch_set):
+            xs = {v for v in range(10) if e.switch_mask >> v & 1}
+            for x in (xs, set(range(10)) - xs):
                 neg = sum(1 for i in cut(g, x) if s.mask >> i & 1)
                 pos = len(cut(g, x)) - neg
                 assert pos == neg
@@ -309,9 +309,20 @@ def test_swaut_matches_exhaustive_scan(pg, reps, sw6):
 
 def oracle_group(elements):
     """Reference Cayley table: each cell is the canonical lift of the
-    semidirect product of two elements, looked up among the elements."""
+    semidirect product of two elements, looked up among the elements. The
+    product is written out here: the switching set of b pulled back
+    through the permutation of a, XOR that of a."""
+    def product(a, b):
+        x = a.switch_mask
+        for w, v in enumerate(a.perm):
+            if b.switch_mask >> v & 1:
+                x ^= 1 << w
+        if x & 1:
+            x ^= (1 << len(a.perm)) - 1
+        return SwitchingPermutation(x, compose(a.perm, b.perm))
+
     return FiniteGroup(sorted(elements, key=lambda e: (e.switch_mask, e.perm)),
-                       lambda a, b: sp_canonical(sp_multiply(a, b)))
+                       product)
 
 
 def test_cayley_tables_match_oracle(pg, reps):
@@ -364,7 +375,8 @@ def test_lift_permutation(pg, reps):
         else:
             j = base.index(5) + 1
             v = lab.vertex(j, 5)
-            want = sp_canonical(sp_from_set(g.closed_neighborhood(v), xi))
+            x = sum(1 << u for u in g.closed_neighborhood(v))
+            want = sp_canonical(SwitchingPermutation(x, xi))
             assert e == want
     # swapping two adjacent vertices is not an automorphism
     u, v = g.edges[0]

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from signedpetersen.graphs import Cycle, Graph, cut, enumerate_cycles
 from signedpetersen.io import parse_signed_graph, serialize_signed_graph
-from signedpetersen.signed import (SignedGraph, SwitchingFunction,
-                                   is_balanced, negate, sign_of_circle,
-                                   switch)
+from signedpetersen.signed import (SignedGraph, is_balanced, negate,
+                                   sign_of_circle, switch)
 
 # Derandomized and with no example database, so every run draws the same
 # examples.
@@ -69,10 +68,10 @@ def test_balance_against_cycles_and_switchings(s):
 def test_switch_is_an_involution_preserving_circle_signs(s, data):
     n = s.graph.vertex_count
     x = data.draw(vertex_sets(n))
-    z = SwitchingFunction.from_set(n, [v for v in range(n) if x >> v & 1])
-    t = switch(s, z)
-    assert switch(t, z) == s
-    assert t.mask ^ s.mask == sum(1 << i for i in cut(s.graph, z.negative_set))
+    t = switch(s, x)
+    assert switch(t, x) == s
+    xs = [v for v in range(n) if x >> v & 1]
+    assert t.mask ^ s.mask == sum(1 << i for i in cut(s.graph, xs))
     for c in enumerate_cycles(s.graph, n):
         assert sign_of_circle(t, c) == sign_of_circle(s, c)
 

@@ -8,8 +8,8 @@ from signedpetersen.census import petersen_l0_of_mask
 from signedpetersen.clustering import is_clusterable
 from signedpetersen.coloring import balanced_expansion_check, count_colorations
 from signedpetersen.graphs import enumerate_cycles
-from signedpetersen.signed import (SignedGraph, SwitchingFunction,
-                                   classify_six_mask, is_balanced,
+from signedpetersen.signed import (SignedGraph, classify_six_mask,
+                                   is_balanced,
                                    petersen_cut_masks,
                                    petersen_frustration_of_mask,
                                    petersen_hexagon_masks,
@@ -55,7 +55,7 @@ def test_switching_invariance_of_chromatic_counts(pg):
     for _ in range(25):
         mask = rng.randrange(1 << 15)
         s = SignedGraph(g, mask)
-        z = SwitchingFunction.from_set(10, rng.sample(range(10), rng.randrange(11)))
+        z = sum(1 << v for v in rng.sample(range(10), rng.randrange(11)))
         t = switch(s, z)
         assert count_colorations(s, 1) == count_colorations(t, 1)
         assert count_colorations(s, 1, zero_free=True) == \
@@ -99,7 +99,7 @@ def test_group_axioms_and_projection_on_random_switchings(reps):
     from signedpetersen.groups import swaut
     rng = random.Random(109)
     for s in reps[2:5]:
-        z = SwitchingFunction.from_set(10, rng.sample(range(10), rng.randrange(11)))
+        z = sum(1 << v for v in rng.sample(range(10), rng.randrange(11)))
         w = swaut(switch(s, z))
         perms = [e.perm for e in w.elements]
         assert len(perms) == len(set(perms))

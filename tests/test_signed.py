@@ -6,7 +6,7 @@ from signedpetersen.expected import (CLASS_NAMES, NEGATIVE_HEXAGONS,
                                      NEGATIVE_PENTAGONS)
 from signedpetersen.graphs import Graph, enumerate_cycles
 from signedpetersen.signed import (SIX_ORDER, BalanceResult, SignedGraph,
-                                   SwitchingFunction, classify_six,
+                                   classify_six,
                                    classify_six_mask, is_balanced,
                                    minimal_representative, negate,
                                    negative_circle_counts,
@@ -30,13 +30,17 @@ def test_signed_graph_construction(pg):
         SignedGraph(g, 1 << 15)
 
 
-def test_switching_function():
-    z = SwitchingFunction.from_set(5, {1, 3})
-    assert z.values == (1, -1, 1, -1, 1)
-    assert z.negative_set == frozenset({1, 3})
-    assert SwitchingFunction.identity(4).values == (1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        SwitchingFunction((1, 0, -1))
+def test_switching_function(pg):
+    """A switching set is a vertex mask in 0 .. 2^n - 1."""
+    g, _ = pg
+    s = SignedGraph(g, 0x1234)
+    assert switch(s, 0) == s
+    assert switch(s, (1 << 10) - 1) == s  # the cut of all vertices is empty
+    assert switch(s, 1 << 9).mask == s.mask ^ sum(
+        1 << g.index_of(9, u) for u in g.adjacency[9])
+    for x in (-1, 1 << 10):
+        with pytest.raises(ValueError):
+            switch(s, x)
 
 
 def test_switch_preserves_circle_signs(pg):
@@ -45,13 +49,13 @@ def test_switch_preserves_circle_signs(pg):
     cycles = enumerate_cycles(g, 6)
     for _ in range(25):
         s = SignedGraph(g, rng.randrange(1 << 15))
-        z = SwitchingFunction.from_set(10, rng.sample(range(10), rng.randrange(11)))
+        z = sum(1 << v for v in rng.sample(range(10), rng.randrange(11)))
         t = switch(s, z)
         for c in cycles:
             assert sign_of_circle(s, c) == sign_of_circle(t, c)
     # switching is an involution
     s = SignedGraph(g, 0x1234)
-    z = SwitchingFunction.from_set(10, {0, 2, 5})
+    z = 0b100101
     assert switch(switch(s, z), z) == s
 
 
@@ -60,8 +64,7 @@ def test_is_balanced_witnesses(pg):
     res = is_balanced(SignedGraph(g, 0))
     assert res and res.bipartition == (frozenset(range(10)), frozenset())
     # switch of all-positive is balanced, bipartition = the switched set
-    z = SwitchingFunction.from_set(10, {1, 4, 6})
-    res = is_balanced(switch(SignedGraph(g, 0), z))
+    res = is_balanced(switch(SignedGraph(g, 0), 0b1010010))
     assert res
     pos, neg = res.bipartition
     assert neg == frozenset({1, 4, 6})
@@ -77,7 +80,7 @@ def test_switching_equivalence(pg):
     rng = random.Random(11)
     for _ in range(20):
         s = SignedGraph(g, rng.randrange(1 << 15))
-        z = SwitchingFunction.from_set(10, rng.sample(range(10), rng.randrange(11)))
+        z = sum(1 << v for v in rng.sample(range(10), rng.randrange(11)))
         t = switch(s, z)
         found = switching_equivalence(s, t)
         assert found is not None and switch(s, found) == t
@@ -122,7 +125,7 @@ def test_classify_six(reps, rep_masks):
     # classification is switching invariant
     rng = random.Random(19)
     for s in reps:
-        z = SwitchingFunction.from_set(10, rng.sample(range(10), 4))
+        z = sum(1 << v for v in rng.sample(range(10), 4))
         assert classify_six(switch(s, z)) is classify_six(s)
     small = Graph.from_edges(3, ((0, 1), (0, 2), (1, 2)))
     with pytest.raises(ValueError):

@@ -11,8 +11,8 @@ from signedpetersen.expected import (P32_CELLS, P32_CORRECTED_CELLS,
 from signedpetersen.graphs import petersen
 from signedpetersen.groups import (SwitchingPermutation, aut_signed,
                                    induced_permutation, parse_cycles,
-                                   sp_act, sp_conjugate, sp_from_set,
-                                   sp_identity, sp_multiply, sp_negate)
+                                   sp_act, sp_conjugate, sp_identity,
+                                   sp_multiply, sp_negate)
 
 
 def build_p32_reps():
@@ -20,11 +20,13 @@ def build_p32_reps():
     2-switch element u, and the six conjugates of the 4-switch element w."""
     g, lab = petersen()
 
-    def vset(pairs):
-        return [lab.vertex(int(p[0]), int(p[1])) for p in pairs]
+    def vmask(pairs):
+        return sum(1 << lab.vertex(int(p[0]), int(p[1])) for p in pairs)
 
-    u = sp_from_set(vset(P32_W_SET), induced_permutation(lab, parse_cycles(P32_U_PERM)))
-    w = sp_from_set(vset(P32_Z_SET), induced_permutation(lab, parse_cycles(P32_W_PERM)))
+    u = SwitchingPermutation(vmask(P32_W_SET),
+                             induced_permutation(lab, parse_cycles(P32_U_PERM)))
+    w = SwitchingPermutation(vmask(P32_Z_SET),
+                             induced_permutation(lab, parse_cycles(P32_W_PERM)))
     stab = {c: induced_permutation(lab, parse_cycles(c)) for c in P32_STABILIZER}
 
     reps = {"e": sp_identity(10), "u": u, "w": w}
@@ -121,16 +123,15 @@ def test_p33_multiplication_rules(reps):
         if i == 0:
             return sp_identity(10)
         v = lab.vertex(i, 5)
-        return sp_from_set(g.closed_neighborhood(v),
-                           induced_permutation(lab, parse_cycles(f"({i}5)")))
+        return SwitchingPermutation(sum(1 << u for u in g.closed_neighborhood(v)),
+                                    induced_permutation(lab, parse_cycles(f"({i}5)")))
 
     r = {i: rep(i) for i in range(5)}
     base_of = {}
     for p in itertools.permutations(range(1, 6)):
         base_of[induced_permutation(lab, p)] = p
 
-    switch_of_v = {i: sp_from_set(g.closed_neighborhood(lab.vertex(i, 5)),
-                                  tuple(range(10))).switch_mask
+    switch_of_v = {i: sum(1 << u for u in g.closed_neighborhood(lab.vertex(i, 5)))
                    for i in range(1, 5)}
 
     for i in range(5):
