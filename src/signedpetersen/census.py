@@ -18,9 +18,10 @@ from .coloring import chi3_difference, chromatic_numbers, count_colorations
 from .frustration import alpha_k, frustration_number
 from .graphs import petersen
 from .groups import aut_signed, identify_group, orbit_counts, swaut
-from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType, negate,
-                     negative_circle_counts, petersen_cut_masks,
-                     petersen_frustration_of_mask, petersen_pentagon_masks)
+from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType,
+                     classify_six_mask, negate, negative_circle_counts,
+                     petersen_cut_masks, petersen_frustration_of_mask,
+                     petersen_pentagon_masks)
 
 
 def standard_representative(t: SixType) -> SignedGraph:
@@ -48,15 +49,19 @@ def standard_mask(t: SixType) -> int:
 def _deletion_tables():
     """For every vertex set W with |W| <= 3: the kept-edge mask and the set
     of all cut masks of P minus W. A signature minus W is balanced exactly
-    when its restricted mask is such a cut. Every cut of P minus W is a cut
-    of P restricted to the kept edges, and every such restriction is one."""
+    when its restricted mask is such a cut. The cuts of P minus W are the
+    XOR closure of its vertex stars, each a star of P restricted to the
+    kept edges; a star already in the closure adds nothing."""
     g, _ = petersen()
     tables = []
     for k in range(4):
         for w in itertools.combinations(range(10), k):
-            keep = sum(1 << i for i, e in enumerate(g.edges)
-                       if not set(e) & set(w))
-            cuts = frozenset(c & keep for c in petersen_cut_masks())
+            keep = sum(1 << i for i, (a, b) in enumerate(g.edges)
+                       if a not in w and b not in w)
+            cuts = frozenset([0])
+            for star in (inc & keep for inc in g.incidence):
+                if star not in cuts:
+                    cuts |= {c ^ star for c in cuts}
             tables.append((k, keep, cuts))
     return tables
 
@@ -344,8 +349,8 @@ EXPECTED_ROWS = {
 
 def verify_all() -> list[str]:
     """Recompute every table and compare cell-by-cell against the embedded
-    expected values; the returned list of differences is empty on a clean
-    build."""
+    expected values, then check the census rows that no expected row
+    holds; the returned list of differences is empty on a clean build."""
     diffs = []
     for table_id, wanted in EXPECTED_ROWS.items():
         artifact = build_table(table_id)
@@ -360,4 +365,24 @@ def verify_all() -> list[str]:
                     diffs.append(
                         f"{table_id} [{label}] {col}: got {have!r}, "
                         f"expected {want!r}")
+        if table_id == "census":
+            diffs += _census_checks(artifact)
     return diffs
+
+
+def _census_checks(artifact: TableArtifact) -> list[str]:
+    """The census totals, and the class and weight of each representative
+    mask: a minimal signature weighs the frustration index of its class."""
+    rows = dict(artifact.rows)
+    checks = [(f"census [{label}] total", sum(rows[label]), want)
+              for label, want in (("signatures", expected.TOTAL_SIGNATURES),
+                                  ("switching classes",
+                                   expected.TOTAL_SWITCHING_CLASSES))]
+    for col, text, weight in zip(artifact.columns, rows["representative mask"],
+                                 expected.FRUSTRATION_INDEX):
+        mask = int(text, 16)
+        checks.append((f"census [representative mask] {col} {text}",
+                       (classify_six_mask(mask).value, mask.bit_count()),
+                       (col, weight)))
+    return [f"{where}: got {have!r}, expected {want!r}"
+            for where, have, want in checks if have != want]

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import (Graph, SearchSizeError, all_matchings, chromatic_number,
-                     contract, enumerate_cycles, minimum_coloring)
+from .graphs import (Graph, SearchSizeError, all_matchings, contract,
+                     enumerate_cycles, minimum_coloring, tree_cycle)
 from .signed import SignedGraph
 
 MAX_EDGES = 20
@@ -27,8 +27,6 @@ class ClusterReport:
     clusterable: bool
     clun: int | None
     q: int
-    witness_partition: tuple[frozenset, ...] | None
-    witness_deletion: frozenset | None
 
 
 def positive_contraction(s: SignedGraph):
@@ -36,42 +34,36 @@ def positive_contraction(s: SignedGraph):
 
 
 def is_clusterable(s: SignedGraph):
-    """(flag, witness): a clustering partition when the positive-edge
-    contraction is loop-free, else a circle carrying exactly one negative
-    edge. The circle search, like the deletion search that follows it in
-    ``cluster_report``, is limited to MAX_EDGES edges."""
-    res = positive_contraction(s)
-    if not res.loop_flag:
-        return True, clustering_partition(s)
-    if len(s.graph.edges) > MAX_EDGES:
-        raise SearchSizeError("too many edges for deletion search")
-    for c in enumerate_cycles(s.graph, s.graph.vertex_count):
-        if (c.edge_mask & s.mask).bit_count() == 1:
-            return False, c
-    raise AssertionError("loopy contraction but no one-negative circle")
-
-
-def clustering_partition(s: SignedGraph) -> tuple[frozenset, ...]:
-    """Vertex partition with positive edges inside parts and negative edges
-    across, with the fewest parts: pulled back from a minimum coloring of
-    the positive-edge contraction."""
+    """(flag, witness). If the positive-edge contraction is loop-free, the
+    fewest-parts partition with positive edges inside parts and negative
+    edges across, from a minimum coloring of the quotient. Else a circle:
+    the least negative edge inside a positive component, closed by the
+    path between its ends in a positive spanning forest."""
     res = positive_contraction(s)
     if res.loop_flag:
-        raise ValueError("not clusterable")
+        part = {v: i for i, o in enumerate(res.origin) for v in o}
+        u, w = min((u, w) for u, w in s.negative_edges if part[u] == part[w])
+        positive = Graph.from_edges(s.graph.vertex_count, s.positive_edges)
+        return False, tree_cycle(s.graph, positive.spanning_forest, u, w)
     coloring = minimum_coloring(res.quotient)
     parts = [set() for _ in range(max(coloring, default=-1) + 1)]
     for qv, orig in enumerate(res.origin):
-        parts[coloring[qv]] |= set(orig)
-    return tuple(frozenset(p) for p in parts)
+        parts[coloring[qv]] |= orig
+    return True, tuple(frozenset(p) for p in parts)
+
+
+def clustering_partition(s: SignedGraph) -> tuple[frozenset, ...]:
+    """The fewest-parts clustering of ``is_clusterable``."""
+    ok, witness = is_clusterable(s)
+    if not ok:
+        raise ValueError("not clusterable")
+    return witness
 
 
 def cluster_number(s: SignedGraph) -> int | None:
-    """Minimum cluster count, None when unclusterable: the chromatic number
-    of the positive-edge contraction."""
-    res = positive_contraction(s)
-    if res.loop_flag:
-        return None
-    return chromatic_number(res.quotient)
+    """Minimum cluster count, None when unclusterable."""
+    ok, witness = is_clusterable(s)
+    return len(witness) if ok else None
 
 
 def delete_edges(s: SignedGraph, drop) -> SignedGraph:
@@ -139,9 +131,8 @@ def inclusterability_index(s: SignedGraph):
 def cluster_report(s: SignedGraph) -> ClusterReport:
     ok, witness = is_clusterable(s)
     if ok:
-        return ClusterReport(True, len(witness), 0, witness, frozenset())
-    q, dels = inclusterability_index(s)
-    return ClusterReport(False, None, q, None, dels)
+        return ClusterReport(True, len(witness), 0)
+    return ClusterReport(False, None, inclusterability_index(s)[0])
 
 
 def max_inclusterability(g: Graph, cubic_shortcut: bool = True) -> int:
@@ -160,16 +151,10 @@ def max_inclusterability(g: Graph, cubic_shortcut: bool = True) -> int:
         bad = _bad_cycles(cycle_masks, neg_mask)
         return _min_hitting_mask(bad, neg_mask.bit_count()).bit_count()
 
-    best = 0
+    masks = range(1 << m)
     if cubic_shortcut:
         if any(g.degree(v) > 3 for v in range(g.vertex_count)):
             raise ValueError("shortcut needs maximum degree at most 3")
-        for matching in all_matchings(g):
-            neg_mask = 0
-            for e in matching:
-                neg_mask |= 1 << g.edge_index[e]
-            best = max(best, q_of(neg_mask))
-        return best
-    for neg_mask in range(1 << m):
-        best = max(best, q_of(neg_mask))
-    return best
+        masks = (sum(1 << g.edge_index[e] for e in matching)
+                 for matching in all_matchings(g))
+    return max(map(q_of, masks))

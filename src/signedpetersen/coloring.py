@@ -6,7 +6,8 @@ difference-formula cross-checks.
 from __future__ import annotations
 
 from .frustration import alpha_k, delete_vertices
-from .graphs import all_independent_sets, petersen
+from .graphs import (MAX_SEARCH_VERTICES, SearchSizeError,
+                     all_independent_sets, petersen)
 from .signed import SignedGraph, negate, negative_circle_counts, switch
 
 MAX_K = 2
@@ -16,57 +17,52 @@ class BudgetError(ValueError):
     """Raised when a coloration count is requested beyond the k <= 2 budget."""
 
 
-def _colors(k: int, zero_free: bool) -> list[int]:
-    cs = [c for c in range(-k, k + 1) if c or not zero_free]
-    cs.sort(key=abs)  # keeps small magnitudes first; order is cosmetic
-    return cs
-
-
-def count_colorations(s: SignedGraph, k: int, zero_free: bool = False) -> int:
-    """Number of proper colorations with colors in {0, +-1, ..., +-k}
-    (without 0 when zero_free): exhaustive assignment with early pruning.
-
-    Proper means the color of w differs from sign(vw) times the color of v
-    on every edge vw.
-    """
+def _colorations(s: SignedGraph, k: int, zero_free: bool):
+    """Generator of the proper colorations with colors in {0, +-1, ..., +-k}
+    (without 0 when zero_free), by backtracking, each yielded as the same
+    list of vertex colors updated in place. Proper means the color of w
+    differs from sign(vw) times the color of v on every edge vw. The size
+    checks run at the call, before any search."""
     if k < 0 or k > MAX_K:
         raise BudgetError(f"k={k} outside the supported range 0..{MAX_K}")
     g = s.graph
     n = g.vertex_count
-    colors = _colors(k, zero_free)
+    if n > MAX_SEARCH_VERTICES:
+        raise SearchSizeError("graph too large for coloring search")
+    colors = [c for c in range(-k, k + 1) if c or not zero_free]
     # Edges back to already-colored vertices, for incremental checking.
     earlier = [[(u, s.sign(u, v)) for u in g.adjacency[v] if u < v]
                for v in range(n)]
     assigned = [0] * n
-    total = 0
 
     def extend(v):
-        nonlocal total
         if v == n:
-            total += 1
+            yield assigned
             return
         for c in colors:
             if all(c != sig * assigned[u] for u, sig in earlier[v]):
                 assigned[v] = c
-                extend(v + 1)
-        assigned[v] = None
+                yield from extend(v + 1)
 
-    extend(0)
-    return total
+    return extend(0)
+
+
+def count_colorations(s: SignedGraph, k: int, zero_free: bool = False) -> int:
+    """Number of proper colorations, as ``_colorations`` defines them."""
+    return sum(1 for _ in _colorations(s, k, zero_free))
 
 
 def chromatic_numbers(s: SignedGraph) -> tuple[int, int]:
     """(chi, chi_star): least k admitting a proper coloration, with and
-    then without the zero color."""
-    chi = chi_star = None
-    for k in range(0, MAX_K + 1):
-        if chi is None and count_colorations(s, k, zero_free=False):
-            chi = k
-        if chi_star is None and k > 0 and count_colorations(s, k, zero_free=True):
-            chi_star = k
-        if chi is not None and chi_star is not None:
-            return chi, chi_star
-    raise BudgetError("chromatic number exceeds the k <= 2 budget")
+    then without the zero color; each search stops at its first one (on a
+    0-vertex graph an empty list, so no truth test)."""
+    def least(zero_free: bool) -> int:
+        for k in range(1 if zero_free else 0, MAX_K + 1):
+            if next(_colorations(s, k, zero_free), None) is not None:
+                return k
+        raise BudgetError("chromatic number exceeds the k <= 2 budget")
+
+    return least(False), least(True)
 
 
 def balanced_expansion_check(s: SignedGraph) -> tuple[bool, int, int]:

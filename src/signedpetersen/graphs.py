@@ -247,6 +247,20 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
     return cycles
 
 
+def tree_cycle(g: Graph, forest, u: int, w: int) -> Cycle:
+    """Cycle through edge uw and the path between u and w in forest, given
+    as ``Graph.spanning_forest`` triples of a forest of g."""
+    parent = {v: p for v, p, _ in forest}
+    up = [u]
+    while parent[up[-1]] >= 0:
+        up.append(parent[up[-1]])
+    at = {v: i for i, v in enumerate(up)}
+    down = [w]
+    while down[-1] not in at:
+        down.append(parent[down[-1]])
+    return Cycle.from_vertices(g, up[:at[down[-1]]] + down[::-1])
+
+
 def hexagon_of_vertex(g: Graph, v: int) -> Cycle:
     """The unique hexagon of the Petersen graph avoiding the closed
     neighborhood of v."""
@@ -450,7 +464,6 @@ class ContractionResult:
     quotient: Graph
     loop_flag: bool
     origin: tuple[frozenset, ...]
-    from_contraction: tuple[bool, ...]
 
 
 def contract(g: Graph, s) -> ContractionResult:
@@ -493,7 +506,6 @@ def contract(g: Graph, s) -> ContractionResult:
         quotient=quotient,
         loop_flag=loop,
         origin=tuple(frozenset(o) for o in origin),
-        from_contraction=tuple(len(o) > 1 for o in origin),
     )
 
 

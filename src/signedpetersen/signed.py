@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .graphs import (Cycle, Graph, bits, cut_mask, cut_preimage, cut_space,
-                     enumerate_cycles, forest_preimage, petersen)
+                     enumerate_cycles, forest_preimage, petersen, tree_cycle)
 
 
 @dataclass(frozen=True)
@@ -83,26 +83,7 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
         return BalanceResult(True, (frozenset(range(g.vertex_count)) - neg, neg),
                              None)
     u, w = g.edges[(off & -off).bit_length() - 1]
-    parent = {v: p for v, p, _ in g.spanning_forest}
-    return BalanceResult(False, None, _tree_cycle(g, parent, u, w))
-
-
-def _tree_cycle(g: Graph, parent, u: int, w: int) -> Cycle:
-    """Cycle through edge uw plus the tree paths back to their meeting point."""
-    pu, pw = [u], [w]
-    seen = {u: 0}
-    x = u
-    while parent[x] >= 0:
-        x = parent[x]
-        seen[x] = len(pu)
-        pu.append(x)
-    x = w
-    while x not in seen:
-        x = parent[x]
-        pw.append(x)
-    meet = pw[-1]
-    verts = pu[:seen[meet]] + list(reversed(pw))
-    return Cycle.from_vertices(g, verts)
+    return BalanceResult(False, None, tree_cycle(g, g.spanning_forest, u, w))
 
 
 def switching_equivalence(s1: SignedGraph, s2: SignedGraph) -> int | None:

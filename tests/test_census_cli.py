@@ -48,8 +48,53 @@ def test_standard_masks_classify_correctly(rep_masks):
         assert classify_six_mask(mask) is t
 
 
+def test_deletion_tables_match_restricted_cuts():
+    # oracle: every one of the 512 Petersen cuts restricted to the kept edges
+    from signedpetersen.census import _deletion_tables
+    from signedpetersen.signed import petersen_cut_masks
+    g, _ = petersen()
+    tables = _deletion_tables()
+    sets = [w for k in range(4) for w in itertools.combinations(range(10), k)]
+    assert len(tables) == len(sets) == 176
+    for (k, keep, cuts), w in zip(tables, sets):
+        want = sum(1 << i for i, e in enumerate(g.edges) if not set(e) & set(w))
+        assert (k, keep) == (len(w), want)
+        assert cuts == {c & keep for c in petersen_cut_masks()}, w
+
+
 def test_verify_all_empty():
     assert verify_all() == []
+
+
+def test_verify_all_checks_census_totals_and_representatives(monkeypatch):
+    from signedpetersen import census
+    real = census.build_table
+
+    def tampered(table_id):
+        art = real(table_id)
+        if table_id != "census":
+            return art
+        rows = dict(art.rows)
+        sig = rows["signatures"]
+        rows["signatures"] = (sig[0] + 1,) + sig[1:]
+        classes = rows["switching classes"]
+        rows["switching classes"] = classes[:-1] + (classes[-1] - 2,)
+        reps = list(rows["representative mask"])
+        reps[1] = "0x0003"          # weight 2, so not a minimal P1 signature
+        reps[3] = reps[2]           # the P2,2 representative under P2,3
+        rows["representative mask"] = tuple(reps)
+        return census.TableArtifact("census", art.columns, tuple(rows.items()))
+
+    monkeypatch.setattr(census, "build_table", tampered)
+    diffs = verify_all()
+    assert "census [signatures] total: got 32769, expected 32768" in diffs
+    assert "census [switching classes] total: got 62, expected 64" in diffs
+    reps = [d for d in diffs if d.startswith("census [representative mask]")]
+    assert reps == [
+        "census [representative mask] P1 0x0003: got ('P1', 2), "
+        "expected ('P1', 1)",
+        "census [representative mask] P2,3 0x000a: got ('P2,2', 2), "
+        "expected ('P2,3', 2)"]
 
 
 def test_verify_all_does_group_work_once(monkeypatch):
@@ -277,15 +322,28 @@ def test_cli_color_budget_error_prints_nothing(capsys, tmp_path):
     assert code == 2 and out == "" and "budget" in err
 
 
+def run_module(*argv):
+    src = str(Path(signedpetersen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "signedpetersen.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
+def test_cli_color_too_many_vertices_fails_fast(tmp_path):
+    # 3^40 colorations of an edgeless graph: the vertex cap must stop the
+    # search before it starts
+    path = tmp_path / "edgeless40.txt"
+    path.write_text("n 40\n")
+    done = run_module("color", "--file", str(path), "--k", "1")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "too large" in done.stderr
+
+
 def test_cli_cluster_too_many_edges_fails_fast(tmp_path):
     # K12 (66 edges) with one negative edge is unclusterable; the edge limit
     # must stop it before any circle is listed
     path = complete_graph_file(tmp_path, 12, negative={(0, 1)})
-    src = str(Path(signedpetersen.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "signedpetersen.cli", "cluster", "--file",
-         str(path)], capture_output=True, text=True, env=env, timeout=30)
+    done = run_module("cluster", "--file", str(path))
     assert done.returncode == 2 and done.stdout == ""
     assert "too many edges" in done.stderr

@@ -3,9 +3,9 @@ print the recorded stdout and stderr byte for byte and exit with the
 recorded code.
 
 The fixture covers ``census`` and the nine tables in every format, and
-``classify``, ``group --coset-table`` and ``cluster`` on the six standard
-masks and their negations, plus ``color --k 1`` on two of them. To record
-it again (only when an output is meant to change):
+``classify``, ``group --coset-table``, ``cluster``, ``color --k 1`` and
+``color --k 1 --zero-free`` on the six standard masks and their negations.
+To record it again (only when an output is meant to change):
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -32,9 +32,9 @@ def golden_commands() -> list[list[str]]:
         hx = format_mask(m)
         cmds += [["classify", "--mask", hx],
                  ["group", "--mask", hx, "--coset-table"],
-                 ["cluster", "--mask", hx]]
-    cmds += [["color", "--mask", format_mask(m), "--k", "1"]
-             for m in (masks[1], masks[4])]
+                 ["cluster", "--mask", hx],
+                 ["color", "--mask", hx, "--k", "1"],
+                 ["color", "--mask", hx, "--k", "1", "--zero-free"]]
     return cmds
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from signedpetersen.clustering import (cluster_number, cluster_report,
                                        positive_contraction)
 from signedpetersen.expected import (CLUSTER_NUMBER, INCLUSTERABILITY,
                                      MAX_INCLUSTERABILITY, T10_COLUMNS)
-from signedpetersen.graphs import Graph, chromatic_number, enumerate_cycles
+from signedpetersen.graphs import (Cycle, Graph, chromatic_number,
+                                   enumerate_cycles)
 from signedpetersen.signed import SignedGraph, negate, sign_of_circle
 
 
@@ -108,3 +110,35 @@ def test_delete_edges(pg):
     t = delete_edges(s, [g.edges[0]])
     assert len(t.graph.edges) == 14
     assert t.graph.vertex_count == 10
+
+
+def test_forest_witness_against_cycle_listing():
+    # Seeded graphs of 3-16 vertices, some with more than MAX_EDGES edges.
+    # Each answer carries its proof: a partition with positive edges inside
+    # parts and negative edges across, or a circle with one negative edge.
+    # Up to 12 vertices the flag is also checked against every cycle.
+    rng = random.Random(67)
+    large_unclusterable = 0
+    for _ in range(240):
+        n = rng.randint(3, 16)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(
+            pairs, rng.randint(n - 1, min(len(pairs), 2 * n))))
+        density = rng.random()
+        s = SignedGraph(g, sum(1 << i for i in range(len(g.edges))
+                               if rng.random() < density))
+        ok, witness = is_clusterable(s)
+        if ok:
+            part_of = {v: i for i, p in enumerate(witness) for v in p}
+            assert sorted(part_of) == list(range(n))
+            for u, v in g.edges:
+                assert (part_of[u] == part_of[v]) == (s.sign(u, v) > 0)
+        else:
+            assert witness == Cycle.from_vertices(g, witness.vertices)
+            assert (witness.edge_mask & s.mask).bit_count() == 1
+            large_unclusterable += len(g.edges) > 20
+        if n <= 12:
+            bad = any((c.edge_mask & s.mask).bit_count() == 1
+                      for c in enumerate_cycles(g, n))
+            assert ok == (not bad)
+    assert large_unclusterable >= 10

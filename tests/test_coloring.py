@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from signedpetersen.coloring import (BudgetError, balanced_expansion_check,
                                      switching_color_invariance_check)
 from signedpetersen.expected import (CHI, CHI3, CHI3_DIFFERENCE, CHI_STAR,
                                      CLASS_NAMES)
-from signedpetersen.graphs import Graph, chromatic_number
+from signedpetersen.graphs import Graph, SearchSizeError, chromatic_number
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
 
@@ -113,3 +114,57 @@ def test_two_of_three_law():
             assert not (bal and anti) or bip
             assert not (bal and bip) or anti
             assert not (anti and bip) or bal
+
+
+def brute_count(s, k, zero_free):
+    """Proper colorations counted over every assignment of colors."""
+    colors = [c for c in range(-k, k + 1) if c or not zero_free]
+    edges = [(u, v, s.sign(u, v)) for u, v in s.graph.edges]
+    return sum(all(a[v] != sig * a[u] for u, v, sig in edges)
+               for a in itertools.product(colors, repeat=s.graph.vertex_count))
+
+
+def oracle_graphs():
+    """The 0-vertex graph, edgeless graphs, positive K5 and K6, and seeded
+    random signed graphs on 1-6 vertices."""
+    out = [SignedGraph(Graph(n, ()), 0) for n in range(5)]
+    for n in (5, 6):
+        out.append(SignedGraph(Graph.from_edges(
+            n, itertools.combinations(range(n), 2)), 0))
+    rng = random.Random(59)
+    for n in (1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        out.append(SignedGraph(g, rng.randrange(1 << len(g.edges))))
+    return out
+
+
+def test_colorations_match_brute_force():
+    beyond = 0
+    for s in oracle_graphs():
+        counts = {(k, zf): brute_count(s, k, zf)
+                  for k in range(3) for zf in (False, True)}
+        for (k, zf), want in counts.items():
+            assert count_colorations(s, k, zf) == want, (s, k, zf)
+        chi = next((k for k in (0, 1, 2) if counts[k, False]), None)
+        chi_star = next((k for k in (1, 2) if counts[k, True]), None)
+        if chi is None or chi_star is None:
+            beyond += 1
+            with pytest.raises(BudgetError):
+                chromatic_numbers(s)
+        else:
+            assert chromatic_numbers(s) == (chi, chi_star), s
+    assert chromatic_numbers(SignedGraph(Graph(0, ()), 0)) == (0, 1)
+    assert beyond >= 2
+
+
+def test_coloring_size_checks_come_first():
+    # past the vertex cap both callers refuse before searching, even where
+    # the search would be short (at k = 0 there is one coloration)
+    s = SignedGraph(Graph(17, ()), 0)
+    with pytest.raises(SearchSizeError):
+        count_colorations(s, 0)
+    with pytest.raises(SearchSizeError):
+        chromatic_numbers(s)
+    with pytest.raises(BudgetError):
+        count_colorations(s, -1)
