@@ -1,13 +1,15 @@
-"""Clusterability of signed graphs: the no-circle-with-one-negative-edge
-criterion, cluster number via positive-edge contraction, exact
+"""Clusterability of signed graphs: Davis's criterion on the positive
+components, the cluster number from a minimum colouring, the exact
 inclusterability index, and the maximum-index search over all signatures.
 
-A signature is clusterable exactly when no circle carries exactly one
-negative edge (equivalently, contracting the positive edges leaves no loop).
-Every cycle of a subgraph is a cycle of the original graph, so the minimum
-number of edge deletions reaching clusterability is the minimum hitting set
-of the "bad" cycles, those with exactly one negative edge. That hitting-set
-view keeps the exhaustive 2^15 signature scan fast.
+A signature is clusterable exactly when no negative edge joins two vertices
+of one component of the positive subgraph (Davis), equivalently when no
+circle carries exactly one negative edge. The cluster number is then the
+chromatic number of the graph that the negative edges make on those
+components. Every cycle of a subgraph is a cycle of the original graph, so
+the minimum number of edge deletions reaching clusterability is the minimum
+hitting set of the "bad" cycles, those with exactly one negative edge. That
+hitting-set view keeps the exhaustive 2^15 signature scan fast.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import (Graph, SearchSizeError, all_matchings, contract,
+from .graphs import (Graph, SearchSizeError, all_matchings, bits,
                      enumerate_cycles, minimum_coloring, tree_cycle)
 from .signed import SignedGraph
 
@@ -29,26 +31,35 @@ class ClusterReport:
     q: int
 
 
-def positive_contraction(s: SignedGraph):
-    return contract(s.graph, s.positive_edges)
-
-
 def is_clusterable(s: SignedGraph):
-    """(flag, witness). If the positive-edge contraction is loop-free, the
+    """(flag, witness), from one spanning forest of the positive subgraph.
+    Its components are numbered by least vertex. If a negative edge joins
+    two vertices of one component, the witness is the least such edge,
+    closed by the forest path between its ends. Otherwise it is the
     fewest-parts partition with positive edges inside parts and negative
-    edges across, from a minimum coloring of the quotient. Else a circle:
-    the least negative edge inside a positive component, closed by the
-    path between its ends in a positive spanning forest."""
-    res = positive_contraction(s)
-    if res.loop_flag:
-        part = {v: i for i, o in enumerate(res.origin) for v in o}
-        u, w = min((u, w) for u, w in s.negative_edges if part[u] == part[w])
-        positive = Graph.from_edges(s.graph.vertex_count, s.positive_edges)
-        return False, tree_cycle(s.graph, positive.spanning_forest, u, w)
-    coloring = minimum_coloring(res.quotient)
+    edges across, from a minimum colouring of the graph that the negative
+    edges make on the components."""
+    g = s.graph
+    positive = Graph(g.vertex_count, tuple(
+        e for i, e in enumerate(g.edges) if not s.mask >> i & 1))
+    forest = positive.spanning_forest
+    comp = [0] * g.vertex_count
+    count = 0
+    for v, parent, _ in forest:
+        if parent < 0:
+            comp[v] = count
+            count += 1
+        else:
+            comp[v] = comp[parent]
+    negative = [g.edges[i] for i in bits(s.mask)]
+    for u, w in negative:
+        if comp[u] == comp[w]:
+            return False, tree_cycle(g, forest, u, w)
+    coloring = minimum_coloring(Graph.from_edges(
+        count, ((comp[u], comp[w]) for u, w in negative)))
     parts = [set() for _ in range(max(coloring, default=-1) + 1)]
-    for qv, orig in enumerate(res.origin):
-        parts[coloring[qv]] |= orig
+    for v, c in enumerate(comp):
+        parts[coloring[c]].add(v)
     return True, tuple(frozenset(p) for p in parts)
 
 

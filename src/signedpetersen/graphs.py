@@ -1,5 +1,5 @@
 """Unsigned graph foundation: Petersen construction, cycles, cuts, matchings,
-contraction, automorphisms, and small-graph chromatic number.
+spanning forests, automorphisms, and small-graph minimum colouring.
 
 All graphs are simple and undirected, with vertices 0..n-1 and a canonical
 (lexicographically sorted) edge list so that edge indices are deterministic.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -456,60 +455,6 @@ def classify_matching(g: Graph, m) -> MatchingClass:
 
 
 # ---------------------------------------------------------------------------
-# Contraction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContractionResult:
-    quotient: Graph
-    loop_flag: bool
-    origin: tuple[frozenset, ...]
-
-
-def contract(g: Graph, s) -> ContractionResult:
-    """Contract the edge set s: each component of (V, s) becomes one vertex.
-    Parallel edges are merged; a loop is only recorded as a flag."""
-    parent = list(range(g.vertex_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in s:
-        if (min(u, v), max(u, v)) not in g.edge_index:
-            raise ValueError(f"{(u, v)} is not an edge")
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    roots = sorted({find(v) for v in range(g.vertex_count)})
-    new_id = {r: i for i, r in enumerate(roots)}
-    origin = [set() for _ in roots]
-    for v in range(g.vertex_count):
-        origin[new_id[find(v)]].add(v)
-
-    contracted = {tuple(sorted((min(u, v), max(u, v)))) for u, v in s}
-    loop = False
-    qedges = set()
-    for u, v in g.edges:
-        if (u, v) in contracted:
-            continue
-        a, b = new_id[find(u)], new_id[find(v)]
-        if a == b:
-            loop = True
-        else:
-            qedges.add((min(a, b), max(a, b)))
-    quotient = Graph(len(roots), tuple(sorted(qedges)))
-    return ContractionResult(
-        quotient=quotient,
-        loop_flag=loop,
-        origin=tuple(frozenset(o) for o in origin),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Automorphisms
 # ---------------------------------------------------------------------------
 
@@ -555,7 +500,7 @@ def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Chromatic number
+# Minimum colouring
 # ---------------------------------------------------------------------------
 
 def _coloring(g: Graph, k: int) -> list[int] | None:
@@ -596,15 +541,3 @@ def minimum_coloring(g: Graph) -> list[int]:
         if colors is not None:
             return colors
 
-
-def chromatic_number(x) -> int | float:
-    """Minimum number of colors in a proper vertex coloring.
-
-    Accepts a Graph or a ContractionResult; a contraction with a loop is
-    uncolorable and reported as math.inf.
-    """
-    if isinstance(x, ContractionResult):
-        if x.loop_flag:
-            return math.inf
-        x = x.quotient
-    return max(minimum_coloring(x), default=-1) + 1

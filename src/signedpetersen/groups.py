@@ -13,8 +13,6 @@ group elements are stored with the canonical lift (vertex 0 unswitched).
 from __future__ import annotations
 
 import enum
-import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -224,15 +222,32 @@ class FiniteGroup:
         return inv
 
     def _check_associativity(self):
-        n = len(self.elements)
-        if n <= 30:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            triples = _sampled_triples(n)
+        """Light's test: the table is associative exactly when
+        (xa)y = x(ay) for all x and y and each a of a generating set, since
+        the elements a that pass are closed under products. Generators are
+        taken greedily: the least element not yet reached, after which the
+        reached set is closed under right multiplication by the generators
+        so far."""
         t = self.table
-        for i, j, k in triples:
-            if t[t[i][j]][k] != t[i][t[j][k]]:
-                raise GroupAxiomError("not associative")
+        reached = {self.identity}
+        gens = []
+        for a in range(len(t)):
+            if a in reached:
+                continue
+            gens.append(a)
+            stack = list(reached)
+            while stack:
+                x = stack.pop()
+                for g in gens:
+                    y = t[x][g]
+                    if y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+        for a in gens:
+            row_a = t[a]
+            for row_x in t:
+                if t[row_x[a]] != [row_x[ay] for ay in row_a]:
+                    raise GroupAxiomError("not associative")
 
     @property
     def order(self) -> int:
@@ -284,15 +299,6 @@ class FiniteGroup:
                         nxt.append(c)
             frontier = nxt
         return cls(sorted(seen, key=repr), mul)
-
-
-@lru_cache(maxsize=8)
-def _sampled_triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    """The 2000 seeded index triples whose associativity is checked in a
-    group of order n > 30."""
-    rng = random.Random(0)
-    return tuple((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                 for _ in range(2000))
 
 
 class GroupLabel(enum.Enum):

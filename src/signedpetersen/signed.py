@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .graphs import (Cycle, Graph, bits, cut_mask, cut_preimage, cut_space,
                      enumerate_cycles, forest_preimage, petersen, tree_cycle)
@@ -29,14 +29,6 @@ class SignedGraph:
         m = len(self.graph.edges)
         if not 0 <= self.mask < (1 << m):
             raise ValueError(f"mask {self.mask:#x} out of range for {m} edges")
-
-    @cached_property
-    def negative_edges(self) -> frozenset:
-        return frozenset(self.graph.edges[i] for i in bits(self.mask))
-
-    @cached_property
-    def positive_edges(self) -> frozenset:
-        return frozenset(self.graph.edges) - self.negative_edges
 
     def sign(self, u: int, v: int) -> int:
         return -1 if self.mask >> self.graph.index_of(u, v) & 1 else 1

@@ -293,6 +293,31 @@ def test_cli_color_and_cluster(capsys, rep_masks):
     assert code == 0 and "clusterable no inclusterability 1" in out
 
 
+# Edge-list files for `cluster`, with the expected stdout, stderr and exit
+# code. Clusters are unions of components of the positive subgraph; the
+# edgeless 40-vertex graph has 40 of them, more than the 16-vertex colouring
+# cap, so it exits 2.
+CLUSTER_FILES = (
+    ("n 7\n0 1 +\n1 2 +\n2 3 -\n3 4 +\n4 5 -\n5 6 +\n0 6 -\n1 4 -\n"
+     "2 5 -\n0 3 -\n", "clusterable yes clusters 3\n", "", 0),
+    ("n 5\n0 1 +\n1 2 +\n0 2 -\n2 3 +\n3 4 +\n2 4 -\n",
+     "clusterable no inclusterability 2\n", "", 0),
+    ("n 8\n0 1 -\n1 2 -\n0 2 -\n3 4 +\n4 5 -\n3 5 -\n6 7 -\n",
+     "clusterable yes clusters 3\n", "", 0),
+    ("n 9\n0 1 +\n1 2 -\n2 3 +\n5 7 -\n", "clusterable yes clusters 2\n",
+     "", 0),
+    ("n 40\n", "", "error: graph too large for exact chromatic number\n", 2),
+)
+
+
+def test_cli_cluster_general_graph_files(capsys, tmp_path):
+    path = tmp_path / "graph.txt"
+    for text, out, err, code in CLUSTER_FILES:
+        path.write_text(text)
+        assert run_cli(capsys, "cluster", "--file", str(path)) == \
+            (code, out, err), text
+
+
 def test_cli_verify(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0 and "all tables verified" in out

@@ -6,12 +6,10 @@ import pytest
 from signedpetersen.clustering import (cluster_number, cluster_report,
                                        clustering_partition, delete_edges,
                                        inclusterability_index, is_clusterable,
-                                       max_inclusterability,
-                                       positive_contraction)
+                                       max_inclusterability)
 from signedpetersen.expected import (CLUSTER_NUMBER, INCLUSTERABILITY,
                                      MAX_INCLUSTERABILITY, T10_COLUMNS)
-from signedpetersen.graphs import (Cycle, Graph, chromatic_number,
-                                   enumerate_cycles)
+from signedpetersen.graphs import Cycle, Graph, enumerate_cycles
 from signedpetersen.signed import SignedGraph, negate, sign_of_circle
 
 
@@ -53,24 +51,56 @@ def test_table_t10(reps):
         assert rep.clusterable == (CLUSTER_NUMBER[i] is not None)
 
 
-def test_cluster_number_is_contraction_chromatic(reps):
-    for s in t10_signatures(reps):
-        res = positive_contraction(s)
-        if res.loop_flag:
-            assert cluster_number(s) is None
-        else:
-            assert cluster_number(s) == chromatic_number(res)
+def fewest_clusters(s):
+    """Fewest parts over every set partition of the vertices with positive
+    edges inside parts and negative edges across, or None when there is no
+    such partition. Vertices take block labels in restricted-growth order,
+    one label sequence per partition; a prefix is dropped once an edge to an
+    earlier vertex breaks the rule, which no extension can mend."""
+    g = s.graph
+    n = g.vertex_count
+    earlier = [[(w, s.sign(v, w) > 0) for w in g.adjacency[v] if w < v]
+               for v in range(n)]
+    block = [0] * n
+    best = None
+
+    def extend(v, used):
+        nonlocal best
+        if v == n:
+            best = used if best is None else min(best, used)
+            return
+        for b in range(used + 1):
+            if all((block[w] == b) == pos for w, pos in earlier[v]):
+                block[v] = b
+                extend(v + 1, max(used, b + 1))
+
+    extend(0, 0)
+    return best
+
+
+def test_cluster_number_against_set_partitions(reps):
+    rng = random.Random(71)
+    sigs = t10_signatures(reps)
+    for _ in range(150):
+        n = rng.randint(0, 7)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        density = rng.random()
+        sigs.append(SignedGraph(g, sum(1 << i for i in range(len(g.edges))
+                                       if rng.random() < density)))
+    clusterable = 0
+    for s in sigs:
+        expected = fewest_clusters(s)
+        assert cluster_number(s) == expected, s
+        if expected is not None:
             parts = clustering_partition(s)
-            assert len(parts) == cluster_number(s)
-            union = set()
-            for p in parts:
-                assert not union & p
-                union |= p
-            assert union == set(range(s.graph.vertex_count))
-            # positive edges inside parts, negative edges across
             part_of = {v: i for i, p in enumerate(parts) for v in p}
+            assert sum(map(len, parts)) == len(part_of) == s.graph.vertex_count
+            assert len(parts) == expected
             for u, v in s.graph.edges:
                 assert (part_of[u] == part_of[v]) == (s.sign(u, v) > 0)
+            clusterable += 1
+    assert 30 <= clusterable <= len(sigs) - 30
 
 
 def test_inclusterability_witness(reps):
@@ -85,17 +115,6 @@ def test_inclusterability_witness(reps):
         import itertools
         for smaller in itertools.combinations(edges, q - 1):
             assert not is_clusterable(delete_edges(s, smaller))[0]
-
-
-def test_one_negative_edge_criterion(pg):
-    # Davis: clusterable iff no circle carries exactly one negative edge
-    g, _ = pg
-    rng = random.Random(41)
-    cycles = enumerate_cycles(g, 10)
-    for _ in range(150):
-        s = SignedGraph(g, rng.randrange(1 << 15))
-        bad = any((c.edge_mask & s.mask).bit_count() == 1 for c in cycles)
-        assert is_clusterable(s)[0] == (not bad)
 
 
 def test_max_inclusterability(pg):

@@ -9,7 +9,7 @@ from signedpetersen.coloring import (BudgetError, balanced_expansion_check,
                                      switching_color_invariance_check)
 from signedpetersen.expected import (CHI, CHI3, CHI3_DIFFERENCE, CHI_STAR,
                                      CLASS_NAMES)
-from signedpetersen.graphs import Graph, SearchSizeError, chromatic_number
+from signedpetersen.graphs import Graph, SearchSizeError, minimum_coloring
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
 
@@ -106,7 +106,7 @@ def test_two_of_three_law():
                              (3, 4), (3, 5), (4, 5)))
     gb = Graph.from_edges(6, ((0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)))
     for graph in (g, gb):
-        bip = chromatic_number(graph) <= 2
+        bip = max(minimum_coloring(graph)) <= 1
         for _ in range(200):
             s = SignedGraph(graph, rng.randrange(1 << len(graph.edges)))
             bal = bool(is_balanced(s))

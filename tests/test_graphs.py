@@ -1,16 +1,14 @@
-import math
 from collections import Counter
 
 import pytest
 
 from signedpetersen.graphs import (Cycle, Graph, MatchingClass, SearchSizeError,
                                    all_independent_sets, all_matchings,
-                                   automorphism_images, chromatic_number,
-                                   classify_matching, contract, cut,
-                                   cut_preimage, cut_space, edge_distance,
+                                   automorphism_images, classify_matching,
+                                   cut, cut_preimage, cut_space, edge_distance,
                                    enumerate_cycles,
                                    hexagon_of_vertex, independent_sets,
-                                   is_petersen, petersen)
+                                   is_petersen, minimum_coloring, petersen)
 
 
 def k4():
@@ -178,21 +176,12 @@ def test_matchings(pg):
         if edge_distance(g, e[i], e[j]) == 3)
 
 
-def test_contract_and_chromatic(pg):
+def test_minimum_coloring(pg):
     g, _ = pg
-    assert chromatic_number(g) == 3
-    assert chromatic_number(k4()) == 4
-    assert chromatic_number(c5()) == 3
-    assert chromatic_number(k33()) == 2
-    # contracting one edge of K4 merges the parallel pair into K3
-    res = contract(k4(), [(0, 1)])
-    assert not res.loop_flag
-    assert res.quotient.vertex_count == 3
-    assert chromatic_number(res) == 3
-    # contracting a path whose chord survives makes a loop
-    res = contract(k4(), [(0, 1), (1, 2)])
-    assert res.loop_flag
-    assert chromatic_number(res) == math.inf
+    for graph, chi in ((g, 3), (k4(), 4), (c5(), 3), (k33(), 2)):
+        colors = minimum_coloring(graph)
+        assert max(colors) + 1 == chi
+        assert all(colors[u] != colors[v] for u, v in graph.edges)
 
 
 def test_automorphisms(pg):
@@ -208,4 +197,4 @@ def test_search_size_guard():
     with pytest.raises(SearchSizeError):
         automorphism_images(big)
     with pytest.raises(SearchSizeError):
-        chromatic_number(big)
+        minimum_coloring(big)

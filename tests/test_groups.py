@@ -142,6 +142,25 @@ def test_group_axiom_enforcement():
         FiniteGroup([(0, 1, 2), (1, 2, 0)], compose)
 
 
+def test_non_associative_tables_are_rejected():
+    # A self-inverse loop of order 5: identity 0, every row a permutation,
+    # but (1*1)*2 = 2 while 1*(1*2) = 4.
+    loop = ["01234", "10342", "24013", "32401", "43120"]
+    with pytest.raises(GroupAxiomError):
+        FiniteGroup(range(5), lambda a, b: int(loop[a][b]))
+    # Z_120 with the intercalate on rows and columns 1 and 61 swapped: still
+    # a Latin square with identity 0, wrong in 4 of 14,400 cells, so a
+    # check of sampled triples can miss it.
+    z = [[(a + b) % 120 for b in range(120)] for a in range(120)]
+    for a in (1, 61):
+        for b in (1, 61):
+            z[a][b] = (z[a][b] + 60) % 120
+    with pytest.raises(GroupAxiomError):
+        FiniteGroup(range(120), lambda a, b: z[a][b])
+    # the unswapped table is the cyclic group
+    FiniteGroup(range(120), lambda a, b: (a + b) % 120)
+
+
 def test_identify_group_reference_constructions():
     assert identify_group(perm_group((0,), degree=1)) is GroupLabel.TRIVIAL
     assert identify_group(perm_group((1, 0), degree=2)) is GroupLabel.Z2

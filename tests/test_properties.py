@@ -1,52 +1,54 @@
-"""Randomized property suite (seeded, deterministic): switching invariance
-of the numeric invariants, clusterability criteria, and group sanity on a
-large sample of signatures."""
+"""Property suite. On all 2^15 Petersen signatures: switching invariance of
+the frustration index, the frustration number and the pentagon and hexagon
+sign counts, balance against a zero frustration index, and the
+clusterability criterion against every cycle. Seeded samples check the
+colouring counts, the balanced expansion and group sanity."""
 
 import random
+
+import pytest
 
 from signedpetersen.census import petersen_l0_of_mask
 from signedpetersen.clustering import is_clusterable
 from signedpetersen.coloring import balanced_expansion_check, count_colorations
 from signedpetersen.graphs import enumerate_cycles
-from signedpetersen.signed import (SignedGraph, classify_six_mask,
-                                   is_balanced,
-                                   petersen_cut_masks,
+from signedpetersen.signed import (SignedGraph, is_balanced,
                                    petersen_frustration_of_mask,
                                    petersen_hexagon_masks,
                                    petersen_pentagon_masks, switch)
 
-SAMPLES = 1200
+ALL_MASKS = range(1 << 15)
 
 
-def sample_pairs(seed):
-    rng = random.Random(seed)
-    cuts = petersen_cut_masks()
-    for _ in range(SAMPLES):
-        yield rng.randrange(1 << 15), rng.choice(cuts)
+@pytest.fixture(scope="module")
+def frustration_indices():
+    return [petersen_frustration_of_mask(mask) for mask in ALL_MASKS]
 
 
-def test_switching_invariance_of_frustration_index():
-    for mask, cut in sample_pairs(101):
-        assert petersen_frustration_of_mask(mask) == \
-            petersen_frustration_of_mask(mask ^ cut)
+def assert_switching_invariant(values, g):
+    # Switching one vertex flips the signs on its star; the 10 stars
+    # generate all 512 switchings, so invariance under each star is
+    # invariance under every switching.
+    for star in g.incidence:
+        assert [values[mask ^ star] for mask in ALL_MASKS] == values
 
 
-def test_switching_invariance_of_frustration_number():
-    for mask, cut in sample_pairs(102):
-        assert petersen_l0_of_mask(mask) == petersen_l0_of_mask(mask ^ cut)
+def test_switching_invariance_of_frustration_index(pg, frustration_indices):
+    assert_switching_invariant(frustration_indices, pg[0])
 
 
-def test_switching_invariance_of_circle_signs():
-    pentagons = petersen_pentagon_masks()
-    hexagons = petersen_hexagon_masks()
-    for mask, cut in sample_pairs(103):
-        for circles in (pentagons, hexagons):
-            before = sum(1 for c in circles if (mask & c).bit_count() & 1)
-            after = sum(1 for c in circles if ((mask ^ cut) & c).bit_count() & 1)
-            assert before == after
-    # consequence: classification is switching invariant
-    for mask, cut in sample_pairs(104):
-        assert classify_six_mask(mask) is classify_six_mask(mask ^ cut)
+def test_switching_invariance_of_frustration_number(pg):
+    assert_switching_invariant([petersen_l0_of_mask(m) for m in ALL_MASKS],
+                               pg[0])
+
+
+def test_switching_invariance_of_circle_signs(pg):
+    # The six-way class reads only the frustration index and the pentagon
+    # count, so it is switching invariant too.
+    for circles in (petersen_pentagon_masks(), petersen_hexagon_masks()):
+        assert_switching_invariant(
+            [sum((mask & c).bit_count() & 1 for c in circles)
+             for mask in ALL_MASKS], pg[0])
 
 
 def test_switching_invariance_of_chromatic_counts(pg):
@@ -72,24 +74,22 @@ def test_balanced_expansion_random(pg):
 
 
 def test_clusterability_criterion_random(pg):
-    # the loop-free-contraction test agrees with the one-negative-edge
-    # circle criterion on a large random sample
+    # Davis: a signature is clusterable exactly when no circle carries
+    # exactly one negative edge; checked on every signature against all 57
+    # cycles of the Petersen graph.
     g, _ = pg
-    cycles = enumerate_cycles(g, 10)
-    rng = random.Random(107)
-    for _ in range(SAMPLES):
-        s = SignedGraph(g, rng.randrange(1 << 15))
-        bad = any((c.edge_mask & s.mask).bit_count() == 1 for c in cycles)
-        assert is_clusterable(s)[0] == (not bad)
+    cycles = [c.edge_mask for c in enumerate_cycles(g, 10)]
+    assert len(cycles) == 57
+    for mask in ALL_MASKS:
+        bad = any((c & mask).bit_count() == 1 for c in cycles)
+        assert is_clusterable(SignedGraph(g, mask))[0] == (not bad), mask
 
 
-def test_balance_agrees_with_frustration_zero(pg):
+def test_balance_agrees_with_frustration_zero(pg, frustration_indices):
     g, _ = pg
-    rng = random.Random(108)
-    for _ in range(SAMPLES):
-        mask = rng.randrange(1 << 15)
-        s = SignedGraph(g, mask)
-        assert bool(is_balanced(s)) == (petersen_frustration_of_mask(mask) == 0)
+    for mask in ALL_MASKS:
+        assert bool(is_balanced(SignedGraph(g, mask))) == \
+            (frustration_indices[mask] == 0)
 
 
 def test_group_axioms_and_projection_on_random_switchings(reps):
