@@ -117,6 +117,20 @@ def test_inclusterability_witness(reps):
             assert not is_clusterable(delete_edges(s, smaller))[0]
 
 
+def test_one_negative_edge_criterion():
+    # Davis: clusterable iff no circle carries exactly one negative edge.
+    # The Petersen graph is checked on every signature in test_properties;
+    # here every signature of K4, C5 and K3,3 is checked the same way.
+    k4 = Graph.from_edges(4, list(itertools.combinations(range(4), 2)))
+    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    for g in (k4, c5, k33):
+        cycles = enumerate_cycles(g, g.vertex_count)
+        for mask in range(1 << len(g.edges)):
+            bad = any((c.edge_mask & mask).bit_count() == 1 for c in cycles)
+            assert is_clusterable(SignedGraph(g, mask))[0] == (not bad), mask
+
+
 def test_max_inclusterability(pg):
     g, _ = pg
     assert max_inclusterability(g, cubic_shortcut=True) == MAX_INCLUSTERABILITY
