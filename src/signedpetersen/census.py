@@ -79,22 +79,6 @@ def petersen_l0_of_mask(mask: int) -> int:
 # Census
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassCensus:
-    six_type: SixType
-    signature_count: int
-    switching_class_count: int
-    minimal_count: int
-    representative_mask: int
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    per_class: dict[SixType, ClassCensus]
-    total_signatures: int
-    total_switching_classes: int
-
-
 def _switching_orbits():
     """Every switching class of Petersen signatures once, as the list of
     its 512 masks; the first is the least mask of the class."""
@@ -108,10 +92,11 @@ def _switching_orbits():
             yield orbit
 
 
-def run_census() -> CensusReport:
-    """Classify every 15-bit signature by walking switching orbits: each
-    orbit holds the 512 switchings of a base signature, shares its class,
-    and contributes its minimum-weight members to the minimal count."""
+def run_census() -> TableArtifact:
+    """The census table: classify every 15-bit signature by walking
+    switching orbits. Each orbit holds the 512 switchings of a base
+    signature, shares its class, and contributes its minimum-weight members
+    to the minimal count; each class keeps its least minimal mask."""
     pentagons = petersen_pentagon_masks()
     sig = {t: 0 for t in SIX_ORDER}
     cls = {t: 0 for t in SIX_ORDER}
@@ -128,10 +113,12 @@ def run_census() -> CensusReport:
         cls[t] += 1
         if rep[t] is None or best < rep[t]:
             rep[t] = best
-    per_class = {
-        t: ClassCensus(t, sig[t], cls[t], mins[t], rep[t]) for t in SIX_ORDER
-    }
-    return CensusReport(per_class, sum(sig.values()), sum(cls.values()))
+    return TableArtifact("census", expected.CLASS_NAMES, (
+        ("signatures", tuple(sig.values())),
+        ("switching classes", tuple(cls.values())),
+        ("minimal signatures", tuple(mins.values())),
+        ("representative mask", tuple(f"0x{m:04x}" for m in rep.values())),
+    ))
 
 
 def verify_l0_equals_l_everywhere() -> bool:
@@ -210,7 +197,7 @@ def build_table(table_id: str) -> TableArtifact:
         "T8": _table_t8,
         "T9": _table_t9,
         "T10": _table_t10,
-        "census": _table_census,
+        "census": run_census,
     }
     if table_id not in builders:
         raise ValueError(f"unknown table id {table_id!r}")
@@ -252,9 +239,9 @@ def _table_t4() -> TableArtifact:
     swauts = [swaut(s) for s in _reps()]
     return TableArtifact("T4_orders", expected.CLASS_NAMES, (
         ("aut order", tuple(g.order for g in auts)),
-        ("aut label", tuple(identify_group(g).value for g in auts)),
+        ("aut label", tuple(identify_group(g) for g in auts)),
         ("swaut order", tuple(g.order for g in swauts)),
-        ("swaut label", tuple(identify_group(g).value for g in swauts)),
+        ("swaut label", tuple(identify_group(g) for g in swauts)),
     ))
 
 
@@ -302,17 +289,6 @@ def _table_t10() -> TableArtifact:
     return TableArtifact("T10", expected.T10_COLUMNS, (
         ("cluster number", clun),
         ("inclusterability index", q),
-    ))
-
-
-def _table_census() -> TableArtifact:
-    report = run_census()
-    cc = [report.per_class[t] for t in SIX_ORDER]
-    return TableArtifact("census", expected.CLASS_NAMES, (
-        ("signatures", tuple(c.signature_count for c in cc)),
-        ("switching classes", tuple(c.switching_class_count for c in cc)),
-        ("minimal signatures", tuple(c.minimal_count for c in cc)),
-        ("representative mask", tuple(f"0x{c.representative_mask:04x}" for c in cc)),
     ))
 
 

@@ -13,14 +13,14 @@ from functools import lru_cache
 
 from . import census as census_mod
 from . import io as io_mod
-from .clustering import cluster_report
+from .clustering import inclusterability_index, is_clusterable
 from .coloring import chromatic_numbers, count_colorations
 from .frustration import frustration_index, frustration_number
 from .graphs import bits, petersen
 from .groups import (aut_signed, coset_system, format_cycles, identify_group,
                      induced_permutation, swaut)
-from .signed import (SignedGraph, classify_six, negative_circle_counts,
-                     petersen_frustration_of_mask)
+from .signed import (SignedGraph, classify_six, petersen_frustration_of_mask,
+                     petersen_hexagon_masks, petersen_pentagon_masks)
 
 
 def _load(args) -> SignedGraph:
@@ -35,11 +35,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        artifact = census_mod.build_table(args.id)
-    except ValueError as exc:
-        raise io_mod.InputError(str(exc))
-    print(artifact.render(args.format), end="")
+    print(census_mod.build_table(args.id).render(args.format), end="")
     return 0
 
 
@@ -52,9 +48,10 @@ def cmd_classify(args) -> int:
     print(f"class {classify_six(s).value}")
     print(f"frustration index {petersen_frustration_of_mask(s.mask)}")
     print(f"frustration number {census_mod.petersen_l0_of_mask(s.mask)}")
-    counts = negative_circle_counts(s, {5, 6})
-    print(f"negative pentagons {counts[5]}")
-    print(f"negative hexagons {counts[6]}")
+    for name, cycles in (("pentagons", petersen_pentagon_masks()),
+                         ("hexagons", petersen_hexagon_masks())):
+        odd = sum(1 for c in cycles if (s.mask & c).bit_count() & 1)
+        print(f"negative {name} {odd}")
     return 0
 
 
@@ -62,8 +59,8 @@ def cmd_group(args) -> int:
     s = SignedGraph(petersen()[0], io_mod.parse_mask(args.mask))
     aut = aut_signed(s)
     sw = swaut(s)
-    print(f"aut order {aut.order} label {identify_group(aut).value}")
-    print(f"swaut order {sw.order} label {identify_group(sw).value}")
+    print(f"aut order {aut.order} label {identify_group(aut)}")
+    print(f"swaut order {sw.order} label {identify_group(sw)}")
     if args.coset_table:
         system = coset_system(sw, aut)
         print(f"cosets {len(system.representatives)} "
@@ -106,11 +103,11 @@ def cmd_color(args) -> int:
 
 def cmd_cluster(args) -> int:
     s = _load(args)
-    report = cluster_report(s)
-    if report.clusterable:
-        print(f"clusterable yes clusters {report.clun}")
+    ok, witness = is_clusterable(s)
+    if ok:
+        print(f"clusterable yes clusters {len(witness)}")
     else:
-        print(f"clusterable no inclusterability {report.q}")
+        print(f"clusterable no inclusterability {inclusterability_index(s)[0]}")
     return 0
 
 
@@ -175,9 +172,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except io_mod.InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

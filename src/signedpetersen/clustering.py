@@ -14,21 +14,14 @@ hitting-set view keeps the exhaustive 2^15 signature scan fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import (Graph, SearchSizeError, all_matchings, bits,
-                     enumerate_cycles, minimum_coloring, tree_cycle)
+from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError,
+                     all_matchings, bits, enumerate_cycles, minimum_coloring,
+                     tree_cycle)
 from .signed import SignedGraph
 
 MAX_EDGES = 20
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    clusterable: bool
-    clun: int | None
-    q: int
 
 
 def is_clusterable(s: SignedGraph):
@@ -38,8 +31,11 @@ def is_clusterable(s: SignedGraph):
     closed by the forest path between its ends. Otherwise it is the
     fewest-parts partition with positive edges inside parts and negative
     edges across, from a minimum colouring of the graph that the negative
-    edges make on the components."""
+    edges make on the components. A graph of more than
+    MAX_SEARCH_VERTICES vertices is refused before any of this work."""
     g = s.graph
+    if g.vertex_count > MAX_SEARCH_VERTICES:
+        raise SearchSizeError("graph too large for exact chromatic number")
     positive = Graph(g.vertex_count, tuple(
         e for i, e in enumerate(g.edges) if not s.mask >> i & 1))
     forest = positive.spanning_forest
@@ -61,14 +57,6 @@ def is_clusterable(s: SignedGraph):
     for v, c in enumerate(comp):
         parts[coloring[c]].add(v)
     return True, tuple(frozenset(p) for p in parts)
-
-
-def clustering_partition(s: SignedGraph) -> tuple[frozenset, ...]:
-    """The fewest-parts clustering of ``is_clusterable``."""
-    ok, witness = is_clusterable(s)
-    if not ok:
-        raise ValueError("not clusterable")
-    return witness
 
 
 def cluster_number(s: SignedGraph) -> int | None:
@@ -137,13 +125,6 @@ def inclusterability_index(s: SignedGraph):
     hit = _min_hitting_mask(bad, s.mask.bit_count())
     dels = frozenset(g.edges[i] for i in range(len(g.edges)) if hit >> i & 1)
     return hit.bit_count(), dels
-
-
-def cluster_report(s: SignedGraph) -> ClusterReport:
-    ok, witness = is_clusterable(s)
-    if ok:
-        return ClusterReport(True, len(witness), 0)
-    return ClusterReport(False, None, inclusterability_index(s)[0])
 
 
 def max_inclusterability(g: Graph, cubic_shortcut: bool = True) -> int:

@@ -5,19 +5,10 @@ the independent-set balance counts used by the coloring difference formula.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
                      cut_space, independent_sets)
 from .signed import SignedGraph, is_balanced
-
-
-@dataclass(frozen=True)
-class FrustrationReport:
-    l: int
-    l0: int
-    witness_edges: frozenset
-    witness_vertices: frozenset
 
 
 def frustration_index(s: SignedGraph) -> tuple[int, frozenset]:
@@ -64,16 +55,6 @@ def delete_vertices(s: SignedGraph, w) -> SignedGraph:
         mask |= (s.mask >> i & 1) << len(edges)
         edges.append((new_id[u], new_id[v]))
     return SignedGraph(Graph(len(keep), tuple(edges)), mask)
-
-
-def frustration_report(s: SignedGraph) -> FrustrationReport:
-    l, we = frustration_index(s)
-    l0, wv = frustration_number(s)
-    return FrustrationReport(l=l, l0=l0, witness_edges=we, witness_vertices=wv)
-
-
-def is_minimal(s: SignedGraph) -> bool:
-    return s.mask.bit_count() == frustration_index(s)[0]
 
 
 def cut_dominance_check(s: SignedGraph) -> int | None:

@@ -12,7 +12,6 @@ group elements are stored with the canonical lift (vertex 0 unswitched).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -301,42 +300,29 @@ class FiniteGroup:
         return cls(sorted(seen, key=repr), mul)
 
 
-class GroupLabel(enum.Enum):
-    TRIVIAL = "1"
-    Z2 = "Z2"
-    Z4 = "Z4"
-    V4 = "V4"
-    S3 = "S3"
-    D4 = "D4"
-    Q8 = "Q8"
-    S4 = "S4"
-    A5 = "A5"
-    S5 = "S5"
-    OTHER = "other"
-
-
 _CATALOG = {
-    (1, True, ((1, 1),)): GroupLabel.TRIVIAL,
-    (2, True, ((1, 1), (2, 1))): GroupLabel.Z2,
-    (4, True, ((1, 1), (2, 1), (4, 2))): GroupLabel.Z4,
-    (4, True, ((1, 1), (2, 3))): GroupLabel.V4,
-    (6, False, ((1, 1), (2, 3), (3, 2))): GroupLabel.S3,
-    (8, False, ((1, 1), (2, 5), (4, 2))): GroupLabel.D4,
-    (8, False, ((1, 1), (2, 1), (4, 6))): GroupLabel.Q8,
-    (24, False, ((1, 1), (2, 9), (3, 8), (4, 6))): GroupLabel.S4,
-    (60, False, ((1, 1), (2, 15), (3, 20), (5, 24))): GroupLabel.A5,
-    (120, False, ((1, 1), (2, 25), (3, 20), (4, 30), (5, 24), (6, 20))): GroupLabel.S5,
+    (1, True, ((1, 1),)): "1",
+    (2, True, ((1, 1), (2, 1))): "Z2",
+    (4, True, ((1, 1), (2, 1), (4, 2))): "Z4",
+    (4, True, ((1, 1), (2, 3))): "V4",
+    (6, False, ((1, 1), (2, 3), (3, 2))): "S3",
+    (8, False, ((1, 1), (2, 5), (4, 2))): "D4",
+    (8, False, ((1, 1), (2, 1), (4, 6))): "Q8",
+    (24, False, ((1, 1), (2, 9), (3, 8), (4, 6))): "S4",
+    (60, False, ((1, 1), (2, 15), (3, 20), (5, 24))): "A5",
+    (120, False, ((1, 1), (2, 25), (3, 20), (4, 30), (5, 24), (6, 20))): "S5",
 }
 
 
-def identify_group(g: FiniteGroup) -> GroupLabel:
-    """Label by order, abelianness, and element-order histogram; the
-    combination separates every pair in the catalog."""
+def identify_group(g: FiniteGroup) -> str:
+    """Label ("S5", "1", ..., "other") by order, abelianness, and
+    element-order histogram; the combination separates every pair in the
+    catalog."""
     if g.order > 120:
-        return GroupLabel.OTHER
+        return "other"
     key = (g.order, g.is_abelian(),
            tuple(sorted(g.order_histogram.items())))
-    return _CATALOG.get(key, GroupLabel.OTHER)
+    return _CATALOG.get(key, "other")
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +529,7 @@ def _default_reps(cosets, n: int) -> list[SwitchingPermutation]:
         elem = min(cosets[mask], key=lambda e: e.perm)
         exact = elem
         comp = sp_negate(elem)
-        size = bin(elem.switch_mask).count("1")
+        size = elem.switch_mask.bit_count()
         if size > half or (size == half and comp.switch_mask < elem.switch_mask):
             exact = comp
         reps.append(exact)

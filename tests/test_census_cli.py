@@ -18,7 +18,7 @@ from signedpetersen.census import (TABLE_IDS, build_table, run_census,
 from signedpetersen.frustration import frustration_index, frustration_number
 from signedpetersen.io import (InputError, format_mask, parse_mask,
                                parse_signed_graph, serialize_signed_graph)
-from signedpetersen.signed import SIX_ORDER, SignedGraph
+from signedpetersen.signed import SIX_ORDER, SignedGraph, classify_six_mask
 from signedpetersen.graphs import petersen
 
 
@@ -27,23 +27,23 @@ from signedpetersen.graphs import petersen
 # --------------------------------------------------------------------------
 
 def test_run_census_totals():
-    report = run_census()
-    assert report.total_signatures == expected.TOTAL_SIGNATURES
-    assert report.total_switching_classes == expected.TOTAL_SWITCHING_CLASSES
+    census = run_census()
+    assert census.columns == expected.CLASS_NAMES
+    rows = dict(census.rows)
+    assert sum(rows["signatures"]) == expected.TOTAL_SIGNATURES
+    assert sum(rows["switching classes"]) == expected.TOTAL_SWITCHING_CLASSES
+    assert rows["signatures"] == expected.SIGNATURE_COUNTS
+    assert rows["switching classes"] == expected.SWITCHING_CLASSES
+    assert rows["minimal signatures"] == expected.COPIES
     for i, t in enumerate(SIX_ORDER):
-        c = report.per_class[t]
-        assert c.signature_count == expected.SIGNATURE_COUNTS[i]
-        assert c.switching_class_count == expected.SWITCHING_CLASSES[i]
-        assert c.minimal_count == expected.COPIES[i]
         # the orbit walk picks the least minimal mask, which classifies the
         # same and carries the class's frustration index
-        from signedpetersen.signed import classify_six_mask
-        assert classify_six_mask(c.representative_mask) is t
-        assert c.representative_mask.bit_count() == expected.FRUSTRATION_INDEX[i]
+        mask = int(rows["representative mask"][i], 16)
+        assert classify_six_mask(mask) is t
+        assert mask.bit_count() == expected.FRUSTRATION_INDEX[i]
 
 
 def test_standard_masks_classify_correctly(rep_masks):
-    from signedpetersen.signed import classify_six_mask
     for t, mask in zip(SIX_ORDER, rep_masks):
         assert classify_six_mask(mask) is t
 
@@ -294,9 +294,9 @@ def test_cli_color_and_cluster(capsys, rep_masks):
 
 
 # Edge-list files for `cluster`, with the expected stdout, stderr and exit
-# code. Clusters are unions of components of the positive subgraph; the
-# edgeless 40-vertex graph has 40 of them, more than the 16-vertex colouring
-# cap, so it exits 2.
+# code. Clusters are unions of components of the positive subgraph. A graph
+# of more than 16 vertices exits 2 before that subgraph is built, even a
+# positive path with one cluster, or two million vertices and one edge.
 CLUSTER_FILES = (
     ("n 7\n0 1 +\n1 2 +\n2 3 -\n3 4 +\n4 5 -\n5 6 +\n0 6 -\n1 4 -\n"
      "2 5 -\n0 3 -\n", "clusterable yes clusters 3\n", "", 0),
@@ -307,6 +307,10 @@ CLUSTER_FILES = (
     ("n 9\n0 1 +\n1 2 -\n2 3 +\n5 7 -\n", "clusterable yes clusters 2\n",
      "", 0),
     ("n 40\n", "", "error: graph too large for exact chromatic number\n", 2),
+    ("n 17\n" + "".join(f"{i} {i + 1} +\n" for i in range(16)), "",
+     "error: graph too large for exact chromatic number\n", 2),
+    ("n 2000000\n0 1 -\n", "",
+     "error: graph too large for exact chromatic number\n", 2),
 )
 
 

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from signedpetersen.clustering import (cluster_number, cluster_report,
-                                       clustering_partition, delete_edges,
+from signedpetersen.clustering import (cluster_number, delete_edges,
                                        inclusterability_index, is_clusterable,
                                        max_inclusterability)
 from signedpetersen.expected import (CLUSTER_NUMBER, INCLUSTERABILITY,
                                      MAX_INCLUSTERABILITY, T10_COLUMNS)
-from signedpetersen.graphs import Cycle, Graph, enumerate_cycles
+from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
+                                   enumerate_cycles)
 from signedpetersen.signed import SignedGraph, negate, sign_of_circle
 
 
@@ -45,10 +45,9 @@ def test_table_t10(reps):
     sigs = t10_signatures(reps)
     assert len(sigs) == len(T10_COLUMNS) == 12
     for i, s in enumerate(sigs):
-        rep = cluster_report(s)
-        assert rep.clun == CLUSTER_NUMBER[i], T10_COLUMNS[i]
-        assert rep.q == INCLUSTERABILITY[i], T10_COLUMNS[i]
-        assert rep.clusterable == (CLUSTER_NUMBER[i] is not None)
+        assert cluster_number(s) == CLUSTER_NUMBER[i], T10_COLUMNS[i]
+        assert inclusterability_index(s)[0] == INCLUSTERABILITY[i], T10_COLUMNS[i]
+        assert is_clusterable(s)[0] == (CLUSTER_NUMBER[i] is not None)
 
 
 def fewest_clusters(s):
@@ -92,8 +91,9 @@ def test_cluster_number_against_set_partitions(reps):
     for s in sigs:
         expected = fewest_clusters(s)
         assert cluster_number(s) == expected, s
-        if expected is not None:
-            parts = clustering_partition(s)
+        ok, parts = is_clusterable(s)
+        assert ok == (expected is not None)
+        if ok:
             part_of = {v: i for i, p in enumerate(parts) for v in p}
             assert sum(map(len, parts)) == len(part_of) == s.graph.vertex_count
             assert len(parts) == expected
@@ -175,3 +175,16 @@ def test_forest_witness_against_cycle_listing():
                       for c in enumerate_cycles(g, n))
             assert ok == (not bad)
     assert large_unclusterable >= 10
+
+
+def test_oversized_graph_refused_before_the_forest(monkeypatch):
+    # A positive path on 17 vertices is clusterable with one cluster, but
+    # the size check must refuse it before the positive subgraph's forest
+    # is walked.
+    def no_forest(g):
+        raise AssertionError("spanning forest built for an oversized graph")
+
+    monkeypatch.setattr(Graph, "spanning_forest", property(no_forest))
+    path = Graph.from_edges(17, [(i, i + 1) for i in range(16)])
+    with pytest.raises(SearchSizeError, match="too large"):
+        is_clusterable(SignedGraph(path, 0))

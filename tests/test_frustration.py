@@ -6,8 +6,7 @@ from signedpetersen.expected import (ALPHA0, ALPHA1, ALPHA2, CLASS_NAMES,
                                      FRUSTRATION_INDEX, FRUSTRATION_NUMBER)
 from signedpetersen.frustration import (alpha_k, cut_dominance_check,
                                         delete_vertices, frustration_index,
-                                        frustration_number, frustration_report,
-                                        is_minimal)
+                                        frustration_number)
 from signedpetersen.graphs import Graph, SearchSizeError
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
@@ -38,13 +37,12 @@ def test_six_class_values(reps):
 
 def test_reports_and_minimality(reps):
     for s in reps:
-        rep = frustration_report(s)
-        assert rep.l == s.mask.bit_count()  # standard reps are minimal
-        assert is_minimal(s)
+        # standard reps are minimal
+        assert frustration_index(s)[0] == s.mask.bit_count()
         assert cut_dominance_check(s) is None
     # a non-minimal signature has a dominated cut
     bad = negate(reps[0])  # all 15 edges negative, l = 3
-    assert not is_minimal(bad)
+    assert frustration_index(bad)[0] < bad.mask.bit_count()
     x = cut_dominance_check(bad)
     assert x is not None
     assert switch(bad, x).mask.bit_count() < bad.mask.bit_count()

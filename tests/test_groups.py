@@ -9,8 +9,7 @@ from signedpetersen.expected import (AUT_LABELS, AUT_ORDERS, CLASS_NAMES,
                                      SWITCHING_CLASSES)
 from signedpetersen.graphs import Graph, automorphism_images, cut, petersen
 from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
-                                   GroupLabel, SwitchingGroup,
-                                   SwitchingPermutation,
+                                   SwitchingGroup, SwitchingPermutation,
                                    aut_signed, compose, coset_system,
                                    edge_permutation, format_cycles,
                                    general_product, graph_automorphisms,
@@ -162,21 +161,21 @@ def test_non_associative_tables_are_rejected():
 
 
 def test_identify_group_reference_constructions():
-    assert identify_group(perm_group((0,), degree=1)) is GroupLabel.TRIVIAL
-    assert identify_group(perm_group((1, 0), degree=2)) is GroupLabel.Z2
-    assert identify_group(perm_group((1, 2, 3, 0), degree=4)) is GroupLabel.Z4
+    assert identify_group(perm_group((0,), degree=1)) == "1"
+    assert identify_group(perm_group((1, 0), degree=2)) == "Z2"
+    assert identify_group(perm_group((1, 2, 3, 0), degree=4)) == "Z4"
     assert identify_group(
-        perm_group((1, 0, 2, 3), (0, 1, 3, 2), degree=4)) is GroupLabel.V4
-    assert identify_group(perm_group((1, 0, 2), (0, 2, 1), degree=3)) is GroupLabel.S3
+        perm_group((1, 0, 2, 3), (0, 1, 3, 2), degree=4)) == "V4"
+    assert identify_group(perm_group((1, 0, 2), (0, 2, 1), degree=3)) == "S3"
     # D4: rotation + reflection of a square
     assert identify_group(
-        perm_group((1, 2, 3, 0), (1, 0, 3, 2), degree=4)) is GroupLabel.D4
+        perm_group((1, 2, 3, 0), (1, 0, 3, 2), degree=4)) == "D4"
     assert identify_group(
-        perm_group((1, 0, 2, 3), (1, 2, 3, 0), degree=4)) is GroupLabel.S4
+        perm_group((1, 0, 2, 3), (1, 2, 3, 0), degree=4)) == "S4"
     a5 = perm_group((1, 2, 0, 3, 4), (1, 2, 3, 4, 0), degree=5)
-    assert a5.order == 60 and identify_group(a5) is GroupLabel.A5
+    assert a5.order == 60 and identify_group(a5) == "A5"
     s5 = perm_group((1, 0, 2, 3, 4), (1, 2, 3, 4, 0), degree=5)
-    assert s5.order == 120 and identify_group(s5) is GroupLabel.S5
+    assert s5.order == 120 and identify_group(s5) == "S5"
     # Q8 from quaternion unit multiplication; separated from D4 by having a
     # single involution
     units = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
@@ -200,7 +199,7 @@ def test_identify_group_reference_constructions():
         return out if sign > 0 else "-" + out
 
     q8 = FiniteGroup(units, qmul)
-    assert identify_group(q8) is GroupLabel.Q8
+    assert identify_group(q8) == "Q8"
     d4 = perm_group((1, 2, 3, 0), (1, 0, 3, 2), degree=4)
     assert q8.order == d4.order == 8
     assert q8.order_histogram != d4.order_histogram
@@ -208,7 +207,7 @@ def test_identify_group_reference_constructions():
 
 def test_graph_automorphism_groups(pg):
     g, _ = pg
-    assert identify_group(graph_automorphisms(g)) is GroupLabel.S5
+    assert identify_group(graph_automorphisms(g)) == "S5"
     c5 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
     assert graph_automorphisms(c5).order == 10
     assert graph_automorphisms(Graph(1, ())).order == 1
@@ -221,9 +220,9 @@ def test_graph_automorphism_groups(pg):
 def test_aut_and_swaut_tables(reps, aut6, sw6):
     for i, (a, w) in enumerate(zip(aut6, sw6)):
         assert a.order == AUT_ORDERS[i], CLASS_NAMES[i]
-        assert identify_group(a).value == AUT_LABELS[i], CLASS_NAMES[i]
+        assert identify_group(a) == AUT_LABELS[i], CLASS_NAMES[i]
         assert w.order == SWAUT_ORDERS[i], CLASS_NAMES[i]
-        assert identify_group(w).value == SWAUT_LABELS[i], CLASS_NAMES[i]
+        assert identify_group(w) == SWAUT_LABELS[i], CLASS_NAMES[i]
         assert a.is_subgroup(w)
 
 
