@@ -121,7 +121,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on the first call."""
     parser = argparse.ArgumentParser(
         prog="signed-petersen",
         description="Signed-graph census and analysis of Petersen signatures")
@@ -168,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -17,12 +17,12 @@ class BudgetError(ValueError):
     """Raised when a coloration count is requested beyond the k <= 2 budget."""
 
 
-def _colorations(s: SignedGraph, k: int, zero_free: bool):
-    """Generator of the proper colorations with colors in {0, +-1, ..., +-k}
-    (without 0 when zero_free), by backtracking, each yielded as the same
-    list of vertex colors updated in place. Proper means the color of w
-    differs from sign(vw) times the color of v on every edge vw. The size
-    checks run at the call, before any search."""
+def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
+    """Number of proper colorations with colors in {0, +-1, ..., +-k}
+    (without 0 when zero_free), by backtracking that counts the colors left
+    to the last vertex; with first, it stops at the first one and returns a
+    positive number, not the count. Proper: the color of w differs from
+    sign(vw) times the color of v on every edge vw. Size checks come first."""
     if k < 0 or k > MAX_K:
         raise BudgetError(f"k={k} outside the supported range 0..{MAX_K}")
     g = s.graph
@@ -36,29 +36,33 @@ def _colorations(s: SignedGraph, k: int, zero_free: bool):
     assigned = [0] * n
 
     def extend(v):
-        if v == n:
-            yield assigned
-            return
+        banned = {sig * assigned[u] for u, sig in earlier[v]}
+        if v == n - 1:  # colors is closed under negation, so banned is in it
+            return len(colors) - len(banned)
+        total = 0
         for c in colors:
-            if all(c != sig * assigned[u] for u, sig in earlier[v]):
+            if c not in banned:
                 assigned[v] = c
-                yield from extend(v + 1)
+                total += extend(v + 1)
+                if first and total:
+                    break
+        return total
 
-    return extend(0)
+    return extend(0) if n else 1
 
 
 def count_colorations(s: SignedGraph, k: int, zero_free: bool = False) -> int:
-    """Number of proper colorations, as ``_colorations`` defines them."""
-    return sum(1 for _ in _colorations(s, k, zero_free))
+    """Number of proper colorations, as ``_count`` defines them."""
+    return _count(s, k, zero_free)
 
 
 def chromatic_numbers(s: SignedGraph) -> tuple[int, int]:
     """(chi, chi_star): least k admitting a proper coloration, with and
-    then without the zero color; each search stops at its first one (on a
-    0-vertex graph an empty list, so no truth test)."""
+    then without the zero color; each search stops at its first one (a
+    0-vertex graph has one, the empty coloration)."""
     def least(zero_free: bool) -> int:
         for k in range(1 if zero_free else 0, MAX_K + 1):
-            if next(_colorations(s, k, zero_free), None) is not None:
+            if _count(s, k, zero_free, first=True):
                 return k
         raise BudgetError("chromatic number exceeds the k <= 2 budget")
 
@@ -71,9 +75,8 @@ def balanced_expansion_check(s: SignedGraph) -> tuple[bool, int, int]:
     at mu = 1, the only one within the k <= 2 budget). Returns (equal, left
     side, right side)."""
     left = count_colorations(s, 1, zero_free=False)
-    right = 0
-    for w in all_independent_sets(s.graph):
-        right += count_colorations(delete_vertices(s, w), 1, zero_free=True)
+    right = sum(count_colorations(delete_vertices(s, w), 1, zero_free=True)
+                for w in all_independent_sets(s.graph))
     return left == right, left, right
 
 
@@ -95,7 +98,5 @@ def switching_color_invariance_check(s: SignedGraph, x: int) -> bool:
     switching by the vertex mask x (budget keeps the k = 2 checks to the
     zero-free ones)."""
     t = switch(s, x)
-    for k, zero_free in ((1, False), (1, True), (2, True)):
-        if count_colorations(s, k, zero_free) != count_colorations(t, k, zero_free):
-            return False
-    return True
+    return all(count_colorations(s, k, zf) == count_colorations(t, k, zf)
+               for k, zf in ((1, False), (1, True), (2, True)))

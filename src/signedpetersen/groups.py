@@ -44,7 +44,11 @@ def _pullback(mask: int, index_map: tuple[int, ...]) -> int:
     """Bit i of the result is bit index_map[i] of mask. Through an edge
     permutation this moves a sign mask, through a vertex permutation a
     vertex mask."""
-    return sum(1 << i for i, j in enumerate(index_map) if mask >> j & 1)
+    out = 0
+    for i, j in enumerate(index_map):
+        if mask >> j & 1:
+            out |= 1 << i
+    return out
 
 
 # Base permutations act on {1..5}; stored as image tuples of length 5 with
@@ -93,10 +97,8 @@ def format_cycles(base: tuple[int, ...]) -> str:
 def induced_permutation(labeling, base: tuple[int, ...]) -> tuple[int, ...]:
     """Vertex permutation of the Petersen graph induced by a permutation of
     {1..5}: v_{ij} goes to v_{i^base j^base}."""
-    images = []
-    for i, j in labeling.pair_of:
-        images.append(labeling.vertex(base[i - 1], base[j - 1]))
-    return tuple(images)
+    return tuple(labeling.vertex(base[i - 1], base[j - 1])
+                 for i, j in labeling.pair_of)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +529,10 @@ def _default_reps(cosets, n: int) -> list[SwitchingPermutation]:
     half = n / 2
     for mask in sorted(cosets):
         elem = min(cosets[mask], key=lambda e: e.perm)
-        exact = elem
         comp = sp_negate(elem)
         size = elem.switch_mask.bit_count()
-        if size > half or (size == half and comp.switch_mask < elem.switch_mask):
-            exact = comp
-        reps.append(exact)
+        take_comp = size > half or (size == half and comp.switch_mask < elem.switch_mask)
+        reps.append(comp if take_comp else elem)
     return reps
 
 
@@ -555,9 +555,7 @@ def _closed_reps(cosets, subgroup: FiniteGroup):
     chosen: dict[int, SwitchingPermutation] = {}
     while todo:
         seed = min(todo)
-        candidates = []
-        for e in cosets[seed]:
-            candidates.extend([e, sp_negate(e)])
+        candidates = [c for e in cosets[seed] for c in (e, sp_negate(e))]
         ok = None
         for cand in candidates:
             assign: dict[int, SwitchingPermutation] = {}

@@ -336,6 +336,29 @@ def test_cli_errors(capsys):
     assert code == 2
 
 
+def test_parser_is_built_once_per_process(capsys, rep_masks):
+    # a warm run of commands builds one parser, and neither an argparse
+    # error nor a ValueError exit leaves it in a state that changes what
+    # the next command prints
+    golden = {tuple(r["argv"]): r for r in json.loads(
+        (Path(__file__).parent / "data" / "cli_golden.json").read_text())}
+    hx = format_mask(rep_masks[3])
+    valid = [("classify", "--mask", hx), ("group", "--mask", hx, "--coset-table"),
+             ("color", "--mask", hx, "--k", "1", "--zero-free"),
+             ("cluster", "--mask", hx), ("table", "T1", "--format", "csv")]
+    cli.build_parser.cache_clear()
+    for argv in valid:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["color", "--mask", hx])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "classify", "--mask", "0xFFFFF")
+        assert code == 2 and out == "" and err.startswith("error:")
+        want = golden[argv]
+        assert run_cli(capsys, *argv) == (want["exit"], want["stdout"], want["stderr"])
+        assert cli.build_parser.cache_info().misses == 1
+
+
 def complete_graph_file(tmp_path, n, negative=()):
     path = tmp_path / f"k{n}.txt"
     path.write_text(f"n {n}\n" + "".join(

@@ -116,12 +116,16 @@ def test_two_of_three_law():
             assert not (anti and bip) or bal
 
 
-def brute_count(s, k, zero_free):
-    """Proper colorations counted over every assignment of colors."""
+def brute_colorations(s, k, zero_free):
+    """The proper colorations, found by trying every assignment of colors."""
     colors = [c for c in range(-k, k + 1) if c or not zero_free]
     edges = [(u, v, s.sign(u, v)) for u, v in s.graph.edges]
-    return sum(all(a[v] != sig * a[u] for u, v, sig in edges)
-               for a in itertools.product(colors, repeat=s.graph.vertex_count))
+    return (a for a in itertools.product(colors, repeat=s.graph.vertex_count)
+            if all(a[v] != sig * a[u] for u, v, sig in edges))
+
+
+def brute_count(s, k, zero_free):
+    return sum(1 for _ in brute_colorations(s, k, zero_free))
 
 
 def oracle_graphs():
@@ -156,6 +160,20 @@ def test_colorations_match_brute_force():
             assert chromatic_numbers(s) == (chi, chi_star), s
     assert chromatic_numbers(SignedGraph(Graph(0, ()), 0)) == (0, 1)
     assert beyond >= 2
+
+
+def test_petersen_colorations_match_brute_force(reps):
+    # at k = 1 every one of the 3^10 assignments (2^10 without zero), on the
+    # six representatives and their negations; chi and chi* are the least k
+    # at which some assignment is proper
+    def least(s, zero_free):
+        return next(k for k in range(1 if zero_free else 0, 3)
+                    if next(brute_colorations(s, k, zero_free), None) is not None)
+
+    for s in reps + [negate(s) for s in reps]:
+        for zf in (False, True):
+            assert count_colorations(s, 1, zf) == brute_count(s, 1, zf), (s.mask, zf)
+        assert chromatic_numbers(s) == (least(s, False), least(s, True)), s.mask
 
 
 def test_coloring_size_checks_come_first():
