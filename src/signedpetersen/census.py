@@ -5,18 +5,14 @@ embedded expected values.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import expected
 from .clustering import cluster_number, inclusterability_index
 from .coloring import chi3_difference, chromatic_numbers, count_colorations
 from .frustration import alpha_k, frustration_number
-from .graphs import petersen
+from .graphs import _Record, petersen
 from .groups import aut_signed, identify_group, orbit_counts, swaut
 from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType,
                      classify_six_mask, negate, negative_circle_counts,
@@ -136,11 +132,12 @@ def verify_l0_equals_l_everywhere() -> bool:
 # Tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableArtifact:
-    table_id: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple[str, tuple], ...]
+class TableArtifact(_Record):
+    _fields = ("table_id", "columns", "rows")
+
+    def __init__(self, table_id: str, columns: tuple[str, ...],
+                 rows: tuple[tuple[str, tuple], ...]):
+        self.__dict__.update(table_id=table_id, columns=columns, rows=rows)
 
     def to_text(self) -> str:
         width = max([len(self.table_id)] +
@@ -155,6 +152,8 @@ class TableArtifact:
         return "\n".join(out) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([self.table_id] + list(self.columns))
@@ -163,6 +162,7 @@ class TableArtifact:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        import json
         return json.dumps({
             "table": self.table_id,
             "columns": list(self.columns),
@@ -171,13 +171,9 @@ class TableArtifact:
         }, indent=2) + "\n"
 
     def render(self, fmt: str) -> str:
-        if fmt == "text":
-            return self.to_text()
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "json":
-            return self.to_json()
-        raise ValueError(f"unknown format {fmt!r}")
+        if fmt not in ("text", "csv", "json"):
+            raise ValueError(f"unknown format {fmt!r}")
+        return getattr(self, f"to_{fmt}")()
 
 
 def _fmt(v) -> str:
@@ -188,17 +184,9 @@ TABLE_IDS = ("T1", "T2", "T3", "T4_orders", "T5", "T8", "T9", "T10", "census")
 
 
 def build_table(table_id: str) -> TableArtifact:
-    builders = {
-        "T1": _table_t1,
-        "T2": _table_t2,
-        "T3": _table_t3,
-        "T4_orders": _table_t4,
-        "T5": _table_t5,
-        "T8": _table_t8,
-        "T9": _table_t9,
-        "T10": _table_t10,
-        "census": run_census,
-    }
+    builders = {"T1": _table_t1, "T2": _table_t2, "T3": _table_t3,
+                "T4_orders": _table_t4, "T5": _table_t5, "T8": _table_t8,
+                "T9": _table_t9, "T10": _table_t10, "census": run_census}
     if table_id not in builders:
         raise ValueError(f"unknown table id {table_id!r}")
     return builders[table_id]()
@@ -209,14 +197,10 @@ def _reps():
 
 
 def _table_t1() -> TableArtifact:
-    rows5, rows6 = [], []
-    for s in _reps():
-        counts = negative_circle_counts(s, {5, 6})
-        rows5.append(counts[5])
-        rows6.append(counts[6])
+    counts = [negative_circle_counts(s, {5, 6}) for s in _reps()]
     return TableArtifact("T1", expected.CLASS_NAMES, (
-        ("negative pentagons", tuple(rows5)),
-        ("negative hexagons", tuple(rows6)),
+        ("negative pentagons", tuple(c[5] for c in counts)),
+        ("negative hexagons", tuple(c[6] for c in counts)),
     ))
 
 

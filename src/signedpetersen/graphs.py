@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 MAX_SEARCH_VERTICES = 16
 
@@ -20,25 +20,51 @@ class SearchSizeError(ValueError):
     """Raised when an exhaustive search is requested on too large a graph."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+class _Record:
+    """Immutable fields named in ``_fields``, which ``__init__`` writes into
+    ``__dict__`` (where ``cached_property`` keeps its values too); equality,
+    hash and repr go by the field values, within one class."""
 
-    def __post_init__(self):
+    def __init_subclass__(cls):
+        cls._key = itemgetter(*cls._fields)  # the field values of a __dict__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self.__dict__) == other._key(other.__dict__)
+
+    def __hash__(self):
+        return hash(self._key(self.__dict__))
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Record):
+    _fields = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]):
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop edge {u}-{v}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge {u}-{v} out of range")
             if u > v:
                 raise ValueError(f"edge {u}-{v} not normalized")
             if (u, v) in seen:
                 raise ValueError(f"repeated edge {u}-{v}")
             seen.add((u, v))
-        if list(self.edges) != sorted(self.edges):
+        if list(edges) != sorted(edges):
             raise ValueError("edge list not in canonical order")
+        self.__dict__.update(vertex_count=vertex_count, edges=edges)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> "Graph":
@@ -146,11 +172,13 @@ class Graph:
 PETERSEN_PAIRS = tuple(itertools.combinations(range(1, 6), 2))
 
 
-@dataclass(frozen=True)
-class PetersenLabeling:
+class PetersenLabeling(_Record):
     """Bijection between vertex ids 0..9 and the 2-subsets of {1..5}."""
 
-    pair_of: tuple[tuple[int, int], ...] = PETERSEN_PAIRS
+    _fields = ("pair_of",)
+
+    def __init__(self, pair_of: tuple[tuple[int, int], ...] = PETERSEN_PAIRS):
+        self.__dict__["pair_of"] = pair_of
 
     @cached_property
     def vertex_of(self) -> dict[frozenset, int]:
@@ -182,13 +210,14 @@ def is_petersen(g: Graph) -> bool:
 # Cycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(_Record):
     """A simple cycle: its vertices in canonical rotation and the edge mask
     of its edges (bit i set when edge i lies on it)."""
 
-    vertices: tuple[int, ...]
-    edge_mask: int
+    _fields = ("vertices", "edge_mask")
+
+    def __init__(self, vertices: tuple[int, ...], edge_mask: int):
+        self.__dict__.update(vertices=vertices, edge_mask=edge_mask)
 
     @property
     def length(self) -> int:
@@ -221,8 +250,7 @@ def _canonical_rotation(verts: tuple[int, ...]) -> tuple[int, ...]:
 def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
     """All simple cycles of length <= max_len, each exactly once, in a
     deterministic order (by length, then vertex sequence)."""
-    if max_len > g.vertex_count:
-        max_len = g.vertex_count
+    max_len = min(max_len, g.vertex_count)
     adj = [sorted(a) for a in g.adjacency]
     found = []
 
@@ -351,11 +379,10 @@ def independent_sets(g: Graph, k: int) -> list[frozenset]:
     """All independent vertex sets of size exactly k."""
     if not 0 <= k <= g.vertex_count:
         raise ValueError(f"bad size {k}")
-    out = []
-    for combo in itertools.combinations(range(g.vertex_count), k):
-        if all(not g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
-            out.append(frozenset(combo))
-    return out
+    return [frozenset(combo)
+            for combo in itertools.combinations(range(g.vertex_count), k)
+            if not any(g.has_edge(a, b)
+                       for a, b in itertools.combinations(combo, 2))]
 
 
 def all_independent_sets(g: Graph) -> list[frozenset]:
@@ -483,12 +510,10 @@ def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
         for w in range(n):
             if used[w] or degs[w] != degs[i]:
                 continue
-            ok = True
             for j in range(i):
                 if (j in adj[i]) != (image[j] in adj[w]):
-                    ok = False
                     break
-            if ok:
+            else:
                 image[i] = w
                 used[w] = True
                 extend(i + 1)

@@ -12,11 +12,10 @@ group elements are stored with the canonical lift (vertex 0 unswitched).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError,
+from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, _Record,
                      automorphism_images, cut_mask, cut_preimage)
 from .signed import SignedGraph
 
@@ -76,21 +75,15 @@ def parse_cycles(text: str, degree: int = 5) -> tuple[int, ...]:
 
 def format_cycles(base: tuple[int, ...]) -> str:
     """Cycle notation for a permutation of {1..len(base)}; identity is ()."""
-    n = len(base)
-    seen = [False] * n
-    parts = []
-    for start in range(1, n + 1):
-        if seen[start - 1] or base[start - 1] == start:
-            seen[start - 1] = True
-            continue
-        cyc = [start]
-        seen[start - 1] = True
-        x = base[start - 1]
-        while x != start:
-            cyc.append(x)
-            seen[x - 1] = True
+    seen, parts = set(), []
+    for x in range(1, len(base) + 1):
+        cyc = []
+        while x not in seen:
+            seen.add(x)
+            cyc.append(str(x))
             x = base[x - 1]
-        parts.append("(" + "".join(str(c) for c in cyc) + ")")
+        if len(cyc) > 1:
+            parts.append("(" + "".join(cyc) + ")")
     return "".join(parts) or "()"
 
 
@@ -105,13 +98,23 @@ def induced_permutation(labeling, base: tuple[int, ...]) -> tuple[int, ...]:
 # Switching permutations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwitchingPermutation:
+class SwitchingPermutation(_Record):
     """An exact switching set (vertex bitmask) paired with a vertex
     permutation, acting switch-first."""
 
-    switch_mask: int
-    perm: tuple[int, ...]
+    _fields = ("switch_mask", "perm")
+
+    def __init__(self, switch_mask: int, perm: tuple[int, ...]):
+        self.__dict__.update(switch_mask=switch_mask, perm=perm)
+
+    # Written out: these key every Cayley table.
+    def __eq__(self, other):
+        if other.__class__ is not SwitchingPermutation:
+            return NotImplemented
+        return self.switch_mask == other.switch_mask and self.perm == other.perm
+
+    def __hash__(self):
+        return hash((self.switch_mask, self.perm))
 
     @property
     def n(self) -> int:
@@ -464,12 +467,18 @@ class CosetError(ValueError):
     pass
 
 
-@dataclass
-class CosetSystem:
-    group: FiniteGroup
-    subgroup: FiniteGroup
-    representatives: list[SwitchingPermutation]  # exact switching sets
-    closed_under_conjugation: bool
+class CosetSystem(_Record):
+    """Coset representatives, with exact switching sets, of a subgroup."""
+
+    _fields = ("group", "subgroup", "representatives",
+               "closed_under_conjugation")
+
+    def __init__(self, group: FiniteGroup, subgroup: FiniteGroup,
+                 representatives: tuple[SwitchingPermutation, ...],
+                 closed_under_conjugation: bool):
+        self.__dict__.update(group=group, subgroup=subgroup,
+                             representatives=representatives,
+                             closed_under_conjugation=closed_under_conjugation)
 
     def rep_for_mask(self, canonical_mask: int) -> int:
         for i, r in enumerate(self.representatives):
@@ -520,7 +529,7 @@ def coset_system(group: FiniteGroup, subgroup: FiniteGroup) -> CosetSystem:
         closed = _closed_reps(cosets, subgroup)
         if closed is not None:
             reps = closed
-    return CosetSystem(group, subgroup, reps,
+    return CosetSystem(group, subgroup, tuple(reps),
                        _is_conjugation_closed(reps, subgroup))
 
 

@@ -16,19 +16,31 @@ class InputError(ValueError):
     """Malformed input file or mask literal."""
 
 
-def parse_signed_graph(text: str) -> SignedGraph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("n "):
+def _content(lines):
+    """The stripped lines that are neither blank nor a ``#`` comment."""
+    return (ln for ln in map(str.strip, lines) if ln and not ln.startswith("#"))
+
+
+def read_header(lines) -> int:
+    """The vertex count from the ``n <vertex_count>`` header, the first
+    content line of an iterator of lines; no line after it is read."""
+    first = next(_content(lines), "")
+    if not first.startswith("n "):
         raise InputError("missing 'n <vertex_count>' header")
     try:
-        n = int(lines[0].split()[1])
+        n = int(first.split()[1])
     except (IndexError, ValueError):
-        raise InputError(f"bad header line {lines[0]!r}") from None
+        raise InputError(f"bad header line {first!r}") from None
     if n < 0:
         raise InputError("negative vertex count")
+    return n
+
+
+def parse_signed_graph(text: str) -> SignedGraph:
+    lines = iter(text.splitlines())
+    n = read_header(lines)
     edges = {}
-    for ln in lines[1:]:
+    for ln in _content(lines):
         parts = ln.split()
         if len(parts) == 2:
             parts.append("+")
@@ -51,13 +63,21 @@ def parse_signed_graph(text: str) -> SignedGraph:
                        sum(1 << i for i, e in enumerate(order) if edges[e]))
 
 
-def load_signed_graph(path: str) -> SignedGraph:
+def _read(path: str, reader):
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return reader(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return parse_signed_graph(text)
+
+
+def load_header(path: str) -> int:
+    """The vertex count of an edge-list file, read from its header alone."""
+    return _read(path, read_header)
+
+
+def load_signed_graph(path: str) -> SignedGraph:
+    return parse_signed_graph(_read(path, lambda fh: fh.read()))
 
 
 def serialize_signed_graph(s: SignedGraph) -> str:

@@ -11,24 +11,23 @@ the edge mask of its cut, from ``graphs.cut_mask`` or ``graphs.cut_space``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import (Cycle, Graph, bits, cut_mask, cut_preimage, cut_space,
-                     enumerate_cycles, forest_preimage, petersen, tree_cycle)
+from .graphs import (Cycle, Graph, _Record, bits, cut_mask, cut_preimage,
+                     cut_space, enumerate_cycles, forest_preimage, petersen,
+                     tree_cycle)
 
 
-@dataclass(frozen=True)
-class SignedGraph:
+class SignedGraph(_Record):
     """A graph with a sign mask: bit i set when edge i is negative."""
 
-    graph: Graph
-    mask: int
+    _fields = ("graph", "mask")
 
-    def __post_init__(self):
-        m = len(self.graph.edges)
-        if not 0 <= self.mask < (1 << m):
-            raise ValueError(f"mask {self.mask:#x} out of range for {m} edges")
+    def __init__(self, graph: Graph, mask: int):
+        m = len(graph.edges)
+        if not 0 <= mask < (1 << m):
+            raise ValueError(f"mask {mask:#x} out of range for {m} edges")
+        self.__dict__.update(graph=graph, mask=mask)
 
     def sign(self, u: int, v: int) -> int:
         return -1 if self.mask >> self.graph.index_of(u, v) & 1 else 1
@@ -50,11 +49,14 @@ def sign_of_circle(s: SignedGraph, c: Cycle) -> int:
     return -1 if (s.mask & c.edge_mask).bit_count() & 1 else 1
 
 
-@dataclass(frozen=True)
-class BalanceResult:
-    balanced: bool
-    bipartition: tuple[frozenset, frozenset] | None
-    negative_cycle: Cycle | None
+class BalanceResult(_Record):
+    _fields = ("balanced", "bipartition", "negative_cycle")
+
+    def __init__(self, balanced: bool,
+                 bipartition: tuple[frozenset, frozenset] | None,
+                 negative_cycle: Cycle | None):
+        self.__dict__.update(balanced=balanced, bipartition=bipartition,
+                             negative_cycle=negative_cycle)
 
     def __bool__(self):
         return self.balanced
@@ -116,14 +118,8 @@ SIX_ORDER = (SixType.PLUS_P, SixType.P1, SixType.P22,
              SixType.P23, SixType.P32, SixType.P33)
 
 # Fingerprint (frustration index, negative pentagon count) per class.
-SIX_FINGERPRINT = {
-    (0, 0): SixType.PLUS_P,
-    (1, 4): SixType.P1,
-    (2, 6): SixType.P22,
-    (2, 8): SixType.P23,
-    (3, 6): SixType.P32,
-    (3, 12): SixType.P33,
-}
+SIX_FINGERPRINT = dict(zip(((0, 0), (1, 4), (2, 6), (2, 8), (3, 6), (3, 12)),
+                           SIX_ORDER))
 
 
 @lru_cache(maxsize=1)

@@ -17,7 +17,8 @@ from signedpetersen.census import (TABLE_IDS, build_table, run_census,
                                    standard_mask, verify_all)
 from signedpetersen.frustration import frustration_index, frustration_number
 from signedpetersen.io import (InputError, format_mask, parse_mask,
-                               parse_signed_graph, serialize_signed_graph)
+                               parse_signed_graph, read_header,
+                               serialize_signed_graph)
 from signedpetersen.signed import SIX_ORDER, SignedGraph, classify_six_mask
 from signedpetersen.graphs import petersen
 
@@ -198,6 +199,26 @@ def test_edge_list_errors(text):
         parse_signed_graph(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "missing 'n <vertex_count>' header"),
+    ("# only a comment\n0 1 +", "missing 'n <vertex_count>' header"),
+    ("n x", "bad header line 'n x'"),
+    ("  n  ", "missing 'n <vertex_count>' header"),
+    ("n -1", "negative vertex count"),
+])
+def test_header_errors(text, message):
+    for read in (parse_signed_graph, lambda t: read_header(iter(t.splitlines()))):
+        with pytest.raises(InputError) as exc:
+            read(text)
+        assert str(exc.value) == message
+
+
+def test_header_reader_stops_at_the_header():
+    lines = iter(["# comment", "", "  n 5 ", "0 0 *", "junk"])
+    assert read_header(lines) == 5
+    assert list(lines) == ["0 0 *", "junk"]
+
+
 # --------------------------------------------------------------------------
 # command line
 # --------------------------------------------------------------------------
@@ -311,6 +332,8 @@ CLUSTER_FILES = (
      "error: graph too large for exact chromatic number\n", 2),
     ("n 2000000\n0 1 -\n", "",
      "error: graph too large for exact chromatic number\n", 2),
+    ("n 2000000\n" + "".join(f"{i} {i + 1} +\n" for i in range(200_000)), "",
+     "error: graph too large for exact chromatic number\n", 2),
 )
 
 
@@ -320,6 +343,23 @@ def test_cli_cluster_general_graph_files(capsys, tmp_path):
         path.write_text(text)
         assert run_cli(capsys, "cluster", "--file", str(path)) == \
             (code, out, err), text
+
+
+def test_oversized_header_is_refused_before_any_edge_line(capsys, tmp_path):
+    # the edge line is malformed, but no command gets to read it: each
+    # refuses the 17 vertices of the header with its own message
+    path = tmp_path / "big.txt"
+    path.write_text("n 17\n0 0 *\n")
+    for argv, err in (
+            (("classify",), "graph too large for switching enumeration"),
+            (("cluster",), "graph too large for exact chromatic number"),
+            (("color", "--k", "1"), "graph too large for coloring search"),
+            (("color", "--k", "9"), "k=9 outside the supported range 0..2")):
+        assert run_cli(capsys, argv[0], "--file", str(path), *argv[1:]) == \
+            (2, "", f"error: {err}\n")
+    path.write_text("n 16\n0 0 *\n")
+    assert run_cli(capsys, "cluster", "--file", str(path)) == \
+        (2, "", "error: malformed edge line '0 0 *'\n")
 
 
 def test_cli_verify(capsys):
