@@ -171,9 +171,13 @@ class TableArtifact(_Record):
         }, indent=2) + "\n"
 
     def render(self, fmt: str) -> str:
-        if fmt not in ("text", "csv", "json"):
-            raise ValueError(f"unknown format {fmt!r}")
-        return getattr(self, f"to_{fmt}")()
+        if fmt == "text":
+            return self.to_text()
+        if fmt == "csv":
+            return self.to_csv()
+        if fmt == "json":
+            return self.to_json()
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _fmt(v) -> str:
@@ -184,9 +188,17 @@ TABLE_IDS = ("T1", "T2", "T3", "T4_orders", "T5", "T8", "T9", "T10", "census")
 
 
 def build_table(table_id: str) -> TableArtifact:
-    builders = {"T1": _table_t1, "T2": _table_t2, "T3": _table_t3,
-                "T4_orders": _table_t4, "T5": _table_t5, "T8": _table_t8,
-                "T9": _table_t9, "T10": _table_t10, "census": run_census}
+    builders = {
+        "T1": _table_t1,
+        "T2": _table_t2,
+        "T3": _table_t3,
+        "T4_orders": _table_t4,
+        "T5": _table_t5,
+        "T8": _table_t8,
+        "T9": _table_t9,
+        "T10": _table_t10,
+        "census": run_census,
+    }
     if table_id not in builders:
         raise ValueError(f"unknown table id {table_id!r}")
     return builders[table_id]()
@@ -197,10 +209,14 @@ def _reps():
 
 
 def _table_t1() -> TableArtifact:
-    counts = [negative_circle_counts(s, {5, 6}) for s in _reps()]
+    rows5, rows6 = [], []
+    for s in _reps():
+        counts = negative_circle_counts(s, {5, 6})
+        rows5.append(counts[5])
+        rows6.append(counts[6])
     return TableArtifact("T1", expected.CLASS_NAMES, (
-        ("negative pentagons", tuple(c[5] for c in counts)),
-        ("negative hexagons", tuple(c[6] for c in counts)),
+        ("negative pentagons", tuple(rows5)),
+        ("negative hexagons", tuple(rows6)),
     ))
 
 

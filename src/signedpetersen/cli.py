@@ -16,7 +16,7 @@ from . import io as io_mod
 from .clustering import inclusterability_index, is_clusterable
 from .coloring import chromatic_numbers, count_colorations
 from .frustration import frustration_index, frustration_number
-from .graphs import MAX_SEARCH_VERTICES, Graph, bits, petersen
+from .graphs import bits, petersen
 from .groups import (aut_signed, coset_system, format_cycles, identify_group,
                      induced_permutation, swaut)
 from .signed import (SignedGraph, classify_six, petersen_frustration_of_mask,
@@ -26,11 +26,6 @@ from .signed import (SignedGraph, classify_six, petersen_frustration_of_mask,
 def _load(args) -> SignedGraph:
     if getattr(args, "mask", None) is not None:
         return SignedGraph(petersen()[0], io_mod.parse_mask(args.mask))
-    # Each command refuses more than MAX_SEARCH_VERTICES vertices with its own
-    # message, so such a file comes as its edgeless graph: no edge line read.
-    n = io_mod.load_header(args.file)
-    if n > MAX_SEARCH_VERTICES:
-        return SignedGraph(Graph(n, ()), 0)
     return io_mod.load_signed_graph(args.file)
 
 

@@ -250,7 +250,8 @@ def _canonical_rotation(verts: tuple[int, ...]) -> tuple[int, ...]:
 def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
     """All simple cycles of length <= max_len, each exactly once, in a
     deterministic order (by length, then vertex sequence)."""
-    max_len = min(max_len, g.vertex_count)
+    if max_len > g.vertex_count:
+        max_len = g.vertex_count
     adj = [sorted(a) for a in g.adjacency]
     found = []
 
@@ -379,10 +380,11 @@ def independent_sets(g: Graph, k: int) -> list[frozenset]:
     """All independent vertex sets of size exactly k."""
     if not 0 <= k <= g.vertex_count:
         raise ValueError(f"bad size {k}")
-    return [frozenset(combo)
-            for combo in itertools.combinations(range(g.vertex_count), k)
-            if not any(g.has_edge(a, b)
-                       for a, b in itertools.combinations(combo, 2))]
+    out = []
+    for combo in itertools.combinations(range(g.vertex_count), k):
+        if all(not g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
+            out.append(frozenset(combo))
+    return out
 
 
 def all_independent_sets(g: Graph) -> list[frozenset]:
@@ -510,10 +512,12 @@ def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
         for w in range(n):
             if used[w] or degs[w] != degs[i]:
                 continue
+            ok = True
             for j in range(i):
                 if (j in adj[i]) != (image[j] in adj[w]):
+                    ok = False
                     break
-            else:
+            if ok:
                 image[i] = w
                 used[w] = True
                 extend(i + 1)

@@ -75,15 +75,21 @@ def parse_cycles(text: str, degree: int = 5) -> tuple[int, ...]:
 
 def format_cycles(base: tuple[int, ...]) -> str:
     """Cycle notation for a permutation of {1..len(base)}; identity is ()."""
-    seen, parts = set(), []
-    for x in range(1, len(base) + 1):
-        cyc = []
-        while x not in seen:
-            seen.add(x)
-            cyc.append(str(x))
+    n = len(base)
+    seen = [False] * n
+    parts = []
+    for start in range(1, n + 1):
+        if seen[start - 1] or base[start - 1] == start:
+            seen[start - 1] = True
+            continue
+        cyc = [start]
+        seen[start - 1] = True
+        x = base[start - 1]
+        while x != start:
+            cyc.append(x)
+            seen[x - 1] = True
             x = base[x - 1]
-        if len(cyc) > 1:
-            parts.append("(" + "".join(cyc) + ")")
+        parts.append("(" + "".join(str(c) for c in cyc) + ")")
     return "".join(parts) or "()"
 
 
@@ -106,15 +112,6 @@ class SwitchingPermutation(_Record):
 
     def __init__(self, switch_mask: int, perm: tuple[int, ...]):
         self.__dict__.update(switch_mask=switch_mask, perm=perm)
-
-    # Written out: these key every Cayley table.
-    def __eq__(self, other):
-        if other.__class__ is not SwitchingPermutation:
-            return NotImplemented
-        return self.switch_mask == other.switch_mask and self.perm == other.perm
-
-    def __hash__(self):
-        return hash((self.switch_mask, self.perm))
 
     @property
     def n(self) -> int:

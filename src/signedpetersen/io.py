@@ -8,7 +8,7 @@ omit the sign column, defaulting to +).
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import MAX_SEARCH_VERTICES, Graph
 from .signed import SignedGraph
 
 
@@ -38,7 +38,10 @@ def read_header(lines) -> int:
 
 def parse_signed_graph(text: str) -> SignedGraph:
     lines = iter(text.splitlines())
-    n = read_header(lines)
+    return _parse_edges(read_header(lines), lines)
+
+
+def _parse_edges(n: int, lines) -> SignedGraph:
     edges = {}
     for ln in _content(lines):
         parts = ln.split()
@@ -63,21 +66,22 @@ def parse_signed_graph(text: str) -> SignedGraph:
                        sum(1 << i for i, e in enumerate(order) if edges[e]))
 
 
-def _read(path: str, reader):
+def load_signed_graph(path: str) -> SignedGraph:
+    """The signed graph of an edge-list file, read once and line by line, with
+    lines split where ``str.splitlines`` splits them, as in
+    ``parse_signed_graph``. Every command refuses more than
+    ``MAX_SEARCH_VERTICES`` vertices with its own message, so a header above
+    that gives the edgeless graph on that many vertices, and no line after
+    the header is read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return reader(fh)
+            lines = (part for ln in fh for part in ln.splitlines())
+            n = read_header(lines)
+            if n > MAX_SEARCH_VERTICES:
+                return SignedGraph(Graph(n, ()), 0)
+            return _parse_edges(n, lines)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-
-
-def load_header(path: str) -> int:
-    """The vertex count of an edge-list file, read from its header alone."""
-    return _read(path, read_header)
-
-
-def load_signed_graph(path: str) -> SignedGraph:
-    return parse_signed_graph(_read(path, lambda fh: fh.read()))
 
 
 def serialize_signed_graph(s: SignedGraph) -> str:

@@ -118,8 +118,14 @@ SIX_ORDER = (SixType.PLUS_P, SixType.P1, SixType.P22,
              SixType.P23, SixType.P32, SixType.P33)
 
 # Fingerprint (frustration index, negative pentagon count) per class.
-SIX_FINGERPRINT = dict(zip(((0, 0), (1, 4), (2, 6), (2, 8), (3, 6), (3, 12)),
-                           SIX_ORDER))
+SIX_FINGERPRINT = {
+    (0, 0): SixType.PLUS_P,
+    (1, 4): SixType.P1,
+    (2, 6): SixType.P22,
+    (2, 8): SixType.P23,
+    (3, 6): SixType.P32,
+    (3, 12): SixType.P33,
+}
 
 
 @lru_cache(maxsize=1)

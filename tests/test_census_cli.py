@@ -16,8 +16,8 @@ from signedpetersen import expected
 from signedpetersen.census import (TABLE_IDS, build_table, run_census,
                                    standard_mask, verify_all)
 from signedpetersen.frustration import frustration_index, frustration_number
-from signedpetersen.io import (InputError, format_mask, parse_mask,
-                               parse_signed_graph, read_header,
+from signedpetersen.io import (InputError, format_mask, load_signed_graph,
+                               parse_mask, parse_signed_graph, read_header,
                                serialize_signed_graph)
 from signedpetersen.signed import SIX_ORDER, SignedGraph, classify_six_mask
 from signedpetersen.graphs import petersen
@@ -219,6 +219,20 @@ def test_header_reader_stops_at_the_header():
     assert list(lines) == ["0 0 *", "junk"]
 
 
+@pytest.mark.parametrize("text", [
+    "# c\x85n 3\n0 1 -\n1 2\n",
+    "# c\u2028n 4\n0 1 -\n# z\u20292 3 +\n",
+    "n 3\r\n0 1 -\r\n1 2 +\r\n",
+    "n 3\r0 1 -\r1 2 +",
+    "n 3\x0b0 1 -\x0c1 2 +\n",
+])
+def test_file_lines_split_as_text_lines(tmp_path, text):
+    # the file is read line by line, yet splits where str.splitlines does
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    assert load_signed_graph(str(path)) == parse_signed_graph(text)
+
+
 # --------------------------------------------------------------------------
 # command line
 # --------------------------------------------------------------------------
@@ -360,6 +374,19 @@ def test_oversized_header_is_refused_before_any_edge_line(capsys, tmp_path):
     path.write_text("n 16\n0 0 *\n")
     assert run_cli(capsys, "cluster", "--file", str(path)) == \
         (2, "", "error: malformed edge line '0 0 *'\n")
+
+
+def test_cli_reads_a_file_it_cannot_seek(capsys):
+    # a pipe gives its bytes once, so the file must be opened and read once
+    for text, out, err, code in CLUSTER_FILES[:-1]:
+        r, w = os.pipe()
+        try:
+            assert os.write(w, text.encode()) == len(text)
+            os.close(w)
+            assert run_cli(capsys, "cluster", "--file", f"/dev/fd/{r}") == \
+                (code, out, err), text
+        finally:
+            os.close(r)
 
 
 def test_cli_verify(capsys):
