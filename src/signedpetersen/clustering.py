@@ -8,17 +8,16 @@ circle carries exactly one negative edge. The cluster number is then the
 chromatic number of the graph that the negative edges make on those
 components. Every cycle of a subgraph is a cycle of the original graph, so
 the minimum number of edge deletions reaching clusterability is the minimum
-hitting set of the "bad" cycles, those with exactly one negative edge. That
-hitting-set view keeps the exhaustive 2^15 signature scan fast.
+hitting set of the "bad" cycles, those with exactly one negative edge. The
+circle list and the hitting-set search are the ones ``frustration`` uses for
+l and l0, so a graph classified just before has its circles listed already.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from .frustration import circle_masks, min_hitting_mask
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError,
-                     all_matchings, bits, enumerate_cycles, minimum_coloring,
-                     tree_cycle)
+                     all_matchings, bits, minimum_coloring, tree_cycle)
 from .signed import SignedGraph
 
 MAX_EDGES = 20
@@ -65,53 +64,8 @@ def cluster_number(s: SignedGraph) -> int | None:
     return len(witness) if ok else None
 
 
-def delete_edges(s: SignedGraph, drop) -> SignedGraph:
-    dropset = {tuple(sorted(e)) for e in drop}
-    edges, mask = [], 0
-    for i, e in enumerate(s.graph.edges):
-        if e not in dropset:
-            mask |= (s.mask >> i & 1) << len(edges)
-            edges.append(e)
-    return SignedGraph(Graph(s.graph.vertex_count, tuple(edges)), mask)
-
-
-# --- hitting-set core -------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _cycle_edge_masks(g: Graph) -> tuple[int, ...]:
-    return tuple(c.edge_mask for c in enumerate_cycles(g, g.vertex_count))
-
-
-def _bad_cycles(cycle_masks, neg_mask: int) -> list[int]:
-    return [cm for cm in cycle_masks if (cm & neg_mask).bit_count() == 1]
-
-
-def _hit(bad: list[int], budget: int):
-    """An edge-bit set of size <= budget meeting every mask in bad, or None.
-    Branches on the smallest uncovered cycle, which any hitting set must
-    meet."""
-    if not bad:
-        return 0
-    if budget == 0:
-        return None
-    c = min(bad, key=lambda m: m.bit_count())
-    while c:
-        low = c & -c
-        c ^= low
-        rest = [b for b in bad if not b & low]
-        sub = _hit(rest, budget - 1)
-        if sub is not None:
-            return sub | low
-    return None
-
-
-def _min_hitting_mask(bad: list[int], cap: int) -> int:
-    for k in range(cap + 1):
-        r = _hit(bad, k)
-        if r is not None:
-            return r
-    raise AssertionError("unreachable: cap covers deleting a negative edge "
-                         "of every bad cycle")
+def _bad_cycles(circles, neg_mask: int) -> list[int]:
+    return [e for e, _ in circles if (e & neg_mask).bit_count() == 1]
 
 
 def inclusterability_index(s: SignedGraph):
@@ -121,8 +75,8 @@ def inclusterability_index(s: SignedGraph):
     g = s.graph
     if len(g.edges) > MAX_EDGES:
         raise SearchSizeError("too many edges for deletion search")
-    bad = _bad_cycles(_cycle_edge_masks(g), s.mask)
-    hit = _min_hitting_mask(bad, s.mask.bit_count())
+    bad = _bad_cycles(circle_masks(g), s.mask)
+    hit = min_hitting_mask(bad, s.mask.bit_count())
     dels = frozenset(g.edges[i] for i in range(len(g.edges)) if hit >> i & 1)
     return hit.bit_count(), dels
 
@@ -137,11 +91,11 @@ def max_inclusterability(g: Graph, cubic_shortcut: bool = True) -> int:
     m = len(g.edges)
     if m > MAX_EDGES:
         raise SearchSizeError("too many edges for signature scan")
-    cycle_masks = _cycle_edge_masks(g)
+    circles = circle_masks(g)
 
     def q_of(neg_mask: int) -> int:
-        bad = _bad_cycles(cycle_masks, neg_mask)
-        return _min_hitting_mask(bad, neg_mask.bit_count()).bit_count()
+        bad = _bad_cycles(circles, neg_mask)
+        return min_hitting_mask(bad, neg_mask.bit_count()).bit_count()
 
     masks = range(1 << m)
     if cubic_shortcut:

@@ -1,44 +1,115 @@
-"""Frustration index and frustration number, minimality certificates, and
-the independent-set balance counts used by the coloring difference formula.
+"""Frustration index l, frustration number l0 and the independent-set
+balance counts, from one hitting-set search over a graph's circles.
+
+By Harary, deleting edges or vertices balances a signature exactly when they
+meet every negative circle, so l and l0 are least edge and vertex hitting
+sets of the negative circles. A dense graph has far more circles than cuts:
+l and l0 list circles only when the cycle space is no larger than the cut
+space, and otherwise walk the 2^(n - c) switchings and the vertex subsets.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
-                     cut_space, independent_sets)
+                     cut_space, enumerate_cycles, independent_sets)
 from .signed import SignedGraph, is_balanced
 
 
-def frustration_index(s: SignedGraph) -> tuple[int, frozenset]:
-    """Minimum negative-edge count over all switchings, with the negative
-    edge set of a minimizing switching as balancing witness. On a
-    disconnected graph this is the sum over the components."""
-    g = s.graph
-    if g.vertex_count > MAX_SEARCH_VERTICES:
-        raise SearchSizeError("graph too large for switching enumeration")
+@lru_cache(maxsize=8)
+def circle_masks(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Every circle of g once, as (edge mask, vertex mask)."""
+    return tuple((c.edge_mask, sum(1 << v for v in c.vertices))
+                 for c in enumerate_cycles(g, g.vertex_count))
+
+
+def circles_fit(g: Graph) -> bool:
+    """Whether the cycle space of g, of dimension m - (n - c), is no larger
+    than its cut space, of dimension n - c (the spanning-forest edges)."""
+    forest = sum(1 for _, parent, _ in g.spanning_forest if parent >= 0)
+    return len(g.edges) <= 2 * forest
+
+
+def _negative_circles(s: SignedGraph, part: int) -> list[int]:
+    """Edge (part 0) or vertex (part 1) masks of the negative circles of s."""
+    return [c[part] for c in circle_masks(s.graph)
+            if (c[0] & s.mask).bit_count() & 1]
+
+
+def _hit(targets: list[int], budget: int):
+    """A bit set of size <= budget meeting every mask in targets, or None.
+    Branches on the smallest target not yet met, which any hitting set must
+    meet."""
+    if not targets:
+        return 0
+    if budget == 0:
+        return None
+    c = min(targets, key=int.bit_count)
+    while c:
+        low = c & -c
+        c ^= low
+        rest = [t for t in targets if not t & low]
+        sub = _hit(rest, budget - 1)
+        if sub is not None:
+            return sub | low
+    return None
+
+
+def min_hitting_mask(targets: list[int], cap: int) -> int:
+    """A least bit set meeting every mask in targets; one of size cap does."""
+    for k in range(cap + 1):
+        r = _hit(targets, k)
+        if r is not None:
+            return r
+    raise AssertionError("unreachable: cap bounds a hitting set")
+
+
+def _index_by_cuts(s: SignedGraph) -> int:
+    """Negative edge mask of a switching with the fewest negative edges."""
     mask = best = s.mask
-    for _, c in cut_space(g):
+    for _, c in cut_space(s.graph):
         if not best:
             break
         if (mask ^ c).bit_count() < best.bit_count():
             best = mask ^ c
+    return best
+
+
+def _number_by_subsets(s: SignedGraph) -> int:
+    """Vertex mask of the first balancing deletion, by increasing size."""
+    n = s.graph.vertex_count
+    for k in range(n + 1):
+        for combo in itertools.combinations(range(n), k):
+            if is_balanced(delete_vertices(s, combo)):
+                return sum(1 << v for v in combo)
+    raise AssertionError("unreachable: deleting all vertices balances")
+
+
+def frustration_index(s: SignedGraph) -> tuple[int, frozenset]:
+    """Fewest edges whose deletion, or sign flip, balances s, with such an
+    edge set as witness. On a disconnected graph this is the sum over the
+    components."""
+    g = s.graph
+    if g.vertex_count > MAX_SEARCH_VERTICES:
+        raise SearchSizeError("graph too large for switching enumeration")
+    # the negative edges meet every negative circle
+    best = (min_hitting_mask(_negative_circles(s, 0), s.mask.bit_count())
+            if circles_fit(g) else _index_by_cuts(s))
     return best.bit_count(), frozenset(g.edges[i] for i in bits(best))
 
 
 def frustration_number(s: SignedGraph) -> tuple[int, frozenset]:
-    """Minimum vertex deletions leaving a balanced signature, by
-    increasing-size subset search."""
-    g = s.graph
-    n = g.vertex_count
+    """Fewest vertex deletions leaving a balanced signature, with such a
+    vertex set as witness."""
+    n = s.graph.vertex_count
     if n > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for vertex-subset search")
-    for k in range(n + 1):
-        for combo in itertools.combinations(range(n), k):
-            if is_balanced(delete_vertices(s, combo)):
-                return k, frozenset(combo)
-    raise AssertionError("unreachable: deleting all vertices balances")
+    # one end of each negative edge meets every negative circle
+    best = (min_hitting_mask(_negative_circles(s, 1), s.mask.bit_count())
+            if circles_fit(s.graph) else _number_by_subsets(s))
+    return best.bit_count(), frozenset(bits(best))
 
 
 def delete_vertices(s: SignedGraph, w) -> SignedGraph:
@@ -57,23 +128,14 @@ def delete_vertices(s: SignedGraph, w) -> SignedGraph:
     return SignedGraph(Graph(len(keep), tuple(edges)), mask)
 
 
-def cut_dominance_check(s: SignedGraph) -> int | None:
-    """The mask of a vertex set whose cut holds more negative than positive
-    edges, if any exists; such a set certifies that switching it lowers the
-    negative count, so its absence certifies minimality."""
-    if s.graph.vertex_count > MAX_SEARCH_VERTICES:
-        raise SearchSizeError("graph too large for cut enumeration")
-    mask = s.mask
-    for x, c in cut_space(s.graph):
-        if 2 * (mask & c).bit_count() > c.bit_count():
-            return x
-    return None
-
-
 def alpha_k(s: SignedGraph, k: int) -> int:
     """Number of independent vertex sets of size k whose deletion leaves a
-    balanced signature."""
+    balanced signature, that is, that meet every negative circle."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
-    return sum(1 for w in independent_sets(s.graph, k)
-               if is_balanced(delete_vertices(s, w)))
+    sets = independent_sets(s.graph, k)
+    if not circles_fit(s.graph):
+        return sum(1 for w in sets if is_balanced(delete_vertices(s, w)))
+    negative = _negative_circles(s, 1)
+    masks = (sum(1 << v for v in w) for w in sets)
+    return sum(1 for w in masks if all(c & w for c in negative))

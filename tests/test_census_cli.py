@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import signedpetersen
-from signedpetersen import cli
+from signedpetersen import cli, frustration
 from signedpetersen import expected
 from signedpetersen.census import (TABLE_IDS, build_table, run_census,
                                    standard_mask, verify_all)
@@ -20,7 +20,7 @@ from signedpetersen.io import (InputError, format_mask, load_signed_graph,
                                parse_mask, parse_signed_graph, read_header,
                                serialize_signed_graph)
 from signedpetersen.signed import SIX_ORDER, SignedGraph, classify_six_mask
-from signedpetersen.graphs import petersen
+from signedpetersen.graphs import Graph, petersen
 
 
 # --------------------------------------------------------------------------
@@ -432,6 +432,43 @@ def complete_graph_file(tmp_path, n, negative=()):
         f"{u} {v} {'-' if (u, v) in negative else '+'}\n"
         for u, v in itertools.combinations(range(n), 2)))
     return path
+
+
+def refuse(*args):
+    raise AssertionError("route not taken for this graph")
+
+
+def test_cli_classify_dense_file_lists_no_circles(capsys, tmp_path,
+                                                  monkeypatch):
+    # all-negative K12: a cycle space of 55 dimensions against 11 for cuts,
+    # so l walks the cuts and l0 the vertex subsets
+    path = complete_graph_file(tmp_path, 12, negative=set(
+        itertools.combinations(range(12), 2)))
+    frustration.circle_masks.cache_clear()
+    monkeypatch.setattr(frustration, "enumerate_cycles", refuse)
+    code, out, err = run_cli(capsys, "classify", "--file", str(path))
+    assert (code, out, err) == (
+        0, "frustration index 30\nfrustration number 10\n", "")
+
+
+def test_cli_classify_sparse_file_walks_no_cuts(capsys, tmp_path,
+                                                monkeypatch):
+    # 16 vertices, 20 edges: a cycle space of 5 dimensions against 15
+    rng = random.Random(11)
+    edges = {(rng.randrange(v), v) for v in range(1, 16)}
+    while len(edges) < 20:
+        edges.add(tuple(sorted(rng.sample(range(16), 2))))
+    s = SignedGraph(Graph.from_edges(16, edges), (1 << 20) - 1)
+    l, l0 = (frustration._index_by_cuts(s).bit_count(),
+             frustration._number_by_subsets(s).bit_count())
+    assert (l, l0) == (3, 1)
+    path = tmp_path / "sparse.txt"
+    path.write_text(serialize_signed_graph(s))
+    monkeypatch.setattr(frustration, "cut_space", refuse)
+    monkeypatch.setattr(frustration, "is_balanced", refuse)
+    code, out, err = run_cli(capsys, "classify", "--file", str(path))
+    assert (code, out, err) == (
+        0, f"frustration index {l}\nfrustration number {l0}\n", "")
 
 
 def test_cli_color_budget_error_prints_nothing(capsys, tmp_path):

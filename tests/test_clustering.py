@@ -3,14 +3,24 @@ import random
 
 import pytest
 
-from signedpetersen.clustering import (cluster_number, delete_edges,
-                                       inclusterability_index, is_clusterable,
-                                       max_inclusterability)
+from signedpetersen.clustering import (cluster_number, inclusterability_index,
+                                       is_clusterable, max_inclusterability)
 from signedpetersen.expected import (CLUSTER_NUMBER, INCLUSTERABILITY,
                                      MAX_INCLUSTERABILITY, T10_COLUMNS)
 from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
                                    enumerate_cycles)
 from signedpetersen.signed import SignedGraph, negate, sign_of_circle
+
+
+def delete_edges(s, drop):
+    """The signed graph s without the edges in drop."""
+    dropset = {tuple(sorted(e)) for e in drop}
+    edges, mask = [], 0
+    for i, e in enumerate(s.graph.edges):
+        if e not in dropset:
+            mask |= (s.mask >> i & 1) << len(edges)
+            edges.append(e)
+    return SignedGraph(Graph(s.graph.vertex_count, tuple(edges)), mask)
 
 
 def t10_signatures(reps):

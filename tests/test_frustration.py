@@ -1,13 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from signedpetersen.expected import (ALPHA0, ALPHA1, ALPHA2, CLASS_NAMES,
                                      FRUSTRATION_INDEX, FRUSTRATION_NUMBER)
-from signedpetersen.frustration import (alpha_k, cut_dominance_check,
-                                        delete_vertices, frustration_index,
-                                        frustration_number)
-from signedpetersen.graphs import Graph, SearchSizeError
+from signedpetersen.frustration import (_index_by_cuts, _negative_circles,
+                                        _number_by_subsets, alpha_k,
+                                        circles_fit, delete_vertices,
+                                        frustration_index, frustration_number,
+                                        min_hitting_mask)
+from signedpetersen.graphs import (Graph, SearchSizeError, cut_space,
+                                   independent_sets)
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
 
@@ -33,6 +37,16 @@ def test_six_class_values(reps):
             1 << s.graph.index_of(u, v) for u, v in we))
         assert len(we) == l and is_balanced(flipped)
         assert len(wv) == l0 and is_balanced(delete_vertices(s, wv))
+
+
+def cut_dominance_check(s):
+    """The mask of a vertex set whose cut holds more negative than positive
+    edges, if any exists; such a set certifies that switching it lowers the
+    negative count, so its absence certifies minimality."""
+    for x, c in cut_space(s.graph):
+        if 2 * (s.mask & c).bit_count() > c.bit_count():
+            return x
+    return None
 
 
 def test_reports_and_minimality(reps):
@@ -132,3 +146,63 @@ def test_disconnected_is_sum_of_components():
             parts = (frustration_index(SignedGraph(k4, m1))[0] +
                      frustration_index(SignedGraph(c5, m2))[0])
             assert frustration_index(s)[0] == parts
+
+
+def parity_graphs():
+    """100 seeded signed graphs of 8-16 vertices, every fifth with two
+    components and every fourth all negative. Up to 11 vertices the edge
+    count runs from one over a spanning forest to six over twice one, so
+    both sides of ``circles_fit`` occur; above that it stays near the
+    forest, where the vertex-subset search is quick."""
+    rng = random.Random(2011)
+    out = []
+    for i in range(100):
+        n = 8 + i % 9
+        split = n // 2 if i % 5 == 0 else n
+        parts = [range(0, split), range(split, n)]
+        edges = {(rng.choice(part[:j]), part[j])
+                 for part in parts for j in range(1, len(part))}
+        forest = len(edges)
+        spare = [e for part in parts for e in itertools.combinations(part, 2)
+                 if e not in edges]
+        extra = rng.randint(1, forest + 6 if n <= 11 else 9)
+        edges |= set(rng.sample(spare, min(extra, len(spare))))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph.from_edges(n, ((perm[u], perm[v]) for u, v in edges))
+        m = len(g.edges)
+        mask = (1 << m) - 1 if i % 4 == 3 else rng.getrandbits(m)
+        out.append(SignedGraph(g, mask))
+    return out
+
+
+def test_circle_routes_match_cut_walk_and_subset_search():
+    """Every graph goes through both routes for l and l0, whichever one
+    ``circles_fit`` picks in production, and through both tests for
+    alpha_k."""
+    graphs = parity_graphs()
+    fits = [circles_fit(s.graph) for s in graphs]
+    assert min(fits.count(True), fits.count(False)) >= 15
+    assert any(not s.graph.is_connected() and not fit
+               for s, fit in zip(graphs, fits))
+    for s in graphs:
+        g, cap = s.graph, s.mask.bit_count()
+        by_circles = min_hitting_mask(_negative_circles(s, 0), cap)
+        by_cuts = _index_by_cuts(s)
+        l = by_cuts.bit_count()
+        assert by_circles.bit_count() == l, s
+        for witness in (by_circles, by_cuts):
+            assert is_balanced(SignedGraph(g, s.mask ^ witness))
+        assert len(frustration_index(s)[1]) == l
+        by_circles = min_hitting_mask(_negative_circles(s, 1), cap)
+        by_subsets = _number_by_subsets(s)
+        l0 = by_subsets.bit_count()
+        assert by_circles.bit_count() == l0 <= l, s
+        for witness in (by_circles, by_subsets):
+            dropped = [v for v in range(g.vertex_count) if witness >> v & 1]
+            assert is_balanced(delete_vertices(s, dropped))
+        assert len(frustration_number(s)[1]) == l0
+        for k in (0, 1, 2):
+            assert alpha_k(s, k) == sum(
+                1 for w in independent_sets(g, k)
+                if is_balanced(delete_vertices(s, w))), (s, k)
