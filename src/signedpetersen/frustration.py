@@ -4,7 +4,7 @@ balance counts, from one hitting-set search over a graph's circles.
 By Harary, deleting edges or vertices balances a signature exactly when they
 meet every negative circle, so l and l0 are least edge and vertex hitting
 sets of the negative circles. A dense graph has far more circles than cuts:
-l and l0 list circles only when the cycle space is no larger than the cut
+l and l0 list circles only when the cycle space is at most 1/32 of the cut
 space, and otherwise walk the 2^(n - c) switchings and the vertex subsets.
 """
 
@@ -26,10 +26,12 @@ def circle_masks(g: Graph) -> tuple[tuple[int, int], ...]:
 
 
 def circles_fit(g: Graph) -> bool:
-    """Whether the cycle space of g, of dimension m - (n - c), is no larger
-    than its cut space, of dimension n - c (the spanning-forest edges)."""
+    """Whether the cycle space of g, of dimension m - (n - c), is at most
+    1/32 of its cut space, of dimension n - c (the spanning-forest edges).
+    A circle costs about 35 cut steps to list and is one cycle-space
+    element, so listing the circles then costs at most about one cut walk."""
     forest = sum(1 for _, parent, _ in g.spanning_forest if parent >= 0)
-    return len(g.edges) <= 2 * forest
+    return len(g.edges) + 5 <= 2 * forest
 
 
 def _negative_circles(s: SignedGraph, part: int) -> list[int]:
@@ -130,12 +132,8 @@ def delete_vertices(s: SignedGraph, w) -> SignedGraph:
 
 def alpha_k(s: SignedGraph, k: int) -> int:
     """Number of independent vertex sets of size k whose deletion leaves a
-    balanced signature, that is, that meet every negative circle."""
+    balanced signature."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
-    sets = independent_sets(s.graph, k)
-    if not circles_fit(s.graph):
-        return sum(1 for w in sets if is_balanced(delete_vertices(s, w)))
-    negative = _negative_circles(s, 1)
-    masks = (sum(1 << v for v in w) for w in sets)
-    return sum(1 for w in masks if all(c & w for c in negative))
+    return sum(1 for w in independent_sets(s.graph, k)
+               if is_balanced(delete_vertices(s, w)))

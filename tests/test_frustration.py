@@ -10,8 +10,7 @@ from signedpetersen.frustration import (_index_by_cuts, _negative_circles,
                                         circles_fit, delete_vertices,
                                         frustration_index, frustration_number,
                                         min_hitting_mask)
-from signedpetersen.graphs import (Graph, SearchSizeError, cut_space,
-                                   independent_sets)
+from signedpetersen.graphs import Graph, SearchSizeError, cut_space
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
 
@@ -178,8 +177,7 @@ def parity_graphs():
 
 def test_circle_routes_match_cut_walk_and_subset_search():
     """Every graph goes through both routes for l and l0, whichever one
-    ``circles_fit`` picks in production, and through both tests for
-    alpha_k."""
+    ``circles_fit`` picks in production."""
     graphs = parity_graphs()
     fits = [circles_fit(s.graph) for s in graphs]
     assert min(fits.count(True), fits.count(False)) >= 15
@@ -202,7 +200,21 @@ def test_circle_routes_match_cut_walk_and_subset_search():
             dropped = [v for v in range(g.vertex_count) if witness >> v & 1]
             assert is_balanced(delete_vertices(s, dropped))
         assert len(frustration_number(s)[1]) == l0
-        for k in (0, 1, 2):
-            assert alpha_k(s, k) == sum(
-                1 for w in independent_sets(g, k)
-                if is_balanced(delete_vertices(s, w))), (s, k)
+
+
+def test_circles_fit_takes_a_cycle_space_of_at_most_a_32nd_of_the_cuts():
+    # a path (n - 1 cut dimensions) plus r chords (r cycle dimensions);
+    # circles are listed exactly when r + 5 <= n - 1
+    for n in (10, 16):
+        path = [(i, i + 1) for i in range(n - 1)]
+        chords = [e for e in itertools.combinations(range(n), 2)
+                  if e[1] - e[0] > 1]
+        for r in range(n):
+            g = Graph.from_edges(n, path + chords[:r])
+            assert circles_fit(g) == (r + 5 <= n - 1), (n, r)
+    # two components and an isolated vertex: n - c = 12 - 3 = 9
+    left = [(i, i + 1) for i in range(5)]
+    right = [(i, i + 1) for i in range(6, 10)]
+    for r, fit in ((4, True), (5, False)):
+        chords = [(0, 2), (0, 3), (6, 8), (0, 4), (6, 9)][:r]
+        assert circles_fit(Graph.from_edges(12, left + right + chords)) == fit
