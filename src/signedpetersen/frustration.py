@@ -1,5 +1,6 @@
-"""Frustration index l, frustration number l0 and the independent-set
-balance counts, from one hitting-set search over a graph's circles.
+"""Frustration index l and frustration number l0 from one hitting-set
+search over a graph's circles, and the independent-set balance counts used
+by the coloring difference formula.
 
 By Harary, deleting edges or vertices balances a signature exactly when they
 meet every negative circle, so l and l0 are least edge and vertex hitting
