@@ -117,17 +117,6 @@ def run_census() -> TableArtifact:
     ))
 
 
-def verify_l0_equals_l_everywhere() -> bool:
-    """Frustration number equals frustration index on all 32768
-    signatures: the number per mask from the deletion tables, the index as
-    the least weight in the mask's switching class."""
-    for orbit in _switching_orbits():
-        l = min(m.bit_count() for m in orbit)
-        if any(petersen_l0_of_mask(m) != l for m in orbit):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Tables
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 from .frustration import alpha_k, delete_vertices
 from .graphs import (MAX_SEARCH_VERTICES, SearchSizeError,
                      all_independent_sets, petersen)
-from .signed import SignedGraph, negate, negative_circle_counts, switch
+from .signed import SignedGraph, negate, petersen_hexagon_masks, switch
 
 MAX_K = 2
 
@@ -89,7 +89,7 @@ def chi3_difference(s: SignedGraph) -> int:
         raise ValueError("requires the canonical Petersen graph")
     neg = negate(s)
     a0, a1, a2 = (alpha_k(neg, k) for k in (0, 1, 2))
-    c6 = negative_circle_counts(s, {6})[6]
+    c6 = sum(1 for h in petersen_hexagon_masks() if (s.mask & h).bit_count() & 1)
     return 2 * a0 + 2 * a1 + 2 * a2 - 4 * c6
 
 

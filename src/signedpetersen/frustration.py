@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
                      cut_space, enumerate_cycles, independent_sets)
-from .signed import SignedGraph, is_balanced
+from .signed import SignedGraph, balanced_without
 
 
 @lru_cache(maxsize=8)
@@ -82,11 +82,12 @@ def _index_by_cuts(s: SignedGraph) -> int:
 
 def _number_by_subsets(s: SignedGraph) -> int:
     """Vertex mask of the first balancing deletion, by increasing size."""
-    n = s.graph.vertex_count
-    for k in range(n + 1):
-        for combo in itertools.combinations(range(n), k):
-            if is_balanced(delete_vertices(s, combo)):
-                return sum(1 << v for v in combo)
+    g = s.graph
+    singles = [1 << v for v in range(g.vertex_count)]
+    for k in range(len(singles) + 1):
+        for w in map(sum, itertools.combinations(singles, k)):
+            if balanced_without(g, s.mask, w):
+                return w
     raise AssertionError("unreachable: deleting all vertices balances")
 
 
@@ -136,5 +137,6 @@ def alpha_k(s: SignedGraph, k: int) -> int:
     balanced signature."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
-    return sum(1 for w in independent_sets(s.graph, k)
-               if is_balanced(delete_vertices(s, w)))
+    g = s.graph
+    return sum(1 for w in independent_sets(g, k)
+               if balanced_without(g, s.mask, sum(1 << v for v in w)))

@@ -123,16 +123,21 @@ class Graph(_Record):
         return tuple(inc)
 
     @cached_property
-    def spanning_forest(self) -> tuple[tuple[int, int, int], ...]:
-        """Breadth-first spanning forest as (vertex, parent, edge index)
-        triples in visiting order. Each component is rooted at its least
-        vertex, which carries parent and edge index -1."""
-        # In canonical edge order each vertex meets its neighbours in
-        # increasing order, so these lists need no sort.
+    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each vertex's (neighbour, edge index) pairs, by increasing
+        neighbour: canonical edge order meets them in that order."""
         nbrs = [[] for _ in range(self.vertex_count)]
         for i, (u, v) in enumerate(self.edges):
             nbrs[u].append((v, i))
             nbrs[v].append((u, i))
+        return tuple(map(tuple, nbrs))
+
+    @cached_property
+    def spanning_forest(self) -> tuple[tuple[int, int, int], ...]:
+        """Breadth-first spanning forest as (vertex, parent, edge index)
+        triples in visiting order. Each component is rooted at its least
+        vertex, which carries parent and edge index -1."""
+        nbrs = self.neighbours
         seen = [False] * self.vertex_count
         out = []
         for root in range(self.vertex_count):

@@ -2,6 +2,10 @@
 automorphism and switching-automorphism groups of signed graphs, coset
 representative systems, and isomorphism-type identification of small groups.
 
+Groups of switching automorphisms are checked by closure under generators
+and read as permutation groups; ``FiniteGroup``, with a Cayley table and
+Light's associativity test, is the reference the tests compare them with.
+
 Conventions. Permutations are image tuples over vertex ids and compose left
 to right: compose(p, q) applies p first. A switching permutation pairs an
 exact vertex subset (as a bitmask) with a permutation and acts on signatures
@@ -12,11 +16,11 @@ group elements are stored with the canonical lift (vertex 0 unswitched).
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property, lru_cache
-from operator import itemgetter
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, _Record,
-                     automorphism_images, cut_mask, cut_preimage)
+                     automorphism_images, bits, cut_mask, cut_preimage)
 from .signed import SignedGraph
 
 # ---------------------------------------------------------------------------
@@ -37,6 +41,14 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
+
+
+def perm_order(p: tuple[int, ...]) -> int:
+    """The least k with p^k the identity."""
+    one, k, q = identity_perm(len(p)), 1, p
+    while q != one:
+        q, k = compose(q, p), k + 1
+    return k
 
 
 def _pullback(mask: int, index_map: tuple[int, ...]) -> int:
@@ -185,6 +197,10 @@ class FiniteGroup:
         if len(set(self.elements)) != len(self.elements):
             raise GroupAxiomError("repeated elements")
         self.index = {e: i for i, e in enumerate(self.elements)}
+        self._check(mul)
+
+    def _check(self, mul) -> None:
+        """Build the Cayley table and check the group axioms on it."""
         self.table = self._cayley_table(mul)
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
@@ -274,33 +290,6 @@ class FiniteGroup:
         return all(self.table[i][j] == self.table[j][i]
                    for i in range(n) for j in range(i + 1, n))
 
-    def is_subgroup(self, other: "FiniteGroup") -> bool:
-        """Whether this group's elements form a subgroup of other."""
-        if not all(e in other.index for e in self.elements):
-            return False
-        for a in self.elements:
-            for b in self.elements:
-                c = other.elements[other.table[other.index[a]][other.index[b]]]
-                if c not in self.index:
-                    return False
-        return True
-
-    @classmethod
-    def generate(cls, generators, mul, identity) -> "FiniteGroup":
-        """Closure of the generators under mul."""
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in generators:
-                    c = mul(a, g)
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return cls(sorted(seen, key=repr), mul)
-
 
 _CATALOG = {
     (1, True, ((1, 1),)): "1",
@@ -334,42 +323,60 @@ def identify_group(g: FiniteGroup) -> str:
 class SwitchingGroup(FiniteGroup):
     """Switching permutations stored as canonical lifts, sorted by switching
     mask and permutation. On a connected graph a lift is fixed by its
-    permutation, so a Cayley cell composes two permutations and looks the
-    product up in ``by_perm``; its switching part must then equal x_a xor
-    the pullback of x_b through p_a, canonicalised, or the list is not
-    closed."""
+    permutation, so the group is isomorphic to its group of permutations:
+    element orders and commutativity are read from permutations, and no
+    Cayley table is built."""
 
     def __init__(self, elements):
         elements = sorted(elements, key=lambda e: (e.switch_mask, e.perm))
-        self.by_perm = {e.perm: i for i, e in enumerate(elements)}
+        self.by_perm = {e.perm: e for e in elements}
         if len(self.by_perm) != len(elements):
             raise GroupAxiomError("two elements share a permutation")
         super().__init__(elements, None)
 
-    def _cayley_table(self, mul) -> list[list[int]]:
-        elements, by_perm = self.elements, self.by_perm
-        perms = [e.perm for e in elements]
-        xs = [e.switch_mask for e in elements]
-        full = (1 << elements[0].n) - 1 if elements else 0
-        switch_parts = set(xs)
-        table = []
-        for a in elements:
-            p, x = a.perm, a.switch_mask
-            # the switching part of a * b for each switching part y of b
-            want = {}
-            for y in switch_parts:
-                z = x ^ _pullback(y, p)
-                want[y] = z ^ full if z & 1 else z
-            # itemgetter(*p)(q) is compose(p, q) in one call, for len(p) > 1
-            after_p = itemgetter(*p) if len(p) > 1 else lambda q: compose(p, q)
-            row = [by_perm.get(q) for q in map(after_p, perms)]
-            if None in row or \
-                    list(map(xs.__getitem__, row)) != list(map(want.__getitem__, xs)):
-                j = next(j for j, k in enumerate(row)
-                         if k is None or xs[k] != want[xs[j]])
-                raise GroupAxiomError(f"not closed: {a} * {elements[j]}")
-            table.append(row)
-        return table
+    def _check(self, mul) -> None:
+        """Closure under greedy generators, |S|·|T| products in place of
+        |S|^2 Cayley cells: each element not yet reached becomes a
+        generator, and each reached element is multiplied once by each
+        generator. Each product, canonicalised, must be listed; with the
+        identity listed, the list is then the group the generators
+        generate."""
+        by_perm = self.by_perm
+        one = sp_identity(self.elements[0].n if self.elements else 0)
+        if by_perm.get(one.perm) != one:
+            raise GroupAxiomError("no identity element")
+        full = (1 << one.n) - 1
+        reached, gens = {one.perm: one}, []
+        for candidate in self.elements:
+            if candidate.perm in reached:
+                continue
+            gens.append(candidate)
+            work = [(a, (candidate,)) for a in reached.values()]
+            while work:
+                a, ts = work.pop()
+                for t in ts:  # sp_multiply and sp_canonical, inlined
+                    q = compose(a.perm, t.perm)
+                    z = a.switch_mask ^ _pullback(t.switch_mask, a.perm)
+                    c = by_perm.get(q)
+                    if c is None or c.switch_mask != (z ^ full if z & 1 else z):
+                        raise GroupAxiomError(f"not closed: {a} * {t}")
+                    if q not in reached:
+                        reached[q] = c
+                        work.append((c, tuple(gens)))
+        self.generators = tuple(gens)
+
+    def element_order(self, i: int) -> int:
+        return perm_order(self.elements[i].perm)
+
+    def is_abelian(self) -> bool:
+        """Whether the generators commute pairwise."""
+        return all(compose(a.perm, b.perm) == compose(b.perm, a.perm)
+                   for a, b in itertools.combinations(self.generators, 2))
+
+    def is_subgroup(self, other: "SwitchingGroup") -> bool:
+        """Whether every element lies in other; both are checked groups
+        under one product, so containment is enough."""
+        return all(e in other.index for e in self.elements)
 
 
 def graph_automorphisms(g: Graph) -> SwitchingGroup:
@@ -380,9 +387,11 @@ def graph_automorphisms(g: Graph) -> SwitchingGroup:
 
 @lru_cache(maxsize=8)
 def _automorphism_edge_maps(g: Graph):
-    """Each automorphism of g with its edge permutation, built once per
-    graph."""
-    return tuple((p, edge_permutation(g, p)) for p in automorphism_images(g))
+    """Each automorphism p of g with the inverse of its edge permutation,
+    built once per graph: the pullback of a sign mask through p sets bit
+    inv[j] for each set bit j."""
+    return tuple((p, edge_permutation(g, inverse(p)))
+                 for p in automorphism_images(g))
 
 
 def _switching_scan_guard(g: Graph) -> None:
@@ -395,65 +404,49 @@ def _switching_scan_guard(g: Graph) -> None:
         raise ValueError("switching automorphisms need a connected graph")
 
 
-def _mask_changes(s: SignedGraph):
-    """Each automorphism p of the underlying graph with mask xor the
-    pullback of mask through p: zero when p preserves the signs, a cut when
-    p lifts to a switching automorphism."""
-    mask = s.mask
-    for p, ep in _automorphism_edge_maps(s.graph):
-        yield p, mask ^ _pullback(mask, ep)
+@lru_cache(maxsize=8)
+def _lifts(s: SignedGraph) -> tuple[tuple[tuple[int, ...], int | None], ...]:
+    """Each automorphism p of the underlying graph with the switching part
+    X of its lift, or None: mask xor its pullback through p must be the cut
+    of X, least vertex of each component out, and X = 0 when p preserves
+    the signs. ``aut_signed``, ``swaut`` and ``orbit_counts`` read it."""
+    g, mask = s.graph, s.mask
+    out = []
+    for p, inv in _automorphism_edge_maps(g):
+        moved = 0
+        for j in bits(mask):
+            moved |= 1 << inv[j]
+        out.append((p, cut_preimage(g, mask ^ moved)))
+    return tuple(out)
 
 
 def aut_signed(s: SignedGraph) -> SwitchingGroup:
     """Sign-preserving automorphisms: the stabilizer of the sign mask
     inside the automorphism group of the underlying graph."""
     return SwitchingGroup(SwitchingPermutation(0, p)
-                          for p, d in _mask_changes(s) if d == 0)
+                          for p, x in _lifts(s) if x == 0)
 
 
 def swaut(s: SignedGraph) -> SwitchingGroup:
     """Switching automorphism group: the stabilizer of the switching class
-    of s inside the automorphism group of the underlying graph.
-
-    An automorphism p lifts when switching some X and then relabeling by p
-    fixes the sign mask, that is when mask xor its pullback through p is
-    the cut of X. The lift leaves vertex 0 unswitched.
-    """
+    of s inside the automorphism group of the underlying graph. Each
+    automorphism that lifts contributes its lift with vertex 0
+    unswitched."""
     _switching_scan_guard(s.graph)
-    found = []
-    for p, d in _mask_changes(s):
-        x = cut_preimage(s.graph, d)
-        if x is not None:
-            found.append(SwitchingPermutation(x, p))
-    return SwitchingGroup(found)
+    return SwitchingGroup(SwitchingPermutation(x, p)
+                          for p, x in _lifts(s) if x is not None)
 
 
 def orbit_counts(s: SignedGraph) -> tuple[int, int]:
     """(isomorphic copies, switching-equivalence classes in the orbit), by
     orbit-stabilizer: the order of Aut of the underlying graph divided by
     the number of automorphisms that fix the sign mask, and by the number
-    whose change to the mask is a cut. No group is built."""
+    that lift. No group is built."""
     _switching_scan_guard(s.graph)
-    fixed = lifted = 0
-    for _, d in _mask_changes(s):
-        fixed += d == 0
-        lifted += cut_preimage(s.graph, d) is not None
-    full = len(automorphism_images(s.graph))
-    return full // fixed, full // lifted
-
-
-def lift_permutation(s: SignedGraph, xi: tuple[int, ...]):
-    """The unique switching automorphism of s whose permutation part is xi,
-    or None when xi is not in the projection: when it is not an
-    automorphism of the underlying graph or has no lift."""
-    g = s.graph
-    _switching_scan_guard(g)
-    xi = tuple(xi)
-    if sorted(xi) != list(range(g.vertex_count)) or \
-            not all(g.has_edge(xi[u], xi[v]) for u, v in g.edges):
-        return None
-    x = cut_preimage(g, s.mask ^ _pullback(s.mask, edge_permutation(g, xi)))
-    return None if x is None else SwitchingPermutation(x, xi)
+    lifts = _lifts(s)
+    fixed = sum(1 for _, x in lifts if x == 0)
+    lifted = sum(1 for _, x in lifts if x is not None)
+    return len(lifts) // fixed, len(lifts) // lifted
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +475,6 @@ class CosetSystem(_Record):
             if sp_canonical(r).switch_mask == canonical_mask:
                 return i
         raise CosetError(f"no representative for switching class {canonical_mask:#x}")
-
-    def decompose(self, x: SwitchingPermutation):
-        """Write x (exact) as sign * representative * tau with tau in the
-        subgroup; returns (sign, rep index, tau)."""
-        k = self.rep_for_mask(sp_canonical(x).switch_mask)
-        t = sp_multiply(sp_inverse(self.representatives[k]), x)
-        full = (1 << x.n) - 1
-        if t.switch_mask == 0:
-            sign = 1
-        elif t.switch_mask == full:
-            sign, t = -1, SwitchingPermutation(0, t.perm)
-        else:
-            raise CosetError("element not in representative * subgroup")
-        if t not in self.subgroup.index:
-            raise CosetError("residual permutation outside the subgroup")
-        return sign, k, t
 
 
 def coset_system(group: FiniteGroup, subgroup: FiniteGroup) -> CosetSystem:

@@ -80,6 +80,30 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
     return BalanceResult(False, None, tree_cycle(g, g.spanning_forest, u, w))
 
 
+def balanced_without(g: Graph, mask: int, w: int) -> bool:
+    """Whether sign mask mask on g is balanced after deleting the vertex
+    mask w: G - W two-colours so that exactly its negative edges join the
+    two colours (Harary). No smaller graph is built."""
+    side = [2 if w >> v & 1 else -1 for v in range(g.vertex_count)]
+    nbrs = g.neighbours
+    for root, colour in enumerate(side):
+        if colour != -1:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            su = side[u]
+            for v, i in nbrs[u]:
+                sv, want = side[v], su ^ (mask >> i & 1)
+                if sv < 0:
+                    side[v] = want
+                    stack.append(v)
+                elif sv != want and sv < 2:
+                    return False
+    return True
+
+
 def switching_equivalence(s1: SignedGraph, s2: SignedGraph) -> int | None:
     """The vertex mask whose switching carries s1 to s2, or None: the
     signatures are switching equivalent exactly when the edges where they

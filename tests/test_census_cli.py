@@ -100,14 +100,20 @@ def test_verify_all_checks_census_totals_and_representatives(monkeypatch):
 
 def test_verify_all_does_group_work_once(monkeypatch):
     """verify_all scans the Petersen automorphisms once, builds their 120
-    edge permutations once, builds the twelve T4 groups once each, and
-    builds no group for T5, whose orbit sizes come from stabilizer
-    counts."""
-    from signedpetersen import census, graphs, groups
-    scans, edge_maps, built, current = [], [], [], []
+    edge maps once, and scans each representative's signature once: the
+    twelve T4 groups and the T5 orbit counts read that one scan. The
+    groups are checked by closure under generators, so no Cayley table is
+    built, and T3, T9 and the difference formula test balance on vertex
+    masks, so no per-graph balance test runs."""
+    from signedpetersen import census, graphs, groups, signed
+    from functools import lru_cache
+    scans, edge_maps, lifted, built, tables, balance, current = (
+        [], [], [], [], [], [], [])
     search, init, build = (graphs._automorphism_search,
                            groups.FiniteGroup.__init__, census.build_table)
     edge_permutation = groups.edge_permutation
+    lifts, cayley_table = groups._lifts.__wrapped__, groups.FiniteGroup._cayley_table
+    is_balanced = signed.is_balanced
 
     def counted_search(g):
         scans.append(g)
@@ -117,9 +123,21 @@ def test_verify_all_does_group_work_once(monkeypatch):
         edge_maps.append(perm)
         return edge_permutation(g, perm)
 
+    def counted_lifts(s):
+        lifted.append(s.mask)
+        return lifts(s)
+
     def counted_init(self, elements, mul):
         init(self, elements, mul)
         built.append((current[-1], self.order))
+
+    def counted_cayley_table(self, mul):
+        tables.append(self.order)
+        return cayley_table(self, mul)
+
+    def counted_is_balanced(s):
+        balance.append(s)
+        return is_balanced(s)
 
     def tracked_build(table_id):
         current.append(table_id)
@@ -127,8 +145,12 @@ def test_verify_all_does_group_work_once(monkeypatch):
 
     monkeypatch.setattr(graphs, "_automorphism_search", counted_search)
     monkeypatch.setattr(groups.FiniteGroup, "__init__", counted_init)
+    monkeypatch.setattr(groups.FiniteGroup, "_cayley_table",
+                        counted_cayley_table)
     monkeypatch.setattr(census, "build_table", tracked_build)
     monkeypatch.setattr(groups, "edge_permutation", counted_edge_permutation)
+    monkeypatch.setattr(groups, "_lifts", lru_cache(maxsize=8)(counted_lifts))
+    monkeypatch.setattr(signed, "is_balanced", counted_is_balanced)
     # a fresh graph, automorphisms unscanned and edge maps unbuilt
     graphs.petersen.cache_clear()
     groups._automorphism_edge_maps.cache_clear()
@@ -139,10 +161,11 @@ def test_verify_all_does_group_work_once(monkeypatch):
         groups._automorphism_edge_maps.cache_clear()
     assert len(scans) == 1 and graphs.is_petersen(scans[0])
     assert len(edge_maps) == 120 and len(set(edge_maps)) == 120
+    assert sorted(lifted) == sorted(standard_mask(t) for t in SIX_ORDER)
     assert {table for table, _ in built} == {"T4_orders"}
     orders = [order for _, order in built]
     assert sorted(orders) == sorted(expected.AUT_ORDERS + expected.SWAUT_ORDERS)
-    assert sum(order * order for order in orders) == 47688
+    assert tables == [] and balance == []
 
 
 def test_table_artifacts_render():
@@ -465,7 +488,7 @@ def test_cli_classify_sparse_file_walks_no_cuts(capsys, tmp_path,
     path = tmp_path / "sparse.txt"
     path.write_text(serialize_signed_graph(s))
     monkeypatch.setattr(frustration, "cut_space", refuse)
-    monkeypatch.setattr(frustration, "is_balanced", refuse)
+    monkeypatch.setattr(frustration, "balanced_without", refuse)
     code, out, err = run_cli(capsys, "classify", "--file", str(path))
     assert (code, out, err) == (
         0, f"frustration index {l}\nfrustration number {l0}\n", "")

@@ -4,7 +4,9 @@ recorded code.
 
 The fixture covers ``census`` and the nine tables in every format, and
 ``classify``, ``group --coset-table``, ``cluster``, ``color --k 1`` and
-``color --k 1 --zero-free`` on the six standard masks and their negations.
+``color --k 1 --zero-free`` on the six standard masks and their negations,
+and ``group --coset-table`` on a switched and a relabelled twin of each
+standard mask, whose groups are conjugates of the standard ones.
 To record it again (only when an output is meant to change):
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -17,8 +19,11 @@ from functools import lru_cache
 from pathlib import Path
 
 from signedpetersen import census, cli
+from signedpetersen.graphs import cut_mask, petersen
+from signedpetersen.groups import (SwitchingPermutation, induced_permutation,
+                                   parse_cycles, sp_act)
 from signedpetersen.io import format_mask
-from signedpetersen.signed import SIX_ORDER
+from signedpetersen.signed import SIX_ORDER, SignedGraph
 
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -35,6 +40,14 @@ def golden_commands() -> list[list[str]]:
                  ["cluster", "--mask", hx],
                  ["color", "--mask", hx, "--k", "1"],
                  ["color", "--mask", hx, "--k", "1", "--zero-free"]]
+    g, lab = petersen()
+    relabel = SwitchingPermutation(
+        0, induced_permutation(lab, parse_cycles("(132)(45)")))
+    for m in masks:
+        switched = m ^ cut_mask(g, 0b1001010010)
+        relabelled = sp_act(relabel, SignedGraph(g, m)).mask
+        cmds += [["group", "--mask", format_mask(t), "--coset-table"]
+                 for t in (switched, relabelled)]
     return cmds
 
 

@@ -10,8 +10,11 @@ from signedpetersen.frustration import (_index_by_cuts, _negative_circles,
                                         circles_fit, delete_vertices,
                                         frustration_index, frustration_number,
                                         min_hitting_mask)
-from signedpetersen.graphs import Graph, SearchSizeError, cut_space
-from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
+from signedpetersen.census import _deletion_tables
+from signedpetersen.graphs import (Graph, SearchSizeError, cut_space,
+                                   independent_sets, petersen)
+from signedpetersen.signed import (SignedGraph, balanced_without, is_balanced,
+                                   negate, switch)
 
 
 def k4_signed(mask):
@@ -87,6 +90,53 @@ def test_alpha_k(reps):
         assert alpha_k(s, 2) == ALPHA2[i], CLASS_NAMES[i]
     with pytest.raises(ValueError):
         alpha_k(reps[0], 3)
+
+
+def test_balanced_without_matches_deleting_the_vertices():
+    # seeded graphs of 0-16 vertices, sparse to complete, with vertex masks
+    # from empty to everything
+    rng = random.Random(12)
+    for i in range(400):
+        n = i % 17
+        density = rng.random()
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                 if rng.random() < density])
+        s = SignedGraph(g, rng.getrandbits(len(g.edges)))
+        for w in (0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
+            dropped = [v for v in range(n) if w >> v & 1]
+            assert balanced_without(g, s.mask, w) == \
+                bool(is_balanced(delete_vertices(s, dropped))), (s, w)
+
+
+def test_balanced_without_matches_the_deletion_tables():
+    # every Petersen signature, with no vertex or one vertex deleted, against
+    # the cut closures of P - W
+    g, _ = petersen()
+    tables = [(keep, cuts) for k, keep, cuts in _deletion_tables() if k <= 1]
+    singles = [0] + [1 << v for v in range(10)]  # the order of the tables
+    for mask in range(1 << 15):
+        for w, (keep, cuts) in zip(singles, tables):
+            assert balanced_without(g, mask, w) == (mask & keep in cuts)
+
+
+def test_alpha_k_matches_the_per_set_count(pg):
+    g, _ = pg
+    rng = random.Random(9)
+    for mask in rng.sample(range(1 << 15), 60):
+        s = SignedGraph(g, mask)
+        for k in (0, 1, 2):
+            assert alpha_k(s, k) == sum(
+                1 for w in independent_sets(g, k)
+                if is_balanced(delete_vertices(s, w))), (mask, k)
+
+
+def test_frustration_number_of_all_negative_complete_graphs():
+    # deleting all but two vertices leaves one negative edge, balanced;
+    # three left make a negative triangle
+    for n in (12, 16):
+        g = Graph.from_edges(n, itertools.combinations(range(n), 2))
+        l0, dropped = frustration_number(SignedGraph(g, (1 << len(g.edges)) - 1))
+        assert l0 == len(dropped) == n - 2
 
 
 def test_delete_vertices(pg):

@@ -7,15 +7,14 @@ import pytest
 from signedpetersen.expected import (AUT_LABELS, AUT_ORDERS, CLASS_NAMES,
                                      COPIES, SWAUT_LABELS, SWAUT_ORDERS,
                                      SWITCHING_CLASSES)
-from signedpetersen.graphs import Graph, automorphism_images, cut, petersen
+from signedpetersen.graphs import Graph, automorphism_images, cut, cut_preimage
 from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
                                    SwitchingGroup, SwitchingPermutation,
                                    aut_signed, compose, coset_system,
                                    edge_permutation, format_cycles,
                                    general_product, graph_automorphisms,
                                    identify_group, identity_perm,
-                                   induced_permutation, inverse,
-                                   lift_permutation, orbit_counts,
+                                   induced_permutation, inverse, orbit_counts,
                                    parse_cycles, sp_act, sp_canonical,
                                    sp_conjugate, sp_identity,
                                    sp_inverse, sp_multiply, sp_negate, swaut)
@@ -130,9 +129,15 @@ def test_edge_permutation(pg):
 # --------------------------------------------------------------------------
 
 def perm_group(*gens, degree):
-    """Permutation group on 0..degree-1 from image-tuple generators."""
-    return FiniteGroup.generate([tuple(g) for g in gens], compose,
-                                identity_perm(degree))
+    """Permutation group on 0..degree-1 from image-tuple generators: their
+    closure under composition, with its Cayley table."""
+    seen = {identity_perm(degree)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [c for a in frontier for c in
+                    (compose(a, tuple(g)) for g in gens) if c not in seen]
+        seen.update(frontier)
+    return FiniteGroup(sorted(seen), compose)
 
 
 def test_group_axiom_enforcement():
@@ -268,6 +273,23 @@ def test_swaut_elements_fix_signature(reps, sw6):
             assert sp_act(e, s) == s
 
 
+def lift_permutation(s, xi):
+    """The switching automorphism of s with permutation part xi, vertex 0
+    unswitched, or None when xi is not an automorphism of the underlying
+    graph or does not lift: switching X and relabelling by xi fixes the
+    signs exactly when the edges whose sign xi changes form the cut of X."""
+    g = s.graph
+    xi = tuple(xi)
+    if sorted(xi) != list(range(g.vertex_count)) or \
+            not all(g.has_edge(xi[u], xi[v]) for u, v in g.edges):
+        return None
+    ep = edge_permutation(g, xi)
+    changed = sum(1 << i for i in range(len(g.edges))
+                  if (s.mask >> i ^ s.mask >> ep[i]) & 1)
+    x = cut_preimage(g, changed)
+    return None if x is None else SwitchingPermutation(x, xi)
+
+
 @functools.lru_cache(maxsize=1)
 def _scan_tables(g):
     """Cut mask of every switching set without vertex 0, from the cut
@@ -344,13 +366,20 @@ def oracle_group(elements):
 
 
 def test_cayley_tables_match_oracle(pg, reps):
+    # the groups checked by closure under generators and read from their
+    # permutations agree with the Cayley-table oracle in everything the
+    # label uses
     g, _ = pg
     for s in checked_signatures(g, reps):
         aut, w = aut_signed(s), swaut(s)
         for group in (aut, w):
             oracle = oracle_group(group.elements)
             assert oracle.elements == group.elements, s.mask
-            assert oracle.table == group.table, s.mask
+            assert (group.order, group.order_histogram, group.is_abelian(),
+                    identify_group(group)) == \
+                (oracle.order, oracle.order_histogram, oracle.is_abelian(),
+                 identify_group(oracle)), s.mask
+        assert aut.is_subgroup(w)
         # orbit-stabilizer counts against the orders of the built groups
         assert orbit_counts(s) == (120 // aut.order, 120 // w.order), s.mask
 
@@ -369,6 +398,33 @@ def test_switching_group_rejects_bad_elements(sw6):
     # two elements with one permutation
     with pytest.raises(GroupAxiomError):
         SwitchingGroup(elements + [wrong])
+    # the identity missing, or nothing listed
+    assert elements[0] == sp_identity(10)
+    for bad in (elements[1:], []):
+        with pytest.raises(GroupAxiomError, match="identity"):
+            SwitchingGroup(bad)
+
+
+def test_switching_group_accepts_exactly_the_subgroups(sw6):
+    # every subset of SwAut of P1 (D4, 256 subsets): closure under greedy
+    # generators accepts it exactly when the Cayley-table oracle does
+    elements = sw6[1].elements
+    accepted = 0
+    for chosen in range(1 << len(elements)):
+        subset = [e for i, e in enumerate(elements) if chosen >> i & 1]
+        try:
+            oracle_group(subset)
+            want = True
+        except GroupAxiomError:
+            want = False
+        try:
+            SwitchingGroup(subset)
+            got = True
+        except GroupAxiomError:
+            got = False
+        assert got == want, subset
+        accepted += got
+    assert accepted == 10  # the subgroups of D4
 
 
 def test_lift_permutation(pg, reps):
@@ -408,6 +464,22 @@ def test_lift_permutation(pg, reps):
 # coset representative systems
 # --------------------------------------------------------------------------
 
+def decompose(system, x):
+    """Write x (exact) as sign * representative * tau with tau in the
+    subgroup: (sign, representative index, tau)."""
+    k = system.rep_for_mask(sp_canonical(x).switch_mask)
+    t = sp_multiply(sp_inverse(system.representatives[k]), x)
+    if t.switch_mask == 0:
+        sign = 1
+    elif t.switch_mask == (1 << x.n) - 1:
+        sign, t = -1, SwitchingPermutation(0, t.perm)
+    else:
+        raise CosetError("element not in representative * subgroup")
+    if t not in system.subgroup.index:
+        raise CosetError("residual permutation outside the subgroup")
+    return sign, k, t
+
+
 def test_coset_systems(aut6, sw6):
     sizes = (1, 1, 2, 1, 10, 5)
     for i, (a, w) in enumerate(zip(aut6, sw6)):
@@ -425,7 +497,7 @@ def test_coset_systems(aut6, sw6):
         assert seen == set(w.elements)
         # decompose round trip over the whole group
         for e in w.elements:
-            sign, k, tau = system.decompose(e)
+            sign, k, tau = decompose(system, e)
             back = sp_multiply(system.representatives[k], tau)
             if sign < 0:
                 back = sp_negate(back)
@@ -466,7 +538,7 @@ def test_no_order10_complement_in_swaut_p32(aut6, sw6):
     """Exhaustive search: no order-10 subgroup meets the signature's
     automorphism group trivially, so no representative system of SwAut of
     the 3-negative-edge matching signature forms a subgroup."""
-    w = sw6[4]
+    w = oracle_group(sw6[4].elements)
     aut_set = {w.index[e] for e in aut6[4].elements}
     by_order = {5: [], 2: []}
     for i in range(w.order):
