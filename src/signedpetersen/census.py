@@ -10,13 +10,14 @@ from functools import lru_cache
 
 from . import expected
 from .clustering import cluster_number, inclusterability_index
-from .coloring import chi3_difference, chromatic_numbers, count_colorations
-from .frustration import alpha_k, frustration_number
-from .graphs import _Record, petersen
+from .coloring import (alpha_k, chi3_difference, chromatic_numbers,
+                       count_colorations)
+from .frustration import frustration_number
+from .graphs import _Record, bits, petersen, span_basis, syndrome
 from .groups import aut_signed, identify_group, orbit_counts, swaut
 from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType,
-                     classify_six_mask, negate, negative_circle_counts,
-                     petersen_cut_masks, petersen_frustration_of_mask,
+                     classify_six_mask, negate, odd_count, petersen_cut_masks,
+                     petersen_frustration_of_mask, petersen_hexagon_masks,
                      petersen_pentagon_masks)
 
 
@@ -43,30 +44,27 @@ def standard_mask(t: SixType) -> int:
 
 @lru_cache(maxsize=1)
 def _deletion_tables():
-    """For every vertex set W with |W| <= 3: the kept-edge mask and the set
-    of all cut masks of P minus W. A signature minus W is balanced exactly
-    when its restricted mask is such a cut. The cuts of P minus W are the
-    XOR closure of its vertex stars, each a star of P restricted to the
-    kept edges; a star already in the closure adds nothing."""
+    """For every vertex set W with |W| <= 3: |W| and the bitmap (r = 6 on P)
+    of U_W, the span of the syndromes of the edges at W, which holds the
+    syndrome of a signature exactly when it is balanced on P - W."""
     g, _ = petersen()
     tables = []
     for k in range(4):
         for w in itertools.combinations(range(10), k):
-            keep = sum(1 << i for i, (a, b) in enumerate(g.edges)
-                       if a not in w and b not in w)
-            cuts = frozenset([0])
-            for star in (inc & keep for inc in g.incidence):
-                if star not in cuts:
-                    cuts |= {c ^ star for c in cuts}
-            tables.append((k, keep, cuts))
+            span = [0]
+            for b in span_basis(g.syndromes[e] for v in w
+                                for e in bits(g.incidence[v])):
+                span += [u ^ b for u in span]
+            tables.append((k, sum(1 << u for u in span)))
     return tables
 
 
 def petersen_l0_of_mask(mask: int) -> int:
     """Frustration number of a Petersen signature, by increasing deletion
     size (only sizes 0..3 occur)."""
-    for k, keep, cuts in _deletion_tables():
-        if mask & keep in cuts:
+    z = syndrome(petersen()[0], mask)
+    for k, span in _deletion_tables():
+        if span >> z & 1:
             return k
     raise AssertionError("frustration number above 3 on a Petersen signature")
 
@@ -77,15 +75,12 @@ def petersen_l0_of_mask(mask: int) -> int:
 
 def _switching_orbits():
     """Every switching class of Petersen signatures once, as the list of
-    its 512 masks; the first is the least mask of the class."""
-    cuts = petersen_cut_masks()
-    seen = bytearray(1 << 15)
-    for base in range(1 << 15):
-        if not seen[base]:
-            orbit = [base ^ c for c in cuts]
-            for m in orbit:
-                seen[m] = 1
-            yield orbit
+    its 512 masks: one class per syndrome z, the chords of z switched by
+    each cut."""
+    chords, cuts = petersen()[0].chords, petersen_cut_masks()
+    for z in range(1 << len(chords)):
+        base = sum(1 << chords[t] for t in bits(z))
+        yield [base ^ c for c in cuts]
 
 
 def run_census() -> TableArtifact:
@@ -101,8 +96,7 @@ def run_census() -> TableArtifact:
     for orbit in _switching_orbits():
         weights = [m.bit_count() for m in orbit]
         l = min(weights)
-        c5 = sum(1 for p in pentagons if (orbit[0] & p).bit_count() & 1)
-        t = SIX_FINGERPRINT[(l, c5)]
+        t = SIX_FINGERPRINT[(l, odd_count(orbit[0], pentagons))]
         best = min(m for m, w in zip(orbit, weights) if w == l)
         mins[t] += weights.count(l)
         sig[t] += 512
@@ -198,15 +192,11 @@ def _reps():
 
 
 def _table_t1() -> TableArtifact:
-    rows5, rows6 = [], []
-    for s in _reps():
-        counts = negative_circle_counts(s, {5, 6})
-        rows5.append(counts[5])
-        rows6.append(counts[6])
-    return TableArtifact("T1", expected.CLASS_NAMES, (
-        ("negative pentagons", tuple(rows5)),
-        ("negative hexagons", tuple(rows6)),
-    ))
+    masks = [standard_mask(t) for t in SIX_ORDER]
+    return TableArtifact("T1", expected.CLASS_NAMES, tuple(
+        (f"negative {name}", tuple(odd_count(m, circles) for m in masks))
+        for name, circles in (("pentagons", petersen_pentagon_masks()),
+                              ("hexagons", petersen_hexagon_masks()))))
 
 
 def _table_t2() -> TableArtifact:
@@ -252,10 +242,8 @@ def _table_t8() -> TableArtifact:
 
 def _table_t9() -> TableArtifact:
     reps = _reps()
-    a0 = tuple(alpha_k(s, 0) for s in reps)
-    a1 = tuple(alpha_k(s, 1) for s in reps)
-    a2 = tuple(alpha_k(s, 2) for s in reps)
-    c6 = tuple(negative_circle_counts(s, {6})[6] for s in reps)
+    a0, a1, a2 = (tuple(alpha_k(s, k) for s in reps) for k in (0, 1, 2))
+    c6 = tuple(odd_count(s.mask, petersen_hexagon_masks()) for s in reps)
     diff = tuple(chi3_difference(s) for s in reps)
     chi3 = tuple(count_colorations(s, 1, zero_free=False) for s in reps)
     return TableArtifact("T9", expected.CLASS_NAMES, (

@@ -19,8 +19,9 @@ from .frustration import frustration_index, frustration_number
 from .graphs import bits, petersen
 from .groups import (aut_signed, coset_system, format_cycles, identify_group,
                      induced_permutation, swaut)
-from .signed import (SignedGraph, classify_six, petersen_frustration_of_mask,
-                     petersen_hexagon_masks, petersen_pentagon_masks)
+from .signed import (SignedGraph, classify_six, odd_count,
+                     petersen_frustration_of_mask, petersen_hexagon_masks,
+                     petersen_pentagon_masks)
 
 
 def _load(args) -> SignedGraph:
@@ -50,8 +51,7 @@ def cmd_classify(args) -> int:
     print(f"frustration number {census_mod.petersen_l0_of_mask(s.mask)}")
     for name, cycles in (("pentagons", petersen_pentagon_masks()),
                          ("hexagons", petersen_hexagon_masks())):
-        odd = sum(1 for c in cycles if (s.mask & c).bit_count() & 1)
-        print(f"negative {name} {odd}")
+        print(f"negative {name} {odd_count(s.mask, cycles)}")
     return 0
 
 

@@ -1,14 +1,22 @@
 """Signed-graph colorations with colors {0, +-1, ..., +-k}: exact counts at
-small arguments, the two chromatic numbers, and the balanced-expansion and
-difference-formula cross-checks.
+small arguments, the two chromatic numbers, and the independent-set balance
+counts of the difference formula.
+
+At k = 1 the vertices colored 0 form an independent set W, and +-1 on the
+rest is a switching that makes -Sigma - W all positive. So the count is the
+sum of 2^c(G - W) over the independent W with -Sigma - W balanced, its
+zero-free part the W = {} term (T. Zaslavsky, "Signed graph coloring",
+Discrete Math. 39 (1982)). At k = 2 that would need 3^n terms: a backtrack
+counts there.
 """
 
 from __future__ import annotations
 
-from .frustration import alpha_k, delete_vertices
-from .graphs import (MAX_SEARCH_VERTICES, SearchSizeError,
-                     all_independent_sets, petersen)
-from .signed import SignedGraph, negate, petersen_hexagon_masks, switch
+from functools import lru_cache
+
+from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
+                     petersen, span_basis, span_reduce, syndrome)
+from .signed import SignedGraph, negate, odd_count, petersen_hexagon_masks
 
 MAX_K = 2
 
@@ -22,9 +30,7 @@ def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
     (without 0 when zero_free), by backtracking that counts the colors left
     to the last vertex; with first, it stops at the first one and returns a
     positive number, not the count. Proper: the color of w differs from
-    sign(vw) times the color of v on every edge vw. Size checks come first."""
-    if k < 0 or k > MAX_K:
-        raise BudgetError(f"k={k} outside the supported range 0..{MAX_K}")
+    sign(vw) times the color of v on every edge vw."""
     g = s.graph
     n = g.vertex_count
     if n > MAX_SEARCH_VERTICES:
@@ -51,33 +57,66 @@ def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
     return extend(0) if n else 1
 
 
+@lru_cache(maxsize=8)
+def _independent_sets(g: Graph) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """Every independent vertex set W of g, the empty set first, as (|W|,
+    echelon basis of U_W, c(G - W)). U_W is spanned by the syndromes of the
+    edges at W, E_W; Sigma - W is balanced exactly when the syndrome of
+    Sigma lies in U_W. The cut space of G - W has dimension n - c + rank
+    U_W - |E_W|, so c(G - W) = c - |W| + |E_W| - rank U_W."""
+    n = g.vertex_count
+    if n > MAX_SEARCH_VERTICES:
+        raise SearchSizeError("graph too large for coloring search")
+    c = n - len(g.edges) + len(g.chords)
+    entries = [(0, (), 0)]  # (vertex mask W, basis of U_W, |E_W|), grown by v
+    for v in range(n):
+        near = sum(1 << u for u in g.adjacency[v])
+        star = [g.syndromes[e] for e in bits(g.incidence[v])]
+        entries += [(w | 1 << v, span_basis(star, basis), edges + len(star))
+                    for w, basis, edges in entries if not w & near]
+    return tuple((w.bit_count(), basis, c - w.bit_count() + edges - len(basis))
+                 for w, basis, edges in entries)
+
+
+def _count_one(s: SignedGraph, zero_free: bool) -> int:
+    """Proper colorations at k = 1: 2^c(G - W) summed over the W with
+    -Sigma - W balanced, W = {} alone when zero_free."""
+    table = _independent_sets(s.graph)
+    z = syndrome(s.graph, negate(s).mask)
+    return sum(1 << c for _, basis, c in (table[:1] if zero_free else table)
+               if not span_reduce(z, basis))
+
+
 def count_colorations(s: SignedGraph, k: int, zero_free: bool = False) -> int:
-    """Number of proper colorations, as ``_count`` defines them."""
-    return _count(s, k, zero_free)
+    """Number of proper colorations, as ``_count`` defines them, by the
+    expansion at k = 1. Budget and size checks come first."""
+    if k < 0 or k > MAX_K:
+        raise BudgetError(f"k={k} outside the supported range 0..{MAX_K}")
+    return _count_one(s, zero_free) if k == 1 else _count(s, k, zero_free)
 
 
 def chromatic_numbers(s: SignedGraph) -> tuple[int, int]:
     """(chi, chi_star): least k admitting a proper coloration, with and
-    then without the zero color; each search stops at its first one (a
-    0-vertex graph has one, the empty coloration)."""
+    then without the zero color; ``_count`` stops at its first one where
+    k != 1 (a 0-vertex graph has one, the empty coloration)."""
     def least(zero_free: bool) -> int:
         for k in range(1 if zero_free else 0, MAX_K + 1):
-            if _count(s, k, zero_free, first=True):
+            if (_count_one(s, zero_free) if k == 1
+                    else _count(s, k, zero_free, first=True)):
                 return k
         raise BudgetError("chromatic number exceeds the k <= 2 budget")
 
     return least(False), least(True)
 
 
-def balanced_expansion_check(s: SignedGraph) -> tuple[bool, int, int]:
-    """Verify that the count at 3 colors equals the sum over independent
-    sets W of the zero-free count of s minus W at 2 colors (the expansion
-    at mu = 1, the only one within the k <= 2 budget). Returns (equal, left
-    side, right side)."""
-    left = count_colorations(s, 1, zero_free=False)
-    right = sum(count_colorations(delete_vertices(s, w), 1, zero_free=True)
-                for w in all_independent_sets(s.graph))
-    return left == right, left, right
+def alpha_k(s: SignedGraph, k: int) -> int:
+    """Number of independent vertex sets of size k whose deletion leaves a
+    balanced signature."""
+    if k not in (0, 1, 2):
+        raise ValueError("k must be 0, 1, or 2")
+    z = syndrome(s.graph, s.mask)
+    return sum(1 for size, basis, _ in _independent_sets(s.graph)
+               if size == k and not span_reduce(z, basis))
 
 
 def chi3_difference(s: SignedGraph) -> int:
@@ -89,14 +128,5 @@ def chi3_difference(s: SignedGraph) -> int:
         raise ValueError("requires the canonical Petersen graph")
     neg = negate(s)
     a0, a1, a2 = (alpha_k(neg, k) for k in (0, 1, 2))
-    c6 = sum(1 for h in petersen_hexagon_masks() if (s.mask & h).bit_count() & 1)
+    c6 = odd_count(s.mask, petersen_hexagon_masks())
     return 2 * a0 + 2 * a1 + 2 * a2 - 4 * c6
-
-
-def switching_color_invariance_check(s: SignedGraph, x: int) -> bool:
-    """Counts at k <= 2, both zero-free settings, agree between s and its
-    switching by the vertex mask x (budget keeps the k = 2 checks to the
-    zero-free ones)."""
-    t = switch(s, x)
-    return all(count_colorations(s, k, zf) == count_colorations(t, k, zf)
-               for k, zf in ((1, False), (1, True), (2, True)))

@@ -1,6 +1,5 @@
 """Frustration index l and frustration number l0 from one hitting-set
-search over a graph's circles, and the independent-set balance counts used
-by the coloring difference formula.
+search over a graph's circles.
 
 By Harary, deleting edges or vertices balances a signature exactly when they
 meet every negative circle, so l and l0 are least edge and vertex hitting
@@ -15,7 +14,7 @@ import itertools
 from functools import lru_cache
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
-                     cut_space, enumerate_cycles, independent_sets)
+                     cut_space, enumerate_cycles)
 from .signed import SignedGraph, balanced_without
 
 
@@ -31,8 +30,7 @@ def circles_fit(g: Graph) -> bool:
     1/32 of its cut space, of dimension n - c (the spanning-forest edges).
     A circle costs about 35 cut steps to list and is one cycle-space
     element, so listing the circles then costs at most about one cut walk."""
-    forest = sum(1 for _, parent, _ in g.spanning_forest if parent >= 0)
-    return len(g.edges) + 5 <= 2 * forest
+    return len(g.chords) + 5 <= len(g.edges) - len(g.chords)
 
 
 def _negative_circles(s: SignedGraph, part: int) -> list[int]:
@@ -114,29 +112,3 @@ def frustration_number(s: SignedGraph) -> tuple[int, frozenset]:
     best = (min_hitting_mask(_negative_circles(s, 1), s.mask.bit_count())
             if circles_fit(s.graph) else _number_by_subsets(s))
     return best.bit_count(), frozenset(bits(best))
-
-
-def delete_vertices(s: SignedGraph, w) -> SignedGraph:
-    """Signature induced on the remaining vertices (ids compacted). The
-    relabeling keeps the vertex order, so the kept edges stay in canonical
-    order."""
-    ws = set(w)
-    keep = [v for v in range(s.graph.vertex_count) if v not in ws]
-    new_id = {v: i for i, v in enumerate(keep)}
-    edges, mask = [], 0
-    for i, (u, v) in enumerate(s.graph.edges):
-        if u in ws or v in ws:
-            continue
-        mask |= (s.mask >> i & 1) << len(edges)
-        edges.append((new_id[u], new_id[v]))
-    return SignedGraph(Graph(len(keep), tuple(edges)), mask)
-
-
-def alpha_k(s: SignedGraph, k: int) -> int:
-    """Number of independent vertex sets of size k whose deletion leaves a
-    balanced signature."""
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1, or 2")
-    g = s.graph
-    return sum(1 for w in independent_sets(g, k)
-               if balanced_without(g, s.mask, sum(1 << v for v in w)))

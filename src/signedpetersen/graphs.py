@@ -1,5 +1,6 @@
-"""Unsigned graph foundation: Petersen construction, cycles, cuts, matchings,
-spanning forests, automorphisms, and small-graph minimum colouring.
+"""Unsigned graph foundation: Petersen construction, cycles, cuts and the
+cycle-space syndrome, matchings, spanning forests, automorphisms, and
+small-graph minimum colouring.
 
 All graphs are simple and undirected, with vertices 0..n-1 and a canonical
 (lexicographically sorted) edge list so that edge indices are deterministic.
@@ -153,6 +154,25 @@ class Graph(_Record):
                     if not seen[w]:
                         seen[w] = True
                         out.append((w, u, j))
+        return tuple(out)
+
+    @cached_property
+    def chords(self) -> tuple[int, ...]:
+        """Indices of the edges off the spanning forest, increasing: the
+        t-th closes the t-th fundamental cycle, r = m - n + c in all."""
+        forest = {i for _, parent, i in self.spanning_forest if parent >= 0}
+        return tuple(i for i in range(len(self.edges)) if i not in forest)
+
+    @cached_property
+    def syndromes(self) -> tuple[int, ...]:
+        """Cycle-space syndrome of each edge, bit t its parity on the t-th
+        fundamental cycle: the chord bits of e xor the cut of its forest
+        preimage, which agrees with e on the forest."""
+        out = []
+        for e in range(len(self.edges)):
+            d = (1 << e) ^ cut_mask(self, forest_preimage(self, 1 << e))
+            out.append(sum(1 << t for t, i in enumerate(self.chords)
+                           if d >> i & 1))
         return tuple(out)
 
     @cached_property
@@ -311,7 +331,7 @@ def hexagon_of_vertex(g: Graph, v: int) -> Cycle:
 
 
 # ---------------------------------------------------------------------------
-# Cuts and independent sets
+# Cuts and the cycle-space syndrome
 # ---------------------------------------------------------------------------
 
 def cut(g: Graph, x) -> frozenset:
@@ -381,26 +401,34 @@ def cut_preimage(g: Graph, d: int):
     return x if cut_mask(g, x) == d else None
 
 
-def independent_sets(g: Graph, k: int) -> list[frozenset]:
-    """All independent vertex sets of size exactly k."""
-    if not 0 <= k <= g.vertex_count:
-        raise ValueError(f"bad size {k}")
-    out = []
-    for combo in itertools.combinations(range(g.vertex_count), k):
-        if all(not g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
-            out.append(frozenset(combo))
-    return out
+def syndrome(g: Graph, mask: int) -> int:
+    """Parities of an edge mask on the fundamental cycles: zero exactly when
+    mask is a cut, so two sign masks are switching equivalent exactly when
+    their syndromes agree (Harary)."""
+    cols = g.syndromes
+    z = 0
+    for e in bits(mask):
+        z ^= cols[e]
+    return z
 
 
-def all_independent_sets(g: Graph) -> list[frozenset]:
-    """Independent sets of every size (including the empty set)."""
-    out = []
-    for k in range(g.vertex_count + 1):
-        sets = independent_sets(g, k)
-        if not sets:
-            break
-        out.extend(sets)
-    return out
+def span_reduce(z: int, basis) -> int:
+    """z reduced by an echelon basis (distinct leading bits, largest
+    first): zero exactly when z lies in the span of the basis."""
+    for b in basis:
+        if z ^ b < z:
+            z ^= b
+    return z
+
+
+def span_basis(vectors, basis=()) -> tuple[int, ...]:
+    """Echelon basis, largest first, of the span of basis and vectors."""
+    basis = list(basis)
+    for y in vectors:
+        y = span_reduce(y, basis)
+        if y:
+            basis = sorted(basis + [y], reverse=True)
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 automorphism and switching-automorphism groups of signed graphs, coset
 representative systems, and isomorphism-type identification of small groups.
 
+An automorphism lifts to a switching automorphism exactly when it fixes
+the cycle-space syndrome of the sign mask, so the scan tests that first.
 Groups of switching automorphisms are checked by closure under generators
 and read as permutation groups; ``FiniteGroup``, with a Cayley table and
 Light's associativity test, is the reference the tests compare them with.
@@ -20,7 +22,8 @@ import itertools
 from functools import cached_property, lru_cache
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, _Record,
-                     automorphism_images, bits, cut_mask, cut_preimage)
+                     automorphism_images, bits, cut_mask, forest_preimage,
+                     syndrome)
 from .signed import SignedGraph
 
 # ---------------------------------------------------------------------------
@@ -387,11 +390,13 @@ def graph_automorphisms(g: Graph) -> SwitchingGroup:
 
 @lru_cache(maxsize=8)
 def _automorphism_edge_maps(g: Graph):
-    """Each automorphism p of g with the inverse of its edge permutation,
-    built once per graph: the pullback of a sign mask through p sets bit
-    inv[j] for each set bit j."""
-    return tuple((p, edge_permutation(g, inverse(p)))
-                 for p in automorphism_images(g))
+    """Each automorphism p of g, built once per graph, with its pullback
+    of sign masks, the OR of pull[j] over the set bits j, and its action on
+    syndromes: cols[t] is the syndrome of the pullback of the t-th chord."""
+    maps = ((p, edge_permutation(g, inverse(p))) for p in automorphism_images(g))
+    return tuple((p, tuple(1 << i for i in inv),
+                  tuple(g.syndromes[inv[e]] for e in g.chords))
+                 for p, inv in maps)
 
 
 def _switching_scan_guard(g: Graph) -> None:
@@ -405,18 +410,25 @@ def _switching_scan_guard(g: Graph) -> None:
 
 
 @lru_cache(maxsize=8)
-def _lifts(s: SignedGraph) -> tuple[tuple[tuple[int, ...], int | None], ...]:
-    """Each automorphism p of the underlying graph with the switching part
-    X of its lift, or None: mask xor its pullback through p must be the cut
-    of X, least vertex of each component out, and X = 0 when p preserves
-    the signs. ``aut_signed``, ``swaut`` and ``orbit_counts`` read it."""
+def _lifts(s: SignedGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each automorphism p of the underlying graph that lifts, with the
+    switching part X of its lift. p lifts when it fixes the syndrome of the
+    mask (mask xor its pullback is a cut); only then is X, least vertex of
+    each component out, read off the forest, and X = 0 when p preserves the
+    signs. ``aut_signed``, ``swaut`` and ``orbit_counts`` read it."""
     g, mask = s.graph, s.mask
+    z = syndrome(g, mask)
+    zbits, mbits = tuple(bits(z)), tuple(bits(mask))
     out = []
-    for p, inv in _automorphism_edge_maps(g):
-        moved = 0
-        for j in bits(mask):
-            moved |= 1 << inv[j]
-        out.append((p, cut_preimage(g, mask ^ moved)))
+    for p, pull, cols in _automorphism_edge_maps(g):
+        image = 0
+        for t in zbits:
+            image ^= cols[t]
+        if image == z:
+            moved = 0
+            for j in mbits:
+                moved |= pull[j]
+            out.append((p, forest_preimage(g, mask ^ moved)))
     return tuple(out)
 
 
@@ -433,8 +445,7 @@ def swaut(s: SignedGraph) -> SwitchingGroup:
     automorphism that lifts contributes its lift with vertex 0
     unswitched."""
     _switching_scan_guard(s.graph)
-    return SwitchingGroup(SwitchingPermutation(x, p)
-                          for p, x in _lifts(s) if x is not None)
+    return SwitchingGroup(SwitchingPermutation(x, p) for p, x in _lifts(s))
 
 
 def orbit_counts(s: SignedGraph) -> tuple[int, int]:
@@ -443,10 +454,9 @@ def orbit_counts(s: SignedGraph) -> tuple[int, int]:
     the number of automorphisms that fix the sign mask, and by the number
     that lift. No group is built."""
     _switching_scan_guard(s.graph)
-    lifts = _lifts(s)
+    lifts, aut = _lifts(s), len(_automorphism_edge_maps(s.graph))
     fixed = sum(1 for _, x in lifts if x == 0)
-    lifted = sum(1 for _, x in lifts if x is not None)
-    return len(lifts) // fixed, len(lifts) // lifted
+    return aut // fixed, aut // len(lifts)
 
 
 # ---------------------------------------------------------------------------

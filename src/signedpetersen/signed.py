@@ -113,13 +113,9 @@ def switching_equivalence(s1: SignedGraph, s2: SignedGraph) -> int | None:
     return cut_preimage(s1.graph, s1.mask ^ s2.mask)
 
 
-def negative_circle_counts(s: SignedGraph, lengths) -> dict[int, int]:
-    lengths = set(lengths)
-    counts = {k: 0 for k in lengths}
-    for c in enumerate_cycles(s.graph, max(lengths)):
-        if c.length in lengths and sign_of_circle(s, c) < 0:
-            counts[c.length] += 1
-    return counts
+def odd_count(mask: int, circles) -> int:
+    """Number of circles (edge masks) that the sign mask makes negative."""
+    return sum(1 for c in circles if (mask & c).bit_count() & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +182,7 @@ def classify_six(s: SignedGraph) -> SixType:
 
 def classify_six_mask(mask: int) -> SixType:
     l = petersen_frustration_of_mask(mask)
-    c5 = sum(1 for p in petersen_pentagon_masks()
-             if (mask & p).bit_count() & 1)
-    return SIX_FINGERPRINT[(l, c5)]
+    return SIX_FINGERPRINT[(l, odd_count(mask, petersen_pentagon_masks()))]
 
 
 def minimal_representative(s: SignedGraph) -> tuple[SignedGraph, int]:

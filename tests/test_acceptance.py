@@ -9,16 +9,16 @@ from signedpetersen.census import (_switching_orbits, petersen_l0_of_mask,
                                    run_census)
 from signedpetersen.clustering import (cluster_number, inclusterability_index,
                                        max_inclusterability)
-from signedpetersen.coloring import (balanced_expansion_check, chi3_difference,
-                                     chromatic_numbers, count_colorations)
+from signedpetersen.coloring import (chi3_difference, chromatic_numbers,
+                                     count_colorations)
 from signedpetersen.frustration import frustration_index, frustration_number
 from signedpetersen.graphs import enumerate_cycles, petersen
 from signedpetersen.groups import (aut_signed, coset_system, identify_group,
                                    orbit_counts, swaut)
-from signedpetersen.signed import (SignedGraph, negate, negative_circle_counts,
-                                   petersen_cut_masks,
+from signedpetersen.signed import (SignedGraph, negate, petersen_cut_masks,
                                    petersen_frustration_of_mask, switch)
 
+from oracles import balanced_expansion_check, negative_circle_counts
 from test_sp_tables import build_p32_reps
 
 

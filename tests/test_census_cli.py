@@ -50,17 +50,27 @@ def test_standard_masks_classify_correctly(rep_masks):
 
 
 def test_deletion_tables_match_restricted_cuts():
-    # oracle: every one of the 512 Petersen cuts restricted to the kept edges
+    # oracle: every one of the 512 Petersen cuts restricted to the kept
+    # edges. A mask of each of the 64 syndromes (its chords, switched by a
+    # seeded cut) is balanced on P - W exactly when its kept part is one.
     from signedpetersen.census import _deletion_tables
+    from signedpetersen.graphs import bits, syndrome
     from signedpetersen.signed import petersen_cut_masks
     g, _ = petersen()
+    rng = random.Random(13)
+    cuts = petersen_cut_masks()
     tables = _deletion_tables()
     sets = [w for k in range(4) for w in itertools.combinations(range(10), k)]
     assert len(tables) == len(sets) == 176
-    for (k, keep, cuts), w in zip(tables, sets):
-        want = sum(1 << i for i, e in enumerate(g.edges) if not set(e) & set(w))
-        assert (k, keep) == (len(w), want)
-        assert cuts == {c & keep for c in petersen_cut_masks()}, w
+    assert len(g.chords) == 6
+    for (k, span), w in zip(tables, sets):
+        keep = sum(1 << i for i, e in enumerate(g.edges) if not set(e) & set(w))
+        restricted = {c & keep for c in cuts}
+        assert k == len(w) and 0 < span < 1 << 64
+        for z in range(64):
+            mask = sum(1 << g.chords[t] for t in bits(z)) ^ rng.choice(cuts)
+            assert syndrome(g, mask) == z
+            assert bool(span >> z & 1) == (mask & keep in restricted), (w, z)
 
 
 def test_verify_all_empty():
@@ -103,9 +113,9 @@ def test_verify_all_does_group_work_once(monkeypatch):
     edge maps once, and scans each representative's signature once: the
     twelve T4 groups and the T5 orbit counts read that one scan. The
     groups are checked by closure under generators, so no Cayley table is
-    built, and T3, T9 and the difference formula test balance on vertex
-    masks, so no per-graph balance test runs."""
-    from signedpetersen import census, graphs, groups, signed
+    built. T3 tests balance on vertex masks, and T9 and the difference
+    formula on syndrome spans, so no per-graph balance test runs."""
+    from signedpetersen import census, coloring, graphs, groups, signed
     from functools import lru_cache
     scans, edge_maps, lifted, built, tables, balance, current = (
         [], [], [], [], [], [], [])
@@ -151,14 +161,17 @@ def test_verify_all_does_group_work_once(monkeypatch):
     monkeypatch.setattr(groups, "edge_permutation", counted_edge_permutation)
     monkeypatch.setattr(groups, "_lifts", lru_cache(maxsize=8)(counted_lifts))
     monkeypatch.setattr(signed, "is_balanced", counted_is_balanced)
-    # a fresh graph, automorphisms unscanned and edge maps unbuilt
-    graphs.petersen.cache_clear()
-    groups._automorphism_edge_maps.cache_clear()
+    # a fresh graph, automorphisms unscanned, syndromes, edge maps and
+    # independent-set table unbuilt
+    caches = (graphs.petersen, groups._automorphism_edge_maps,
+              coloring._independent_sets)
+    for cache in caches:
+        cache.cache_clear()
     try:
         assert verify_all() == []
     finally:
-        graphs.petersen.cache_clear()
-        groups._automorphism_edge_maps.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert len(scans) == 1 and graphs.is_petersen(scans[0])
     assert len(edge_maps) == 120 and len(set(edge_maps)) == 120
     assert sorted(lifted) == sorted(standard_mask(t) for t in SIX_ORDER)
@@ -166,6 +179,37 @@ def test_verify_all_does_group_work_once(monkeypatch):
     orders = [order for _, order in built]
     assert sorted(orders) == sorted(expected.AUT_ORDERS + expected.SWAUT_ORDERS)
     assert tables == [] and balance == []
+
+
+def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
+                                                       rep_masks):
+    """With the per-graph tables built, a signature not yet scanned reads
+    its preimage off the forest only for the automorphisms that lift, and
+    color --k 1 counts without the backtrack at k = 1."""
+    from signedpetersen import coloring, groups
+    preimages, counted = [], []
+    forest_preimage, count = groups.forest_preimage, coloring._count
+
+    def counted_preimage(g, d):
+        preimages.append(d)
+        return forest_preimage(g, d)
+
+    def counted_count(s, k, zero_free, first=False):
+        counted.append(k)
+        return count(s, k, zero_free, first)
+
+    hx = [format_mask(m) for m in rep_masks]
+    assert run_cli(capsys, "group", "--mask", hx[0])[0] == 0
+    monkeypatch.setattr(groups, "forest_preimage", counted_preimage)
+    monkeypatch.setattr(coloring, "_count", counted_count)
+    for i, h in enumerate(hx):
+        groups._lifts.cache_clear()
+        preimages.clear()
+        assert run_cli(capsys, "group", "--mask", h)[0] == 0
+        assert len(preimages) == expected.SWAUT_ORDERS[i], expected.CLASS_NAMES[i]
+        for flags in ((), ("--zero-free",)):
+            assert run_cli(capsys, "color", "--mask", h, "--k", "1", *flags)[0] == 0
+    assert 1 not in counted
 
 
 def test_table_artifacts_render():

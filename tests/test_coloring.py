@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from signedpetersen.coloring import (BudgetError, balanced_expansion_check,
-                                     chi3_difference, chromatic_numbers,
-                                     count_colorations,
-                                     switching_color_invariance_check)
+from signedpetersen.coloring import (BudgetError, _count, chi3_difference,
+                                     chromatic_numbers, count_colorations)
 from signedpetersen.expected import (CHI, CHI3, CHI3_DIFFERENCE, CHI_STAR,
                                      CLASS_NAMES)
 from signedpetersen.graphs import Graph, SearchSizeError, minimum_coloring
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
+
+from oracles import balanced_expansion_check, switching_color_invariance_check
 
 
 def signed_cycle(length, negatives):
@@ -174,6 +174,48 @@ def test_petersen_colorations_match_brute_force(reps):
         for zf in (False, True):
             assert count_colorations(s, 1, zf) == brute_count(s, 1, zf), (s.mask, zf)
         assert chromatic_numbers(s) == (least(s, False), least(s, True)), s.mask
+
+
+def expansion_oracle_graphs():
+    """One mask of each Petersen switching class; every signature of K4, C5
+    and K3,3; and seeded graphs of 0-10 vertices, edgeless and
+    disconnected ones among them."""
+    from signedpetersen.census import _switching_orbits
+    from signedpetersen.graphs import petersen
+    rng = random.Random(67)
+    g = petersen()[0]
+    out = [SignedGraph(g, rng.choice(orbit)) for orbit in _switching_orbits()]
+    for n, edges in ((4, itertools.combinations(range(4), 2)),
+                     (5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]),
+                     (6, [(u, v) for u in range(3) for v in range(3, 6)])):
+        h = Graph.from_edges(n, edges)
+        out += [SignedGraph(h, m) for m in range(1 << len(h.edges))]
+    for i in range(66):
+        n = i % 11
+        density = rng.choice((0.0, 0.15, 0.3, 0.6))
+        h = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                 if rng.random() < density])
+        out.append(SignedGraph(h, rng.getrandbits(len(h.edges))))
+    return out
+
+
+def test_expansion_matches_the_backtrack():
+    # k = 1 counts and both chromatic numbers against backtracking alone
+    disconnected = 0
+    for s in expansion_oracle_graphs():
+        for zf in (False, True):
+            assert count_colorations(s, 1, zf) == _count(s, 1, zf), (s, zf)
+        want = []
+        for zf in (False, True):
+            want.append(next((k for k in range(1 if zf else 0, 3)
+                              if _count(s, k, zf, first=True)), None))
+        if None in want:
+            with pytest.raises(BudgetError):
+                chromatic_numbers(s)
+        else:
+            assert chromatic_numbers(s) == tuple(want), s
+        disconnected += not s.graph.is_connected()
+    assert disconnected >= 20
 
 
 def test_coloring_size_checks_come_first():

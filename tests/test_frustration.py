@@ -5,16 +5,18 @@ import pytest
 
 from signedpetersen.expected import (ALPHA0, ALPHA1, ALPHA2, CLASS_NAMES,
                                      FRUSTRATION_INDEX, FRUSTRATION_NUMBER)
+from signedpetersen.coloring import alpha_k
 from signedpetersen.frustration import (_index_by_cuts, _negative_circles,
-                                        _number_by_subsets, alpha_k,
-                                        circles_fit, delete_vertices,
+                                        _number_by_subsets, circles_fit,
                                         frustration_index, frustration_number,
                                         min_hitting_mask)
 from signedpetersen.census import _deletion_tables
-from signedpetersen.graphs import (Graph, SearchSizeError, cut_space,
-                                   independent_sets, petersen)
+from signedpetersen.graphs import (Graph, SearchSizeError, cut_space, petersen,
+                                   syndrome)
 from signedpetersen.signed import (SignedGraph, balanced_without, is_balanced,
                                    negate, switch)
+
+from oracles import delete_vertices, independent_sets
 
 
 def k4_signed(mask):
@@ -110,13 +112,14 @@ def test_balanced_without_matches_deleting_the_vertices():
 
 def test_balanced_without_matches_the_deletion_tables():
     # every Petersen signature, with no vertex or one vertex deleted, against
-    # the cut closures of P - W
+    # the syndrome spans of P - W
     g, _ = petersen()
-    tables = [(keep, cuts) for k, keep, cuts in _deletion_tables() if k <= 1]
+    spans = [span for k, span in _deletion_tables() if k <= 1]
     singles = [0] + [1 << v for v in range(10)]  # the order of the tables
     for mask in range(1 << 15):
-        for w, (keep, cuts) in zip(singles, tables):
-            assert balanced_without(g, mask, w) == (mask & keep in cuts)
+        z = syndrome(g, mask)
+        for w, span in zip(singles, spans):
+            assert balanced_without(g, mask, w) == bool(span >> z & 1)
 
 
 def test_alpha_k_matches_the_per_set_count(pg):

@@ -2,13 +2,15 @@ from collections import Counter
 
 import pytest
 
+from signedpetersen.coloring import _independent_sets
 from signedpetersen.graphs import (Cycle, Graph, MatchingClass, SearchSizeError,
-                                   all_independent_sets, all_matchings,
-                                   automorphism_images, classify_matching,
-                                   cut, cut_preimage, cut_space, edge_distance,
-                                   enumerate_cycles,
-                                   hexagon_of_vertex, independent_sets,
-                                   is_petersen, minimum_coloring, petersen)
+                                   all_matchings, automorphism_images,
+                                   classify_matching, cut, cut_preimage,
+                                   cut_space, edge_distance, enumerate_cycles,
+                                   hexagon_of_vertex, is_petersen,
+                                   minimum_coloring, petersen, syndrome)
+
+from oracles import all_independent_sets, independent_sets
 
 
 def k4():
@@ -141,6 +143,20 @@ def test_cut_preimage(pg):
     assert cut_preimage(h, 1 << h.index_of(4, 5)) == 1 << 5
 
 
+def test_syndrome_is_zero_exactly_on_cuts(pg):
+    # every mask of the Petersen graph, K4, C5 and K3,3, and of a graph of
+    # three components; the chords carry the unit syndromes
+    for g in (pg[0], k4(), c5(), k33(), two_components()):
+        m = len(g.edges)
+        assert len(g.chords) == m - g.vertex_count + sum(
+            1 for _, parent, _ in g.spanning_forest if parent < 0)
+        assert [g.syndromes[e] for e in g.chords] == \
+            [1 << t for t in range(len(g.chords))]
+        for mask in range(1 << m):
+            assert (syndrome(g, mask) == 0) == \
+                (cut_preimage(g, mask) is not None), (g, mask)
+
+
 def test_independent_sets(pg):
     g, _ = pg
     assert len(independent_sets(g, 1)) == 10
@@ -152,6 +168,11 @@ def test_independent_sets(pg):
     assert len(every) == 1 + 10 + 30 + 30 + 5
     for s in every:
         assert all(not g.has_edge(u, v) for u in s for v in s if u < v)
+    # the colouring table holds each independent set once, the empty first
+    table = _independent_sets(g)
+    assert table[0] == (0, (), 1)
+    assert Counter(size for size, _, _ in table) == \
+        Counter(len(s) for s in every)
 
 
 def test_matchings(pg):

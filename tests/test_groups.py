@@ -20,6 +20,8 @@ from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
                                    sp_inverse, sp_multiply, sp_negate, swaut)
 from signedpetersen.signed import SignedGraph, negate, switch
 
+from oracles import scan_lifts
+
 
 # --------------------------------------------------------------------------
 # permutation plumbing
@@ -345,6 +347,24 @@ def test_swaut_matches_exhaustive_scan(pg, reps, sw6):
         by_perm = {e.perm: e for e in w.elements}
         for p in perms:
             assert lift_permutation(s, p) == by_perm.get(p)
+
+
+def test_lifts_match_the_pullback_scan(pg, reps):
+    # three masks of each of the 64 switching classes, and the six standard
+    # masks with their relabelled twins, against cut_preimage of the mask
+    # xor its pullback through each automorphism
+    from signedpetersen import groups
+    from signedpetersen.census import _switching_orbits
+    g, lab = pg
+    rng = random.Random(17)
+    relabel = SwitchingPermutation(
+        0, induced_permutation(lab, parse_cycles("(132)(45)")))
+    signatures = [SignedGraph(g, m) for orbit in _switching_orbits()
+                  for m in [orbit[0]] + rng.sample(orbit[1:], 2)]
+    assert len(signatures) == 3 * 64
+    signatures += list(reps) + [sp_act(relabel, s) for s in reps]
+    for s in signatures:
+        assert groups._lifts(s) == scan_lifts(s), s.mask
 
 
 def oracle_group(elements):

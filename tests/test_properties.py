@@ -10,12 +10,14 @@ import pytest
 
 from signedpetersen.census import petersen_l0_of_mask
 from signedpetersen.clustering import is_clusterable
-from signedpetersen.coloring import balanced_expansion_check, count_colorations
+from signedpetersen.coloring import count_colorations
 from signedpetersen.graphs import enumerate_cycles
 from signedpetersen.signed import (SignedGraph, is_balanced,
                                    petersen_frustration_of_mask,
                                    petersen_hexagon_masks,
                                    petersen_pentagon_masks, switch)
+
+from oracles import balanced_expansion_check
 
 ALL_MASKS = range(1 << 15)
 
