@@ -5,7 +5,6 @@ embedded expected values.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import expected
@@ -13,7 +12,7 @@ from .clustering import cluster_number, inclusterability_index
 from .coloring import (alpha_k, chi3_difference, chromatic_numbers,
                        count_colorations)
 from .frustration import frustration_number
-from .graphs import _Record, bits, petersen, span_basis, syndrome
+from .graphs import _Record, chord_mask, petersen
 from .groups import aut_signed, identify_group, orbit_counts, swaut
 from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType,
                      classify_six_mask, negate, odd_count, petersen_cut_masks,
@@ -39,37 +38,6 @@ def standard_mask(t: SixType) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fast per-mask frustration number
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1)
-def _deletion_tables():
-    """For every vertex set W with |W| <= 3: |W| and the bitmap (r = 6 on P)
-    of U_W, the span of the syndromes of the edges at W, which holds the
-    syndrome of a signature exactly when it is balanced on P - W."""
-    g, _ = petersen()
-    tables = []
-    for k in range(4):
-        for w in itertools.combinations(range(10), k):
-            span = [0]
-            for b in span_basis(g.syndromes[e] for v in w
-                                for e in bits(g.incidence[v])):
-                span += [u ^ b for u in span]
-            tables.append((k, sum(1 << u for u in span)))
-    return tables
-
-
-def petersen_l0_of_mask(mask: int) -> int:
-    """Frustration number of a Petersen signature, by increasing deletion
-    size (only sizes 0..3 occur)."""
-    z = syndrome(petersen()[0], mask)
-    for k, span in _deletion_tables():
-        if span >> z & 1:
-            return k
-    raise AssertionError("frustration number above 3 on a Petersen signature")
-
-
-# ---------------------------------------------------------------------------
 # Census
 # ---------------------------------------------------------------------------
 
@@ -77,9 +45,9 @@ def _switching_orbits():
     """Every switching class of Petersen signatures once, as the list of
     its 512 masks: one class per syndrome z, the chords of z switched by
     each cut."""
-    chords, cuts = petersen()[0].chords, petersen_cut_masks()
-    for z in range(1 << len(chords)):
-        base = sum(1 << chords[t] for t in bits(z))
+    g, cuts = petersen()[0], petersen_cut_masks()
+    for z in range(1 << len(g.chords)):
+        base = chord_mask(g, z)
         yield [base ^ c for c in cuts]
 
 

@@ -19,9 +19,7 @@ from .frustration import frustration_index, frustration_number
 from .graphs import bits, petersen
 from .groups import (aut_signed, coset_system, format_cycles, identify_group,
                      induced_permutation, swaut)
-from .signed import (SignedGraph, classify_six, odd_count,
-                     petersen_frustration_of_mask, petersen_hexagon_masks,
-                     petersen_pentagon_masks)
+from .signed import SignedGraph, petersen_invariants
 
 
 def _load(args) -> SignedGraph:
@@ -46,12 +44,12 @@ def cmd_classify(args) -> int:
         print(f"frustration index {frustration_index(s)[0]}")
         print(f"frustration number {frustration_number(s)[0]}")
         return 0
-    print(f"class {classify_six(s).value}")
-    print(f"frustration index {petersen_frustration_of_mask(s.mask)}")
-    print(f"frustration number {census_mod.petersen_l0_of_mask(s.mask)}")
-    for name, cycles in (("pentagons", petersen_pentagon_masks()),
-                         ("hexagons", petersen_hexagon_masks())):
-        print(f"negative {name} {odd_count(s.mask, cycles)}")
+    six, l, l0, pentagons, hexagons = petersen_invariants(s.mask)
+    print(f"class {six.value}")
+    print(f"frustration index {l}")
+    print(f"frustration number {l0}")
+    print(f"negative pentagons {pentagons}")
+    print(f"negative hexagons {hexagons}")
     return 0
 
 

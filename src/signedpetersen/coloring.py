@@ -12,10 +12,11 @@ counts there.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
-                     petersen, span_basis, span_reduce, syndrome)
+                     chord_mask, petersen, span_basis, span_reduce, syndrome)
 from .signed import SignedGraph, negate, odd_count, petersen_hexagon_masks
 
 MAX_K = 2
@@ -33,8 +34,6 @@ def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
     sign(vw) times the color of v on every edge vw."""
     g = s.graph
     n = g.vertex_count
-    if n > MAX_SEARCH_VERTICES:
-        raise SearchSizeError("graph too large for coloring search")
     colors = [c for c in range(-k, k + 1) if c or not zero_free]
     # Edges back to already-colored vertices, for incremental checking.
     earlier = [[(u, s.sign(u, v)) for u in g.adjacency[v] if u < v]
@@ -78,31 +77,52 @@ def _independent_sets(g: Graph) -> tuple[tuple[int, tuple[int, ...], int], ...]:
                  for w, basis, edges in entries)
 
 
-def _count_one(s: SignedGraph, zero_free: bool) -> int:
-    """Proper colorations at k = 1: 2^c(G - W) summed over the W with
-    -Sigma - W balanced, W = {} alone when zero_free."""
-    table = _independent_sets(s.graph)
-    z = syndrome(s.graph, negate(s).mask)
+def _count_one(g: Graph, z: int, zero_free: bool) -> int:
+    """Proper colorations at k = 1 of a signature with syndrome z: 2^c(G -
+    W) summed over the W with -Sigma - W balanced, W = {} alone when
+    zero_free."""
+    table = _independent_sets(g)
+    z ^= reduce(xor, g.syndromes, 0)  # the syndrome of -Sigma
     return sum(1 << c for _, basis, c in (table[:1] if zero_free else table)
                if not span_reduce(z, basis))
+
+
+def _class_syndrome(s: SignedGraph, k: int) -> int:
+    """The syndrome of s, after the budget and size checks."""
+    if k < 0 or k > MAX_K:
+        raise BudgetError(f"k={k} outside the supported range 0..{MAX_K}")
+    if s.graph.vertex_count > MAX_SEARCH_VERTICES:
+        raise SearchSizeError("graph too large for coloring search")
+    return syndrome(s.graph, s.mask)
 
 
 def count_colorations(s: SignedGraph, k: int, zero_free: bool = False) -> int:
     """Number of proper colorations, as ``_count`` defines them, by the
     expansion at k = 1. Budget and size checks come first."""
-    if k < 0 or k > MAX_K:
-        raise BudgetError(f"k={k} outside the supported range 0..{MAX_K}")
-    return _count_one(s, zero_free) if k == 1 else _count(s, k, zero_free)
+    return _class_count(s.graph, _class_syndrome(s, k), k, zero_free, False)
+
+
+@lru_cache(maxsize=512)
+def _class_count(g: Graph, z: int, k: int, zero_free: bool,
+                 first: bool) -> int:
+    """``_count`` for the switching class with syndrome z, once: switching
+    a vertex negates its color, so every member has the chord
+    representative's count. At k = 1, first is False in every call, so
+    that count and chromatic number share one cache entry."""
+    if k == 1:
+        return _count_one(g, z, zero_free)
+    return _count(SignedGraph(g, chord_mask(g, z)), k, zero_free, first)
 
 
 def chromatic_numbers(s: SignedGraph) -> tuple[int, int]:
     """(chi, chi_star): least k admitting a proper coloration, with and
     then without the zero color; ``_count`` stops at its first one where
     k != 1 (a 0-vertex graph has one, the empty coloration)."""
+    z = _class_syndrome(s, 0)
+
     def least(zero_free: bool) -> int:
         for k in range(1 if zero_free else 0, MAX_K + 1):
-            if (_count_one(s, zero_free) if k == 1
-                    else _count(s, k, zero_free, first=True)):
+            if _class_count(s.graph, z, k, zero_free, k != 1):
                 return k
         raise BudgetError("chromatic number exceeds the k <= 2 budget")
 

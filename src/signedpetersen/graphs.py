@@ -412,6 +412,12 @@ def syndrome(g: Graph, mask: int) -> int:
     return z
 
 
+def chord_mask(g: Graph, z: int) -> int:
+    """The sign mask with syndrome z that is negative on chords only: one
+    representative of the switching class with syndrome z."""
+    return sum(1 << g.chords[t] for t in bits(z))
+
+
 def span_reduce(z: int, basis) -> int:
     """z reduced by an echelon basis (distinct leading bits, largest
     first): zero exactly when z lies in the span of the basis."""

@@ -46,8 +46,9 @@ def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+@lru_cache(maxsize=1024)
 def perm_order(p: tuple[int, ...]) -> int:
-    """The least k with p^k the identity."""
+    """The least k with p^k the identity, found once per permutation."""
     one, k, q = identity_perm(len(p)), 1, p
     while q != one:
         q, k = compose(q, p), k + 1
@@ -144,11 +145,6 @@ def sp_multiply(a: SwitchingPermutation, b: SwitchingPermutation) -> SwitchingPe
         raise ValueError("size mismatch")
     return SwitchingPermutation(a.switch_mask ^ _pullback(b.switch_mask, a.perm),
                                 compose(a.perm, b.perm))
-
-
-def sp_inverse(a: SwitchingPermutation) -> SwitchingPermutation:
-    inv = inverse(a.perm)
-    return SwitchingPermutation(_pullback(a.switch_mask, inv), inv)
 
 
 def sp_conjugate(a: SwitchingPermutation, alpha: tuple[int, ...]) -> SwitchingPermutation:
@@ -382,12 +378,6 @@ class SwitchingGroup(FiniteGroup):
         return all(e in other.index for e in self.elements)
 
 
-def graph_automorphisms(g: Graph) -> SwitchingGroup:
-    """All graph automorphisms, as switching permutations with empty
-    switching part."""
-    return SwitchingGroup(SwitchingPermutation(0, p) for p in automorphism_images(g))
-
-
 @lru_cache(maxsize=8)
 def _automorphism_edge_maps(g: Graph):
     """Each automorphism p of g, built once per graph, with its pullback
@@ -509,12 +499,13 @@ def coset_system(group: FiniteGroup, subgroup: FiniteGroup) -> CosetSystem:
         cosets.setdefault(e.switch_mask, []).append(e)
 
     reps = _default_reps(cosets, n)
-    if not _is_conjugation_closed(reps, subgroup):
-        closed = _closed_reps(cosets, subgroup)
-        if closed is not None:
-            reps = closed
-    return CosetSystem(group, subgroup, tuple(reps),
-                       _is_conjugation_closed(reps, subgroup))
+    closed = _is_conjugation_closed(reps, subgroup)
+    if not closed:
+        alternative = _closed_reps(cosets, subgroup)
+        if alternative is not None:
+            reps = alternative
+            closed = _is_conjugation_closed(reps, subgroup)
+    return CosetSystem(group, subgroup, tuple(reps), closed)
 
 
 def _default_reps(cosets, n: int) -> list[SwitchingPermutation]:
@@ -530,9 +521,12 @@ def _default_reps(cosets, n: int) -> list[SwitchingPermutation]:
 
 
 def _is_conjugation_closed(reps, subgroup: FiniteGroup) -> bool:
+    """``sp_conjugate`` of each rep by each subgroup element is a rep."""
     rep_set = set(reps)
-    return all(sp_conjugate(r, a.perm) in rep_set
-               for r in reps for a in subgroup.elements)
+    alphas = [(a.perm, inverse(a.perm)) for a in subgroup.elements]
+    return all(SwitchingPermutation(_pullback(r.switch_mask, ai),
+                                    compose(compose(ai, r.perm), a))
+               in rep_set for r in reps for a, ai in alphas)
 
 
 def _closed_reps(cosets, subgroup: FiniteGroup):

@@ -11,11 +11,12 @@ the edge mask of its cut, from ``graphs.cut_mask`` or ``graphs.cut_space``.
 from __future__ import annotations
 
 import enum
+import itertools
 from functools import lru_cache
 
-from .graphs import (Cycle, Graph, _Record, bits, cut_mask, cut_preimage,
+from .graphs import (Cycle, Graph, _Record, bits, chord_mask, cut_mask,
                      cut_space, enumerate_cycles, forest_preimage, petersen,
-                     tree_cycle)
+                     span_basis, syndrome, tree_cycle)
 
 
 class SignedGraph(_Record):
@@ -104,15 +105,6 @@ def balanced_without(g: Graph, mask: int, w: int) -> bool:
     return True
 
 
-def switching_equivalence(s1: SignedGraph, s2: SignedGraph) -> int | None:
-    """The vertex mask whose switching carries s1 to s2, or None: the
-    signatures are switching equivalent exactly when the edges where they
-    differ form a cut. Each component's least vertex stays unswitched."""
-    if s1.graph != s2.graph:
-        raise ValueError("underlying graphs differ")
-    return cut_preimage(s1.graph, s1.mask ^ s2.mask)
-
-
 def odd_count(mask: int, circles) -> int:
     """Number of circles (edge masks) that the sign mask makes negative."""
     return sum(1 for c in circles if (mask & c).bit_count() & 1)
@@ -167,10 +159,45 @@ def petersen_hexagon_masks() -> tuple[int, ...]:
     return tuple(c.edge_mask for c in enumerate_cycles(g, 6) if c.length == 6)
 
 
+@lru_cache(maxsize=1)
+def _deletion_tables():
+    """For every vertex set W with |W| <= 3: |W| and the bitmap (r = 6 on P)
+    of U_W, the span of the syndromes of the edges at W, which holds the
+    syndrome of a signature exactly when it is balanced on P - W."""
+    g, _ = petersen()
+    tables = []
+    for k in range(4):
+        for w in itertools.combinations(range(10), k):
+            span = [0]
+            for b in span_basis(g.syndromes[e] for v in w
+                                for e in bits(g.incidence[v])):
+                span += [u ^ b for u in span]
+            tables.append((k, sum(1 << u for u in span)))
+    return tables
+
+
+@lru_cache(maxsize=64)
+def _class_invariants(z: int) -> tuple[SixType, int, int, int, int]:
+    """(class, l, l0, negative pentagons, negative hexagons) of the Petersen
+    switching class with syndrome z, read off its chord representative: l
+    by one walk over the 512 cuts, l0 the least |W| whose span holds z."""
+    base = chord_mask(petersen()[0], z)
+    l = min((base ^ c).bit_count() for c in petersen_cut_masks())
+    l0 = next(k for k, span in _deletion_tables() if span >> z & 1)
+    pentagons = odd_count(base, petersen_pentagon_masks())
+    return (SIX_FINGERPRINT[(l, pentagons)], l, l0, pentagons,
+            odd_count(base, petersen_hexagon_masks()))
+
+
+def petersen_invariants(mask: int) -> tuple[SixType, int, int, int, int]:
+    """``_class_invariants`` of a 15-bit Petersen sign mask."""
+    return _class_invariants(syndrome(petersen()[0], mask))
+
+
 def petersen_frustration_of_mask(mask: int) -> int:
     """Frustration index of a Petersen signature given as a 15-bit mask:
     minimum negative count over all 512 switchings."""
-    return min((mask ^ c).bit_count() for c in petersen_cut_masks())
+    return petersen_invariants(mask)[1]
 
 
 def classify_six(s: SignedGraph) -> SixType:
@@ -181,18 +208,4 @@ def classify_six(s: SignedGraph) -> SixType:
 
 
 def classify_six_mask(mask: int) -> SixType:
-    l = petersen_frustration_of_mask(mask)
-    return SIX_FINGERPRINT[(l, odd_count(mask, petersen_pentagon_masks()))]
-
-
-def minimal_representative(s: SignedGraph) -> tuple[SignedGraph, int]:
-    """Among the 512 switchings, one with fewest negative edges, and the
-    vertex mask switched to reach it; ties break to the least sign
-    bitmask."""
-    g, _ = petersen()
-    if s.graph != g:
-        raise ValueError("requires the canonical Petersen graph")
-    mask = s.mask
-    x, c = min(cut_space(g), key=lambda xc: ((mask ^ xc[1]).bit_count(),
-                                             mask ^ xc[1]))
-    return SignedGraph(g, mask ^ c), x
+    return petersen_invariants(mask)[0]

@@ -5,8 +5,9 @@ import itertools
 
 from signedpetersen.coloring import _count, count_colorations
 from signedpetersen.graphs import (Graph, automorphism_images, cut_preimage,
-                                   enumerate_cycles)
-from signedpetersen.groups import edge_permutation, inverse
+                                   cut_space, enumerate_cycles)
+from signedpetersen.groups import (SwitchingGroup, SwitchingPermutation,
+                                   _pullback, edge_permutation, inverse)
 from signedpetersen.signed import SignedGraph, sign_of_circle, switch
 
 
@@ -63,12 +64,57 @@ def balanced_expansion_check(s):
 
 
 def switching_color_invariance_check(s, x):
-    """Counts at k <= 2, both zero-free settings, agree between s and its
-    switching by the vertex mask x (budget keeps the k = 2 checks to the
-    zero-free ones)."""
+    """Counts at k <= 2, both zero-free settings, of s and of its switching
+    by the vertex mask x agree with the backtrack on the switching (time
+    keeps the k = 2 checks to the zero-free ones). The program counts once
+    per switching class, so the backtrack is the independent route."""
     t = switch(s, x)
     return all(count_colorations(s, k, zf) == count_colorations(t, k, zf)
+               == _count(t, k, zf)
                for k, zf in ((1, False), (1, True), (2, True)))
+
+
+def minimal_representative(s):
+    """Among the switchings of s, by a walk over every cut, one with fewest
+    negative edges, and the vertex mask switched to reach it; ties break to
+    the least sign mask."""
+    g, mask = s.graph, s.mask
+    x, c = min(cut_space(g), key=lambda xc: ((mask ^ xc[1]).bit_count(),
+                                             mask ^ xc[1]))
+    return SignedGraph(g, mask ^ c), x
+
+
+def switching_orbits(g):
+    """Every switching class of signatures on g once, as the sorted list
+    of its masks: the least mask not yet met, switched by every cut."""
+    cuts = [c for _, c in cut_space(g)]
+    seen = set()
+    for mask in range(1 << len(g.edges)):
+        if mask not in seen:
+            orbit = sorted(mask ^ c for c in cuts)
+            seen.update(orbit)
+            yield orbit
+
+
+def switching_equivalence(s1, s2):
+    """The vertex mask whose switching carries s1 to s2, or None: the
+    signatures are switching equivalent exactly when the edges where they
+    differ form a cut. Each component's least vertex stays unswitched."""
+    if s1.graph != s2.graph:
+        raise ValueError("underlying graphs differ")
+    return cut_preimage(s1.graph, s1.mask ^ s2.mask)
+
+
+def sp_inverse(a):
+    inv = inverse(a.perm)
+    return SwitchingPermutation(_pullback(a.switch_mask, inv), inv)
+
+
+def graph_automorphisms(g):
+    """All graph automorphisms, as switching permutations with empty
+    switching part."""
+    return SwitchingGroup(SwitchingPermutation(0, p)
+                          for p in automorphism_images(g))
 
 
 def scan_lifts(s):

@@ -5,8 +5,7 @@ import random
 import time
 
 from signedpetersen import expected
-from signedpetersen.census import (_switching_orbits, petersen_l0_of_mask,
-                                   run_census)
+from signedpetersen.census import _switching_orbits, run_census
 from signedpetersen.clustering import (cluster_number, inclusterability_index,
                                        max_inclusterability)
 from signedpetersen.coloring import (chi3_difference, chromatic_numbers,
@@ -16,7 +15,8 @@ from signedpetersen.graphs import enumerate_cycles, petersen
 from signedpetersen.groups import (aut_signed, coset_system, identify_group,
                                    orbit_counts, swaut)
 from signedpetersen.signed import (SignedGraph, negate, petersen_cut_masks,
-                                   petersen_frustration_of_mask, switch)
+                                   petersen_frustration_of_mask,
+                                   petersen_invariants, switch)
 
 from oracles import balanced_expansion_check, negative_circle_counts
 from test_sp_tables import build_p32_reps
@@ -47,7 +47,7 @@ def test_criterion_02_frustration(reps):
     everywhere = True
     for orbit in _switching_orbits():
         l = min(m.bit_count() for m in orbit)
-        everywhere &= all(petersen_l0_of_mask(m) == l for m in orbit)
+        everywhere &= all(petersen_invariants(m)[2] == l for m in orbit)
     dt = time.perf_counter() - t0
     report(2, per_class and everywhere and dt < 60.0,
            f"l = l0 per class and over all 32768 signatures in {dt:.1f}s")
@@ -154,7 +154,8 @@ def test_criterion_09_property_suite(pg, reps):
         mask, cut = rng.randrange(1 << 15), rng.choice(cuts)
         ok &= petersen_frustration_of_mask(mask) == \
             petersen_frustration_of_mask(mask ^ cut)
-        ok &= petersen_l0_of_mask(mask) == petersen_l0_of_mask(mask ^ cut)
+        ok &= petersen_invariants(mask)[2] == \
+            petersen_invariants(mask ^ cut)[2]
         for c in cycles[:8]:
             before = (c.edge_mask & mask).bit_count() & 1
             after = (c.edge_mask & (mask ^ cut)).bit_count() & 1

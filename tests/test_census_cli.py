@@ -53,9 +53,8 @@ def test_deletion_tables_match_restricted_cuts():
     # oracle: every one of the 512 Petersen cuts restricted to the kept
     # edges. A mask of each of the 64 syndromes (its chords, switched by a
     # seeded cut) is balanced on P - W exactly when its kept part is one.
-    from signedpetersen.census import _deletion_tables
     from signedpetersen.graphs import bits, syndrome
-    from signedpetersen.signed import petersen_cut_masks
+    from signedpetersen.signed import _deletion_tables, petersen_cut_masks
     g, _ = petersen()
     rng = random.Random(13)
     cuts = petersen_cut_masks()
@@ -210,6 +209,48 @@ def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
         for flags in ((), ("--zero-free",)):
             assert run_cli(capsys, "color", "--mask", h, "--k", "1", *flags)[0] == 0
     assert 1 not in counted
+
+
+def test_classify_and_color_read_each_switching_class_once(capsys,
+                                                          monkeypatch,
+                                                          rep_masks):
+    """On two switching-equivalent masks, classify walks the 512 cuts and
+    color --k 1 runs the k = 0 and k = 2 backtracks for the first only; the
+    second reads every line from the per-class caches."""
+    from signedpetersen import coloring, signed
+    walks, counted = [], []
+    cut_masks, count = signed.petersen_cut_masks, coloring._count
+
+    def counted_cut_masks():
+        walks.append(1)
+        return cut_masks()
+
+    def counted_count(s, k, zero_free, first=False):
+        counted.append(k)
+        return count(s, k, zero_free, first)
+
+    monkeypatch.setattr(signed, "petersen_cut_masks", counted_cut_masks)
+    monkeypatch.setattr(coloring, "_count", counted_count)
+    caches = (signed._class_invariants, coloring._class_count)
+    mask = rep_masks[2]  # P2,2: chi* = 2, so the k = 2 backtrack runs
+    twin = mask ^ petersen()[0].incidence[3] ^ petersen()[0].incidence[7]
+    answers = []
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        for m in (mask, twin):
+            for argv in (("classify",), ("color", "--k", "1")):
+                code, out, _ = run_cli(capsys, *argv[:1], "--mask",
+                                       format_mask(m), *argv[1:])
+                assert code == 0
+                answers.append(out)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert answers[:2] == answers[2:]
+    assert answers[0].startswith("class P2,2\n")
+    assert answers[1].endswith("zero-free chromatic number 2\n")
+    assert len(walks) == 1 and sorted(counted) == [0, 2]
 
 
 def test_table_artifacts_render():

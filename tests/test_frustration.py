@@ -10,11 +10,11 @@ from signedpetersen.frustration import (_index_by_cuts, _negative_circles,
                                         _number_by_subsets, circles_fit,
                                         frustration_index, frustration_number,
                                         min_hitting_mask)
-from signedpetersen.census import _deletion_tables
 from signedpetersen.graphs import (Graph, SearchSizeError, cut_space, petersen,
                                    syndrome)
-from signedpetersen.signed import (SignedGraph, balanced_without, is_balanced,
-                                   negate, switch)
+from signedpetersen.signed import (SignedGraph, _deletion_tables,
+                                   balanced_without, is_balanced, negate,
+                                   switch)
 
 from oracles import delete_vertices, independent_sets
 

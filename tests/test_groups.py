@@ -12,15 +12,14 @@ from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
                                    SwitchingGroup, SwitchingPermutation,
                                    aut_signed, compose, coset_system,
                                    edge_permutation, format_cycles,
-                                   general_product, graph_automorphisms,
-                                   identify_group, identity_perm,
-                                   induced_permutation, inverse, orbit_counts,
-                                   parse_cycles, sp_act, sp_canonical,
-                                   sp_conjugate, sp_identity,
-                                   sp_inverse, sp_multiply, sp_negate, swaut)
+                                   general_product, identify_group,
+                                   identity_perm, induced_permutation, inverse,
+                                   orbit_counts, parse_cycles, sp_act,
+                                   sp_canonical, sp_conjugate, sp_identity,
+                                   sp_multiply, sp_negate, swaut)
 from signedpetersen.signed import SignedGraph, negate, switch
 
-from oracles import scan_lifts
+from oracles import graph_automorphisms, scan_lifts, sp_inverse
 
 
 # --------------------------------------------------------------------------

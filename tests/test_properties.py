@@ -1,25 +1,40 @@
-"""Property suite. On all 2^15 Petersen signatures: switching invariance of
-the frustration index, the frustration number and the pentagon and hexagon
-sign counts, balance against a zero frustration index, and the
-clusterability criterion against every cycle. Seeded samples check the
-colouring counts, the balanced expansion and group sanity."""
+"""Property suite. The program reads the switching invariants once per
+switching class, so each is checked against an independent route on every
+class: the frustration index against a walk over the 512 cuts, the
+frustration number against the generic hitting-set search, the circle sign
+counts against a direct count, and the colouring counts and chromatic
+numbers against the backtrack on several members. On all 2^15 signatures:
+balance against a zero frustration index, and the clusterability criterion
+against every cycle. Seeded samples check the balanced expansion and group
+sanity."""
 
 import random
 
 import pytest
 
-from signedpetersen.census import petersen_l0_of_mask
 from signedpetersen.clustering import is_clusterable
-from signedpetersen.coloring import count_colorations
+from signedpetersen.coloring import (_count, chromatic_numbers,
+                                     count_colorations)
+from signedpetersen.frustration import frustration_number
 from signedpetersen.graphs import enumerate_cycles
-from signedpetersen.signed import (SignedGraph, is_balanced,
+from signedpetersen.signed import (SIX_FINGERPRINT, SignedGraph, is_balanced,
                                    petersen_frustration_of_mask,
-                                   petersen_hexagon_masks,
+                                   petersen_hexagon_masks, petersen_invariants,
                                    petersen_pentagon_masks, switch)
 
-from oracles import balanced_expansion_check
+from oracles import (balanced_expansion_check, minimal_representative,
+                     switching_orbits)
 
 ALL_MASKS = range(1 << 15)
+
+
+@pytest.fixture(scope="module")
+def orbits(pg):
+    """The 64 switching classes of Petersen signatures, 512 masks each,
+    from a walk over the cuts (no syndromes)."""
+    orbits = list(switching_orbits(pg[0]))
+    assert len(orbits) == 64 and all(len(o) == 512 for o in orbits)
+    return orbits
 
 
 @pytest.fixture(scope="module")
@@ -35,35 +50,69 @@ def assert_switching_invariant(values, g):
         assert [values[mask ^ star] for mask in ALL_MASKS] == values
 
 
-def test_switching_invariance_of_frustration_index(pg, frustration_indices):
-    assert_switching_invariant(frustration_indices, pg[0])
+def test_switching_invariance_of_frustration_index(pg, orbits):
+    # every mask of each orbit reads the least weight that the 512-cut walk
+    # finds from the orbit's least mask, and the class of that weight and
+    # the orbit's pentagon count
+    g, _ = pg
+    for orbit in orbits:
+        rep, _ = minimal_representative(SignedGraph(g, orbit[0]))
+        l = rep.mask.bit_count()
+        assert l == min(m.bit_count() for m in orbit)
+        pentagons = sum((orbit[0] & c).bit_count() & 1
+                        for c in petersen_pentagon_masks())
+        six = SIX_FINGERPRINT[(l, pentagons)]
+        assert [petersen_frustration_of_mask(m) for m in orbit] == [l] * 512
+        assert {petersen_invariants(m)[0] for m in orbit} == {six}
 
 
-def test_switching_invariance_of_frustration_number(pg):
-    assert_switching_invariant([petersen_l0_of_mask(m) for m in ALL_MASKS],
-                               pg[0])
+def test_switching_invariance_of_frustration_number(pg, orbits):
+    # the generic search on a seeded member of each orbit, against every
+    # mask of the orbit
+    g, _ = pg
+    rng = random.Random(104)
+    for orbit in orbits:
+        l0 = frustration_number(SignedGraph(g, rng.choice(orbit)))[0]
+        assert [petersen_invariants(m)[2] for m in orbit] == [l0] * 512
 
 
 def test_switching_invariance_of_circle_signs(pg):
     # The six-way class reads only the frustration index and the pentagon
-    # count, so it is switching invariant too.
-    for circles in (petersen_pentagon_masks(), petersen_hexagon_masks()):
-        assert_switching_invariant(
-            [sum((mask & c).bit_count() & 1 for c in circles)
-             for mask in ALL_MASKS], pg[0])
+    # count, so it is switching invariant too. The program's counts match
+    # the direct ones on every mask.
+    rows = [petersen_invariants(mask) for mask in ALL_MASKS]
+    for at, circles in ((3, petersen_pentagon_masks()),
+                        (4, petersen_hexagon_masks())):
+        counts = [sum((mask & c).bit_count() & 1 for c in circles)
+                  for mask in ALL_MASKS]
+        assert_switching_invariant(counts, pg[0])
+        assert [row[at] for row in rows] == counts
 
 
-def test_switching_invariance_of_chromatic_counts(pg):
+def least_k(s, zero_free):
+    return next(k for k in range(1 if zero_free else 0, 3)
+                if _count(s, k, zero_free, first=True))
+
+
+def test_switching_invariance_of_chromatic_counts(pg, orbits, reps):
+    # the backtrack on three members of each switching class for the counts
+    # at k = 0 and 1 and both chromatic numbers, and on three members of
+    # each of the six classes for the (slower) counts at k = 2
     g, _ = pg
     rng = random.Random(105)
-    for _ in range(25):
-        mask = rng.randrange(1 << 15)
-        s = SignedGraph(g, mask)
-        z = sum(1 << v for v in rng.sample(range(10), rng.randrange(11)))
-        t = switch(s, z)
-        assert count_colorations(s, 1) == count_colorations(t, 1)
-        assert count_colorations(s, 1, zero_free=True) == \
-            count_colorations(t, 1, zero_free=True)
+    for orbit in orbits:
+        for mask in [orbit[0]] + rng.sample(orbit[1:], 2):
+            s = SignedGraph(g, mask)
+            for k in (0, 1):
+                for zf in (False, True):
+                    assert count_colorations(s, k, zf) == _count(s, k, zf)
+            assert chromatic_numbers(s) == (least_k(s, False),
+                                            least_k(s, True))
+    for s in reps:
+        for x in [0] + rng.sample(range(1, 1 << 10), 2):
+            t = switch(s, x)
+            for zf in (False, True):
+                assert count_colorations(t, 2, zf) == _count(t, 2, zf)
 
 
 def test_balanced_expansion_random(pg):

@@ -7,15 +7,15 @@ from signedpetersen.expected import (CLASS_NAMES, NEGATIVE_HEXAGONS,
 from signedpetersen.graphs import Graph, enumerate_cycles
 from signedpetersen.signed import (SIX_ORDER, BalanceResult, SignedGraph,
                                    classify_six,
-                                   classify_six_mask, is_balanced,
-                                   minimal_representative, negate,
+                                   classify_six_mask, is_balanced, negate,
                                    petersen_cut_masks,
                                    petersen_frustration_of_mask,
                                    petersen_hexagon_masks,
                                    petersen_pentagon_masks, sign_of_circle,
-                                   switch, switching_equivalence)
+                                   switch)
 
-from oracles import negative_circle_counts
+from oracles import (minimal_representative, negative_circle_counts,
+                     switching_equivalence)
 
 
 def test_signed_graph_construction(pg):
