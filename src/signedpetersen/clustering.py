@@ -8,19 +8,54 @@ circle carries exactly one negative edge. The cluster number is then the
 chromatic number of the graph that the negative edges make on those
 components. Every cycle of a subgraph is a cycle of the original graph, so
 the minimum number of edge deletions reaching clusterability is the minimum
-hitting set of the "bad" cycles, those with exactly one negative edge. The
-circle list and the hitting-set search are the ones ``frustration`` uses for
-l and l0, so a graph classified just before has its circles listed already.
+hitting set of the "bad" cycles, those with exactly one negative edge.
+Circles are listed once per graph, and only here.
 """
 
 from __future__ import annotations
 
-from .frustration import circle_masks, min_hitting_mask
+from functools import lru_cache
+
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError,
-                     all_matchings, bits, minimum_coloring, tree_cycle)
+                     all_matchings, bits, enumerate_cycles, minimum_coloring,
+                     tree_cycle)
 from .signed import SignedGraph
 
 MAX_EDGES = 20
+
+
+@lru_cache(maxsize=8)
+def circle_masks(g: Graph) -> tuple[int, ...]:
+    """Edge mask of every circle of g, once each."""
+    return tuple(c.edge_mask for c in enumerate_cycles(g, g.vertex_count))
+
+
+def _hit(targets: list[int], budget: int):
+    """A bit set of size <= budget meeting every mask in targets, or None.
+    Branches on the smallest target not yet met, which any hitting set must
+    meet."""
+    if not targets:
+        return 0
+    if budget == 0:
+        return None
+    c = min(targets, key=int.bit_count)
+    while c:
+        low = c & -c
+        c ^= low
+        rest = [t for t in targets if not t & low]
+        sub = _hit(rest, budget - 1)
+        if sub is not None:
+            return sub | low
+    return None
+
+
+def min_hitting_mask(targets: list[int], cap: int) -> int:
+    """A least bit set meeting every mask in targets; one of size cap does."""
+    for k in range(cap + 1):
+        r = _hit(targets, k)
+        if r is not None:
+            return r
+    raise AssertionError("unreachable: cap bounds a hitting set")
 
 
 def is_clusterable(s: SignedGraph):
@@ -65,7 +100,7 @@ def cluster_number(s: SignedGraph) -> int | None:
 
 
 def _bad_cycles(circles, neg_mask: int) -> list[int]:
-    return [e for e, _ in circles if (e & neg_mask).bit_count() == 1]
+    return [e for e in circles if (e & neg_mask).bit_count() == 1]
 
 
 def inclusterability_index(s: SignedGraph):

@@ -1,76 +1,46 @@
-"""Frustration index l and frustration number l0 from one hitting-set
-search over a graph's circles.
+"""Frustration index l and frustration number l0, each by one search keyed
+by the cycle-space syndrome z of the sign mask.
 
-By Harary, deleting edges or vertices balances a signature exactly when they
-meet every negative circle, so l and l0 are least edge and vertex hitting
-sets of the negative circles. A dense graph has far more circles than cuts:
-l and l0 list circles only when the cycle space is at most 1/32 of the cut
-space, and otherwise walk the 2^(n - c) switchings and the vertex subsets.
+A signature is balanced exactly when z = 0 (Harary), so l is the least size
+of an edge set with syndrome z: flipping its signs balances. It is found in
+the smaller of two spaces: breadth-first over the 2^r syndromes, one step
+per edge, when r < n - c, and otherwise by walking the 2^(n - c) cuts of one
+mask with syndrome z. l0 is the least size of a vertex set whose deletion
+leaves a balanced signature, by a search over vertex subsets of increasing
+size.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
-                     cut_space, enumerate_cycles)
-from .signed import SignedGraph, balanced_without
+                     chord_mask, cut_space, syndrome)
 
 
-@lru_cache(maxsize=8)
-def circle_masks(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Every circle of g once, as (edge mask, vertex mask)."""
-    return tuple((c.edge_mask, sum(1 << v for v in c.vertices))
-                 for c in enumerate_cycles(g, g.vertex_count))
+def _edges_by_syndromes(g: Graph, z: int) -> int:
+    """Least edge mask with syndrome z, by a breadth-first search from 0
+    that steps by the least edge of each distinct syndrome."""
+    steps = {}
+    for e, y in enumerate(g.syndromes):
+        if y:
+            steps.setdefault(y, e)
+    reach, queue = {0: 0}, [0]
+    for u in queue:
+        if z in reach:
+            break
+        for y, e in steps.items():
+            if u ^ y not in reach:
+                reach[u ^ y] = reach[u] | 1 << e
+                queue.append(u ^ y)
+    return reach[z]
 
 
-def circles_fit(g: Graph) -> bool:
-    """Whether the cycle space of g, of dimension m - (n - c), is at most
-    1/32 of its cut space, of dimension n - c (the spanning-forest edges).
-    A circle costs about 35 cut steps to list and is one cycle-space
-    element, so listing the circles then costs at most about one cut walk."""
-    return len(g.chords) + 5 <= len(g.edges) - len(g.chords)
-
-
-def _negative_circles(s: SignedGraph, part: int) -> list[int]:
-    """Edge (part 0) or vertex (part 1) masks of the negative circles of s."""
-    return [c[part] for c in circle_masks(s.graph)
-            if (c[0] & s.mask).bit_count() & 1]
-
-
-def _hit(targets: list[int], budget: int):
-    """A bit set of size <= budget meeting every mask in targets, or None.
-    Branches on the smallest target not yet met, which any hitting set must
-    meet."""
-    if not targets:
-        return 0
-    if budget == 0:
-        return None
-    c = min(targets, key=int.bit_count)
-    while c:
-        low = c & -c
-        c ^= low
-        rest = [t for t in targets if not t & low]
-        sub = _hit(rest, budget - 1)
-        if sub is not None:
-            return sub | low
-    return None
-
-
-def min_hitting_mask(targets: list[int], cap: int) -> int:
-    """A least bit set meeting every mask in targets; one of size cap does."""
-    for k in range(cap + 1):
-        r = _hit(targets, k)
-        if r is not None:
-            return r
-    raise AssertionError("unreachable: cap bounds a hitting set")
-
-
-def _index_by_cuts(s: SignedGraph) -> int:
-    """Negative edge mask of a switching with the fewest negative edges."""
-    mask = best = s.mask
-    for _, c in cut_space(s.graph):
+def _edges_by_cuts(g: Graph, z: int) -> int:
+    """Least edge mask with syndrome z, as the lightest switching of the
+    chord mask of z."""
+    mask = best = chord_mask(g, z)
+    for _, c in cut_space(g):
         if not best:
             break
         if (mask ^ c).bit_count() < best.bit_count():
@@ -78,37 +48,66 @@ def _index_by_cuts(s: SignedGraph) -> int:
     return best
 
 
-def _number_by_subsets(s: SignedGraph) -> int:
-    """Vertex mask of the first balancing deletion, by increasing size."""
-    g = s.graph
+def least_edges(g: Graph, z: int) -> int:
+    """A least edge mask with syndrome z: a least set of edges whose sign
+    flip balances any sign mask of syndrome z. Searches the 2^r syndromes
+    when r < n - c and walks the 2^(n - c) cuts otherwise."""
+    r = len(g.chords)
+    if r < len(g.edges) - r:
+        return _edges_by_syndromes(g, z)
+    return _edges_by_cuts(g, z)
+
+
+def balanced_without(g: Graph, mask: int, w: int) -> bool:
+    """Whether sign mask mask on g is balanced after deleting the vertex
+    mask w: G - W two-colours so that exactly its negative edges join the
+    two colours (Harary). No smaller graph is built."""
+    side = [2 if w >> v & 1 else -1 for v in range(g.vertex_count)]
+    nbrs = g.neighbours
+    for root, colour in enumerate(side):
+        if colour != -1:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            su = side[u]
+            for v, i in nbrs[u]:
+                sv, want = side[v], su ^ (mask >> i & 1)
+                if sv < 0:
+                    side[v] = want
+                    stack.append(v)
+                elif sv != want and sv < 2:
+                    return False
+    return True
+
+
+def least_vertices(g: Graph, mask: int) -> int:
+    """Vertex mask of the first deletion that balances sign mask mask, by
+    increasing size."""
     singles = [1 << v for v in range(g.vertex_count)]
     for k in range(len(singles) + 1):
         for w in map(sum, itertools.combinations(singles, k)):
-            if balanced_without(g, s.mask, w):
+            if balanced_without(g, mask, w):
                 return w
     raise AssertionError("unreachable: deleting all vertices balances")
 
 
-def frustration_index(s: SignedGraph) -> tuple[int, frozenset]:
-    """Fewest edges whose deletion, or sign flip, balances s, with such an
-    edge set as witness. On a disconnected graph this is the sum over the
-    components."""
+def frustration_index(s) -> tuple[int, frozenset]:
+    """Fewest edges whose deletion, or sign flip, balances the signed graph
+    s, with such an edge set as witness. On a disconnected graph this is the
+    sum over the components."""
     g = s.graph
     if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for switching enumeration")
-    # the negative edges meet every negative circle
-    best = (min_hitting_mask(_negative_circles(s, 0), s.mask.bit_count())
-            if circles_fit(g) else _index_by_cuts(s))
+    best = least_edges(g, syndrome(g, s.mask))
     return best.bit_count(), frozenset(g.edges[i] for i in bits(best))
 
 
-def frustration_number(s: SignedGraph) -> tuple[int, frozenset]:
-    """Fewest vertex deletions leaving a balanced signature, with such a
-    vertex set as witness."""
-    n = s.graph.vertex_count
-    if n > MAX_SEARCH_VERTICES:
+def frustration_number(s) -> tuple[int, frozenset]:
+    """Fewest vertex deletions leaving the signed graph s balanced, with
+    such a vertex set as witness."""
+    if s.graph.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for vertex-subset search")
-    # one end of each negative edge meets every negative circle
-    best = (min_hitting_mask(_negative_circles(s, 1), s.mask.bit_count())
-            if circles_fit(s.graph) else _number_by_subsets(s))
+    best = least_vertices(s.graph, s.mask)
     return best.bit_count(), frozenset(bits(best))

@@ -11,12 +11,12 @@ the edge mask of its cut, from ``graphs.cut_mask`` or ``graphs.cut_space``.
 from __future__ import annotations
 
 import enum
-import itertools
 from functools import lru_cache
 
+from .frustration import least_edges, least_vertices
 from .graphs import (Cycle, Graph, _Record, bits, chord_mask, cut_mask,
                      cut_space, enumerate_cycles, forest_preimage, petersen,
-                     span_basis, syndrome, tree_cycle)
+                     syndrome, tree_cycle)
 
 
 class SignedGraph(_Record):
@@ -81,30 +81,6 @@ def is_balanced(s: SignedGraph) -> BalanceResult:
     return BalanceResult(False, None, tree_cycle(g, g.spanning_forest, u, w))
 
 
-def balanced_without(g: Graph, mask: int, w: int) -> bool:
-    """Whether sign mask mask on g is balanced after deleting the vertex
-    mask w: G - W two-colours so that exactly its negative edges join the
-    two colours (Harary). No smaller graph is built."""
-    side = [2 if w >> v & 1 else -1 for v in range(g.vertex_count)]
-    nbrs = g.neighbours
-    for root, colour in enumerate(side):
-        if colour != -1:
-            continue
-        side[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            su = side[u]
-            for v, i in nbrs[u]:
-                sv, want = side[v], su ^ (mask >> i & 1)
-                if sv < 0:
-                    side[v] = want
-                    stack.append(v)
-                elif sv != want and sv < 2:
-                    return False
-    return True
-
-
 def odd_count(mask: int, circles) -> int:
     """Number of circles (edge masks) that the sign mask makes negative."""
     return sum(1 for c in circles if (mask & c).bit_count() & 1)
@@ -159,31 +135,15 @@ def petersen_hexagon_masks() -> tuple[int, ...]:
     return tuple(c.edge_mask for c in enumerate_cycles(g, 6) if c.length == 6)
 
 
-@lru_cache(maxsize=1)
-def _deletion_tables():
-    """For every vertex set W with |W| <= 3: |W| and the bitmap (r = 6 on P)
-    of U_W, the span of the syndromes of the edges at W, which holds the
-    syndrome of a signature exactly when it is balanced on P - W."""
-    g, _ = petersen()
-    tables = []
-    for k in range(4):
-        for w in itertools.combinations(range(10), k):
-            span = [0]
-            for b in span_basis(g.syndromes[e] for v in w
-                                for e in bits(g.incidence[v])):
-                span += [u ^ b for u in span]
-            tables.append((k, sum(1 << u for u in span)))
-    return tables
-
-
 @lru_cache(maxsize=64)
 def _class_invariants(z: int) -> tuple[SixType, int, int, int, int]:
     """(class, l, l0, negative pentagons, negative hexagons) of the Petersen
-    switching class with syndrome z, read off its chord representative: l
-    by one walk over the 512 cuts, l0 the least |W| whose span holds z."""
-    base = chord_mask(petersen()[0], z)
-    l = min((base ^ c).bit_count() for c in petersen_cut_masks())
-    l0 = next(k for k, span in _deletion_tables() if span >> z & 1)
+    switching class with syndrome z, read off its chord representative by
+    the generic searches of ``frustration``."""
+    g = petersen()[0]
+    base = chord_mask(g, z)
+    l = least_edges(g, z).bit_count()
+    l0 = least_vertices(g, base).bit_count()
     pentagons = odd_count(base, petersen_pentagon_masks())
     return (SIX_FINGERPRINT[(l, pentagons)], l, l0, pentagons,
             odd_count(base, petersen_hexagon_masks()))
@@ -196,7 +156,7 @@ def petersen_invariants(mask: int) -> tuple[SixType, int, int, int, int]:
 
 def petersen_frustration_of_mask(mask: int) -> int:
     """Frustration index of a Petersen signature given as a 15-bit mask:
-    minimum negative count over all 512 switchings."""
+    the least weight of a mask with its syndrome."""
     return petersen_invariants(mask)[1]
 
 

@@ -2,10 +2,13 @@
 value the program also computes, the slow and direct way."""
 
 import itertools
+from functools import lru_cache
 
+from signedpetersen.clustering import min_hitting_mask
 from signedpetersen.coloring import _count, count_colorations
-from signedpetersen.graphs import (Graph, automorphism_images, cut_preimage,
-                                   cut_space, enumerate_cycles)
+from signedpetersen.graphs import (Graph, automorphism_images, bits,
+                                   cut_preimage, cut_space, enumerate_cycles,
+                                   petersen, span_basis)
 from signedpetersen.groups import (SwitchingGroup, SwitchingPermutation,
                                    _pullback, edge_permutation, inverse)
 from signedpetersen.signed import SignedGraph, sign_of_circle, switch
@@ -130,3 +133,40 @@ def scan_lifts(s):
         if x is not None:
             out.append((p, x))
     return tuple(out)
+
+
+def circle_hitting_sets(s):
+    """(edge mask, vertex mask) of a least edge set and a least vertex set
+    meeting every negative circle of s, from a fresh cycle listing: by
+    Harary, deleting such a set balances s. The negative edges meet every
+    negative circle, so their number caps both searches."""
+    negative = [c for c in enumerate_cycles(s.graph, s.graph.vertex_count)
+                if sign_of_circle(s, c) < 0]
+    cap = s.mask.bit_count()
+    return (min_hitting_mask([c.edge_mask for c in negative], cap),
+            min_hitting_mask([sum(1 << v for v in c.vertices)
+                              for c in negative], cap))
+
+
+@lru_cache(maxsize=1)
+def deletion_tables():
+    """For every vertex set W of the Petersen graph with |W| <= 3, in
+    increasing size and then lexicographic order: |W| and the bitmap (r = 6
+    on P) of U_W, the span of the syndromes of the edges at W, which holds
+    the syndrome of a signature exactly when it is balanced on P - W."""
+    g, _ = petersen()
+    tables = []
+    for k in range(4):
+        for w in itertools.combinations(range(10), k):
+            span = [0]
+            for b in span_basis(g.syndromes[e] for v in w
+                                for e in bits(g.incidence[v])):
+                span += [u ^ b for u in span]
+            tables.append((k, sum(1 << u for u in span)))
+    return tables
+
+
+def petersen_l0_by_spans(z):
+    """Frustration number of the Petersen switching class with syndrome z:
+    the least |W| whose span holds z. Every class has l0 <= 3."""
+    return next(k for k, span in deletion_tables() if span >> z & 1)

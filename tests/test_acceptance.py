@@ -8,17 +8,18 @@ from signedpetersen import expected
 from signedpetersen.census import _switching_orbits, run_census
 from signedpetersen.clustering import (cluster_number, inclusterability_index,
                                        max_inclusterability)
-from signedpetersen.coloring import (chi3_difference, chromatic_numbers,
-                                     count_colorations)
+from signedpetersen.coloring import (_count, chi3_difference,
+                                     chromatic_numbers, count_colorations)
 from signedpetersen.frustration import frustration_index, frustration_number
-from signedpetersen.graphs import enumerate_cycles, petersen
+from signedpetersen.graphs import enumerate_cycles, petersen, syndrome
 from signedpetersen.groups import (aut_signed, coset_system, identify_group,
                                    orbit_counts, swaut)
 from signedpetersen.signed import (SignedGraph, negate, petersen_cut_masks,
                                    petersen_frustration_of_mask,
                                    petersen_invariants, switch)
 
-from oracles import balanced_expansion_check, negative_circle_counts
+from oracles import (balanced_expansion_check, negative_circle_counts,
+                     petersen_l0_by_spans)
 from test_sp_tables import build_p32_reps
 
 
@@ -42,8 +43,9 @@ def test_criterion_02_frustration(reps):
         frustration_index(s)[0] == frustration_number(s)[0]
         == expected.FRUSTRATION_INDEX[i]
         for i, s in enumerate(reps))
-    # the number per mask from the deletion tables, the index as the least
-    # weight in the mask's switching class
+    # the number per mask from its class's row (the vertex-subset search on
+    # the chord representative), the index as the least weight in the
+    # mask's switching class
     everywhere = True
     for orbit in _switching_orbits():
         l = min(m.bit_count() for m in orbit)
@@ -152,10 +154,12 @@ def test_criterion_09_property_suite(pg, reps):
     ok = True
     for _ in range(1000):
         mask, cut = rng.randrange(1 << 15), rng.choice(cuts)
+        # the per-class row against the least weight over the 512
+        # switchings and against the span table of the deletions
         ok &= petersen_frustration_of_mask(mask) == \
-            petersen_frustration_of_mask(mask ^ cut)
+            min((mask ^ c).bit_count() for c in cuts)
         ok &= petersen_invariants(mask)[2] == \
-            petersen_invariants(mask ^ cut)[2]
+            petersen_l0_by_spans(syndrome(g, mask))
         for c in cycles[:8]:
             before = (c.edge_mask & mask).bit_count() & 1
             after = (c.edge_mask & (mask ^ cut)).bit_count() & 1
@@ -168,7 +172,7 @@ def test_criterion_09_property_suite(pg, reps):
     for _ in range(10):
         s = SignedGraph(g, rng.randrange(1 << 15))
         z = sum(1 << v for v in rng.sample(range(10), 5))
-        ok &= count_colorations(s, 1) == count_colorations(switch(s, z), 1)
+        ok &= count_colorations(s, 1) == _count(switch(s, z), 1, False)
         ok &= balanced_expansion_check(s)[0]
     for s in reps:
         perms = [e.perm for e in swaut(s).elements]  # axioms checked inside

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import signedpetersen
-from signedpetersen import cli, frustration
+from signedpetersen import cli, clustering, frustration, graphs, signed
 from signedpetersen import expected
 from signedpetersen.census import (TABLE_IDS, build_table, run_census,
                                    standard_mask, verify_all)
@@ -20,7 +20,9 @@ from signedpetersen.io import (InputError, format_mask, load_signed_graph,
                                parse_mask, parse_signed_graph, read_header,
                                serialize_signed_graph)
 from signedpetersen.signed import SIX_ORDER, SignedGraph, classify_six_mask
-from signedpetersen.graphs import Graph, petersen
+from signedpetersen.graphs import Graph, petersen, syndrome
+
+from oracles import circle_hitting_sets
 
 
 # --------------------------------------------------------------------------
@@ -54,11 +56,12 @@ def test_deletion_tables_match_restricted_cuts():
     # edges. A mask of each of the 64 syndromes (its chords, switched by a
     # seeded cut) is balanced on P - W exactly when its kept part is one.
     from signedpetersen.graphs import bits, syndrome
-    from signedpetersen.signed import _deletion_tables, petersen_cut_masks
+    from signedpetersen.signed import petersen_cut_masks
+    from oracles import deletion_tables
     g, _ = petersen()
     rng = random.Random(13)
     cuts = petersen_cut_masks()
-    tables = _deletion_tables()
+    tables = deletion_tables()
     sets = [w for k in range(4) for w in itertools.combinations(range(10), k)]
     assert len(tables) == len(sets) == 176
     assert len(g.chords) == 6
@@ -214,22 +217,22 @@ def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
 def test_classify_and_color_read_each_switching_class_once(capsys,
                                                           monkeypatch,
                                                           rep_masks):
-    """On two switching-equivalent masks, classify walks the 512 cuts and
-    color --k 1 runs the k = 0 and k = 2 backtracks for the first only; the
+    """On two switching-equivalent masks, classify runs the l search and
+    color --k 1 the k = 0 and k = 2 backtracks for the first only; the
     second reads every line from the per-class caches."""
     from signedpetersen import coloring, signed
     walks, counted = [], []
-    cut_masks, count = signed.petersen_cut_masks, coloring._count
+    least_edges, count = signed.least_edges, coloring._count
 
-    def counted_cut_masks():
-        walks.append(1)
-        return cut_masks()
+    def counted_least_edges(g, z):
+        walks.append(z)
+        return least_edges(g, z)
 
     def counted_count(s, k, zero_free, first=False):
         counted.append(k)
         return count(s, k, zero_free, first)
 
-    monkeypatch.setattr(signed, "petersen_cut_masks", counted_cut_masks)
+    monkeypatch.setattr(signed, "least_edges", counted_least_edges)
     monkeypatch.setattr(coloring, "_count", counted_count)
     caches = (signed._class_invariants, coloring._class_count)
     mask = rep_masks[2]  # P2,2: chi* = 2, so the k = 2 backtrack runs
@@ -546,14 +549,22 @@ def refuse(*args):
     raise AssertionError("route not taken for this graph")
 
 
+def refuse_circles(monkeypatch):
+    """Make every name-imported copy of ``enumerate_cycles`` in the package
+    raise, and clear the clustering circle cache."""
+    clustering.circle_masks.cache_clear()
+    for module in (clustering, graphs, signed):
+        monkeypatch.setattr(module, "enumerate_cycles", refuse)
+
+
 def test_cli_classify_dense_file_lists_no_circles(capsys, tmp_path,
                                                   monkeypatch):
     # all-negative K12: a cycle space of 55 dimensions against 11 for cuts,
     # so l walks the cuts and l0 the vertex subsets
     path = complete_graph_file(tmp_path, 12, negative=set(
         itertools.combinations(range(12), 2)))
-    frustration.circle_masks.cache_clear()
-    monkeypatch.setattr(frustration, "enumerate_cycles", refuse)
+    refuse_circles(monkeypatch)
+    monkeypatch.setattr(frustration, "_edges_by_syndromes", refuse)
     code, out, err = run_cli(capsys, "classify", "--file", str(path))
     assert (code, out, err) == (
         0, "frustration index 30\nfrustration number 10\n", "")
@@ -561,19 +572,20 @@ def test_cli_classify_dense_file_lists_no_circles(capsys, tmp_path,
 
 def test_cli_classify_sparse_file_walks_no_cuts(capsys, tmp_path,
                                                 monkeypatch):
-    # 16 vertices, 20 edges: a cycle space of 5 dimensions against 15
+    # 16 vertices, 20 edges: a cycle space of 5 dimensions against 15, so l
+    # searches the 32 syndromes and l0 the vertex subsets
     rng = random.Random(11)
     edges = {(rng.randrange(v), v) for v in range(1, 16)}
     while len(edges) < 20:
         edges.add(tuple(sorted(rng.sample(range(16), 2))))
     s = SignedGraph(Graph.from_edges(16, edges), (1 << 20) - 1)
-    l, l0 = (frustration._index_by_cuts(s).bit_count(),
-             frustration._number_by_subsets(s).bit_count())
+    l, l0 = (frustration._edges_by_cuts(s.graph, syndrome(s.graph, s.mask))
+             .bit_count(), circle_hitting_sets(s)[1].bit_count())
     assert (l, l0) == (3, 1)
     path = tmp_path / "sparse.txt"
     path.write_text(serialize_signed_graph(s))
+    refuse_circles(monkeypatch)
     monkeypatch.setattr(frustration, "cut_space", refuse)
-    monkeypatch.setattr(frustration, "balanced_without", refuse)
     code, out, err = run_cli(capsys, "classify", "--file", str(path))
     assert (code, out, err) == (
         0, f"frustration index {l}\nfrustration number {l0}\n", "")

@@ -6,17 +6,17 @@ import pytest
 from signedpetersen.expected import (ALPHA0, ALPHA1, ALPHA2, CLASS_NAMES,
                                      FRUSTRATION_INDEX, FRUSTRATION_NUMBER)
 from signedpetersen.coloring import alpha_k
-from signedpetersen.frustration import (_index_by_cuts, _negative_circles,
-                                        _number_by_subsets, circles_fit,
-                                        frustration_index, frustration_number,
-                                        min_hitting_mask)
+from signedpetersen import frustration
+from signedpetersen.frustration import (_edges_by_cuts, _edges_by_syndromes,
+                                        balanced_without, frustration_index,
+                                        frustration_number, least_edges,
+                                        least_vertices)
 from signedpetersen.graphs import (Graph, SearchSizeError, cut_space, petersen,
                                    syndrome)
-from signedpetersen.signed import (SignedGraph, _deletion_tables,
-                                   balanced_without, is_balanced, negate,
-                                   switch)
+from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
-from oracles import delete_vertices, independent_sets
+from oracles import (circle_hitting_sets, delete_vertices, deletion_tables,
+                     independent_sets)
 
 
 def k4_signed(mask):
@@ -114,7 +114,7 @@ def test_balanced_without_matches_the_deletion_tables():
     # every Petersen signature, with no vertex or one vertex deleted, against
     # the syndrome spans of P - W
     g, _ = petersen()
-    spans = [span for k, span in _deletion_tables() if k <= 1]
+    spans = [span for k, span in deletion_tables() if k <= 1]
     singles = [0] + [1 << v for v in range(10)]  # the order of the tables
     for mask in range(1 << 15):
         z = syndrome(g, mask)
@@ -204,7 +204,7 @@ def parity_graphs():
     """100 seeded signed graphs of 8-16 vertices, every fifth with two
     components and every fourth all negative. Up to 11 vertices the edge
     count runs from one over a spanning forest to six over twice one, so
-    both sides of ``circles_fit`` occur; above that it stays near the
+    both routes of ``least_edges`` occur; above that it stays near the
     forest, where the vertex-subset search is quick."""
     rng = random.Random(2011)
     out = []
@@ -228,46 +228,69 @@ def parity_graphs():
     return out
 
 
+def searches_syndromes(g):
+    """The route ``least_edges`` takes: the syndrome search when the cycle
+    space (dimension r) is the smaller, the cut walk otherwise."""
+    return len(g.chords) < len(g.edges) - len(g.chords)
+
+
 def test_circle_routes_match_cut_walk_and_subset_search():
-    """Every graph goes through both routes for l and l0, whichever one
-    ``circles_fit`` picks in production."""
+    """Every graph goes through both walks of ``least_edges`` for l and the
+    subset search for l0, whichever walk production picks; the least edge
+    and vertex hitting sets of the negative circles are the oracle."""
     graphs = parity_graphs()
-    fits = [circles_fit(s.graph) for s in graphs]
-    assert min(fits.count(True), fits.count(False)) >= 15
-    assert any(not s.graph.is_connected() and not fit
-               for s, fit in zip(graphs, fits))
+    searched = [searches_syndromes(s.graph) for s in graphs]
+    assert min(searched.count(True), searched.count(False)) >= 15
+    assert any(not s.graph.is_connected() and not side
+               for s, side in zip(graphs, searched))
     for s in graphs:
-        g, cap = s.graph, s.mask.bit_count()
-        by_circles = min_hitting_mask(_negative_circles(s, 0), cap)
-        by_cuts = _index_by_cuts(s)
+        g = s.graph
+        z = syndrome(g, s.mask)
+        by_edge_circles, by_vertex_circles = circle_hitting_sets(s)
+        by_syndromes, by_cuts = _edges_by_syndromes(g, z), _edges_by_cuts(g, z)
         l = by_cuts.bit_count()
-        assert by_circles.bit_count() == l, s
-        for witness in (by_circles, by_cuts):
+        assert by_syndromes.bit_count() == by_edge_circles.bit_count() == l, s
+        for witness in (by_edge_circles, by_syndromes, by_cuts):
             assert is_balanced(SignedGraph(g, s.mask ^ witness))
         assert len(frustration_index(s)[1]) == l
-        by_circles = min_hitting_mask(_negative_circles(s, 1), cap)
-        by_subsets = _number_by_subsets(s)
+        by_subsets = least_vertices(g, s.mask)
         l0 = by_subsets.bit_count()
-        assert by_circles.bit_count() == l0 <= l, s
-        for witness in (by_circles, by_subsets):
+        assert by_vertex_circles.bit_count() == l0 <= l, s
+        for witness in (by_vertex_circles, by_subsets):
             dropped = [v for v in range(g.vertex_count) if witness >> v & 1]
             assert is_balanced(delete_vertices(s, dropped))
         assert len(frustration_number(s)[1]) == l0
 
 
-def test_circles_fit_takes_a_cycle_space_of_at_most_a_32nd_of_the_cuts():
-    # a path (n - 1 cut dimensions) plus r chords (r cycle dimensions);
-    # circles are listed exactly when r + 5 <= n - 1
+def test_least_edges_searches_syndromes_below_the_cut_dimension(monkeypatch):
+    # a path (n - 1 cut dimensions) plus r chords (r cycle dimensions): the
+    # syndromes are searched exactly when r < n - 1, and a tie walks the cuts
+    walks = []
+    walk = frustration._edges_by_cuts
+
+    def counted_walk(g, z):
+        walks.append(len(g.chords))
+        return walk(g, z)
+
+    monkeypatch.setattr(frustration, "_edges_by_cuts", counted_walk)
     for n in (10, 16):
         path = [(i, i + 1) for i in range(n - 1)]
         chords = [e for e in itertools.combinations(range(n), 2)
                   if e[1] - e[0] > 1]
-        for r in range(n):
+        for r in (n - 2, n - 1):
             g = Graph.from_edges(n, path + chords[:r])
-            assert circles_fit(g) == (r + 5 <= n - 1), (n, r)
+            z = (1 << r) - 1
+            walks.clear()
+            l = least_edges(g, z).bit_count()
+            assert walks == ([] if r < n - 1 else [r]), (n, r)
+            assert l == _edges_by_syndromes(g, z).bit_count(), (n, r)
     # two components and an isolated vertex: n - c = 12 - 3 = 9
     left = [(i, i + 1) for i in range(5)]
     right = [(i, i + 1) for i in range(6, 10)]
-    for r, fit in ((4, True), (5, False)):
-        chords = [(0, 2), (0, 3), (6, 8), (0, 4), (6, 9)][:r]
-        assert circles_fit(Graph.from_edges(12, left + right + chords)) == fit
+    extra = [(0, 2), (0, 3), (6, 8), (0, 4), (6, 9), (1, 3), (7, 9), (1, 4),
+             (2, 4), (2, 5)]
+    for r in (8, 9):
+        g = Graph.from_edges(12, left + right + extra[:r])
+        walks.clear()
+        least_edges(g, 1)
+        assert searches_syndromes(g) == (r < 9) and walks == [r] * (r >= 9)

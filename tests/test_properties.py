@@ -1,7 +1,7 @@
 """Property suite. The program reads the switching invariants once per
 switching class, so each is checked against an independent route on every
 class: the frustration index against a walk over the 512 cuts, the
-frustration number against the generic hitting-set search, the circle sign
+frustration number against the span table of the deletions, the circle sign
 counts against a direct count, and the colouring counts and chromatic
 numbers against the backtrack on several members. On all 2^15 signatures:
 balance against a zero frustration index, and the clusterability criterion
@@ -16,14 +16,14 @@ from signedpetersen.clustering import is_clusterable
 from signedpetersen.coloring import (_count, chromatic_numbers,
                                      count_colorations)
 from signedpetersen.frustration import frustration_number
-from signedpetersen.graphs import enumerate_cycles
+from signedpetersen.graphs import enumerate_cycles, syndrome
 from signedpetersen.signed import (SIX_FINGERPRINT, SignedGraph, is_balanced,
                                    petersen_frustration_of_mask,
                                    petersen_hexagon_masks, petersen_invariants,
                                    petersen_pentagon_masks, switch)
 
 from oracles import (balanced_expansion_check, minimal_representative,
-                     switching_orbits)
+                     petersen_l0_by_spans, switching_orbits)
 
 ALL_MASKS = range(1 << 15)
 
@@ -67,13 +67,15 @@ def test_switching_invariance_of_frustration_index(pg, orbits):
 
 
 def test_switching_invariance_of_frustration_number(pg, orbits):
-    # the generic search on a seeded member of each orbit, against every
-    # mask of the orbit
+    # the least deletion whose syndrome span holds the class (the span
+    # table), against every mask of the orbit and against the generic
+    # search on a seeded member
     g, _ = pg
     rng = random.Random(104)
     for orbit in orbits:
-        l0 = frustration_number(SignedGraph(g, rng.choice(orbit)))[0]
+        l0 = petersen_l0_by_spans(syndrome(g, orbit[0]))
         assert [petersen_invariants(m)[2] for m in orbit] == [l0] * 512
+        assert frustration_number(SignedGraph(g, rng.choice(orbit)))[0] == l0
 
 
 def test_switching_invariance_of_circle_signs(pg):
