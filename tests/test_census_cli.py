@@ -220,7 +220,7 @@ def test_classify_and_color_read_each_switching_class_once(capsys,
     """On two switching-equivalent masks, classify runs the l search and
     color --k 1 the k = 0 and k = 2 backtracks for the first only; the
     second reads every line from the per-class caches."""
-    from signedpetersen import coloring, signed
+    from signedpetersen import coloring
     walks, counted = [], []
     least_edges, count = signed.least_edges, coloring._count
 
@@ -579,8 +579,9 @@ def test_cli_classify_sparse_file_walks_no_cuts(capsys, tmp_path,
     while len(edges) < 20:
         edges.add(tuple(sorted(rng.sample(range(16), 2))))
     s = SignedGraph(Graph.from_edges(16, edges), (1 << 20) - 1)
-    l, l0 = (frustration._edges_by_cuts(s.graph, syndrome(s.graph, s.mask))
-             .bit_count(), circle_hitting_sets(s)[1].bit_count())
+    z = syndrome(s.graph, s.mask)
+    l = frustration._edges_by_cuts(s.graph, z).bit_count()
+    l0 = circle_hitting_sets(s)[1].bit_count()
     assert (l, l0) == (3, 1)
     path = tmp_path / "sparse.txt"
     path.write_text(serialize_signed_graph(s))
