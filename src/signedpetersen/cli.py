@@ -6,10 +6,10 @@ Exit codes: 0 success, 1 verification difference, 2 input error.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import census as census_mod
 from . import io as io_mod
@@ -119,9 +119,64 @@ def cmd_verify(args) -> int:
     return 0
 
 
+# Each command's function and options, with the defaults argparse gives
+# them: None for an option that takes a value, False for a flag.
+_GRAMMAR = {
+    "census": (cmd_census, {"format": "text"}),
+    "table": (cmd_table, {"id": None, "format": "text"}),
+    "classify": (cmd_classify, {"mask": None, "file": None}),
+    "group": (cmd_group, {"mask": None, "coset_table": False}),
+    "color": (cmd_color, {"mask": None, "file": None, "k": None,
+                          "zero_free": False}),
+    "cluster": (cmd_cluster, {"mask": None, "file": None}),
+    "verify": (cmd_verify, {}),
+}
+
+
+def _match(argv):
+    """The namespace argparse builds for argv, when argv keeps to the exact
+    grammar: the command first, then each option of its own at most once,
+    spelled out in full, with its value in the next token, and the table id
+    of ``table``. Else None, and argparse parses argv and words its errors:
+    abbreviations, ``--opt=value``, repeated or missing options, bad
+    choices, values starting with ``-``, and ``-h``."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    func, defaults = _GRAMMAR[argv[0]]
+    ns, seen, tokens = dict(defaults), set(), iter(argv[1:])
+    for token in tokens:
+        if token in ("--coset-table", "--zero-free"):
+            key, value = token[2:].replace("-", "_"), True
+        elif token in ("--mask", "--file", "--k", "--format"):
+            key, value = token[2:], next(tokens, "")
+            if value[:1] in ("", "-"):
+                return None
+        elif token in census_mod.TABLE_IDS:
+            key, value = "id", token
+        else:
+            return None
+        if key not in ns or key in seen:
+            return None
+        seen.add(key)
+        ns[key] = value
+    if ns.get("format", "text") not in ("text", "csv", "json"):
+        return None
+    if ns.get("k") is not None:
+        try:
+            ns["k"] = int(ns["k"])
+        except ValueError:
+            return None
+    unset = [key for key, value in ns.items() if value is None]
+    if unset not in ((["mask"], ["file"]) if "file" in ns else ([],)):
+        return None
+    return SimpleNamespace(command=argv[0], **ns, func=func)
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process on the first call."""
+    """The argument parser, built once per process on the first call that
+    the exact grammar does not match."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="signed-petersen",
         description="Signed-graph census and analysis of Petersen signatures")
@@ -168,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _match(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """Clusterability of signed graphs: Davis's criterion on the positive
-components, the cluster number from a minimum colouring, the exact
-inclusterability index, and the maximum-index search over all signatures.
+components, the cluster number from a minimum colouring, and the exact
+inclusterability index.
 
 A signature is clusterable exactly when no negative edge joins two vertices
 of one component of the positive subgraph (Davis), equivalently when no
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError,
-                     all_matchings, bits, enumerate_cycles, minimum_coloring,
-                     tree_cycle)
+from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
+                     enumerate_cycles, minimum_coloring, tree_cycle)
 from .signed import SignedGraph
 
 MAX_EDGES = 20
@@ -114,28 +113,3 @@ def inclusterability_index(s: SignedGraph):
     hit = min_hitting_mask(bad, s.mask.bit_count())
     dels = frozenset(g.edges[i] for i in range(len(g.edges)) if hit >> i & 1)
     return hit.bit_count(), dels
-
-
-def max_inclusterability(g: Graph, cubic_shortcut: bool = True) -> int:
-    """Maximum inclusterability index over all signatures of g.
-
-    With the shortcut (maximum degree <= 3 required) only signatures whose
-    negative edges form a matching are scanned; every other signature is
-    dominated by one of those. Without it, all 2^|E| signatures are scanned.
-    """
-    m = len(g.edges)
-    if m > MAX_EDGES:
-        raise SearchSizeError("too many edges for signature scan")
-    circles = circle_masks(g)
-
-    def q_of(neg_mask: int) -> int:
-        bad = _bad_cycles(circles, neg_mask)
-        return min_hitting_mask(bad, neg_mask.bit_count()).bit_count()
-
-    masks = range(1 << m)
-    if cubic_shortcut:
-        if any(g.degree(v) > 3 for v in range(g.vertex_count)):
-            raise ValueError("shortcut needs maximum degree at most 3")
-        masks = (sum(1 << g.edge_index[e] for e in matching)
-                 for matching in all_matchings(g))
-    return max(map(q_of, masks))

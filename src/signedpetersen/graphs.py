@@ -166,13 +166,20 @@ class Graph(_Record):
     @cached_property
     def syndromes(self) -> tuple[int, ...]:
         """Cycle-space syndrome of each edge, bit t its parity on the t-th
-        fundamental cycle: the chord bits of e xor the cut of its forest
-        preimage, which agrees with e on the forest."""
-        out = []
-        for e in range(len(self.edges)):
-            d = (1 << e) ^ cut_mask(self, forest_preimage(self, 1 << e))
-            out.append(sum(1 << t for t, i in enumerate(self.chords)
-                           if d >> i & 1))
+        fundamental cycle: 1 << t for the t-th chord, and for the forest
+        edge above v the xor of the chords with one end in the subtree of
+        v, the chords that the cut of that subtree meets. One pass up the
+        forest gathers those in O(n + m)."""
+        out = [0] * len(self.edges)
+        below = [0] * self.vertex_count
+        for t, e in enumerate(self.chords):
+            out[e] = 1 << t
+            for v in self.edges[e]:
+                below[v] ^= 1 << t
+        for v, parent, i in reversed(self.spanning_forest):
+            if parent >= 0:
+                out[i] = below[v]
+                below[parent] ^= below[v]
         return tuple(out)
 
     @cached_property
@@ -225,10 +232,6 @@ def petersen() -> tuple[Graph, PetersenLabeling]:
             if not set(PETERSEN_PAIRS[a]) & set(PETERSEN_PAIRS[b]):
                 edges.append((a, b))
     return Graph(10, tuple(sorted(edges))), PetersenLabeling()
-
-
-def is_petersen(g: Graph) -> bool:
-    return g.vertex_count == 10 and g.edges == petersen()[0].edges
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +465,6 @@ def edge_distance(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> int:
     if set(e) & set(f):
         return 1
     return 1 + min(g.distances[a][b] for a in e for b in f)
-
-
-def all_matchings(g: Graph) -> list[frozenset]:
-    """Every matching of g (as frozensets of edges), the empty one included."""
-    edges = g.edges
-    out = []
-
-    def extend(start, chosen, used):
-        out.append(frozenset(chosen))
-        for i in range(start, len(edges)):
-            u, v = edges[i]
-            if u not in used and v not in used:
-                chosen.append(edges[i])
-                extend(i + 1, chosen, used | {u, v})
-                chosen.pop()
-
-    extend(0, [], frozenset())
-    return out
 
 
 def classify_matching(g: Graph, m) -> MatchingClass:

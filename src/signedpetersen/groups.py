@@ -19,10 +19,11 @@ group elements are stored with the canonical lift (vertex 0 unswitched).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property, lru_cache
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, _Record,
-                     automorphism_images, bits, cut_mask, forest_preimage,
+                     automorphism_images, bits, chord_mask, forest_preimage,
                      syndrome)
 from .signed import SignedGraph
 
@@ -66,28 +67,24 @@ def _pullback(mask: int, index_map: tuple[int, ...]) -> int:
     return out
 
 
+@lru_cache(maxsize=512)
+def _push_tables(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """p acting on vertex masks, bit v to bit p[v], as two tables, one per
+    half of the bits: x goes to lo[x & (2^h - 1)] ^ hi[x >> h] with
+    h = (n + 1) // 2, two 32-entry tables on the Petersen graph. Pushing
+    through p pulls back through the inverse of p."""
+    h = (len(p) + 1) // 2
+    tables = []
+    for half in (p[:h], p[h:]):
+        t = [0]
+        for w in half:
+            t += [y | 1 << w for y in t]
+        tables.append(tuple(t))
+    return tuple(tables)
+
+
 # Base permutations act on {1..5}; stored as image tuples of length 5 with
 # entry i-1 giving the image of i.
-
-def parse_cycles(text: str, degree: int = 5) -> tuple[int, ...]:
-    """Parse cycle notation such as ``(12)(45)`` or ``(145)`` on {1..degree}.
-    An empty string or ``()`` is the identity."""
-    images = list(range(1, degree + 1))
-    body = text.strip()
-    while body:
-        if not body.startswith("("):
-            raise ValueError(f"bad cycle notation {text!r}")
-        end = body.index(")")
-        cyc = [int(ch) for ch in body[1:end]]
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            if not 1 <= a <= degree:
-                raise ValueError(f"entry {a} out of range in {text!r}")
-            images[a - 1] = b
-        body = body[end + 1:].strip()
-    if sorted(images) != list(range(1, degree + 1)):
-        raise ValueError(f"not a permutation: {text!r}")
-    return tuple(images)
-
 
 def format_cycles(base: tuple[int, ...]) -> str:
     """Cycle notation for a permutation of {1..len(base)}; identity is ()."""
@@ -138,41 +135,10 @@ def sp_identity(n: int) -> SwitchingPermutation:
     return SwitchingPermutation(0, identity_perm(n))
 
 
-def sp_multiply(a: SwitchingPermutation, b: SwitchingPermutation) -> SwitchingPermutation:
-    """Semidirect product: the switching set of b is pulled back through the
-    permutation of a, then combined by symmetric difference."""
-    if len(a.perm) != len(b.perm):
-        raise ValueError("size mismatch")
-    return SwitchingPermutation(a.switch_mask ^ _pullback(b.switch_mask, a.perm),
-                                compose(a.perm, b.perm))
-
-
-def sp_conjugate(a: SwitchingPermutation, alpha: tuple[int, ...]) -> SwitchingPermutation:
-    """Conjugate by a plain permutation: the switching set is relabeled by
-    alpha and the permutation part becomes alpha^-1 * a.perm * alpha."""
-    ai = inverse(alpha)
-    return SwitchingPermutation(_pullback(a.switch_mask, ai),
-                                compose(compose(ai, a.perm), alpha))
-
-
 def sp_negate(a: SwitchingPermutation) -> SwitchingPermutation:
     """Complement the switching set; same action on a connected graph."""
     full = (1 << a.n) - 1
     return SwitchingPermutation(a.switch_mask ^ full, a.perm)
-
-
-def sp_canonical(a: SwitchingPermutation) -> SwitchingPermutation:
-    """Kernel-canonical lift on a connected graph: vertex 0 unswitched."""
-    return sp_negate(a) if a.switch_mask & 1 else a
-
-
-def sp_act(a: SwitchingPermutation, s: SignedGraph) -> SignedGraph:
-    """Switch by the switching set, then relabel by the permutation: edge
-    i takes the sign of the edge that the inverse permutation sends it to."""
-    g = s.graph
-    switched = s.mask ^ cut_mask(g, a.switch_mask)
-    return SignedGraph(g, _pullback(switched,
-                                    edge_permutation(g, inverse(a.perm))))
 
 
 def edge_permutation(g: Graph, perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -324,58 +290,69 @@ class SwitchingGroup(FiniteGroup):
     mask and permutation. On a connected graph a lift is fixed by its
     permutation, so the group is isomorphic to its group of permutations:
     element orders and commutativity are read from permutations, and no
-    Cayley table is built."""
+    Cayley table is built. ``known``, permutations that generate the group
+    and the histogram of its element orders, is given only for a list
+    known to be a group (a conjugate of a checked one); otherwise the
+    closure check finds the generators."""
 
-    def __init__(self, elements):
+    def __init__(self, elements, known=None):
         elements = sorted(elements, key=lambda e: (e.switch_mask, e.perm))
         self.by_perm = {e.perm: e for e in elements}
         if len(self.by_perm) != len(elements):
             raise GroupAxiomError("two elements share a permutation")
+        if known:
+            self.generators, self.order_histogram = known
         super().__init__(elements, None)
 
     def _check(self, mul) -> None:
-        """Closure under greedy generators, |S|·|T| products in place of
-        |S|^2 Cayley cells: each element not yet reached becomes a
-        generator, and each reached element is multiplied once by each
-        generator. Each product, canonicalised, must be listed; with the
-        identity listed, the list is then the group the generators
-        generate."""
-        by_perm = self.by_perm
-        one = sp_identity(self.elements[0].n if self.elements else 0)
-        if by_perm.get(one.perm) != one:
-            raise GroupAxiomError("no identity element")
-        full = (1 << one.n) - 1
-        reached, gens = {one.perm: one}, []
-        for candidate in self.elements:
-            if candidate.perm in reached:
-                continue
-            gens.append(candidate)
-            work = [(a, (candidate,)) for a in reached.values()]
-            while work:
-                a, ts = work.pop()
-                for t in ts:  # sp_multiply and sp_canonical, inlined
-                    q = compose(a.perm, t.perm)
-                    z = a.switch_mask ^ _pullback(t.switch_mask, a.perm)
-                    c = by_perm.get(q)
-                    if c is None or c.switch_mask != (z ^ full if z & 1 else z):
-                        raise GroupAxiomError(f"not closed: {a} * {t}")
-                    if q not in reached:
-                        reached[q] = c
-                        work.append((c, tuple(gens)))
-        self.generators = tuple(gens)
+        if "generators" not in self.__dict__:
+            self.generators = _closure_generators(self.by_perm)
 
     def element_order(self, i: int) -> int:
         return perm_order(self.elements[i].perm)
 
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise."""
-        return all(compose(a.perm, b.perm) == compose(b.perm, a.perm)
+        return all(compose(a, b) == compose(b, a)
                    for a, b in itertools.combinations(self.generators, 2))
 
     def is_subgroup(self, other: "SwitchingGroup") -> bool:
         """Whether every element lies in other; both are checked groups
         under one product, so containment is enough."""
         return all(e in other.index for e in self.elements)
+
+
+def _closure_generators(by_perm) -> tuple[tuple[int, ...], ...]:
+    """Check that the switching permutations by_perm lists (keyed by
+    permutation) form a group, by closure under greedy generators, |S|·|T|
+    products in place of |S|^2 Cayley cells: each element not yet reached
+    becomes a generator, and each reached element is multiplied once by
+    each generator. Each product, canonicalised, must be listed; with the
+    identity listed, the list is then the group the generators generate.
+    Returns the permutations of the generators."""
+    elements = list(by_perm.values())
+    one = sp_identity(elements[0].n if elements else 0)
+    if by_perm.get(one.perm) != one:
+        raise GroupAxiomError("no identity element")
+    full = (1 << one.n) - 1
+    reached, gens = {one.perm: one}, []
+    for candidate in elements:
+        if candidate.perm in reached:
+            continue
+        gens.append(candidate)
+        work = [(a, (candidate,)) for a in reached.values()]
+        while work:
+            a, ts = work.pop()
+            for t in ts:  # the semidirect product, canonicalised, inlined
+                q = compose(a.perm, t.perm)
+                z = a.switch_mask ^ _pullback(t.switch_mask, a.perm)
+                c = by_perm.get(q)
+                if c is None or c.switch_mask != (z ^ full if z & 1 else z):
+                    raise GroupAxiomError(f"not closed: {a} * {t}")
+                if q not in reached:
+                    reached[q] = c
+                    work.append((c, tuple(gens)))
+    return tuple(t.perm for t in gens)
 
 
 @lru_cache(maxsize=8)
@@ -399,26 +376,69 @@ def _switching_scan_guard(g: Graph) -> None:
         raise ValueError("switching automorphisms need a connected graph")
 
 
-@lru_cache(maxsize=8)
-def _lifts(s: SignedGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each automorphism p of the underlying graph that lifts, with the
-    switching part X of its lift. p lifts when it fixes the syndrome of the
-    mask (mask xor its pullback is a cut); only then is X, least vertex of
-    each component out, read off the forest, and X = 0 when p preserves the
-    signs. ``aut_signed``, ``swaut`` and ``orbit_counts`` read it."""
-    g, mask = s.graph, s.mask
-    z = syndrome(g, mask)
-    zbits, mbits = tuple(bits(z)), tuple(bits(mask))
-    out = []
+@lru_cache(maxsize=64)
+def _switching_class(g: Graph, z: int):
+    """What every signature with syndrome z shares, found once per
+    switching class: the automorphisms of g that lift (those that fix z),
+    each with the switching part of its lift on the chord representative
+    ``chord_mask(g, z)`` and the tables that pull vertex masks back through
+    it; and each component of g as (least vertex, vertex mask)."""
+    b = chord_mask(g, z)
+    zbits, bbits = tuple(bits(z)), tuple(bits(b))
+    lifts = []
     for p, pull, cols in _automorphism_edge_maps(g):
         image = 0
         for t in zbits:
             image ^= cols[t]
         if image == z:
             moved = 0
-            for j in mbits:
+            for j in bbits:
                 moved |= pull[j]
-            out.append((p, forest_preimage(g, mask ^ moved)))
+            lifts.append((p, forest_preimage(g, b ^ moved),
+                          _push_tables(inverse(p))))
+    components = []  # the forest lists each component after its root
+    for v, parent, _ in g.spanning_forest:
+        if parent < 0:
+            components.append([v, 0])
+        components[-1][1] |= 1 << v
+    return tuple(lifts), tuple(map(tuple, components))
+
+
+@lru_cache(maxsize=64)
+def _class_group(g: Graph, z: int):
+    """Permutations that generate SwAut of every signature with syndrome z,
+    from one closure check on the chord representative, and the histogram
+    of its element orders: the group of any other signature of the class
+    is its conjugate by the switching between them, with the same
+    permutations."""
+    lifts = _switching_class(g, z)[0]
+    return (_closure_generators({p: SwitchingPermutation(x, p)
+                                 for p, x, _ in lifts}),
+            Counter(perm_order(p) for p, _, _ in lifts))
+
+
+@lru_cache(maxsize=8)
+def _lifts(s: SignedGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each automorphism p of the underlying graph that lifts, with the
+    switching part X of its lift, least vertex of each component out, and
+    X = 0 when p preserves the signs. They are carried from the chord
+    representative b of the switching class: with Y the switching that
+    takes b to the mask, X is X_b xor Y xor the pullback of Y through p,
+    canonicalised. ``aut_signed``, ``swaut`` and ``orbit_counts`` read
+    it."""
+    g, mask = s.graph, s.mask
+    z = syndrome(g, mask)
+    lifts, components = _switching_class(g, z)
+    y = forest_preimage(g, mask ^ chord_mask(g, z))
+    h = (g.vertex_count + 1) // 2
+    low, high = y & (1 << h) - 1, y >> h
+    out = []
+    for p, x, (lo, hi) in lifts:
+        x ^= y ^ lo[low] ^ hi[high]
+        for r, c in components:
+            if x >> r & 1:
+                x ^= c
+        out.append((p, x))
     return tuple(out)
 
 
@@ -434,15 +454,17 @@ def swaut(s: SignedGraph) -> SwitchingGroup:
     of s inside the automorphism group of the underlying graph. Each
     automorphism that lifts contributes its lift with vertex 0
     unswitched."""
-    _switching_scan_guard(s.graph)
-    return SwitchingGroup(SwitchingPermutation(x, p) for p, x in _lifts(s))
+    g = s.graph
+    _switching_scan_guard(g)
+    return SwitchingGroup((SwitchingPermutation(x, p) for p, x in _lifts(s)),
+                          _class_group(g, syndrome(g, s.mask)))
 
 
 def orbit_counts(s: SignedGraph) -> tuple[int, int]:
     """(isomorphic copies, switching-equivalence classes in the orbit), by
     orbit-stabilizer: the order of Aut of the underlying graph divided by
     the number of automorphisms that fix the sign mask, and by the number
-    that lift. No group is built."""
+    that lift, one list per switching class. No group is built."""
     _switching_scan_guard(s.graph)
     lifts, aut = _lifts(s), len(_automorphism_edge_maps(s.graph))
     fixed = sum(1 for _, x in lifts if x == 0)
@@ -470,12 +492,6 @@ class CosetSystem(_Record):
                              representatives=representatives,
                              closed_under_conjugation=closed_under_conjugation)
 
-    def rep_for_mask(self, canonical_mask: int) -> int:
-        for i, r in enumerate(self.representatives):
-            if sp_canonical(r).switch_mask == canonical_mask:
-                return i
-        raise CosetError(f"no representative for switching class {canonical_mask:#x}")
-
 
 def coset_system(group: FiniteGroup, subgroup: FiniteGroup) -> CosetSystem:
     """Left-coset representatives of the subgroup (trivial switching parts)
@@ -497,15 +513,31 @@ def coset_system(group: FiniteGroup, subgroup: FiniteGroup) -> CosetSystem:
     cosets: dict[int, list[SwitchingPermutation]] = {}
     for e in group.elements:
         cosets.setdefault(e.switch_mask, []).append(e)
+    one = identity_perm(n)
+    conjugations = [_conjugation(a.perm) for a in subgroup.elements
+                    if a.perm != one]
 
     reps = _default_reps(cosets, n)
-    closed = _is_conjugation_closed(reps, subgroup)
-    if not closed:
-        alternative = _closed_reps(cosets, subgroup)
-        if alternative is not None:
-            reps = alternative
-            closed = _is_conjugation_closed(reps, subgroup)
+    closed = _is_conjugation_closed(reps, conjugations)
+    if not closed and (alternative := _closed_reps(cosets, conjugations, n)):
+        reps = alternative
+        closed = _is_conjugation_closed(reps, conjugations)
     return CosetSystem(group, subgroup, tuple(reps), closed)
+
+
+@lru_cache(maxsize=512)
+def _conjugation(alpha: tuple[int, ...]):
+    """Conjugation by the permutation alpha on (switching mask,
+    permutation) pairs: the mask is moved by alpha, the switching set
+    relabelled, and the permutation becomes alpha^-1 p alpha. alpha is
+    inverted once."""
+    ai, (lo, hi) = inverse(alpha), _push_tables(alpha)
+    h = (len(alpha) + 1) // 2
+    low = (1 << h) - 1
+
+    def conjugate(x: int, p: tuple[int, ...]):
+        return lo[x & low] ^ hi[x >> h], compose(compose(ai, p), alpha)
+    return conjugate
 
 
 def _default_reps(cosets, n: int) -> list[SwitchingPermutation]:
@@ -520,16 +552,14 @@ def _default_reps(cosets, n: int) -> list[SwitchingPermutation]:
     return reps
 
 
-def _is_conjugation_closed(reps, subgroup: FiniteGroup) -> bool:
-    """``sp_conjugate`` of each rep by each subgroup element is a rep."""
-    rep_set = set(reps)
-    alphas = [(a.perm, inverse(a.perm)) for a in subgroup.elements]
-    return all(SwitchingPermutation(_pullback(r.switch_mask, ai),
-                                    compose(compose(ai, r.perm), a))
-               in rep_set for r in reps for a, ai in alphas)
+def _is_conjugation_closed(reps, conjugations) -> bool:
+    """Each rep conjugated by each subgroup element but the identity is a
+    rep."""
+    pairs = {(r.switch_mask, r.perm) for r in reps}
+    return all(c(x, p) in pairs for x, p in pairs for c in conjugations)
 
 
-def _closed_reps(cosets, subgroup: FiniteGroup):
+def _closed_reps(cosets, conjugations, n: int):
     """Try to pick one exact representative per coset so the whole system is
     closed under conjugation by the subgroup; None when impossible.
 
@@ -537,72 +567,27 @@ def _closed_reps(cosets, subgroup: FiniteGroup):
     candidate for a seed coset and propagate it around the orbit, rejecting
     candidates whose propagation is inconsistent.
     """
-    alphas = [a.perm for a in subgroup.elements]
+    full = (1 << n) - 1
     todo = set(cosets)
-    chosen: dict[int, SwitchingPermutation] = {}
+    chosen: dict[int, tuple[int, tuple[int, ...]]] = {}
     while todo:
         seed = min(todo)
-        candidates = [c for e in cosets[seed] for c in (e, sp_negate(e))]
-        ok = None
-        for cand in candidates:
-            assign: dict[int, SwitchingPermutation] = {}
-            good = True
-            for a in alphas:
-                img = sp_conjugate(cand, a)
-                key = sp_canonical(img).switch_mask
-                if key in assign:
-                    if assign[key] != img:
-                        good = False
-                        break
-                else:
-                    assign[key] = img
-            if good:
-                ok = assign
-                break
-        if ok is None:
+        orbits = (_conjugates(seed, (x, e.perm), conjugations, full)
+                  for e in cosets[seed] for x in (e.switch_mask, e.switch_mask ^ full))
+        orbit = next(filter(None, orbits), None)
+        if orbit is None:
             return None
-        chosen.update(ok)
-        todo -= set(ok)
-    return [chosen[mask] for mask in sorted(chosen)]
+        chosen.update(orbit)
+        todo -= orbit.keys()
+    return [SwitchingPermutation(*chosen[mask]) for mask in sorted(chosen)]
 
 
-def general_product(system: CosetSystem,
-                    x: tuple[int, SwitchingPermutation],
-                    y: tuple[int, SwitchingPermutation]):
-    """Product of x = rep_i * alpha and y = rep_j * beta computed through the
-    coset representatives: returns (sign, rep index, nu, alpha*beta) with nu
-    in the subgroup, and cross-checks against direct multiplication.
-
-    Requires a conjugation-closed representative system.
-    """
-    if not system.closed_under_conjugation:
-        raise CosetError("representative system is not conjugation-closed")
-    i, alpha = x
-    j, beta = y
-    rx, ry = system.representatives[i], system.representatives[j]
-    if alpha not in system.subgroup.index or beta not in system.subgroup.index:
-        raise CosetError("cofactors must lie in the subgroup")
-
-    # Raw switching set of the product: X xor the pullback of Y through
-    # (gamma_X alpha).
-    ga = compose(rx.perm, alpha.perm)
-    u_raw = rx.switch_mask ^ _pullback(ry.switch_mask, ga)
-    k = system.rep_for_mask(sp_canonical(SwitchingPermutation(u_raw, ga)).switch_mask)
-    ru = system.representatives[k]
-    sign = 1 if u_raw == ru.switch_mask else -1
-
-    # nu = gamma_U^-1 * gamma_X * (gamma_Y conjugated by alpha^-1)
-    gy_conj = compose(compose(alpha.perm, ry.perm), inverse(alpha.perm))
-    nu_perm = compose(compose(inverse(ru.perm), rx.perm), gy_conj)
-    nu = SwitchingPermutation(0, nu_perm)
-    if nu not in system.subgroup.index:
-        raise CosetError("nu fell outside the subgroup")
-    ab = SwitchingPermutation(0, compose(alpha.perm, beta.perm))
-
-    direct = sp_multiply(sp_multiply(rx, alpha), sp_multiply(ry, beta))
-    recombined = sp_multiply(sp_multiply(ru, nu), ab)
-    if sign < 0:
-        recombined = sp_negate(recombined)
-    if recombined != direct:
-        raise CosetError("decomposition disagrees with direct product")
-    return sign, k, nu, ab
+def _conjugates(seed: int, cand, conjugations, full: int):
+    """The conjugates of cand, a candidate for the coset seed, keyed by
+    coset (canonical mask), or None when two in one coset differ."""
+    assign = {seed: cand}
+    for c in conjugations:
+        img = c(*cand)
+        if assign.setdefault(img[0] ^ full if img[0] & 1 else img[0], img) != img:
+            return None
+    return assign

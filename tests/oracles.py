@@ -1,16 +1,23 @@
-"""Reference routes the tests compare the program with: each computes a
-value the program also computes, the slow and direct way."""
+"""Reference routes the tests compare the program with, each computing a
+value the program also computes the slow and direct way, and the helpers
+only the tests use: cycle notation, products, conjugates and actions of
+switching permutations, the coset product, matchings and the maximum
+inclusterability."""
 
 import itertools
 from functools import lru_cache
 
-from signedpetersen.clustering import min_hitting_mask
+from signedpetersen.clustering import (MAX_EDGES, _bad_cycles, circle_masks,
+                                       min_hitting_mask)
 from signedpetersen.coloring import _count, count_colorations
-from signedpetersen.graphs import (Graph, automorphism_images, bits,
-                                   cut_preimage, cut_space, enumerate_cycles,
-                                   petersen, span_basis)
-from signedpetersen.groups import (SwitchingGroup, SwitchingPermutation,
-                                   _pullback, edge_permutation, inverse)
+from signedpetersen.graphs import (Graph, SearchSizeError, automorphism_images,
+                                   bits, cut_mask, cut_preimage, cut_space,
+                                   enumerate_cycles, forest_preimage, petersen,
+                                   span_basis, syndrome)
+from signedpetersen.groups import (CosetError, CosetSystem, SwitchingGroup,
+                                   SwitchingPermutation, _automorphism_edge_maps,
+                                   _default_reps, _pullback, compose,
+                                   edge_permutation, inverse, sp_negate)
 from signedpetersen.signed import SignedGraph, sign_of_circle, switch
 
 
@@ -170,3 +177,247 @@ def petersen_l0_by_spans(z):
     """Frustration number of the Petersen switching class with syndrome z:
     the least |W| whose span holds z. Every class has l0 <= 3."""
     return next(k for k, span in deletion_tables() if span >> z & 1)
+
+
+def edge_syndromes(g):
+    """Cycle-space syndrome of each edge, bit t its parity on the t-th
+    fundamental cycle, edge by edge: the chord bits of e xor the cut of its
+    forest preimage, which agrees with e on the forest."""
+    out = []
+    for e in range(len(g.edges)):
+        d = (1 << e) ^ cut_mask(g, forest_preimage(g, 1 << e))
+        out.append(sum(1 << t for t, i in enumerate(g.chords) if d >> i & 1))
+    return tuple(out)
+
+
+def syndrome_lifts(s):
+    """Each automorphism p of the underlying graph that lifts, with the
+    switching part of its lift, scanned for the signature itself: p lifts
+    when it fixes the syndrome of the mask, and then the part is read off
+    the forest from the mask xor its pullback through p."""
+    g, mask = s.graph, s.mask
+    z = syndrome(g, mask)
+    zbits, mbits = tuple(bits(z)), tuple(bits(mask))
+    out = []
+    for p, pull, cols in _automorphism_edge_maps(g):
+        image = 0
+        for t in zbits:
+            image ^= cols[t]
+        if image == z:
+            moved = 0
+            for j in mbits:
+                moved |= pull[j]
+            out.append((p, forest_preimage(g, mask ^ moved)))
+    return tuple(out)
+
+
+# Base permutations act on {1..5}; stored as image tuples of length 5 with
+# entry i-1 giving the image of i.
+
+def parse_cycles(text, degree=5):
+    """Parse cycle notation such as ``(12)(45)`` or ``(145)`` on {1..degree}.
+    An empty string or ``()`` is the identity."""
+    images = list(range(1, degree + 1))
+    body = text.strip()
+    while body:
+        if not body.startswith("("):
+            raise ValueError(f"bad cycle notation {text!r}")
+        end = body.index(")")
+        cyc = [int(ch) for ch in body[1:end]]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if not 1 <= a <= degree:
+                raise ValueError(f"entry {a} out of range in {text!r}")
+            images[a - 1] = b
+        body = body[end + 1:].strip()
+    if sorted(images) != list(range(1, degree + 1)):
+        raise ValueError(f"not a permutation: {text!r}")
+    return tuple(images)
+
+
+def sp_multiply(a, b):
+    """Semidirect product: the switching set of b is pulled back through the
+    permutation of a, then combined by symmetric difference."""
+    if len(a.perm) != len(b.perm):
+        raise ValueError("size mismatch")
+    return SwitchingPermutation(a.switch_mask ^ _pullback(b.switch_mask, a.perm),
+                                compose(a.perm, b.perm))
+
+
+def sp_conjugate(a, alpha):
+    """Conjugate by a plain permutation: the switching set is relabeled by
+    alpha and the permutation part becomes alpha^-1 * a.perm * alpha."""
+    ai = inverse(alpha)
+    return SwitchingPermutation(_pullback(a.switch_mask, ai),
+                                compose(compose(ai, a.perm), alpha))
+
+
+def sp_canonical(a):
+    """Kernel-canonical lift on a connected graph: vertex 0 unswitched."""
+    return sp_negate(a) if a.switch_mask & 1 else a
+
+
+def sp_act(a, s):
+    """Switch by the switching set, then relabel by the permutation: edge
+    i takes the sign of the edge that the inverse permutation sends it to."""
+    g = s.graph
+    switched = s.mask ^ cut_mask(g, a.switch_mask)
+    return SignedGraph(g, _pullback(switched,
+                                    edge_permutation(g, inverse(a.perm))))
+
+
+def reference_coset_system(group, subgroup):
+    """Left-coset representatives of the subgroup inside a switching
+    automorphism group, element by element: the default choice, and when
+    it is not closed under conjugation by the subgroup, a closed choice
+    propagated around each orbit of cosets by ``sp_conjugate``."""
+    if not subgroup.is_subgroup(group):
+        raise CosetError("not a subgroup")
+    if any(e.switch_mask for e in subgroup.elements):
+        raise CosetError("subgroup must have trivial switching parts")
+    cosets = {}
+    for e in group.elements:
+        cosets.setdefault(e.switch_mask, []).append(e)
+    reps = _default_reps(cosets, subgroup.elements[0].n)
+    closed = is_conjugation_closed(reps, subgroup)
+    if not closed:
+        alternative = closed_reps(cosets, subgroup)
+        if alternative is not None:
+            reps = alternative
+            closed = is_conjugation_closed(reps, subgroup)
+    return CosetSystem(group, subgroup, tuple(reps), closed)
+
+
+def is_conjugation_closed(reps, subgroup):
+    """``sp_conjugate`` of each rep by each subgroup element is a rep."""
+    rep_set = set(reps)
+    return all(sp_conjugate(r, a.perm) in rep_set
+               for r in reps for a in subgroup.elements)
+
+
+def closed_reps(cosets, subgroup):
+    """One exact representative per coset, closed under conjugation by the
+    subgroup, or None: every candidate for a seed coset is propagated
+    around its orbit until one is consistent."""
+    alphas = [a.perm for a in subgroup.elements]
+    todo = set(cosets)
+    chosen = {}
+    while todo:
+        seed = min(todo)
+        candidates = [c for e in cosets[seed] for c in (e, sp_negate(e))]
+        ok = None
+        for cand in candidates:
+            assign = {}
+            good = True
+            for a in alphas:
+                img = sp_conjugate(cand, a)
+                key = sp_canonical(img).switch_mask
+                if key in assign:
+                    if assign[key] != img:
+                        good = False
+                        break
+                else:
+                    assign[key] = img
+            if good:
+                ok = assign
+                break
+        if ok is None:
+            return None
+        chosen.update(ok)
+        todo -= set(ok)
+    return [chosen[mask] for mask in sorted(chosen)]
+
+
+def rep_for_mask(system, canonical_mask):
+    """Index of the representative of the coset with the given canonical
+    switching mask."""
+    for i, r in enumerate(system.representatives):
+        if sp_canonical(r).switch_mask == canonical_mask:
+            return i
+    raise CosetError(f"no representative for switching class {canonical_mask:#x}")
+
+
+def general_product(system, x, y):
+    """Product of x = rep_i * alpha and y = rep_j * beta computed through the
+    coset representatives: returns (sign, rep index, nu, alpha*beta) with nu
+    in the subgroup, and cross-checks against direct multiplication.
+
+    Requires a conjugation-closed representative system.
+    """
+    if not system.closed_under_conjugation:
+        raise CosetError("representative system is not conjugation-closed")
+    i, alpha = x
+    j, beta = y
+    rx, ry = system.representatives[i], system.representatives[j]
+    if alpha not in system.subgroup.index or beta not in system.subgroup.index:
+        raise CosetError("cofactors must lie in the subgroup")
+
+    # Raw switching set of the product: X xor the pullback of Y through
+    # (gamma_X alpha).
+    ga = compose(rx.perm, alpha.perm)
+    u_raw = rx.switch_mask ^ _pullback(ry.switch_mask, ga)
+    k = rep_for_mask(system, sp_canonical(SwitchingPermutation(u_raw, ga)).switch_mask)
+    ru = system.representatives[k]
+    sign = 1 if u_raw == ru.switch_mask else -1
+
+    # nu = gamma_U^-1 * gamma_X * (gamma_Y conjugated by alpha^-1)
+    gy_conj = compose(compose(alpha.perm, ry.perm), inverse(alpha.perm))
+    nu_perm = compose(compose(inverse(ru.perm), rx.perm), gy_conj)
+    nu = SwitchingPermutation(0, nu_perm)
+    if nu not in system.subgroup.index:
+        raise CosetError("nu fell outside the subgroup")
+    ab = SwitchingPermutation(0, compose(alpha.perm, beta.perm))
+
+    direct = sp_multiply(sp_multiply(rx, alpha), sp_multiply(ry, beta))
+    recombined = sp_multiply(sp_multiply(ru, nu), ab)
+    if sign < 0:
+        recombined = sp_negate(recombined)
+    if recombined != direct:
+        raise CosetError("decomposition disagrees with direct product")
+    return sign, k, nu, ab
+
+
+def is_petersen(g: Graph) -> bool:
+    return g.vertex_count == 10 and g.edges == petersen()[0].edges
+
+
+def all_matchings(g):
+    """Every matching of g (as frozensets of edges), the empty one included."""
+    edges = g.edges
+    out = []
+
+    def extend(start, chosen, used):
+        out.append(frozenset(chosen))
+        for i in range(start, len(edges)):
+            u, v = edges[i]
+            if u not in used and v not in used:
+                chosen.append(edges[i])
+                extend(i + 1, chosen, used | {u, v})
+                chosen.pop()
+
+    extend(0, [], frozenset())
+    return out
+
+
+def max_inclusterability(g, cubic_shortcut=True):
+    """Maximum inclusterability index over all signatures of g.
+
+    With the shortcut (maximum degree <= 3 required) only signatures whose
+    negative edges form a matching are scanned; every other signature is
+    dominated by one of those. Without it, all 2^|E| signatures are scanned.
+    """
+    m = len(g.edges)
+    if m > MAX_EDGES:
+        raise SearchSizeError("too many edges for signature scan")
+    circles = circle_masks(g)
+
+    def q_of(neg_mask):
+        bad = _bad_cycles(circles, neg_mask)
+        return min_hitting_mask(bad, neg_mask.bit_count()).bit_count()
+
+    masks = range(1 << m)
+    if cubic_shortcut:
+        if any(g.degree(v) > 3 for v in range(g.vertex_count)):
+            raise ValueError("shortcut needs maximum degree at most 3")
+        masks = (sum(1 << g.edge_index[e] for e in matching)
+                 for matching in all_matchings(g))
+    return max(map(q_of, masks))

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import signedpetersen
 from signedpetersen import cli, clustering, frustration, graphs, signed
@@ -20,9 +22,9 @@ from signedpetersen.io import (InputError, format_mask, load_signed_graph,
                                parse_mask, parse_signed_graph, read_header,
                                serialize_signed_graph)
 from signedpetersen.signed import SIX_ORDER, SignedGraph, classify_six_mask
-from signedpetersen.graphs import Graph, petersen, syndrome
+from signedpetersen.graphs import Graph, cut_mask, petersen, syndrome
 
-from oracles import circle_hitting_sets
+from oracles import circle_hitting_sets, is_petersen
 
 
 # --------------------------------------------------------------------------
@@ -112,8 +114,9 @@ def test_verify_all_checks_census_totals_and_representatives(monkeypatch):
 
 def test_verify_all_does_group_work_once(monkeypatch):
     """verify_all scans the Petersen automorphisms once, builds their 120
-    edge maps once, and scans each representative's signature once: the
-    twelve T4 groups and the T5 orbit counts read that one scan. The
+    edge maps once, and builds each representative's lifts once, from one
+    scan of its switching class: the twelve T4 groups and the T5 orbit
+    counts read them. The
     groups are checked by closure under generators, so no Cayley table is
     built. T3 tests balance on vertex masks, and T9 and the difference
     formula on syndrome spans, so no per-graph balance test runs."""
@@ -163,9 +166,10 @@ def test_verify_all_does_group_work_once(monkeypatch):
     monkeypatch.setattr(groups, "edge_permutation", counted_edge_permutation)
     monkeypatch.setattr(groups, "_lifts", lru_cache(maxsize=8)(counted_lifts))
     monkeypatch.setattr(signed, "is_balanced", counted_is_balanced)
-    # a fresh graph, automorphisms unscanned, syndromes, edge maps and
-    # independent-set table unbuilt
+    # a fresh graph, automorphisms unscanned, syndromes, edge maps,
+    # switching classes and independent-set table unbuilt
     caches = (graphs.petersen, groups._automorphism_edge_maps,
+              groups._switching_class, groups._class_group,
               coloring._independent_sets)
     for cache in caches:
         cache.cache_clear()
@@ -174,7 +178,7 @@ def test_verify_all_does_group_work_once(monkeypatch):
     finally:
         for cache in caches:
             cache.cache_clear()
-    assert len(scans) == 1 and graphs.is_petersen(scans[0])
+    assert len(scans) == 1 and is_petersen(scans[0])
     assert len(edge_maps) == 120 and len(set(edge_maps)) == 120
     assert sorted(lifted) == sorted(standard_mask(t) for t in SIX_ORDER)
     assert {table for table, _ in built} == {"T4_orders"}
@@ -185,30 +189,47 @@ def test_verify_all_does_group_work_once(monkeypatch):
 
 def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
                                                        rep_masks):
-    """With the per-graph tables built, a signature not yet scanned reads
-    its preimage off the forest only for the automorphisms that lift, and
-    color --k 1 counts without the backtrack at k = 1."""
+    """The first group query of a switching class scans the automorphisms
+    once for the class (one forest preimage per lift) and runs the one
+    closure check of its SwAut; every query then reads one forest preimage,
+    the switching that carries the class's chord representative to the
+    mask, and checks only its own Aut. color --k 1 counts without the
+    backtrack at k = 1."""
     from signedpetersen import coloring, groups
-    preimages, counted = [], []
+    preimages, closures, counted = [], [], []
     forest_preimage, count = groups.forest_preimage, coloring._count
+    closure = groups._closure_generators
 
     def counted_preimage(g, d):
         preimages.append(d)
         return forest_preimage(g, d)
 
+    def counted_closure(by_perm):
+        closures.append(len(by_perm))
+        return closure(by_perm)
+
     def counted_count(s, k, zero_free, first=False):
         counted.append(k)
         return count(s, k, zero_free, first)
 
-    hx = [format_mask(m) for m in rep_masks]
-    assert run_cli(capsys, "group", "--mask", hx[0])[0] == 0
+    g = petersen()[0]
+    assert run_cli(capsys, "group", "--mask", format_mask(rep_masks[0]))[0] == 0
     monkeypatch.setattr(groups, "forest_preimage", counted_preimage)
+    monkeypatch.setattr(groups, "_closure_generators", counted_closure)
     monkeypatch.setattr(coloring, "_count", counted_count)
-    for i, h in enumerate(hx):
-        groups._lifts.cache_clear()
-        preimages.clear()
-        assert run_cli(capsys, "group", "--mask", h)[0] == 0
-        assert len(preimages) == expected.SWAUT_ORDERS[i], expected.CLASS_NAMES[i]
+    groups._switching_class.cache_clear()
+    groups._class_group.cache_clear()
+    for i, m in enumerate(rep_masks):
+        name = expected.CLASS_NAMES[i]
+        for first, mask in ((True, m), (False, m ^ cut_mask(g, 0b0110010))):
+            groups._lifts.cache_clear()
+            preimages.clear()
+            closures.clear()
+            h = format_mask(mask)
+            assert run_cli(capsys, "group", "--mask", h)[0] == 0
+            assert len(preimages) == 1 + first * expected.SWAUT_ORDERS[i], name
+            # the Aut of the mask, then SwAut once per class
+            assert closures[1:] == first * [expected.SWAUT_ORDERS[i]], name
         for flags in ((), ("--zero-free",)):
             assert run_cli(capsys, "color", "--mask", h, "--k", "1", *flags)[0] == 0
     assert 1 not in counted
@@ -416,7 +437,8 @@ def test_cli_group(capsys, rep_masks):
 
 def test_vertex_perm_name(pg):
     g, lab = pg
-    from signedpetersen.groups import induced_permutation, parse_cycles
+    from signedpetersen.groups import induced_permutation
+    from oracles import parse_cycles
     for text in ("()", "(12)(45)", "(145)", "(12345)"):
         perm = induced_permutation(lab, parse_cycles(text))
         assert cli._vertex_perm_name(list(perm)) == text
@@ -535,6 +557,85 @@ def test_parser_is_built_once_per_process(capsys, rep_masks):
         want = golden[argv]
         assert run_cli(capsys, *argv) == (want["exit"], want["stdout"], want["stderr"])
         assert cli.build_parser.cache_info().misses == 1
+
+
+# Grammar tokens, values and junk: options in full and abbreviated, with
+# "=", values that start with "-", int spellings argparse accepts.
+ARGV_TOKENS = tuple(cli._GRAMMAR) + TABLE_IDS + (
+    "--mask", "--file", "--k", "--format", "--zero-free", "--coset-table",
+    "text", "csv", "json", "0x0001", "f", "1", "2", "-1", " 3", "1_0", "x",
+    "", "--coset", "--zero", "--mask=0x1", "--k=1", "-h", "--help", "--",
+    "-", "T99", "x y")
+ARGV_VALUES = st.one_of(
+    st.sampled_from(("0x0001", "f", "1", "2", "text", "csv", "json")),
+    st.sampled_from(ARGV_TOKENS), st.text(max_size=3))
+
+
+@st.composite
+def argvs(draw):
+    """A command with its options in a drawn order, one of --mask and
+    --file or both, each value drawn from grammar tokens and junk; then a
+    few tokens dropped, and a few grammar tokens or junk inserted."""
+    command = draw(st.sampled_from(tuple(cli._GRAMMAR)))
+    pieces = []
+    options = dict(cli._GRAMMAR[command][1])
+    if "file" in options:
+        options.pop(draw(st.sampled_from(("mask", "file", "both"))), None)
+    for key, default in options.items():
+        if default is False:
+            pieces.append(["--" + key.replace("_", "-")])
+        elif key == "id":
+            pieces.append([draw(st.sampled_from(TABLE_IDS))])
+        else:
+            pieces.append(["--" + key, draw(ARGV_VALUES)])
+    tokens = [t for piece in draw(st.permutations(pieces)) for t in piece]
+    for i in draw(st.sets(st.integers(0, 5), max_size=2)):
+        if i < len(tokens):
+            del tokens[i]
+    for i, token in draw(st.lists(st.tuples(st.integers(0, 6), ARGV_VALUES),
+                                  max_size=2)):
+        tokens.insert(i, token)
+    return [command] + tokens
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(argvs())
+def test_argv_matcher_declines_or_agrees_with_argparse(argv):
+    # the matcher either declines argv or builds the namespace argparse
+    # builds for it; argparse raising SystemExit on a matched argv fails
+    matched = cli._match(argv)
+    if matched is not None:
+        assert vars(matched) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_argv_matcher_matches_the_exact_grammar():
+    # every spelling the grammar allows, in any option order, and what
+    # it must leave to argparse
+    valid = [["classify", "--mask", "0x1"], ["classify", "--file", "f"],
+             ["group", "--coset-table", "--mask", "0x1"],
+             ["color", "--zero-free", "--k", "2", "--file", "f"],
+             ["table", "--format", "csv", "T4_orders"], ["census"],
+             ["cluster", "--mask", "0x1"], ["verify"]]
+    for argv in valid:
+        assert vars(cli._match(argv)) == vars(cli.build_parser().parse_args(argv))
+    for argv in (["group", "--coset", "--mask", "0x1"], ["verify", "-h"],
+                 ["classify", "--mask", "0x1", "--file", "f"],
+                 ["classify", "--mask=0x1"], ["group", "--mask", "1", "--mask", "2"],
+                 ["color", "--mask", "0x1", "--k", "-1"], ["color", "--mask", "0x1"],
+                 ["color", "--mask", "0x1", "--k", "one"], ["table", "T99"],
+                 ["census", "--format", "xml"], []):
+        assert cli._match(argv) is None, argv
+
+
+def test_valid_query_imports_no_argparse():
+    code = ("import sys; from signedpetersen import cli; "
+            "cli.main(['classify', '--mask', '0x0001']); "
+            "print('argparse' in sys.modules)")
+    src = str(Path(signedpetersen.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=30, check=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def complete_graph_file(tmp_path, n, negative=()):

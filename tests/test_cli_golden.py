@@ -20,10 +20,11 @@ from pathlib import Path
 
 from signedpetersen import census, cli
 from signedpetersen.graphs import cut_mask, petersen
-from signedpetersen.groups import (SwitchingPermutation, induced_permutation,
-                                   parse_cycles, sp_act)
+from signedpetersen.groups import SwitchingPermutation, induced_permutation
 from signedpetersen.io import format_mask
 from signedpetersen.signed import SIX_ORDER, SignedGraph
+
+from oracles import parse_cycles, sp_act
 
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -70,8 +71,12 @@ def test_cli_output_matches_golden(monkeypatch):
     monkeypatch.setattr(census, "build_table",
                         lru_cache(maxsize=None)(census.build_table))
     recorded = json.loads(FIXTURE.read_text())
+    cli.build_parser.cache_clear()
     differ = [" ".join(r["argv"]) for r in recorded if run(r["argv"]) != r]
     assert differ == []
+    # every recorded command keeps to the exact grammar, so none of them
+    # builds the argument parser
+    assert cli.build_parser.cache_info().misses == 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from signedpetersen.graphs import (Graph, SearchSizeError, cut_space, petersen,
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
 from oracles import (circle_hitting_sets, delete_vertices, deletion_tables,
-                     independent_sets)
+                     edge_syndromes, independent_sets)
 
 
 def k4_signed(mask):
@@ -226,6 +226,18 @@ def parity_graphs():
         mask = (1 << m) - 1 if i % 4 == 3 else rng.getrandbits(m)
         out.append(SignedGraph(g, mask))
     return out
+
+
+def test_edge_syndromes_match_the_per_edge_formula():
+    # the one pass up the forest in Graph.syndromes against the per-edge
+    # formula, on the 100 parity graphs (every fifth with two components),
+    # the Petersen graph, and graphs with isolated vertices, a lone edge
+    # and no edge at all
+    graphs = [s.graph for s in parity_graphs()] + [
+        petersen()[0], Graph.from_edges(7, [(0, 1), (2, 3), (3, 4), (2, 4)]),
+        Graph(3, ())]
+    for g in graphs:
+        assert g.syndromes == edge_syndromes(g), g
 
 
 def searches_syndromes(g):

@@ -4,13 +4,13 @@ import pytest
 
 from signedpetersen.coloring import _independent_sets
 from signedpetersen.graphs import (Cycle, Graph, MatchingClass, SearchSizeError,
-                                   all_matchings, automorphism_images,
-                                   classify_matching, cut, cut_preimage,
-                                   cut_space, edge_distance, enumerate_cycles,
-                                   hexagon_of_vertex, is_petersen,
+                                   automorphism_images, classify_matching, cut,
+                                   cut_preimage, cut_space, edge_distance,
+                                   enumerate_cycles, hexagon_of_vertex,
                                    minimum_coloring, petersen, syndrome)
 
-from oracles import all_independent_sets, independent_sets
+from oracles import (all_independent_sets, all_matchings, independent_sets,
+                     is_petersen)
 
 
 def k4():

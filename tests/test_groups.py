@@ -7,19 +7,23 @@ import pytest
 from signedpetersen.expected import (AUT_LABELS, AUT_ORDERS, CLASS_NAMES,
                                      COPIES, SWAUT_LABELS, SWAUT_ORDERS,
                                      SWITCHING_CLASSES)
-from signedpetersen.graphs import Graph, automorphism_images, cut, cut_preimage
+from signedpetersen.graphs import (Graph, automorphism_images, chord_mask, cut,
+                                   cut_preimage, cut_space)
 from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
                                    SwitchingGroup, SwitchingPermutation,
-                                   aut_signed, compose, coset_system,
+                                   _default_reps, _pullback, aut_signed,
+                                   compose, coset_system,
                                    edge_permutation, format_cycles,
-                                   general_product, identify_group,
-                                   identity_perm, induced_permutation, inverse,
-                                   orbit_counts, parse_cycles, sp_act,
-                                   sp_canonical, sp_conjugate, sp_identity,
-                                   sp_multiply, sp_negate, swaut)
+                                   identify_group, identity_perm,
+                                   induced_permutation, inverse, orbit_counts,
+                                   sp_identity, sp_negate, swaut)
 from signedpetersen.signed import SignedGraph, negate, switch
 
-from oracles import graph_automorphisms, scan_lifts, sp_inverse
+from oracles import (general_product, graph_automorphisms,
+                     is_conjugation_closed, parse_cycles,
+                     reference_coset_system, rep_for_mask, scan_lifts, sp_act,
+                     sp_canonical, sp_conjugate, sp_inverse, sp_multiply,
+                     syndrome_lifts)
 
 
 # --------------------------------------------------------------------------
@@ -348,11 +352,9 @@ def test_swaut_matches_exhaustive_scan(pg, reps, sw6):
             assert lift_permutation(s, p) == by_perm.get(p)
 
 
-def test_lifts_match_the_pullback_scan(pg, reps):
-    # three masks of each of the 64 switching classes, and the six standard
-    # masks with their relabelled twins, against cut_preimage of the mask
-    # xor its pullback through each automorphism
-    from signedpetersen import groups
+def sampled_signatures(pg, reps):
+    """Three masks of each of the 64 switching classes, and the six
+    standard masks with their relabelled twins."""
     from signedpetersen.census import _switching_orbits
     g, lab = pg
     rng = random.Random(17)
@@ -361,9 +363,66 @@ def test_lifts_match_the_pullback_scan(pg, reps):
     signatures = [SignedGraph(g, m) for orbit in _switching_orbits()
                   for m in [orbit[0]] + rng.sample(orbit[1:], 2)]
     assert len(signatures) == 3 * 64
-    signatures += list(reps) + [sp_act(relabel, s) for s in reps]
-    for s in signatures:
+    return signatures + list(reps) + [sp_act(relabel, s) for s in reps]
+
+
+def test_lifts_match_the_pullback_scan(pg, reps):
+    # against cut_preimage of the mask xor its pullback through each
+    # automorphism; also every signature of two triangles and an edge,
+    # where each of three components keeps its least vertex unswitched
+    from signedpetersen import groups
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                             (6, 7)])
+    for s in sampled_signatures(pg, reps) + [SignedGraph(g, m)
+                                             for m in range(1 << 7)]:
         assert groups._lifts(s) == scan_lifts(s), s.mask
+
+
+def test_lifts_are_carried_from_the_chord_representative(pg):
+    # on all 2^15 masks, the lifts carried from the class's chord
+    # representative b equal the scan of the mask itself, and so does the
+    # formula written out: with Y the switching from b to the mask,
+    # X_m(p) = X_b(p) xor Y xor the pullback of Y through p, vertex 0
+    # unswitched
+    from signedpetersen import groups
+    g, _ = pg
+    full = (1 << 10) - 1
+    for z in range(64):
+        b = chord_mask(g, z)
+        at_b = dict(syndrome_lifts(SignedGraph(g, b)))
+        for y, c in cut_space(g):
+            s = SignedGraph(g, b ^ c)
+            lifts = syndrome_lifts(s)
+            assert groups._lifts(s) == lifts, s.mask
+            for p, x in lifts:
+                carried = at_b[p] ^ y ^ _pullback(y, p)
+                assert (carried ^ full if carried & 1 else carried) == x
+
+
+def test_coset_systems_match_the_element_reference(pg, reps):
+    # the coset system of the groups carried from each class, against the
+    # element-by-element reference on groups built from the scan of the
+    # mask itself; a quarter of these masks need the closed choice, and
+    # some have none
+    fallback = unclosed = 0
+    for s in sampled_signatures(pg, reps):
+        lifts = syndrome_lifts(s)
+        aut = SwitchingGroup(SwitchingPermutation(0, p)
+                             for p, x in lifts if x == 0)
+        w = SwitchingGroup(SwitchingPermutation(x, p) for p, x in lifts)
+        got_aut, got_w = aut_signed(s), swaut(s)
+        assert (got_aut.elements, got_w.elements) == (aut.elements, w.elements)
+        assert [identify_group(h) for h in (got_aut, got_w)] == \
+            [identify_group(h) for h in (aut, w)], s.mask
+        want, got = reference_coset_system(w, aut), coset_system(got_w, got_aut)
+        assert (got.representatives, got.closed_under_conjugation) == \
+            (want.representatives, want.closed_under_conjugation), s.mask
+        cosets = {}
+        for e in w.elements:
+            cosets.setdefault(e.switch_mask, []).append(e)
+        fallback += not is_conjugation_closed(_default_reps(cosets, 10), aut)
+        unclosed += not want.closed_under_conjugation
+    assert fallback > unclosed > 0
 
 
 def oracle_group(elements):
@@ -486,7 +545,7 @@ def test_lift_permutation(pg, reps):
 def decompose(system, x):
     """Write x (exact) as sign * representative * tau with tau in the
     subgroup: (sign, representative index, tau)."""
-    k = system.rep_for_mask(sp_canonical(x).switch_mask)
+    k = rep_for_mask(system, sp_canonical(x).switch_mask)
     t = sp_multiply(sp_inverse(system.representatives[k]), x)
     if t.switch_mask == 0:
         sign = 1
@@ -533,7 +592,7 @@ def test_coset_system_errors(aut6, sw6):
         coset_system(w32, w32)  # nontrivial switching parts
     system = coset_system(w32, a32)
     with pytest.raises(CosetError):
-        system.rep_for_mask(0x155)
+        rep_for_mask(system, 0x155)
 
 
 def test_general_product_all_pairs(aut6, sw6):

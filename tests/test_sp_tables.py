@@ -10,9 +10,10 @@ from signedpetersen.expected import (P32_CELLS, P32_CORRECTED_CELLS,
                                      P32_Z_SET, U_KEYS, W_KEYS)
 from signedpetersen.graphs import petersen
 from signedpetersen.groups import (SwitchingPermutation, aut_signed,
-                                   induced_permutation, parse_cycles,
-                                   sp_act, sp_conjugate, sp_identity,
-                                   sp_multiply, sp_negate)
+                                   induced_permutation, sp_identity,
+                                   sp_negate)
+
+from oracles import parse_cycles, sp_act, sp_conjugate, sp_multiply
 
 
 def build_p32_reps():
