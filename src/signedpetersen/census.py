@@ -16,7 +16,7 @@ from .graphs import _Record, chord_mask, petersen
 from .groups import aut_signed, identify_group, orbit_counts, swaut
 from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType,
                      classify_six_mask, negate, odd_count, petersen_cut_masks,
-                     petersen_frustration_of_mask, petersen_hexagon_masks,
+                     petersen_hexagon_masks, petersen_invariants,
                      petersen_pentagon_masks)
 
 
@@ -135,26 +135,6 @@ def _fmt(v) -> str:
     return "-" if v is None else str(v)
 
 
-TABLE_IDS = ("T1", "T2", "T3", "T4_orders", "T5", "T8", "T9", "T10", "census")
-
-
-def build_table(table_id: str) -> TableArtifact:
-    builders = {
-        "T1": _table_t1,
-        "T2": _table_t2,
-        "T3": _table_t3,
-        "T4_orders": _table_t4,
-        "T5": _table_t5,
-        "T8": _table_t8,
-        "T9": _table_t9,
-        "T10": _table_t10,
-        "census": run_census,
-    }
-    if table_id not in builders:
-        raise ValueError(f"unknown table id {table_id!r}")
-    return builders[table_id]()
-
-
 def _reps():
     return [standard_representative(t) for t in SIX_ORDER]
 
@@ -168,7 +148,7 @@ def _table_t1() -> TableArtifact:
 
 
 def _table_t2() -> TableArtifact:
-    row = tuple(petersen_frustration_of_mask(standard_mask(t)) for t in SIX_ORDER)
+    row = tuple(petersen_invariants(standard_mask(t))[1] for t in SIX_ORDER)
     return TableArtifact("T2", expected.CLASS_NAMES, (
         ("frustration index", row),
     ))
@@ -235,6 +215,18 @@ def _table_t10() -> TableArtifact:
         ("cluster number", clun),
         ("inclusterability index", q),
     ))
+
+
+_BUILDERS = {"T1": _table_t1, "T2": _table_t2, "T3": _table_t3,
+             "T4_orders": _table_t4, "T5": _table_t5, "T8": _table_t8,
+             "T9": _table_t9, "T10": _table_t10, "census": run_census}
+TABLE_IDS = tuple(_BUILDERS)
+
+
+def build_table(table_id: str) -> TableArtifact:
+    if table_id not in _BUILDERS:
+        raise ValueError(f"unknown table id {table_id!r}")
+    return _BUILDERS[table_id]()
 
 
 # ---------------------------------------------------------------------------

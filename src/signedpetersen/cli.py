@@ -23,7 +23,7 @@ from .signed import SignedGraph, petersen_invariants
 
 
 def _load(args) -> SignedGraph:
-    if getattr(args, "mask", None) is not None:
+    if args.mask is not None:
         return SignedGraph(petersen()[0], io_mod.parse_mask(args.mask))
     return io_mod.load_signed_graph(args.file)
 
@@ -54,7 +54,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_group(args) -> int:
-    s = SignedGraph(petersen()[0], io_mod.parse_mask(args.mask))
+    s = _load(args)
     aut = aut_signed(s)
     sw = swaut(s)
     print(f"aut order {aut.order} label {identify_group(aut)}")
@@ -119,18 +119,47 @@ def cmd_verify(args) -> int:
     return 0
 
 
-# Each command's function and options, with the defaults argparse gives
-# them: None for an option that takes a value, False for a flag.
+_MASK = ("--mask", {"help": "15-bit hex sign mask"})
+_FILE = ("--file", {"help": "signed edge-list file"})
+_FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text"})
+
+# Each command's function, help line, and options with their add_argument
+# keywords. A command that has both --mask and --file takes exactly one.
 _GRAMMAR = {
-    "census": (cmd_census, {"format": "text"}),
-    "table": (cmd_table, {"id": None, "format": "text"}),
-    "classify": (cmd_classify, {"mask": None, "file": None}),
-    "group": (cmd_group, {"mask": None, "coset_table": False}),
-    "color": (cmd_color, {"mask": None, "file": None, "k": None,
-                          "zero_free": False}),
-    "cluster": (cmd_cluster, {"mask": None, "file": None}),
-    "verify": (cmd_verify, {}),
+    "census": (cmd_census, "full 2^15 signature census", (_FORMAT,)),
+    "table": (cmd_table, "emit one verification table",
+              (("id", {"choices": census_mod.TABLE_IDS}), _FORMAT)),
+    "classify": (cmd_classify, "classify a signature", (_MASK, _FILE)),
+    "group": (cmd_group, "automorphism groups of a signature",
+              (("--mask", dict(_MASK[1], required=True)),
+               ("--coset-table", {"action": "store_true"}))),
+    "color": (cmd_color, "signed coloration counts",
+              (_MASK, _FILE, ("--k", {"type": int, "required": True}),
+               ("--zero-free", {"action": "store_true"}))),
+    "cluster": (cmd_cluster, "clusterability of a signature", (_MASK, _FILE)),
+    "verify": (cmd_verify, "recompute and compare all tables", ()),
 }
+
+
+def _syntax(func, options):
+    """What ``_match`` reads of a command: its function; each option token
+    (the positional under None) with its dest, whether it is a flag, its
+    type and its choices; argparse's defaults; the dests it requires; and
+    whether it takes exactly one of --mask and --file."""
+    tokens, defaults, required = {}, {}, []
+    for name, kw in options:
+        dest, flag = name.lstrip("-").replace("-", "_"), "action" in kw
+        tokens[name if name[0] == "-" else None] = (
+            dest, flag, kw.get("type"), kw.get("choices"))
+        defaults[dest] = kw.get("default", False if flag else None)
+        if kw.get("required") or name[0] != "-":
+            required.append(dest)
+    return (func, tokens, defaults, tuple(required),
+            {"mask", "file"} <= defaults.keys())
+
+
+_SYNTAX = {command: _syntax(func, options)
+           for command, (func, _, options) in _GRAMMAR.items()}
 
 
 def _match(argv):
@@ -140,85 +169,55 @@ def _match(argv):
     of ``table``. Else None, and argparse parses argv and words its errors:
     abbreviations, ``--opt=value``, repeated or missing options, bad
     choices, values starting with ``-``, and ``-h``."""
-    if not argv or argv[0] not in _GRAMMAR:
+    syntax = _SYNTAX.get(argv[0]) if argv else None
+    if syntax is None:
         return None
-    func, defaults = _GRAMMAR[argv[0]]
+    func, options, defaults, required, one_of = syntax
     ns, seen, tokens = dict(defaults), set(), iter(argv[1:])
     for token in tokens:
-        if token in ("--coset-table", "--zero-free"):
-            key, value = token[2:].replace("-", "_"), True
-        elif token in ("--mask", "--file", "--k", "--format"):
-            key, value = token[2:], next(tokens, "")
-            if value[:1] in ("", "-"):
-                return None
-        elif token in census_mod.TABLE_IDS:
-            key, value = "id", token
+        if token in options:
+            key, flag, convert, choices = options[token]
+            value = True if flag else next(tokens, "")
+        elif None in options:
+            (key, flag, convert, choices), value = options[None], token
         else:
             return None
-        if key not in ns or key in seen:
+        if key in seen or not flag and value[:1] in ("", "-"):
             return None
         seen.add(key)
-        ns[key] = value
-    if ns.get("format", "text") not in ("text", "csv", "json"):
-        return None
-    if ns.get("k") is not None:
-        try:
-            ns["k"] = int(ns["k"])
-        except ValueError:
+        if convert:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        if choices and value not in choices:
             return None
-    unset = [key for key, value in ns.items() if value is None]
-    if unset not in ((["mask"], ["file"]) if "file" in ns else ([],)):
+        ns[key] = value
+    for key in required:
+        if ns[key] is None:
+            return None
+    if one_of and (ns["mask"] is None) == (ns["file"] is None):
         return None
     return SimpleNamespace(command=argv[0], **ns, func=func)
 
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process on the first call that
-    the exact grammar does not match."""
+    """The argument parser, built from ``_GRAMMAR`` once per process on
+    the first call that the exact grammar does not match."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="signed-petersen",
         description="Signed-graph census and analysis of Petersen signatures")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("census", help="full 2^15 signature census")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("table", help="emit one verification table")
-    p.add_argument("id", choices=census_mod.TABLE_IDS)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("classify", help="classify a signature")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--mask", help="15-bit hex sign mask")
-    grp.add_argument("--file", help="signed edge-list file")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("group", help="automorphism groups of a signature")
-    p.add_argument("--mask", required=True, help="15-bit hex sign mask")
-    p.add_argument("--coset-table", action="store_true")
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("color", help="signed coloration counts")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--mask", help="15-bit hex sign mask")
-    grp.add_argument("--file", help="signed edge-list file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--zero-free", action="store_true")
-    p.set_defaults(func=cmd_color)
-
-    p = sub.add_parser("cluster", help="clusterability of a signature")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--mask", help="15-bit hex sign mask")
-    grp.add_argument("--file", help="signed edge-list file")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("verify", help="recompute and compare all tables")
-    p.set_defaults(func=cmd_verify)
-
+    for command, (func, help_line, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_line)
+        source = (p.add_mutually_exclusive_group(required=True)
+                  if _SYNTAX[command][-1] else p)
+        for name, kw in options:
+            (source if name in ("--mask", "--file") else p).add_argument(
+                name, **kw)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -94,26 +94,6 @@ class Graph(_Record):
         return len(self.adjacency[v])
 
     @cached_property
-    def distances(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs shortest-path distances (BFS per vertex)."""
-        n = self.vertex_count
-        out = []
-        for s in range(n):
-            dist = [-1] * n
-            dist[s] = 0
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in self.adjacency[u]:
-                        if dist[w] < 0:
-                            dist[w] = dist[u] + 1
-                            nxt.append(w)
-                frontier = nxt
-            out.append(tuple(dist))
-        return tuple(out)
-
-    @cached_property
     def incidence(self) -> tuple[int, ...]:
         """Edge mask of the edges at each vertex: the cut of that vertex
         alone."""
@@ -191,10 +171,6 @@ class Graph(_Record):
 
     def is_connected(self) -> bool:
         return sum(1 for _, parent, _ in self.spanning_forest if parent < 0) <= 1
-
-    def closed_neighborhood(self, v: int) -> frozenset:
-        return self.adjacency[v] | {v}
-
 
 # ---------------------------------------------------------------------------
 # Petersen graph
@@ -317,32 +293,9 @@ def tree_cycle(g: Graph, forest, u: int, w: int) -> Cycle:
     return Cycle.from_vertices(g, up[:at[down[-1]]] + down[::-1])
 
 
-def hexagon_of_vertex(g: Graph, v: int) -> Cycle:
-    """The unique hexagon of the Petersen graph avoiding the closed
-    neighborhood of v."""
-    rest = [w for w in range(g.vertex_count) if w not in g.closed_neighborhood(v)]
-    if len(rest) != 6:
-        raise ValueError("graph is not the Petersen graph")
-    order = [rest[0]]
-    while len(order) < 6:
-        nxt = [w for w in g.adjacency[order[-1]]
-               if w in rest and w not in order]
-        if not nxt:
-            raise ValueError("complement of N[v] is not a hexagon")
-        order.append(min(nxt))
-    return Cycle.from_vertices(g, order)
-
-
 # ---------------------------------------------------------------------------
 # Cuts and the cycle-space syndrome
 # ---------------------------------------------------------------------------
-
-def cut(g: Graph, x) -> frozenset:
-    """Edge indices with exactly one endpoint in the vertex set x."""
-    xs = set(x)
-    return frozenset(i for i, (u, v) in enumerate(g.edges)
-                     if (u in xs) != (v in xs))
-
 
 def bits(mask: int):
     """Positions of the set bits of mask, lowest first."""
@@ -353,9 +306,9 @@ def bits(mask: int):
 
 
 def cut_space(g: Graph):
-    """Every cut of g as a pair (vertex mask X, edge mask of cut(X)).
+    """Every cut of g as a pair (vertex mask X, edge mask of the cut of X).
 
-    Switching X flips the signs on cut(X), so these XOR masks are the whole
+    Switching X flips the signs on its cut, so these XOR masks are the whole
     switching action on a sign mask. The least vertex of each connected
     component stays out of X, which makes the pairs one per cut: 2^(n -
     components) of them, starting with (0, 0). Gray-code order switches one
@@ -445,6 +398,8 @@ def span_basis(vectors, basis=()) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class MatchingClass(enum.Enum):
+    """The automorphism classes of matchings of the Petersen graph."""
+
     EMPTY = "empty"
     M1 = "M1"
     M22 = "M2,2"
@@ -458,53 +413,44 @@ class MatchingClass(enum.Enum):
     M5 = "M5"
 
 
-def edge_distance(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> int:
-    """Distance between edges in the line graph (adjacent edges: 1)."""
-    if set(e) == set(f):
-        return 0
-    if set(e) & set(f):
-        return 1
-    return 1 + min(g.distances[a][b] for a in e for b in f)
+# One member of each class, its least matching in edge order, as edges
+# between pair labels.
+_MATCHING_MEMBERS = {
+    MatchingClass.EMPTY: (),
+    MatchingClass.M1: (("12", "34"),),
+    MatchingClass.M22: (("12", "34"), ("13", "25")),
+    MatchingClass.M23: (("12", "34"), ("13", "24")),
+    MatchingClass.M32: (("12", "34"), ("13", "25"), ("24", "35")),
+    MatchingClass.M33: (("12", "34"), ("13", "24"), ("14", "23")),
+    MatchingClass.M3PRIME: (("12", "34"), ("13", "25"), ("14", "35")),
+    MatchingClass.M3_2_3: (("12", "34"), ("13", "24"), ("14", "25")),
+    MatchingClass.M4PRIME: (("12", "34"), ("13", "24"), ("14", "25"),
+                            ("15", "23")),
+    MatchingClass.M5_MINUS_EDGE: (("12", "34"), ("13", "25"), ("14", "35"),
+                                  ("15", "24")),
+    MatchingClass.M5: (("12", "34"), ("13", "25"), ("14", "35"), ("15", "24"),
+                       ("23", "45")),
+}
 
 
 def classify_matching(g: Graph, m) -> MatchingClass:
-    """Automorphism class of a matching of the Petersen graph."""
-    edges = [tuple(sorted(e)) for e in m]
-    verts = [v for e in edges for v in e]
-    if len(set(verts)) != len(verts):
-        raise ValueError("edge set is not a matching")
-    for e in edges:
-        if e not in g.edge_index:
-            raise ValueError(f"{e} is not an edge")
-    k = len(edges)
-    if k == 0:
-        return MatchingClass.EMPTY
-    if k == 1:
-        return MatchingClass.M1
-    if k == 5:
-        return MatchingClass.M5
-    dists = sorted(edge_distance(g, e, f)
-                   for e, f in itertools.combinations(edges, 2))
-    if k == 2:
-        return MatchingClass.M22 if dists == [2] else MatchingClass.M23
-    if k == 3:
-        if dists == [3, 3, 3]:
-            return MatchingClass.M33
-        if dists == [2, 2, 3]:
-            return MatchingClass.M3_2_3
-        if dists == [2, 2, 2]:
-            m = sum(1 << g.edge_index[e] for e in edges)
-            for v in range(g.vertex_count):
-                if m & hexagon_of_vertex(g, v).edge_mask == m:
-                    return MatchingClass.M32
-            return MatchingClass.M3PRIME
-        raise ValueError(f"unexpected 3-matching distances {dists}")
-    if k == 4:
-        unmatched = [v for v in range(g.vertex_count) if v not in verts]
-        if g.has_edge(*unmatched):
-            return MatchingClass.M5_MINUS_EDGE
-        return MatchingClass.M4PRIME
-    raise ValueError(f"matching of unsupported size {k}")
+    """Automorphism class of a matching m, given as vertex pairs, of the
+    Petersen graph: the class whose member lies in the orbit of m's edge
+    mask under the automorphisms."""
+    pg, lab = petersen()
+    if g != pg:
+        raise ValueError("matching classes are defined on the Petersen graph")
+    edges = {(min(u, v), max(u, v)) for u, v in m}
+    if not edges <= g.edge_index.keys():
+        raise ValueError(f"{sorted(edges)} is not a set of edges")
+    orbit = {sum(1 << g.index_of(a[u], a[v]) for u, v in edges)
+             for a in g.automorphisms}
+    vertex = {f"{i}{j}": v for v, (i, j) in enumerate(lab.pair_of)}
+    for c, member in _MATCHING_MEMBERS.items():
+        if sum(1 << g.index_of(vertex[x], vertex[y])
+               for x, y in member) in orbit:
+            return c
+    raise ValueError(f"{sorted(edges)} is not a matching")
 
 
 # ---------------------------------------------------------------------------

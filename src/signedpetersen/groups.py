@@ -56,17 +56,6 @@ def perm_order(p: tuple[int, ...]) -> int:
     return k
 
 
-def _pullback(mask: int, index_map: tuple[int, ...]) -> int:
-    """Bit i of the result is bit index_map[i] of mask. Through an edge
-    permutation this moves a sign mask, through a vertex permutation a
-    vertex mask."""
-    out = 0
-    for i, j in enumerate(index_map):
-        if mask >> j & 1:
-            out |= 1 << i
-    return out
-
-
 @lru_cache(maxsize=512)
 def _push_tables(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """p acting on vertex masks, bit v to bit p[v], as two tables, one per
@@ -334,7 +323,8 @@ def _closure_generators(by_perm) -> tuple[tuple[int, ...], ...]:
     one = sp_identity(elements[0].n if elements else 0)
     if by_perm.get(one.perm) != one:
         raise GroupAxiomError("no identity element")
-    full = (1 << one.n) - 1
+    full, h = (1 << one.n) - 1, (one.n + 1) // 2
+    low = (1 << h) - 1
     reached, gens = {one.perm: one}, []
     for candidate in elements:
         if candidate.perm in reached:
@@ -343,9 +333,13 @@ def _closure_generators(by_perm) -> tuple[tuple[int, ...], ...]:
         work = [(a, (candidate,)) for a in reached.values()]
         while work:
             a, ts = work.pop()
-            for t in ts:  # the semidirect product, canonicalised, inlined
+            # the semidirect product, canonicalised, inlined: the switching
+            # set of t is pulled back through a, pushed through a's inverse
+            lo, hi = _push_tables(inverse(a.perm))
+            for t in ts:
                 q = compose(a.perm, t.perm)
-                z = a.switch_mask ^ _pullback(t.switch_mask, a.perm)
+                x = t.switch_mask
+                z = a.switch_mask ^ lo[x & low] ^ hi[x >> h]
                 c = by_perm.get(q)
                 if c is None or c.switch_mask != (z ^ full if z & 1 else z):
                     raise GroupAxiomError(f"not closed: {a} * {t}")

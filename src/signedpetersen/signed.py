@@ -154,12 +154,6 @@ def petersen_invariants(mask: int) -> tuple[SixType, int, int, int, int]:
     return _class_invariants(syndrome(petersen()[0], mask))
 
 
-def petersen_frustration_of_mask(mask: int) -> int:
-    """Frustration index of a Petersen signature given as a 15-bit mask:
-    the least weight of a mask with its syndrome."""
-    return petersen_invariants(mask)[1]
-
-
 def classify_six(s: SignedGraph) -> SixType:
     g, _ = petersen()
     if s.graph != g:

@@ -1,8 +1,8 @@
 """Reference routes the tests compare the program with, each computing a
 value the program also computes the slow and direct way, and the helpers
 only the tests use: cycle notation, products, conjugates and actions of
-switching permutations, the coset product, matchings and the maximum
-inclusterability."""
+switching permutations, the coset product, matchings with their classes
+read from edge distances, and the maximum inclusterability."""
 
 import itertools
 from functools import lru_cache
@@ -10,15 +10,23 @@ from functools import lru_cache
 from signedpetersen.clustering import (MAX_EDGES, _bad_cycles, circle_masks,
                                        min_hitting_mask)
 from signedpetersen.coloring import _count, count_colorations
-from signedpetersen.graphs import (Graph, SearchSizeError, automorphism_images,
+from signedpetersen.graphs import (Cycle, Graph, MatchingClass,
+                                   SearchSizeError, automorphism_images,
                                    bits, cut_mask, cut_preimage, cut_space,
                                    enumerate_cycles, forest_preimage, petersen,
                                    span_basis, syndrome)
 from signedpetersen.groups import (CosetError, CosetSystem, SwitchingGroup,
                                    SwitchingPermutation, _automorphism_edge_maps,
-                                   _default_reps, _pullback, compose,
+                                   _default_reps, compose,
                                    edge_permutation, inverse, sp_negate)
 from signedpetersen.signed import SignedGraph, sign_of_circle, switch
+
+
+def cut(g, x):
+    """Edge indices with exactly one endpoint in the vertex set x."""
+    xs = set(x)
+    return frozenset(i for i, (u, v) in enumerate(g.edges)
+                     if (u in xs) != (v in xs))
 
 
 def negative_circle_counts(s, lengths):
@@ -115,9 +123,20 @@ def switching_equivalence(s1, s2):
     return cut_preimage(s1.graph, s1.mask ^ s2.mask)
 
 
+def pullback(mask, index_map):
+    """Bit i of the result is bit index_map[i] of mask. Through an edge
+    permutation this moves a sign mask, through a vertex permutation a
+    vertex mask."""
+    out = 0
+    for i, j in enumerate(index_map):
+        if mask >> j & 1:
+            out |= 1 << i
+    return out
+
+
 def sp_inverse(a):
     inv = inverse(a.perm)
-    return SwitchingPermutation(_pullback(a.switch_mask, inv), inv)
+    return SwitchingPermutation(pullback(a.switch_mask, inv), inv)
 
 
 def graph_automorphisms(g):
@@ -239,7 +258,7 @@ def sp_multiply(a, b):
     permutation of a, then combined by symmetric difference."""
     if len(a.perm) != len(b.perm):
         raise ValueError("size mismatch")
-    return SwitchingPermutation(a.switch_mask ^ _pullback(b.switch_mask, a.perm),
+    return SwitchingPermutation(a.switch_mask ^ pullback(b.switch_mask, a.perm),
                                 compose(a.perm, b.perm))
 
 
@@ -247,7 +266,7 @@ def sp_conjugate(a, alpha):
     """Conjugate by a plain permutation: the switching set is relabeled by
     alpha and the permutation part becomes alpha^-1 * a.perm * alpha."""
     ai = inverse(alpha)
-    return SwitchingPermutation(_pullback(a.switch_mask, ai),
+    return SwitchingPermutation(pullback(a.switch_mask, ai),
                                 compose(compose(ai, a.perm), alpha))
 
 
@@ -261,7 +280,7 @@ def sp_act(a, s):
     i takes the sign of the edge that the inverse permutation sends it to."""
     g = s.graph
     switched = s.mask ^ cut_mask(g, a.switch_mask)
-    return SignedGraph(g, _pullback(switched,
+    return SignedGraph(g, pullback(switched,
                                     edge_permutation(g, inverse(a.perm))))
 
 
@@ -354,7 +373,7 @@ def general_product(system, x, y):
     # Raw switching set of the product: X xor the pullback of Y through
     # (gamma_X alpha).
     ga = compose(rx.perm, alpha.perm)
-    u_raw = rx.switch_mask ^ _pullback(ry.switch_mask, ga)
+    u_raw = rx.switch_mask ^ pullback(ry.switch_mask, ga)
     k = rep_for_mask(system, sp_canonical(SwitchingPermutation(u_raw, ga)).switch_mask)
     ru = system.representatives[k]
     sign = 1 if u_raw == ru.switch_mask else -1
@@ -378,6 +397,89 @@ def general_product(system, x, y):
 
 def is_petersen(g: Graph) -> bool:
     return g.vertex_count == 10 and g.edges == petersen()[0].edges
+
+
+@lru_cache(maxsize=None)
+def distances(g):
+    """All-pairs shortest-path distances (BFS per vertex)."""
+    out = []
+    for s in range(g.vertex_count):
+        dist = [-1] * g.vertex_count
+        dist[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in g.adjacency[u]:
+                    if dist[w] < 0:
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        out.append(tuple(dist))
+    return tuple(out)
+
+
+def closed_neighborhood(g, v):
+    return g.adjacency[v] | {v}
+
+
+def hexagon_of_vertex(g, v):
+    """The unique hexagon of the Petersen graph avoiding the closed
+    neighborhood of v."""
+    rest = [w for w in range(g.vertex_count)
+            if w not in closed_neighborhood(g, v)]
+    if len(rest) != 6:
+        raise ValueError("graph is not the Petersen graph")
+    order = [rest[0]]
+    while len(order) < 6:
+        nxt = [w for w in g.adjacency[order[-1]]
+               if w in rest and w not in order]
+        if not nxt:
+            raise ValueError("complement of N[v] is not a hexagon")
+        order.append(min(nxt))
+    return Cycle.from_vertices(g, order)
+
+
+def edge_distance(g, e, f):
+    """Distance between edges in the line graph (adjacent edges: 1)."""
+    if set(e) == set(f):
+        return 0
+    if set(e) & set(f):
+        return 1
+    return 1 + min(distances(g)[a][b] for a in e for b in f)
+
+
+def geometric_matching_class(g, m):
+    """Automorphism class of a matching of the Petersen graph, from the
+    edge distances within it, whether a 3-matching of pairwise distance 2
+    lies in a hexagon, and whether the two vertices a 4-matching leaves
+    are adjacent."""
+    edges = [tuple(sorted(e)) for e in m]
+    verts = [v for e in edges for v in e]
+    if len(set(verts)) != len(verts):
+        raise ValueError("edge set is not a matching")
+    k = len(edges)
+    if k in (0, 1, 5):
+        return {0: MatchingClass.EMPTY, 1: MatchingClass.M1,
+                5: MatchingClass.M5}[k]
+    dists = sorted(edge_distance(g, e, f)
+                   for e, f in itertools.combinations(edges, 2))
+    if k == 2:
+        return MatchingClass.M22 if dists == [2] else MatchingClass.M23
+    if k == 3:
+        if dists == [3, 3, 3]:
+            return MatchingClass.M33
+        if dists == [2, 2, 3]:
+            return MatchingClass.M3_2_3
+        mask = sum(1 << g.edge_index[e] for e in edges)
+        if any(mask & hexagon_of_vertex(g, v).edge_mask == mask
+               for v in range(g.vertex_count)):
+            return MatchingClass.M32
+        return MatchingClass.M3PRIME
+    unmatched = [v for v in range(g.vertex_count) if v not in verts]
+    if g.has_edge(*unmatched):
+        return MatchingClass.M5_MINUS_EDGE
+    return MatchingClass.M4PRIME
 
 
 def all_matchings(g):

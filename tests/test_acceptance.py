@@ -14,7 +14,6 @@ from signedpetersen.graphs import enumerate_cycles, petersen, syndrome
 from signedpetersen.groups import (aut_signed, coset_system, identify_group,
                                    orbit_counts, swaut)
 from signedpetersen.signed import (SignedGraph, negate, petersen_cut_masks,
-                                   petersen_frustration_of_mask,
                                    petersen_invariants, switch)
 
 from oracles import (balanced_expansion_check, max_inclusterability,
@@ -154,7 +153,7 @@ def test_criterion_09_property_suite(pg, reps):
         mask, cut = rng.randrange(1 << 15), rng.choice(cuts)
         # the per-class row against the least weight over the 512
         # switchings and against the span table of the deletions
-        ok &= petersen_frustration_of_mask(mask) == \
+        ok &= petersen_invariants(mask)[1] == \
             min((mask ^ c).bit_count() for c in cuts)
         ok &= petersen_invariants(mask)[2] == \
             petersen_l0_by_spans(syndrome(g, mask))

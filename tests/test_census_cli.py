@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import signedpetersen
 from signedpetersen import cli, clustering, frustration, graphs, signed
 from signedpetersen import expected
-from signedpetersen.census import (TABLE_IDS, build_table, run_census,
-                                   standard_mask, verify_all)
+from signedpetersen.census import (EXPECTED_ROWS, TABLE_IDS, build_table,
+                                   run_census, standard_mask, verify_all)
 from signedpetersen.frustration import frustration_index, frustration_number
 from signedpetersen.io import (InputError, format_mask, load_signed_graph,
                                parse_mask, parse_signed_graph, read_header,
@@ -110,6 +110,12 @@ def test_verify_all_checks_census_totals_and_representatives(monkeypatch):
         "expected ('P1', 1)",
         "census [representative mask] P2,3 0x000a: got ('P2,2', 2), "
         "expected ('P2,3', 2)"]
+
+
+def test_table_ids_are_the_expected_rows():
+    assert tuple(EXPECTED_ROWS) == TABLE_IDS
+    with pytest.raises(ValueError, match="unknown table id 'T99'"):
+        build_table("T99")
 
 
 def test_verify_all_does_group_work_once(monkeypatch):
@@ -527,6 +533,29 @@ def test_cli_verify(capsys):
     assert code == 0 and "all tables verified" in out
 
 
+def test_cli_verify_prints_each_difference(capsys, monkeypatch):
+    # one line per difference, and exit 1: a changed T2 cell and a T3
+    # that lost its row
+    from signedpetersen import census
+    real = census.build_table
+
+    def tampered(table_id):
+        art = real(table_id)
+        if table_id == "T2":
+            (label, row), = art.rows
+            return census.TableArtifact("T2", art.columns,
+                                        ((label, (1,) + row[1:]),))
+        if table_id == "T3":
+            return census.TableArtifact("T3", art.columns, ())
+        return art
+
+    monkeypatch.setattr(census, "build_table", tampered)
+    want = ["T2 [frustration index] +P: got 1, expected 0",
+            "T3: missing row 'frustration number'"]
+    assert verify_all() == want
+    assert run_cli(capsys, "verify") == (1, "".join(d + "\n" for d in want), "")
+
+
 def test_cli_errors(capsys):
     code, _, err = run_cli(capsys, "classify", "--mask", "0xFFFFF")
     assert code == 2 and "error" in err
@@ -559,13 +588,23 @@ def test_parser_is_built_once_per_process(capsys, rep_masks):
         assert cli.build_parser.cache_info().misses == 1
 
 
-# Grammar tokens, values and junk: options in full and abbreviated, with
-# "=", values that start with "-", int spellings argparse accepts.
-ARGV_TOKENS = tuple(cli._GRAMMAR) + TABLE_IDS + (
-    "--mask", "--file", "--k", "--format", "--zero-free", "--coset-table",
-    "text", "csv", "json", "0x0001", "f", "1", "2", "-1", " 3", "1_0", "x",
-    "", "--coset", "--zero", "--mask=0x1", "--k=1", "-h", "--help", "--",
-    "-", "T99", "x y")
+# Grammar tokens, values and junk: the commands, option names and choices
+# of ``cli._GRAMMAR``, abbreviations, "=", values that start with "-", int
+# spellings argparse accepts.
+def grammar_tokens() -> tuple[str, ...]:
+    """The option names and choices of ``cli._GRAMMAR``, each once."""
+    tokens = {}
+    for _, _, options in cli._GRAMMAR.values():
+        for name, kw in options:
+            if name.startswith("-"):
+                tokens[name] = None
+            tokens.update(dict.fromkeys(kw.get("choices", ())))
+    return tuple(tokens)
+
+
+ARGV_TOKENS = tuple(cli._GRAMMAR) + grammar_tokens() + (
+    "0x0001", "f", "1", "2", "-1", " 3", "1_0", "x", "", "--coset", "--zero",
+    "--mask=0x1", "--k=1", "-h", "--help", "--", "-", "T99", "x y")
 ARGV_VALUES = st.one_of(
     st.sampled_from(("0x0001", "f", "1", "2", "text", "csv", "json")),
     st.sampled_from(ARGV_TOKENS), st.text(max_size=3))
@@ -578,16 +617,16 @@ def argvs(draw):
     few tokens dropped, and a few grammar tokens or junk inserted."""
     command = draw(st.sampled_from(tuple(cli._GRAMMAR)))
     pieces = []
-    options = dict(cli._GRAMMAR[command][1])
-    if "file" in options:
-        options.pop(draw(st.sampled_from(("mask", "file", "both"))), None)
-    for key, default in options.items():
-        if default is False:
-            pieces.append(["--" + key.replace("_", "-")])
-        elif key == "id":
-            pieces.append([draw(st.sampled_from(TABLE_IDS))])
+    options = dict(cli._GRAMMAR[command][2])
+    if {"--mask", "--file"} <= options.keys():
+        options.pop(draw(st.sampled_from(("--mask", "--file", "both"))), None)
+    for name, kw in options.items():
+        if "action" in kw:
+            pieces.append([name])
+        elif "choices" in kw and not name.startswith("-"):
+            pieces.append([draw(st.sampled_from(kw["choices"]))])
         else:
-            pieces.append(["--" + key, draw(ARGV_VALUES)])
+            pieces.append([name, draw(ARGV_VALUES)])
     tokens = [t for piece in draw(st.permutations(pieces)) for t in piece]
     for i in draw(st.sets(st.integers(0, 5), max_size=2)):
         if i < len(tokens):

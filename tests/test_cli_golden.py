@@ -7,7 +7,13 @@ The fixture covers ``census`` and the nine tables in every format, and
 ``color --k 1 --zero-free`` on the six standard masks and their negations,
 and ``group --coset-table`` on a switched and a relabelled twin of each
 standard mask, whose groups are conjugates of the standard ones.
-To record it again (only when an output is meant to change):
+
+``data/cli_parser_golden.json`` holds the same record for the command
+lines that take the argparse path: the help screens, the usage errors,
+and the spellings only argparse accepts (abbreviations, ``--opt=value``,
+repeated options, values starting with ``-``). Argparse wraps its text to
+the terminal width, so both recording and comparing pin ``COLUMNS=80``.
+To record both fixtures again (only when an output is meant to change):
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -15,6 +21,7 @@ To record it again (only when an output is meant to change):
 import contextlib
 import io
 import json
+import os
 from functools import lru_cache
 from pathlib import Path
 
@@ -27,6 +34,7 @@ from signedpetersen.signed import SIX_ORDER, SignedGraph
 from oracles import parse_cycles, sp_act
 
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
+PARSER_FIXTURE = Path(__file__).parent / "data" / "cli_parser_golden.json"
 
 
 def golden_commands() -> list[list[str]]:
@@ -52,10 +60,33 @@ def golden_commands() -> list[list[str]]:
     return cmds
 
 
+def parser_commands() -> list[list[str]]:
+    cmds = [["-h"]] + [[c, "-h"] for c in ("census", "table", "classify",
+                                           "group", "color", "cluster",
+                                           "verify")]
+    return cmds + [
+        [], ["bogus"], ["classify"], ["group"], ["table"], ["table", "T99"],
+        ["census", "--format", "xml"], ["census", "extra"],
+        ["verify", "--format", "json"],
+        ["classify", "--mask", "0x1", "--file", "f"],
+        ["classify", "--mask", "--file", "f"], ["color", "--mask", "0x1"],
+        ["color", "--mask", "0x1", "--k", "one"],
+        ["group", "--mask", "0x1", "--coset-table=yes"],
+        ["classify", "--mask=0x1"], ["group", "--coset", "--mask", "0x1"],
+        ["group", "--mask", "0x1", "--mask", "0x3"],
+        ["color", "--mask", "0x1", "--k", "-1"],
+        ["color", "--mask", "0x1", "--k=1", "--zero"],
+        ["cluster", "--mask", "-1"], ["census", "--form", "csv"],
+        ["table", "--", "T1"]]
+
+
 def run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return {"argv": argv, "exit": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 
@@ -79,6 +110,16 @@ def test_cli_output_matches_golden(monkeypatch):
     assert cli.build_parser.cache_info().misses == 0
 
 
+def test_parser_path_matches_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    recorded = json.loads(PARSER_FIXTURE.read_text())
+    assert [r["argv"] for r in recorded] == parser_commands()
+    differ = [" ".join(r["argv"]) for r in recorded if run(r["argv"]) != r]
+    assert differ == []
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps([run(a) for a in golden_commands()],
-                                  indent=1) + "\n")
+    os.environ["COLUMNS"] = "80"
+    for path, cmds in ((FIXTURE, golden_commands()),
+                       (PARSER_FIXTURE, parser_commands())):
+        path.write_text(json.dumps([run(a) for a in cmds], indent=1) + "\n")

@@ -2,15 +2,18 @@ from collections import Counter
 
 import pytest
 
+from signedpetersen.census import standard_mask
 from signedpetersen.coloring import _independent_sets
 from signedpetersen.graphs import (Cycle, Graph, MatchingClass, SearchSizeError,
-                                   automorphism_images, classify_matching, cut,
-                                   cut_preimage, cut_space, edge_distance,
-                                   enumerate_cycles, hexagon_of_vertex,
-                                   minimum_coloring, petersen, syndrome)
+                                   automorphism_images, classify_matching,
+                                   cut_mask, cut_preimage, cut_space,
+                                   enumerate_cycles, minimum_coloring, petersen,
+                                   syndrome)
+from signedpetersen.signed import SIX_ORDER
 
-from oracles import (all_independent_sets, all_matchings, independent_sets,
-                     is_petersen)
+from oracles import (all_independent_sets, all_matchings, closed_neighborhood,
+                     cut, distances, edge_distance, geometric_matching_class,
+                     hexagon_of_vertex, independent_sets, is_petersen)
 
 
 def k4():
@@ -49,7 +52,7 @@ def test_petersen_basics(pg):
             disjoint = not set(lab.pair_of[u]) & set(lab.pair_of[v])
             assert g.has_edge(u, v) == disjoint
     # diameter 2
-    assert max(max(row) for row in g.distances) == 2
+    assert max(max(row) for row in distances(g)) == 2
 
 
 def test_petersen_labeling(pg):
@@ -91,7 +94,7 @@ def test_hexagon_of_vertex(pg):
     for v in range(10):
         h = hexagon_of_vertex(g, v)
         assert h.length == 6
-        assert g.closed_neighborhood(v).isdisjoint(h.vertices)
+        assert closed_neighborhood(g, v).isdisjoint(h.vertices)
     # the ten hexagons are exactly the complements of closed neighborhoods
     assert len({hexagon_of_vertex(g, v) for v in range(10)}) == 10
 
@@ -105,6 +108,10 @@ def test_cut(pg):
     # symmetric difference law on cut indices
     a, b = cut(g, {0, 3}), cut(g, {3, 7})
     assert cut(g, {0, 7}) == (a | b) - (a & b)
+    # the edge mask the program xors from the vertices' incidences
+    for x in range(1 << 10):
+        assert cut_mask(g, x) == sum(1 << i for i in cut(
+            g, [v for v in range(10) if x >> v & 1]))
 
 
 def two_components():
@@ -195,6 +202,32 @@ def test_matchings(pg):
     assert cnt[MatchingClass.M23] == sum(
         1 for i in range(15) for j in range(i + 1, 15)
         if edge_distance(g, e[i], e[j]) == 3)
+
+
+def test_matching_classes_are_the_geometric_classes(pg):
+    # on all 332 matchings, the class whose member lies in the orbit is
+    # the class read from edge distances, hexagons and the unmatched pair
+    g, _ = pg
+    for m in all_matchings(g):
+        assert classify_matching(g, m) == geometric_matching_class(g, m), m
+    # the negative edges of each standard signature form a matching of the
+    # class it is named after
+    for t, named in zip(SIX_ORDER, ("empty", "M1", "M2,2", "M2,3", "M3,2",
+                                    "M3,3")):
+        edges = [e for i, e in enumerate(g.edges) if standard_mask(t) >> i & 1]
+        assert classify_matching(g, edges) == MatchingClass(named)
+
+
+def test_matching_classes_refuse_other_input(pg):
+    g, _ = pg
+    with pytest.raises(ValueError):
+        classify_matching(k33(), [(0, 3)])
+    with pytest.raises(ValueError):
+        classify_matching(Graph(10, g.edges[:-1]), [])
+    with pytest.raises(ValueError):
+        classify_matching(g, [g.edges[0], g.edges[1]])  # share a vertex
+    with pytest.raises(ValueError):
+        classify_matching(g, [(0, 1)])  # 12 and 13 are not adjacent
 
 
 def test_minimum_coloring(pg):

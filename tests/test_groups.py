@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -7,11 +8,11 @@ import pytest
 from signedpetersen.expected import (AUT_LABELS, AUT_ORDERS, CLASS_NAMES,
                                      COPIES, SWAUT_LABELS, SWAUT_ORDERS,
                                      SWITCHING_CLASSES)
-from signedpetersen.graphs import (Graph, automorphism_images, chord_mask, cut,
-                                   cut_preimage, cut_space)
+from signedpetersen.graphs import (Graph, SearchSizeError, automorphism_images,
+                                   chord_mask, cut_preimage, cut_space)
 from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
                                    SwitchingGroup, SwitchingPermutation,
-                                   _default_reps, _pullback, aut_signed,
+                                   _default_reps, aut_signed,
                                    compose, coset_system,
                                    edge_permutation, format_cycles,
                                    identify_group, identity_perm,
@@ -19,8 +20,9 @@ from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
                                    sp_identity, sp_negate, swaut)
 from signedpetersen.signed import SignedGraph, negate, switch
 
-from oracles import (general_product, graph_automorphisms,
-                     is_conjugation_closed, parse_cycles,
+from oracles import (closed_neighborhood, cut, general_product,
+                     graph_automorphisms, is_conjugation_closed, parse_cycles,
+                     pullback,
                      reference_coset_system, rep_for_mask, scan_lifts, sp_act,
                      sp_canonical, sp_conjugate, sp_inverse, sp_multiply,
                      syndrome_lifts)
@@ -215,6 +217,14 @@ def test_identify_group_reference_constructions():
     assert q8.order_histogram != d4.order_histogram
 
 
+def test_identify_group_names_no_group_above_order_120(monkeypatch):
+    # the elementary abelian group of order 128 is "other" before its
+    # commutativity or element orders are read
+    big = FiniteGroup(range(128), operator.xor)
+    monkeypatch.setattr(big, "is_abelian", None)
+    assert identify_group(big) == "other"
+
+
 def test_graph_automorphism_groups(pg):
     g, _ = pg
     assert identify_group(graph_automorphisms(g)) == "S5"
@@ -241,6 +251,19 @@ def test_orbit_counts(reps):
         copies, classes = orbit_counts(s)
         assert copies == COPIES[i], CLASS_NAMES[i]
         assert classes == SWITCHING_CLASSES[i], CLASS_NAMES[i]
+
+
+def test_switching_scans_refuse_what_they_cannot_scan():
+    # a disconnected graph has no unique lift with vertex 0 unswitched, and
+    # 17 vertices exceed the search cap: both refuse before any scan
+    triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                     (3, 5)])
+    path17 = Graph.from_edges(17, [(i, i + 1) for i in range(16)])
+    for scan in (swaut, orbit_counts):
+        with pytest.raises(ValueError, match="need a connected graph"):
+            scan(SignedGraph(triangles, 1))
+        with pytest.raises(SearchSizeError):
+            scan(SignedGraph(path17, 0))
 
 
 def test_projection_injectivity(sw6):
@@ -395,7 +418,7 @@ def test_lifts_are_carried_from_the_chord_representative(pg):
             lifts = syndrome_lifts(s)
             assert groups._lifts(s) == lifts, s.mask
             for p, x in lifts:
-                carried = at_b[p] ^ y ^ _pullback(y, p)
+                carried = at_b[p] ^ y ^ pullback(y, p)
                 assert (carried ^ full if carried & 1 else carried) == x
 
 
@@ -527,7 +550,7 @@ def test_lift_permutation(pg, reps):
         else:
             j = base.index(5) + 1
             v = lab.vertex(j, 5)
-            x = sum(1 << u for u in g.closed_neighborhood(v))
+            x = sum(1 << u for u in closed_neighborhood(g, v))
             want = sp_canonical(SwitchingPermutation(x, xi))
             assert e == want
     # swapping two adjacent vertices is not an automorphism

@@ -18,7 +18,6 @@ from signedpetersen.coloring import (_count, chromatic_numbers,
 from signedpetersen.frustration import frustration_number
 from signedpetersen.graphs import enumerate_cycles, syndrome
 from signedpetersen.signed import (SIX_FINGERPRINT, SignedGraph, is_balanced,
-                                   petersen_frustration_of_mask,
                                    petersen_hexagon_masks, petersen_invariants,
                                    petersen_pentagon_masks, switch)
 
@@ -39,7 +38,7 @@ def orbits(pg):
 
 @pytest.fixture(scope="module")
 def frustration_indices():
-    return [petersen_frustration_of_mask(mask) for mask in ALL_MASKS]
+    return [petersen_invariants(mask)[1] for mask in ALL_MASKS]
 
 
 def assert_switching_invariant(values, g):
@@ -62,7 +61,7 @@ def test_switching_invariance_of_frustration_index(pg, orbits):
         pentagons = sum((orbit[0] & c).bit_count() & 1
                         for c in petersen_pentagon_masks())
         six = SIX_FINGERPRINT[(l, pentagons)]
-        assert [petersen_frustration_of_mask(m) for m in orbit] == [l] * 512
+        assert [petersen_invariants(m)[1] for m in orbit] == [l] * 512
         assert {petersen_invariants(m)[0] for m in orbit} == {six}
 
 

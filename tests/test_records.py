@@ -146,7 +146,6 @@ def test_cached_properties_are_kept_out_of_equality():
     assert g.edge_index == {(0, 1): 0, (1, 2): 1}
     assert g.incidence == (1, 3, 2)
     assert g.spanning_forest == ((0, -1, -1), (1, 0, 0), (2, 1, 1))
-    assert g.distances[0] == (0, 1, 2)
     assert g.automorphisms == ((0, 1, 2), (2, 1, 0))
     assert g.adjacency is g.adjacency
     assert {"adjacency", "edge_index", "incidence"} <= g.__dict__.keys()

@@ -9,8 +9,7 @@ from signedpetersen.signed import (SIX_ORDER, BalanceResult, SignedGraph,
                                    classify_six,
                                    classify_six_mask, is_balanced, negate,
                                    petersen_cut_masks,
-                                   petersen_frustration_of_mask,
-                                   petersen_hexagon_masks,
+                                   petersen_hexagon_masks, petersen_invariants,
                                    petersen_pentagon_masks, sign_of_circle,
                                    switch)
 
@@ -138,7 +137,7 @@ def test_minimal_representative(pg, reps):
         s = SignedGraph(g, rng.randrange(1 << 15))
         m, z = minimal_representative(s)
         assert switch(s, z) == m
-        assert m.mask.bit_count() == petersen_frustration_of_mask(s.mask)
+        assert m.mask.bit_count() == petersen_invariants(s.mask)[1]
     for s in reps:
         m, _ = minimal_representative(s)
         assert m.mask.bit_count() == s.mask.bit_count()

@@ -13,7 +13,8 @@ from signedpetersen.groups import (SwitchingPermutation, aut_signed,
                                    induced_permutation, sp_identity,
                                    sp_negate)
 
-from oracles import parse_cycles, sp_act, sp_conjugate, sp_multiply
+from oracles import (closed_neighborhood, parse_cycles, sp_act, sp_conjugate,
+                     sp_multiply)
 
 
 def build_p32_reps():
@@ -124,7 +125,7 @@ def test_p33_multiplication_rules(reps):
         if i == 0:
             return sp_identity(10)
         v = lab.vertex(i, 5)
-        return SwitchingPermutation(sum(1 << u for u in g.closed_neighborhood(v)),
+        return SwitchingPermutation(sum(1 << u for u in closed_neighborhood(g, v)),
                                     induced_permutation(lab, parse_cycles(f"({i}5)")))
 
     r = {i: rep(i) for i in range(5)}
@@ -132,7 +133,7 @@ def test_p33_multiplication_rules(reps):
     for p in itertools.permutations(range(1, 6)):
         base_of[induced_permutation(lab, p)] = p
 
-    switch_of_v = {i: sum(1 << u for u in g.closed_neighborhood(lab.vertex(i, 5)))
+    switch_of_v = {i: sum(1 << u for u in closed_neighborhood(g, lab.vertex(i, 5)))
                    for i in range(1, 5)}
 
     for i in range(5):
