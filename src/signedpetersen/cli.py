@@ -212,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, help_line, options) in _GRAMMAR.items():
         p = sub.add_parser(command, help=help_line)
-        source = (p.add_mutually_exclusive_group(required=True)
-                  if _SYNTAX[command][-1] else p)
+        one_of = _SYNTAX[command][-1]
+        source = p.add_mutually_exclusive_group(required=True) if one_of else p
         for name, kw in options:
             (source if name in ("--mask", "--file") else p).add_argument(
                 name, **kw)
