@@ -588,9 +588,6 @@ def test_parser_is_built_once_per_process(capsys, rep_masks):
         assert cli.build_parser.cache_info().misses == 1
 
 
-# Grammar tokens, values and junk: the commands, option names and choices
-# of ``cli._GRAMMAR``, abbreviations, "=", values that start with "-", int
-# spellings argparse accepts.
 def grammar_tokens() -> tuple[str, ...]:
     """The option names and choices of ``cli._GRAMMAR``, each once."""
     tokens = {}
@@ -602,11 +599,14 @@ def grammar_tokens() -> tuple[str, ...]:
     return tuple(tokens)
 
 
+# Grammar tokens, values and junk: the commands, option names and choices
+# of ``cli._GRAMMAR``, abbreviations, "=", values that start with "-", int
+# spellings argparse accepts.
 ARGV_TOKENS = tuple(cli._GRAMMAR) + grammar_tokens() + (
     "0x0001", "f", "1", "2", "-1", " 3", "1_0", "x", "", "--coset", "--zero",
     "--mask=0x1", "--k=1", "-h", "--help", "--", "-", "T99", "x y")
 ARGV_VALUES = st.one_of(
-    st.sampled_from(("0x0001", "f", "1", "2", "text", "csv", "json")),
+    st.sampled_from(("0x0001", "f", "1", "2") + cli._FORMAT[1]["choices"]),
     st.sampled_from(ARGV_TOKENS), st.text(max_size=3))
 
 
@@ -623,7 +623,7 @@ def argvs(draw):
     for name, kw in options.items():
         if "action" in kw:
             pieces.append([name])
-        elif "choices" in kw and not name.startswith("-"):
+        elif not name.startswith("-"):
             pieces.append([draw(st.sampled_from(kw["choices"]))])
         else:
             pieces.append([name, draw(ARGV_VALUES)])

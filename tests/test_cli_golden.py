@@ -61,10 +61,7 @@ def golden_commands() -> list[list[str]]:
 
 
 def parser_commands() -> list[list[str]]:
-    cmds = [["-h"]] + [[c, "-h"] for c in ("census", "table", "classify",
-                                           "group", "color", "cluster",
-                                           "verify")]
-    return cmds + [
+    return [["-h"]] + [[c, "-h"] for c in cli._GRAMMAR] + [
         [], ["bogus"], ["classify"], ["group"], ["table"], ["table", "T99"],
         ["census", "--format", "xml"], ["census", "extra"],
         ["verify", "--format", "json"],
