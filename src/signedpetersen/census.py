@@ -14,10 +14,10 @@ from .coloring import (alpha_k, chi3_difference, chromatic_numbers,
 from .frustration import frustration_number
 from .graphs import _Record, chord_mask, petersen
 from .groups import aut_signed, identify_group, orbit_counts, swaut
+from .io import format_mask
 from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType,
                      classify_six_mask, negate, odd_count, petersen_cut_masks,
-                     petersen_hexagon_masks, petersen_invariants,
-                     petersen_pentagon_masks)
+                     petersen_invariants, petersen_pentagon_masks)
 
 
 def standard_representative(t: SixType) -> SignedGraph:
@@ -51,32 +51,25 @@ def _switching_orbits():
         yield [base ^ c for c in cuts]
 
 
-def run_census() -> TableArtifact:
-    """The census table: classify every 15-bit signature by walking
-    switching orbits. Each orbit holds the 512 switchings of a base
-    signature, shares its class, and contributes its minimum-weight members
-    to the minimal count; each class keeps its least minimal mask."""
+def run_census() -> list[tuple]:
+    """The census columns, one (signatures, switching classes, minimal
+    signatures, representative mask) per class: classify every 15-bit
+    signature by walking switching orbits. Each orbit holds the 512
+    switchings of a base signature, shares its class, and contributes its
+    minimum-weight members to the minimal count; each class keeps its least
+    minimal mask."""
     pentagons = petersen_pentagon_masks()
-    sig = {t: 0 for t in SIX_ORDER}
-    cls = {t: 0 for t in SIX_ORDER}
-    mins = {t: 0 for t in SIX_ORDER}
-    rep = {t: None for t in SIX_ORDER}
+    columns = {t: [0, 0, 0, 1 << 15] for t in SIX_ORDER}
     for orbit in _switching_orbits():
         weights = [m.bit_count() for m in orbit]
         l = min(weights)
-        t = SIX_FINGERPRINT[(l, odd_count(orbit[0], pentagons))]
-        best = min(m for m, w in zip(orbit, weights) if w == l)
-        mins[t] += weights.count(l)
-        sig[t] += 512
-        cls[t] += 1
-        if rep[t] is None or best < rep[t]:
-            rep[t] = best
-    return TableArtifact("census", expected.CLASS_NAMES, (
-        ("signatures", tuple(sig.values())),
-        ("switching classes", tuple(cls.values())),
-        ("minimal signatures", tuple(mins.values())),
-        ("representative mask", tuple(f"0x{m:04x}" for m in rep.values())),
-    ))
+        col = columns[SIX_FINGERPRINT[(l, odd_count(orbit[0], pentagons))]]
+        col[0] += len(orbit)
+        col[1] += 1
+        col[2] += weights.count(l)
+        col[3] = min(col[3], *(m for m, w in zip(orbit, weights) if w == l))
+    return [(sig, cls, mins, format_mask(rep))
+            for sig, cls, mins, rep in columns.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -135,129 +128,90 @@ def _fmt(v) -> str:
     return "-" if v is None else str(v)
 
 
-def _reps():
-    return [standard_representative(t) for t in SIX_ORDER]
+def _each_class(column):
+    """The column function of a six-class table: column(s) for the standard
+    representative s of each class, in SIX_ORDER."""
+    return lambda: [column(standard_representative(t)) for t in SIX_ORDER]
 
 
-def _table_t1() -> TableArtifact:
-    masks = [standard_mask(t) for t in SIX_ORDER]
-    return TableArtifact("T1", expected.CLASS_NAMES, tuple(
-        (f"negative {name}", tuple(odd_count(m, circles) for m in masks))
-        for name, circles in (("pentagons", petersen_pentagon_masks()),
-                              ("hexagons", petersen_hexagon_masks()))))
+def _groups_column(s: SignedGraph) -> tuple:
+    aut, sw = aut_signed(s), swaut(s)
+    return aut.order, identify_group(aut), sw.order, identify_group(sw)
 
 
-def _table_t2() -> TableArtifact:
-    row = tuple(petersen_invariants(standard_mask(t))[1] for t in SIX_ORDER)
-    return TableArtifact("T2", expected.CLASS_NAMES, (
-        ("frustration index", row),
-    ))
+def _colorations_column(s: SignedGraph) -> tuple:
+    return (*(alpha_k(s, k) for k in (0, 1, 2)), petersen_invariants(s.mask)[4],
+            chi3_difference(s), count_colorations(s, 1, zero_free=False))
 
 
-def _table_t3() -> TableArtifact:
-    row = tuple(frustration_number(s)[0] for s in _reps())
-    return TableArtifact("T3", expected.CLASS_NAMES, (
-        ("frustration number", row),
-    ))
+def _clustering_columns() -> list[tuple]:
+    """T10's twelve columns: each class representative, then its negation."""
+    reps = [standard_representative(t) for t in SIX_ORDER]
+    return [(cluster_number(x), inclusterability_index(x)[0])
+            for s in reps for x in (s, negate(s))]
 
 
-def _table_t4() -> TableArtifact:
-    auts = [aut_signed(s) for s in _reps()]
-    swauts = [swaut(s) for s in _reps()]
-    return TableArtifact("T4_orders", expected.CLASS_NAMES, (
-        ("aut order", tuple(g.order for g in auts)),
-        ("aut label", tuple(identify_group(g) for g in auts)),
-        ("swaut order", tuple(g.order for g in swauts)),
-        ("swaut label", tuple(identify_group(g) for g in swauts)),
-    ))
-
-
-def _table_t5() -> TableArtifact:
-    counts = [orbit_counts(s) for s in _reps()]
-    return TableArtifact("T5", expected.CLASS_NAMES, (
-        ("copies", tuple(c for c, _ in counts)),
-        ("switching classes", tuple(w for _, w in counts)),
-    ))
-
-
-def _table_t8() -> TableArtifact:
-    pairs = [chromatic_numbers(s) for s in _reps()]
-    return TableArtifact("T8", expected.CLASS_NAMES, (
-        ("chromatic number", tuple(p[0] for p in pairs)),
-        ("zero-free chromatic number", tuple(p[1] for p in pairs)),
-    ))
-
-
-def _table_t9() -> TableArtifact:
-    reps = _reps()
-    a0, a1, a2 = (tuple(alpha_k(s, k) for s in reps) for k in (0, 1, 2))
-    c6 = tuple(odd_count(s.mask, petersen_hexagon_masks()) for s in reps)
-    diff = tuple(chi3_difference(s) for s in reps)
-    chi3 = tuple(count_colorations(s, 1, zero_free=False) for s in reps)
-    return TableArtifact("T9", expected.CLASS_NAMES, (
-        ("balance-after-deletion count, size 0", a0),
-        ("balance-after-deletion count, size 1", a1),
-        ("balance-after-deletion count, size 2", a2),
-        ("negative hexagons", c6),
-        ("3-color count minus all-positive", diff),
-        ("3-color count", chi3),
-    ))
-
-
-def _table_t10() -> TableArtifact:
-    signatures = []
-    for t in SIX_ORDER:
-        s = standard_representative(t)
-        signatures.extend([s, negate(s)])
-    clun = tuple(cluster_number(s) for s in signatures)
-    q = tuple(inclusterability_index(s)[0] for s in signatures)
-    return TableArtifact("T10", expected.T10_COLUMNS, (
-        ("cluster number", clun),
-        ("inclusterability index", q),
-    ))
-
-
-_BUILDERS = {"T1": _table_t1, "T2": _table_t2, "T3": _table_t3,
-             "T4_orders": _table_t4, "T5": _table_t5, "T8": _table_t8,
-             "T9": _table_t9, "T10": _table_t10, "census": run_census}
-TABLE_IDS = tuple(_BUILDERS)
+# Each paper table: its column names, a function returning one tuple of row
+# values per column, and its rows as (label, expected values or None). The
+# functions reach module functions through lambdas and bodies that look them
+# up at call time, so a wrapper rebound over a module attribute sees the call.
+_TABLES = {
+    "T1": (expected.CLASS_NAMES,
+           _each_class(lambda s: petersen_invariants(s.mask)[3:]),
+           (("negative pentagons", expected.NEGATIVE_PENTAGONS),
+            ("negative hexagons", expected.NEGATIVE_HEXAGONS))),
+    "T2": (expected.CLASS_NAMES,
+           _each_class(lambda s: petersen_invariants(s.mask)[1:2]),
+           (("frustration index", expected.FRUSTRATION_INDEX),)),
+    "T3": (expected.CLASS_NAMES,
+           _each_class(lambda s: frustration_number(s)[:1]),
+           (("frustration number", expected.FRUSTRATION_NUMBER),)),
+    "T4_orders": (expected.CLASS_NAMES, _each_class(_groups_column),
+                  (("aut order", expected.AUT_ORDERS),
+                   ("aut label", expected.AUT_LABELS),
+                   ("swaut order", expected.SWAUT_ORDERS),
+                   ("swaut label", expected.SWAUT_LABELS))),
+    "T5": (expected.CLASS_NAMES, _each_class(lambda s: orbit_counts(s)),
+           (("copies", expected.COPIES),
+            ("switching classes", expected.SWITCHING_CLASSES))),
+    "T8": (expected.CLASS_NAMES, _each_class(lambda s: chromatic_numbers(s)),
+           (("chromatic number", expected.CHI),
+            ("zero-free chromatic number", expected.CHI_STAR))),
+    "T9": (expected.CLASS_NAMES, _each_class(_colorations_column),
+           (("balance-after-deletion count, size 0", expected.ALPHA0),
+            ("balance-after-deletion count, size 1", expected.ALPHA1),
+            ("balance-after-deletion count, size 2", expected.ALPHA2),
+            ("negative hexagons", expected.NEGATIVE_HEXAGONS),
+            ("3-color count minus all-positive", expected.CHI3_DIFFERENCE),
+            ("3-color count", expected.CHI3))),
+    "T10": (expected.T10_COLUMNS, _clustering_columns,
+            (("cluster number", expected.CLUSTER_NUMBER),
+             ("inclusterability index", expected.INCLUSTERABILITY))),
+    "census": (expected.CLASS_NAMES, lambda: run_census(),
+               (("signatures", expected.SIGNATURE_COUNTS),
+                ("switching classes", expected.SWITCHING_CLASSES),
+                ("minimal signatures", expected.COPIES),
+                ("representative mask", None))),
+}
+TABLE_IDS = tuple(_TABLES)
 
 
 def build_table(table_id: str) -> TableArtifact:
-    if table_id not in _BUILDERS:
+    if table_id not in _TABLES:
         raise ValueError(f"unknown table id {table_id!r}")
-    return _BUILDERS[table_id]()
+    columns, compute, rows = _TABLES[table_id]
+    values = zip(*compute(), strict=True)
+    return TableArtifact(table_id, columns, tuple(
+        (label, row) for (label, _), row in zip(rows, values, strict=True)))
 
 
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
 
-EXPECTED_ROWS = {
-    "T1": {"negative pentagons": expected.NEGATIVE_PENTAGONS,
-           "negative hexagons": expected.NEGATIVE_HEXAGONS},
-    "T2": {"frustration index": expected.FRUSTRATION_INDEX},
-    "T3": {"frustration number": expected.FRUSTRATION_NUMBER},
-    "T4_orders": {"aut order": expected.AUT_ORDERS,
-                  "aut label": expected.AUT_LABELS,
-                  "swaut order": expected.SWAUT_ORDERS,
-                  "swaut label": expected.SWAUT_LABELS},
-    "T5": {"copies": expected.COPIES,
-           "switching classes": expected.SWITCHING_CLASSES},
-    "T8": {"chromatic number": expected.CHI,
-           "zero-free chromatic number": expected.CHI_STAR},
-    "T9": {"balance-after-deletion count, size 0": expected.ALPHA0,
-           "balance-after-deletion count, size 1": expected.ALPHA1,
-           "balance-after-deletion count, size 2": expected.ALPHA2,
-           "negative hexagons": expected.NEGATIVE_HEXAGONS,
-           "3-color count minus all-positive": expected.CHI3_DIFFERENCE,
-           "3-color count": expected.CHI3},
-    "T10": {"cluster number": expected.CLUSTER_NUMBER,
-            "inclusterability index": expected.INCLUSTERABILITY},
-    "census": {"signatures": expected.SIGNATURE_COUNTS,
-               "switching classes": expected.SWITCHING_CLASSES,
-               "minimal signatures": expected.COPIES},
-}
+EXPECTED_ROWS = {table_id: {label: want for label, want in rows
+                            if want is not None}
+                 for table_id, (_, _, rows) in _TABLES.items()}
 
 
 def verify_all() -> list[str]:
@@ -268,34 +222,39 @@ def verify_all() -> list[str]:
     for table_id, wanted in EXPECTED_ROWS.items():
         artifact = build_table(table_id)
         got = dict(artifact.rows)
-        for label, values in wanted.items():
+        for label, want in wanted.items():
             if label not in got:
                 diffs.append(f"{table_id}: missing row {label!r}")
-                continue
-            for col, (have, want) in zip(artifact.columns,
-                                         zip(got[label], values)):
-                if have != want:
-                    diffs.append(
-                        f"{table_id} [{label}] {col}: got {have!r}, "
-                        f"expected {want!r}")
+            else:
+                diffs += _row_diffs(f"{table_id} [{label}]", artifact.columns,
+                                    got[label], want)
         if table_id == "census":
             diffs += _census_checks(artifact)
     return diffs
+
+
+def _row_diffs(where: str, columns, got, want) -> list[str]:
+    """One line per differing cell, or one line when the lengths differ."""
+    if len(got) != len(want):
+        return [f"{where}: got {len(got)} values, expected {len(want)}"]
+    return [f"{where} {col}: got {have!r}, expected {w!r}"
+            for col, have, w in zip(columns, got, want) if have != w]
 
 
 def _census_checks(artifact: TableArtifact) -> list[str]:
     """The census totals, and the class and weight of each representative
     mask: a minimal signature weighs the frustration index of its class."""
     rows = dict(artifact.rows)
-    checks = [(f"census [{label}] total", sum(rows[label]), want)
-              for label, want in (("signatures", expected.TOTAL_SIGNATURES),
-                                  ("switching classes",
-                                   expected.TOTAL_SWITCHING_CLASSES))]
-    for col, text, weight in zip(artifact.columns, rows["representative mask"],
-                                 expected.FRUSTRATION_INDEX):
-        mask = int(text, 16)
-        checks.append((f"census [representative mask] {col} {text}",
-                       (classify_six_mask(mask).value, mask.bit_count()),
-                       (col, weight)))
-    return [f"{where}: got {have!r}, expected {want!r}"
-            for where, have, want in checks if have != want]
+    diffs = [f"census [{label}] total: got {sum(rows[label])!r}, "
+             f"expected {want!r}"
+             for label, want in (("signatures", expected.TOTAL_SIGNATURES),
+                                 ("switching classes",
+                                  expected.TOTAL_SWITCHING_CLASSES))
+             if sum(rows[label]) != want]
+    texts = rows["representative mask"]
+    masks = [int(text, 16) for text in texts]
+    return diffs + _row_diffs(
+        "census [representative mask]",
+        [f"{col} {text}" for col, text in zip(artifact.columns, texts)],
+        [(classify_six_mask(m).value, m.bit_count()) for m in masks],
+        list(zip(artifact.columns, expected.FRUSTRATION_INDEX)))

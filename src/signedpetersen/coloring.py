@@ -17,7 +17,7 @@ from operator import xor
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
                      chord_mask, petersen, span_basis, span_reduce, syndrome)
-from .signed import SignedGraph, negate, odd_count, petersen_hexagon_masks
+from .signed import SignedGraph, negate, petersen_invariants
 
 MAX_K = 2
 
@@ -148,5 +148,5 @@ def chi3_difference(s: SignedGraph) -> int:
         raise ValueError("requires the canonical Petersen graph")
     neg = negate(s)
     a0, a1, a2 = (alpha_k(neg, k) for k in (0, 1, 2))
-    c6 = odd_count(s.mask, petersen_hexagon_masks())
+    c6 = petersen_invariants(s.mask)[4]
     return 2 * a0 + 2 * a1 + 2 * a2 - 4 * c6

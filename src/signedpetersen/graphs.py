@@ -346,17 +346,6 @@ def forest_preimage(g: Graph, d: int) -> int:
     return x
 
 
-def cut_preimage(g: Graph, d: int):
-    """The vertex mask X with cut(X) = d (as edge masks) that leaves the
-    least vertex of every component out, or None when d is not a cut.
-
-    X is ``forest_preimage(g, d)``; the check that cut(X) gives back d
-    covers the edges off the forest.
-    """
-    x = forest_preimage(g, d)
-    return x if cut_mask(g, x) == d else None
-
-
 def syndrome(g: Graph, mask: int) -> int:
     """Parities of an edge mask on the fundamental cycles: zero exactly when
     mask is a cut, so two sign masks are switching equivalent exactly when

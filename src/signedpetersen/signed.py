@@ -65,8 +65,8 @@ class BalanceResult(_Record):
 
 def is_balanced(s: SignedGraph) -> BalanceResult:
     """A signature is balanced exactly when its negative edges form a cut
-    (Harary), which is the ``cut_preimage`` test: X = forest_preimage(mask)
-    and cut(X) must give back the mask. Balanced signatures get the
+    (Harary): X = forest_preimage(mask), the one candidate vertex set, must
+    have the mask as its cut. Balanced signatures get the
     bipartition (V - X, X), positive edges inside a side; unbalanced ones
     get a negative cycle, the edge of least index where cut(X) and the mask
     differ (never a forest edge) closed by the forest paths from its ends."""

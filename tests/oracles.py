@@ -12,7 +12,7 @@ from signedpetersen.clustering import (MAX_EDGES, _bad_cycles, circle_masks,
 from signedpetersen.coloring import _count, count_colorations
 from signedpetersen.graphs import (Cycle, Graph, MatchingClass,
                                    SearchSizeError, automorphism_images,
-                                   bits, cut_mask, cut_preimage, cut_space,
+                                   bits, cut_mask, cut_space,
                                    enumerate_cycles, forest_preimage, petersen,
                                    span_basis, syndrome)
 from signedpetersen.groups import (CosetError, CosetSystem, SwitchingGroup,
@@ -27,6 +27,17 @@ def cut(g, x):
     xs = set(x)
     return frozenset(i for i, (u, v) in enumerate(g.edges)
                      if (u in xs) != (v in xs))
+
+
+def cut_preimage(g, d):
+    """The vertex mask X with cut(X) = d (as edge masks) that leaves the
+    least vertex of every component out, or None when d is not a cut.
+
+    X is ``forest_preimage(g, d)``; the check that cut(X) gives back d
+    covers the edges off the forest.
+    """
+    x = forest_preimage(g, d)
+    return x if cut_mask(g, x) == d else None
 
 
 def negative_circle_counts(s, lengths):

@@ -5,7 +5,7 @@ import random
 import time
 
 from signedpetersen import expected
-from signedpetersen.census import _switching_orbits, run_census
+from signedpetersen.census import _switching_orbits, build_table
 from signedpetersen.clustering import cluster_number, inclusterability_index
 from signedpetersen.coloring import (_count, chi3_difference,
                                      chromatic_numbers, count_colorations)
@@ -71,7 +71,7 @@ def test_criterion_03_group_tables(reps):
 
 def test_criterion_04_orbit_counts_two_ways(reps):
     by_quotient = [orbit_counts(s) for s in reps]
-    rows = dict(run_census().rows)
+    rows = dict(build_table("census").rows)
     by_census = list(zip(rows["minimal signatures"],
                          rows["switching classes"]))
     want = list(zip(expected.COPIES, expected.SWITCHING_CLASSES))

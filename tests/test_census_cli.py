@@ -16,7 +16,7 @@ import signedpetersen
 from signedpetersen import cli, clustering, frustration, graphs, signed
 from signedpetersen import expected
 from signedpetersen.census import (EXPECTED_ROWS, TABLE_IDS, build_table,
-                                   run_census, standard_mask, verify_all)
+                                   standard_mask, verify_all)
 from signedpetersen.frustration import frustration_index, frustration_number
 from signedpetersen.io import (InputError, format_mask, load_signed_graph,
                                parse_mask, parse_signed_graph, read_header,
@@ -32,7 +32,7 @@ from oracles import circle_hitting_sets, is_petersen
 # --------------------------------------------------------------------------
 
 def test_run_census_totals():
-    census = run_census()
+    census = build_table("census")
     assert census.columns == expected.CLASS_NAMES
     rows = dict(census.rows)
     assert sum(rows["signatures"]) == expected.TOTAL_SIGNATURES
@@ -116,6 +116,36 @@ def test_table_ids_are_the_expected_rows():
     assert tuple(EXPECTED_ROWS) == TABLE_IDS
     with pytest.raises(ValueError, match="unknown table id 'T99'"):
         build_table("T99")
+
+
+def test_build_table_refuses_columns_that_do_not_fit_the_rows(monkeypatch):
+    # T2 has one row: a column of two values, or a missing column, is an
+    # error, not a table cut short
+    from signedpetersen import census
+    columns, compute, rows = census._TABLES["T2"]
+    for wrong in ([(0, 1)] * 6, [(0,)] * 5 + [()]):
+        monkeypatch.setitem(census._TABLES, "T2",
+                            (columns, lambda: wrong, rows))
+        with pytest.raises(ValueError):
+            build_table("T2")
+
+
+def test_census_walk_runs_once_through_the_module_attribute(capsys,
+                                                            monkeypatch):
+    # the census table calls run_census by name, so a wrapper bound over
+    # the module attribute (as a tracer binds one) sees every walk
+    from signedpetersen import census
+    calls = []
+    real = census.run_census
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(census, "run_census", counted)
+    assert run_cli(capsys, "census")[0] == 0 and len(calls) == 1
+    assert run_cli(capsys, "table", "census")[0] == 0 and len(calls) == 2
+    assert verify_all() == [] and len(calls) == 3
 
 
 def test_verify_all_does_group_work_once(monkeypatch):
@@ -534,24 +564,31 @@ def test_cli_verify(capsys):
 
 
 def test_cli_verify_prints_each_difference(capsys, monkeypatch):
-    # one line per difference, and exit 1: a changed T2 cell and a T3
-    # that lost its row
+    # one line per difference, and exit 1: a changed T2 cell, a T3 that
+    # lost its row, and a T5 row and census representatives cut short
     from signedpetersen import census
     real = census.build_table
 
     def tampered(table_id):
         art = real(table_id)
+        rows = dict(art.rows)
         if table_id == "T2":
             (label, row), = art.rows
             return census.TableArtifact("T2", art.columns,
                                         ((label, (1,) + row[1:]),))
         if table_id == "T3":
             return census.TableArtifact("T3", art.columns, ())
-        return art
+        if table_id == "T5":
+            rows["copies"] = rows["copies"][:3]
+        if table_id == "census":
+            rows["representative mask"] = rows["representative mask"][:3]
+        return census.TableArtifact(table_id, art.columns, tuple(rows.items()))
 
     monkeypatch.setattr(census, "build_table", tampered)
     want = ["T2 [frustration index] +P: got 1, expected 0",
-            "T3: missing row 'frustration number'"]
+            "T3: missing row 'frustration number'",
+            "T5 [copies]: got 3 values, expected 6",
+            "census [representative mask]: got 3 values, expected 6"]
     assert verify_all() == want
     assert run_cli(capsys, "verify") == (1, "".join(d + "\n" for d in want), "")
 

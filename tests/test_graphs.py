@@ -6,14 +6,15 @@ from signedpetersen.census import standard_mask
 from signedpetersen.coloring import _independent_sets
 from signedpetersen.graphs import (Cycle, Graph, MatchingClass, SearchSizeError,
                                    automorphism_images, classify_matching,
-                                   cut_mask, cut_preimage, cut_space,
+                                   cut_mask, cut_space,
                                    enumerate_cycles, minimum_coloring, petersen,
                                    syndrome)
 from signedpetersen.signed import SIX_ORDER
 
 from oracles import (all_independent_sets, all_matchings, closed_neighborhood,
-                     cut, distances, edge_distance, geometric_matching_class,
-                     hexagon_of_vertex, independent_sets, is_petersen)
+                     cut, cut_preimage, distances, edge_distance,
+                     geometric_matching_class, hexagon_of_vertex,
+                     independent_sets, is_petersen)
 
 
 def k4():

@@ -9,7 +9,7 @@ from signedpetersen.expected import (AUT_LABELS, AUT_ORDERS, CLASS_NAMES,
                                      COPIES, SWAUT_LABELS, SWAUT_ORDERS,
                                      SWITCHING_CLASSES)
 from signedpetersen.graphs import (Graph, SearchSizeError, automorphism_images,
-                                   chord_mask, cut_preimage, cut_space)
+                                   chord_mask, cut_space)
 from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
                                    SwitchingGroup, SwitchingPermutation,
                                    _default_reps, aut_signed,
@@ -20,7 +20,7 @@ from signedpetersen.groups import (CosetError, FiniteGroup, GroupAxiomError,
                                    sp_identity, sp_negate, swaut)
 from signedpetersen.signed import SignedGraph, negate, switch
 
-from oracles import (closed_neighborhood, cut, general_product,
+from oracles import (closed_neighborhood, cut, cut_preimage, general_product,
                      graph_automorphisms, is_conjugation_closed, parse_cycles,
                      pullback,
                      reference_coset_system, rep_for_mask, scan_lifts, sp_act,
