@@ -24,7 +24,8 @@ class SearchSizeError(ValueError):
 class _Record:
     """Immutable fields named in ``_fields``, which ``__init__`` writes into
     ``__dict__`` (where ``cached_property`` keeps its values too); equality,
-    hash and repr go by the field values, within one class."""
+    hash and repr go by the field values, within one class. The hash is
+    computed on first use and kept in ``__dict__`` as well."""
 
     def __init_subclass__(cls):
         cls._key = itemgetter(*cls._fields)  # the field values of a __dict__
@@ -35,7 +36,11 @@ class _Record:
         return self._key(self.__dict__) == other._key(other.__dict__)
 
     def __hash__(self):
-        return hash(self._key(self.__dict__))
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash(self._key(self.__dict__))
+            return h
 
     def __repr__(self):
         return "{}({})".format(type(self).__name__, ", ".join(
@@ -115,26 +120,8 @@ class Graph(_Record):
 
     @cached_property
     def spanning_forest(self) -> tuple[tuple[int, int, int], ...]:
-        """Breadth-first spanning forest as (vertex, parent, edge index)
-        triples in visiting order. Each component is rooted at its least
-        vertex, which carries parent and edge index -1."""
-        nbrs = self.neighbours
-        seen = [False] * self.vertex_count
-        out = []
-        for root in range(self.vertex_count):
-            if seen[root]:
-                continue
-            seen[root] = True
-            i = len(out)
-            out.append((root, -1, -1))
-            while i < len(out):
-                u = out[i][0]
-                i += 1
-                for w, j in nbrs[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        out.append((w, u, j))
-        return tuple(out)
+        """``bfs_forest`` of the whole graph."""
+        return bfs_forest(self)
 
     @cached_property
     def chords(self) -> tuple[int, ...]:
@@ -279,9 +266,33 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
     return cycles
 
 
+def bfs_forest(g: Graph, skip: int = 0) -> tuple[tuple[int, int, int], ...]:
+    """Breadth-first spanning forest of g without the edges in the mask
+    skip, as (vertex, parent, edge index) triples in visiting order. Each
+    component is rooted at its least vertex, which carries parent and edge
+    index -1."""
+    nbrs = g.neighbours
+    seen = [False] * g.vertex_count
+    out = []
+    for root in range(g.vertex_count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        i = len(out)
+        out.append((root, -1, -1))
+        while i < len(out):
+            u = out[i][0]
+            i += 1
+            for w, j in nbrs[u]:
+                if not seen[w] and not skip >> j & 1:
+                    seen[w] = True
+                    out.append((w, u, j))
+    return tuple(out)
+
+
 def tree_cycle(g: Graph, forest, u: int, w: int) -> Cycle:
     """Cycle through edge uw and the path between u and w in forest, given
-    as ``Graph.spanning_forest`` triples of a forest of g."""
+    as ``bfs_forest`` triples of a forest of g."""
     parent = {v: p for v, p, _ in forest}
     up = [u]
     while parent[up[-1]] >= 0:

@@ -7,14 +7,14 @@ read from edge distances, and the maximum inclusterability."""
 import itertools
 from functools import lru_cache
 
-from signedpetersen.clustering import (MAX_EDGES, _bad_cycles, circle_masks,
-                                       min_hitting_mask)
+from signedpetersen.clustering import MAX_EDGES, _hit
 from signedpetersen.coloring import _count, count_colorations
 from signedpetersen.graphs import (Cycle, Graph, MatchingClass,
                                    SearchSizeError, automorphism_images,
                                    bits, cut_mask, cut_space,
-                                   enumerate_cycles, forest_preimage, petersen,
-                                   span_basis, syndrome)
+                                   enumerate_cycles, forest_preimage,
+                                   minimum_coloring, petersen, span_basis,
+                                   syndrome, tree_cycle)
 from signedpetersen.groups import (CosetError, CosetSystem, SwitchingGroup,
                                    SwitchingPermutation, _automorphism_edge_maps,
                                    _default_reps, compose,
@@ -170,6 +170,62 @@ def scan_lifts(s):
         if x is not None:
             out.append((p, x))
     return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def circle_masks(g):
+    """Edge mask of every circle of g, once each."""
+    return tuple(c.edge_mask for c in enumerate_cycles(g, g.vertex_count))
+
+
+def bad_cycles(circles, neg_mask):
+    """The circles (edge masks) that carry exactly one negative edge."""
+    return [e for e in circles if (e & neg_mask).bit_count() == 1]
+
+
+def min_hitting_mask(targets, cap):
+    """A least bit set meeting every mask in targets; one of size cap does."""
+    for k in range(cap + 1):
+        r = _hit(targets, k)
+        if r is not None:
+            return r
+    raise AssertionError("unreachable: cap bounds a hitting set")
+
+
+def inclusterability_by_circles(s):
+    """Edge mask of a least deletion set making s clusterable: a least set
+    meeting every bad circle of a full circle listing."""
+    return min_hitting_mask(bad_cycles(circle_masks(s.graph), s.mask),
+                            s.mask.bit_count())
+
+
+def clusterability_by_positive_graph(s):
+    """``is_clusterable`` from the spanning forest of a separate graph of
+    the positive edges: the least negative edge inside a positive
+    component, closed by the forest path, or the fewest-parts partition
+    with the components numbered by least vertex."""
+    g = s.graph
+    positive = Graph(g.vertex_count, tuple(
+        e for i, e in enumerate(g.edges) if not s.mask >> i & 1))
+    forest = positive.spanning_forest
+    comp = [0] * g.vertex_count
+    count = 0
+    for v, parent, _ in forest:
+        if parent < 0:
+            comp[v] = count
+            count += 1
+        else:
+            comp[v] = comp[parent]
+    negative = [g.edges[i] for i in bits(s.mask)]
+    for u, w in negative:
+        if comp[u] == comp[w]:
+            return False, tree_cycle(g, forest, u, w)
+    coloring = minimum_coloring(Graph.from_edges(
+        count, ((comp[u], comp[w]) for u, w in negative)))
+    parts = [set() for _ in range(max(coloring, default=-1) + 1)]
+    for v, c in enumerate(comp):
+        parts[coloring[c]].add(v)
+    return True, tuple(frozenset(p) for p in parts)
 
 
 def circle_hitting_sets(s):
@@ -524,7 +580,7 @@ def max_inclusterability(g, cubic_shortcut=True):
     circles = circle_masks(g)
 
     def q_of(neg_mask):
-        bad = _bad_cycles(circles, neg_mask)
+        bad = bad_cycles(circles, neg_mask)
         return min_hitting_mask(bad, neg_mask.bit_count()).bit_count()
 
     masks = range(1 << m)

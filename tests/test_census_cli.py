@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signedpetersen
-from signedpetersen import cli, clustering, frustration, graphs, signed
+from signedpetersen import cli, frustration, graphs, signed
 from signedpetersen import expected
 from signedpetersen.census import (EXPECTED_ROWS, TABLE_IDS, build_table,
                                    standard_mask, verify_all)
@@ -24,7 +24,8 @@ from signedpetersen.io import (InputError, format_mask, load_signed_graph,
 from signedpetersen.signed import SIX_ORDER, SignedGraph, classify_six_mask
 from signedpetersen.graphs import Graph, cut_mask, petersen, syndrome
 
-from oracles import circle_hitting_sets, is_petersen
+from oracles import (circle_hitting_sets, inclusterability_by_circles,
+                     is_petersen)
 
 
 # --------------------------------------------------------------------------
@@ -565,9 +566,12 @@ def test_cli_verify(capsys):
 
 def test_cli_verify_prints_each_difference(capsys, monkeypatch):
     # one line per difference, and exit 1: a changed T2 cell, a T3 that
-    # lost its row, and a T5 row and census representatives cut short
+    # lost its row, a T5 row and census representatives cut short, and a
+    # census without its switching-class row; then a census without its
+    # representative row
     from signedpetersen import census
     real = census.build_table
+    census_drops = ["switching classes"]
 
     def tampered(table_id):
         art = real(table_id)
@@ -582,13 +586,20 @@ def test_cli_verify_prints_each_difference(capsys, monkeypatch):
             rows["copies"] = rows["copies"][:3]
         if table_id == "census":
             rows["representative mask"] = rows["representative mask"][:3]
+            for label in census_drops:
+                del rows[label]
         return census.TableArtifact(table_id, art.columns, tuple(rows.items()))
 
     monkeypatch.setattr(census, "build_table", tampered)
     want = ["T2 [frustration index] +P: got 1, expected 0",
             "T3: missing row 'frustration number'",
             "T5 [copies]: got 3 values, expected 6",
+            "census: missing row 'switching classes'",
             "census [representative mask]: got 3 values, expected 6"]
+    assert verify_all() == want
+    assert run_cli(capsys, "verify") == (1, "".join(d + "\n" for d in want), "")
+    census_drops[:] = ["representative mask"]
+    want[3:] = ["census: missing row 'representative mask'"]
     assert verify_all() == want
     assert run_cli(capsys, "verify") == (1, "".join(d + "\n" for d in want), "")
 
@@ -728,10 +739,11 @@ def refuse(*args):
 
 def refuse_circles(monkeypatch):
     """Make every name-imported copy of ``enumerate_cycles`` in the package
-    raise, and clear the clustering circle cache."""
-    clustering.circle_masks.cache_clear()
-    for module in (clustering, graphs, signed):
-        monkeypatch.setattr(module, "enumerate_cycles", refuse)
+    raise (now those of ``graphs`` and ``signed``)."""
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "signedpetersen"
+                and hasattr(module, "enumerate_cycles")):
+            monkeypatch.setattr(module, "enumerate_cycles", refuse)
 
 
 def test_cli_classify_dense_file_lists_no_circles(capsys, tmp_path,
@@ -767,6 +779,22 @@ def test_cli_classify_sparse_file_walks_no_cuts(capsys, tmp_path,
     code, out, err = run_cli(capsys, "classify", "--file", str(path))
     assert (code, out, err) == (
         0, f"frustration index {l}\nfrustration number {l0}\n", "")
+
+
+def test_cli_cluster_file_lists_no_circles(capsys, tmp_path, monkeypatch):
+    # 9 vertices and 20 edges, a cycle space of 12 dimensions: the index
+    # must come from forests of the kept positive edges, not a circle list
+    rng = random.Random(2)
+    g = Graph.from_edges(9, rng.sample(
+        list(itertools.combinations(range(9), 2)), 20))
+    s = SignedGraph(g, rng.getrandbits(20))
+    q = inclusterability_by_circles(s).bit_count()
+    assert q == 4
+    path = tmp_path / "dense9.txt"
+    path.write_text(serialize_signed_graph(s))
+    refuse_circles(monkeypatch)
+    code, out, err = run_cli(capsys, "cluster", "--file", str(path))
+    assert (code, out, err) == (0, f"clusterable no inclusterability {q}\n", "")
 
 
 def test_cli_color_budget_error_prints_nothing(capsys, tmp_path):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from signedpetersen import clustering
 from signedpetersen.clustering import (cluster_number, inclusterability_index,
                                        is_clusterable)
 from signedpetersen.expected import (CLUSTER_NUMBER, INCLUSTERABILITY,
@@ -11,7 +12,9 @@ from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
                                    enumerate_cycles)
 from signedpetersen.signed import SignedGraph, negate, sign_of_circle
 
-from oracles import max_inclusterability
+from oracles import (bad_cycles, circle_masks,
+                     clusterability_by_positive_graph,
+                     inclusterability_by_circles, max_inclusterability)
 
 
 def delete_edges(s, drop):
@@ -193,10 +196,60 @@ def test_oversized_graph_refused_before_the_forest(monkeypatch):
     # A positive path on 17 vertices is clusterable with one cluster, but
     # the size check must refuse it before the positive subgraph's forest
     # is walked.
-    def no_forest(g):
+    def no_forest(g, *skip):
         raise AssertionError("spanning forest built for an oversized graph")
 
     monkeypatch.setattr(Graph, "spanning_forest", property(no_forest))
+    monkeypatch.setattr(clustering, "bfs_forest", no_forest)
     path = Graph.from_edges(17, [(i, i + 1) for i in range(16)])
     with pytest.raises(SearchSizeError, match="too large"):
         is_clusterable(SignedGraph(path, 0))
+
+
+def check_against_listing_routes(s):
+    """The index against a least hitting set of every listed bad circle, its
+    deletion set against those circles (by Davis, deleting it leaves a
+    clusterable signature exactly when it meets all of them), and the
+    clusterability witness against the forest of a separate positive
+    graph."""
+    g = s.graph
+    q, dels = inclusterability_index(s)
+    assert q == len(dels) == inclusterability_by_circles(s).bit_count()
+    hit = sum(1 << g.edge_index[e] for e in dels)
+    assert all(c & hit for c in bad_cycles(circle_masks(g), s.mask))
+    assert is_clusterable(s) == clusterability_by_positive_graph(s)
+
+
+def test_index_and_witness_match_the_listing_routes_on_every_petersen_signature(pg):
+    g, _ = pg
+    for mask in range(1 << len(g.edges)):
+        check_against_listing_routes(SignedGraph(g, mask))
+
+
+def test_index_and_witness_match_the_listing_routes_on_seeded_graphs():
+    # 3-16 vertices and at most MAX_EDGES edges, in three kinds taken in
+    # turn: any edge count, two parts with no edge between them, and dense
+    # 8-9-vertex graphs whose cycle space has 10 dimensions or more
+    rng = random.Random(83)
+    disconnected = dense = 0
+    for k in range(360):
+        if k % 3 == 2:
+            n = rng.choice((8, 9))
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph.from_edges(n, rng.sample(
+                pairs, rng.randint(n + 9, clustering.MAX_EDGES)))
+            dense += len(g.chords) >= 10
+        else:
+            n = rng.randint(3, 16)
+            cut = rng.randint(1, n - 1) if k % 3 else n
+            pairs = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if (u < cut) == (v < cut)]
+            g = Graph.from_edges(n, rng.sample(pairs, rng.randint(
+                0, min(len(pairs), clustering.MAX_EDGES))))
+        disconnected += not g.is_connected()
+        density = rng.random()
+        s = SignedGraph(g, sum(1 << i for i in range(len(g.edges))
+                               if rng.random() < density))
+        check_against_listing_routes(s)
+        assert is_clusterable(delete_edges(s, inclusterability_index(s)[1]))[0]
+    assert dense == 120 and disconnected >= 120
