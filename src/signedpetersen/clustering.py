@@ -11,13 +11,15 @@ the minimum number of edge deletions reaching clusterability is the size of
 a least set meeting every "bad" circle, one with exactly one negative edge.
 No circle is listed. Both questions read one breadth-first forest of the
 positive edges that are kept, and a negative edge inside one of its
-components closes a bad circle with the forest path between its ends.
+components closes a bad circle with the forest path between its ends. The
+forest of all positive edges is kept on the signed graph, so a ``cluster``
+query builds it once for both questions.
 """
 
 from __future__ import annotations
 
-from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bfs_forest,
-                     bits, minimum_coloring, tree_cycle)
+from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
+                     forest_paths, minimum_coloring, tree_cycle)
 from .signed import SignedGraph
 
 MAX_EDGES = 20
@@ -42,25 +44,6 @@ def _hit(targets: list[int], budget: int):
     return None
 
 
-def _positive_forest(s: SignedGraph, deleted: int = 0):
-    """``bfs_forest`` of the positive edges of s outside the mask deleted,
-    each vertex's component (numbered by least vertex), and the edge mask
-    of each vertex's forest path to its root."""
-    g = s.graph
-    forest = bfs_forest(g, s.mask | deleted)
-    comp = [0] * g.vertex_count
-    up = [0] * g.vertex_count
-    count = 0
-    for v, parent, i in forest:
-        if parent < 0:
-            comp[v] = count
-            count += 1
-        else:
-            comp[v] = comp[parent]
-            up[v] = up[parent] | 1 << i
-    return forest, comp, up
-
-
 def is_clusterable(s: SignedGraph):
     """(flag, witness), from one spanning forest of the positive subgraph.
     If a negative edge joins two vertices of one component, the witness is
@@ -72,7 +55,7 @@ def is_clusterable(s: SignedGraph):
     g = s.graph
     if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for exact chromatic number")
-    forest, comp, _ = _positive_forest(s)
+    forest, comp, _ = s.positive_forest
     negative = [g.edges[i] for i in bits(s.mask)]
     for u, w in negative:
         if comp[u] == comp[w]:
@@ -105,7 +88,9 @@ def inclusterability_index(s: SignedGraph):
         raise SearchSizeError("too many edges for deletion search")
     targets, hit = [], 0
     while True:
-        _, comp, up = _positive_forest(s, hit)
+        # deleting a negative edge leaves the positive forest as it is
+        _, comp, up = (forest_paths(g, s.mask | hit) if hit & ~s.mask
+                       else s.positive_forest)
         missed = [up[u] ^ up[w] | 1 << i for i in bits(s.mask & ~hit)
                   for u, w in (g.edges[i],) if comp[u] == comp[w]]
         if not missed:

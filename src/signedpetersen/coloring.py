@@ -8,6 +8,12 @@ sum of 2^c(G - W) over the independent W with -Sigma - W balanced, its
 zero-free part the W = {} term (T. Zaslavsky, "Signed graph coloring",
 Discrete Math. 39 (1982)). At k = 2 that would need 3^n terms: a backtrack
 counts there.
+
+The independent sets, each with an echelon basis of U_W (Sigma - W is
+balanced exactly when the syndrome of Sigma lies in U_W), come from
+``graphs.vertex_sets``, the generator that l0 reads when r < n - c. Here it
+serves whatever r is: a graph has one table, built once per graph and read
+by every class, and the independent sets are few.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import xor
 
-from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
-                     chord_mask, petersen, span_basis, span_reduce, syndrome)
+from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError,
+                     chord_mask, petersen, span_reduce, syndrome, vertex_sets)
 from .signed import SignedGraph, negate, petersen_invariants
 
 MAX_K = 2
@@ -59,22 +65,18 @@ def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
 @lru_cache(maxsize=8)
 def _independent_sets(g: Graph) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """Every independent vertex set W of g, the empty set first, as (|W|,
-    echelon basis of U_W, c(G - W)). U_W is spanned by the syndromes of the
-    edges at W, E_W; Sigma - W is balanced exactly when the syndrome of
-    Sigma lies in U_W. The cut space of G - W has dimension n - c + rank
-    U_W - |E_W|, so c(G - W) = c - |W| + |E_W| - rank U_W."""
+    echelon basis of U_W, c(G - W)), from ``graphs.vertex_sets``. U_W is
+    spanned by the syndromes of the edges at W, E_W; Sigma - W is balanced
+    exactly when the syndrome of Sigma lies in U_W. The cut space of G - W
+    has dimension n - c + rank U_W - |E_W|, so c(G - W) = c - |W| + |E_W|
+    - rank U_W."""
     n = g.vertex_count
     if n > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for coloring search")
     c = n - len(g.edges) + len(g.chords)
-    entries = [(0, (), 0)]  # (vertex mask W, basis of U_W, |E_W|), grown by v
-    for v in range(n):
-        near = sum(1 << u for u in g.adjacency[v])
-        star = [g.syndromes[e] for e in bits(g.incidence[v])]
-        entries += [(w | 1 << v, span_basis(star, basis), edges + len(star))
-                    for w, basis, edges in entries if not w & near]
-    return tuple((w.bit_count(), basis, c - w.bit_count() + edges - len(basis))
-                 for w, basis, edges in entries)
+    return tuple((w.bit_count(), basis,
+                  c - w.bit_count() + e.bit_count() - len(basis))
+                 for w, e, basis in vertex_sets(g, independent=True))
 
 
 def _count_one(g: Graph, z: int, zero_free: bool) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 
 MAX_SEARCH_VERTICES = 16
@@ -21,9 +21,30 @@ class SearchSizeError(ValueError):
     """Raised when an exhaustive search is requested on too large a graph."""
 
 
+class _cached:
+    """A property computed on first read and kept in the instance's
+    ``__dict__``, which later reads find first. It is
+    ``functools.cached_property`` without the lock that Python 3.11 takes on
+    every first read; Python 3.12 dropped it. Every query on a new graph
+    makes a few first reads, and with the lock a cold one costs several
+    times as much."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class _Record:
     """Immutable fields named in ``_fields``, which ``__init__`` writes into
-    ``__dict__`` (where ``cached_property`` keeps its values too); equality,
+    ``__dict__`` (where ``_cached`` keeps its values too); equality,
     hash and repr go by the field values, within one class. The hash is
     computed on first use and kept in ``__dict__`` as well."""
 
@@ -53,23 +74,37 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _edge_fault(n: int, edges) -> str:
+    """Why the edge list of a graph on n vertices is not canonical: the
+    first loop, edge out of range, unnormalized or repeated edge, else the
+    order."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            return f"loop edge {u}-{v}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge {u}-{v} out of range"
+        if u > v:
+            return f"edge {u}-{v} not normalized"
+        if (u, v) in seen:
+            return f"repeated edge {u}-{v}"
+        seen.add((u, v))
+    return "edge list not in canonical order"
+
+
 class Graph(_Record):
     _fields = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]):
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop edge {u}-{v}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge {u}-{v} out of range")
-            if u > v:
-                raise ValueError(f"edge {u}-{v} not normalized")
-            if (u, v) in seen:
-                raise ValueError(f"repeated edge {u}-{v}")
-            seen.add((u, v))
-        if list(edges) != sorted(edges):
-            raise ValueError("edge list not in canonical order")
+        """Refuses an edge list that is not canonical, in one pass: each
+        edge u < v inside 0..n-1 and after the one before it. Only then is
+        the first fault looked for, to word the message."""
+        last = ()
+        for e in edges:
+            u, v = e
+            if not (last < e and 0 <= u < v < vertex_count):
+                raise ValueError(_edge_fault(vertex_count, edges))
+            last = e
         self.__dict__.update(vertex_count=vertex_count, edges=edges)
 
     @classmethod
@@ -77,7 +112,7 @@ class Graph(_Record):
         norm = sorted({(min(u, v), max(u, v)) for u, v in edges})
         return cls(vertex_count, tuple(norm))
 
-    @cached_property
+    @_cached
     def adjacency(self) -> tuple[frozenset, ...]:
         adj = [set() for _ in range(self.vertex_count)]
         for u, v in self.edges:
@@ -85,7 +120,7 @@ class Graph(_Record):
             adj[v].add(u)
         return tuple(frozenset(a) for a in adj)
 
-    @cached_property
+    @_cached
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
@@ -98,7 +133,7 @@ class Graph(_Record):
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    @cached_property
+    @_cached
     def incidence(self) -> tuple[int, ...]:
         """Edge mask of the edges at each vertex: the cut of that vertex
         alone."""
@@ -108,7 +143,7 @@ class Graph(_Record):
             inc[v] |= 1 << i
         return tuple(inc)
 
-    @cached_property
+    @_cached
     def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each vertex's (neighbour, edge index) pairs, by increasing
         neighbour: canonical edge order meets them in that order."""
@@ -118,19 +153,19 @@ class Graph(_Record):
             nbrs[v].append((u, i))
         return tuple(map(tuple, nbrs))
 
-    @cached_property
+    @_cached
     def spanning_forest(self) -> tuple[tuple[int, int, int], ...]:
         """``bfs_forest`` of the whole graph."""
         return bfs_forest(self)
 
-    @cached_property
+    @_cached
     def chords(self) -> tuple[int, ...]:
         """Indices of the edges off the spanning forest, increasing: the
         t-th closes the t-th fundamental cycle, r = m - n + c in all."""
         forest = {i for _, parent, i in self.spanning_forest if parent >= 0}
         return tuple(i for i in range(len(self.edges)) if i not in forest)
 
-    @cached_property
+    @_cached
     def syndromes(self) -> tuple[int, ...]:
         """Cycle-space syndrome of each edge, bit t its parity on the t-th
         fundamental cycle: 1 << t for the t-th chord, and for the forest
@@ -149,7 +184,7 @@ class Graph(_Record):
                 below[parent] ^= below[v]
         return tuple(out)
 
-    @cached_property
+    @_cached
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """All adjacency-preserving vertex bijections, as image tuples in
         the order the backtracking search finds them; searched once per
@@ -175,7 +210,7 @@ class PetersenLabeling(_Record):
     def __init__(self, pair_of: tuple[tuple[int, int], ...] = PETERSEN_PAIRS):
         self.__dict__["pair_of"] = pair_of
 
-    @cached_property
+    @_cached
     def vertex_of(self) -> dict[frozenset, int]:
         return {frozenset(p): i for i, p in enumerate(self.pair_of)}
 
@@ -290,6 +325,25 @@ def bfs_forest(g: Graph, skip: int = 0) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+def forest_paths(g: Graph, skip: int = 0):
+    """``bfs_forest(g, skip)``, each vertex's component (numbered by least
+    vertex), and the edge mask of each vertex's forest path to its root:
+    two vertices of one component are joined in the forest by the xor of
+    their masks."""
+    forest = bfs_forest(g, skip)
+    comp = [0] * g.vertex_count
+    up = [0] * g.vertex_count
+    count = 0
+    for v, parent, i in forest:
+        if parent < 0:
+            comp[v] = count
+            count += 1
+        else:
+            comp[v] = comp[parent]
+            up[v] = up[parent] | 1 << i
+    return forest, tuple(comp), tuple(up)
+
+
 def tree_cycle(g: Graph, forest, u: int, w: int) -> Cycle:
     """Cycle through edge uw and the path between u and w in forest, given
     as ``bfs_forest`` triples of a forest of g."""
@@ -384,13 +438,46 @@ def span_reduce(z: int, basis) -> int:
 
 
 def span_basis(vectors, basis=()) -> tuple[int, ...]:
-    """Echelon basis, largest first, of the span of basis and vectors."""
+    """Echelon basis, largest first, of the span of basis and vectors.
+    Each vector is reduced as ``span_reduce`` does, with its loop written
+    out: this is the step of every subset of ``vertex_sets``."""
     basis = list(basis)
     for y in vectors:
-        y = span_reduce(y, basis)
+        for b in basis:
+            if y ^ b < y:
+                y ^= b
         if y:
-            basis = sorted(basis + [y], reverse=True)
+            basis.append(y)
+            basis.sort(reverse=True)
     return tuple(basis)
+
+
+def vertex_sets(g: Graph, independent: bool = False):
+    """Every vertex set W of g (only the independent ones, with
+    independent) by increasing size, in ``itertools.combinations`` order
+    within a size, as (vertex mask W, edge mask E_W of the edges at W,
+    echelon basis of U_W, the span of the syndromes of E_W). The cycles of
+    G - W are the cycles of G that avoid E_W, those whose fundamental-cycle
+    coordinates are orthogonal to U_W, so a sign mask with syndrome z is
+    balanced on G - W exactly when z lies in U_W (Harary). Each basis grows
+    from that of W less its largest vertex, kept from the size before."""
+    yield 0, 0, ()
+    n, inc, cols = g.vertex_count, g.incidence, g.syndromes
+    # The edges at v make a cut, whose syndromes xor to 0, so the last one
+    # adds nothing to the span; a bridge's syndrome is 0.
+    stars = [[cols[i] for _, i in nv[:-1] if cols[i]] for nv in g.neighbours]
+    near = [sum(1 << u for u, _ in nv) if independent else 0
+            for nv in g.neighbours]
+    level = [(0, 0, ())]
+    while level:
+        grown = []
+        for w, e, basis in level:
+            for v in range(w.bit_length(), n):  # above the largest in W
+                if not w & near[v]:
+                    grown.append(entry := (w | 1 << v, e | inc[v],
+                                           span_basis(stars[v], basis)))
+                    yield entry
+        level = grown
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ omit the sign column, defaulting to +).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .graphs import MAX_SEARCH_VERTICES, Graph
 from .signed import SignedGraph
 
@@ -16,15 +18,16 @@ class InputError(ValueError):
     """Malformed input file or mask literal."""
 
 
-def _content(lines):
-    """The stripped lines that are neither blank nor a ``#`` comment."""
-    return (ln for ln in map(str.strip, lines) if ln and not ln.startswith("#"))
-
-
 def read_header(lines) -> int:
-    """The vertex count from the ``n <vertex_count>`` header, the first
-    content line of an iterator of lines; no line after it is read."""
-    first = next(_content(lines), "")
+    """The vertex count from the ``n <vertex_count>`` header, the first line
+    of an iterator of lines that is neither blank nor a ``#`` comment; no
+    line after it is read."""
+    for ln in lines:
+        first = ln.strip()
+        if first[:1] not in ("", "#"):
+            break
+    else:
+        first = ""
     if not first.startswith("n "):
         raise InputError("missing 'n <vertex_count>' header")
     try:
@@ -42,28 +45,36 @@ def parse_signed_graph(text: str) -> SignedGraph:
 
 
 def _parse_edges(n: int, lines) -> SignedGraph:
+    """The signed graph of the edge lines after the header, in one pass that
+    splits each line once; a line is stripped only to word an error."""
     edges = {}
-    for ln in _content(lines):
+    for ln in lines:
         parts = ln.split()
+        if not parts or parts[0][0] == "#":
+            continue
         if len(parts) == 2:
             parts.append("+")
-        if len(parts) != 3 or parts[2] not in ("+", "-"):
-            raise InputError(f"malformed edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v, sign = parts
+            u, v = int(u), int(v)
         except ValueError:
-            raise InputError(f"malformed edge line {ln!r}") from None
+            sign = None
+        if sign not in ("+", "-"):
+            raise InputError(f"malformed edge line {ln.strip()!r}")
         if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"vertex out of range in {ln!r}")
+            raise InputError(f"vertex out of range in {ln.strip()!r}")
         if u == v:
-            raise InputError(f"loop edge in {ln!r}")
-        key = (min(u, v), max(u, v))
+            raise InputError(f"loop edge in {ln.strip()!r}")
+        key = (u, v) if u < v else (v, u)
         if key in edges:
-            raise InputError(f"duplicate edge in {ln!r}")
-        edges[key] = parts[2] == "-"
+            raise InputError(f"duplicate edge in {ln.strip()!r}")
+        edges[key] = sign == "-"
     order = sorted(edges)
-    return SignedGraph(Graph(n, tuple(order)),
-                       sum(1 << i for i, e in enumerate(order) if edges[e]))
+    mask = 0
+    for i, e in enumerate(order):
+        if edges[e]:
+            mask |= 1 << i
+    return SignedGraph(Graph(n, tuple(order)), mask)
 
 
 def load_signed_graph(path: str) -> SignedGraph:
@@ -75,7 +86,7 @@ def load_signed_graph(path: str) -> SignedGraph:
     the header is read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = (part for ln in fh for part in ln.splitlines())
+            lines = chain.from_iterable(map(str.splitlines, fh))
             n = read_header(lines)
             if n > MAX_SEARCH_VERTICES:
                 return SignedGraph(Graph(n, ()), 0)

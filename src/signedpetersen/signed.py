@@ -14,9 +14,9 @@ import enum
 from functools import lru_cache
 
 from .frustration import least_edges, least_vertices
-from .graphs import (Cycle, Graph, _Record, bits, chord_mask, cut_mask,
-                     cut_space, enumerate_cycles, forest_preimage, petersen,
-                     syndrome, tree_cycle)
+from .graphs import (Cycle, Graph, _Record, _cached, bits, chord_mask,
+                     cut_mask, cut_space, enumerate_cycles, forest_paths,
+                     forest_preimage, petersen, syndrome, tree_cycle)
 
 
 class SignedGraph(_Record):
@@ -32,6 +32,13 @@ class SignedGraph(_Record):
 
     def sign(self, u: int, v: int) -> int:
         return -1 if self.mask >> self.graph.index_of(u, v) & 1 else 1
+
+    @_cached
+    def positive_forest(self):
+        """``graphs.forest_paths`` of the positive edges, kept: clusterability
+        and the first round of the inclusterability index read the same
+        one."""
+        return forest_paths(self.graph, self.mask)
 
 
 def switch(s: SignedGraph, x: int) -> SignedGraph:

@@ -7,7 +7,6 @@ read from edge distances, and the maximum inclusterability."""
 import itertools
 from functools import lru_cache
 
-from signedpetersen.clustering import MAX_EDGES, _hit
 from signedpetersen.coloring import _count, count_colorations
 from signedpetersen.graphs import (Cycle, Graph, MatchingClass,
                                    SearchSizeError, automorphism_images,
@@ -184,11 +183,28 @@ def bad_cycles(circles, neg_mask):
 
 
 def min_hitting_mask(targets, cap):
-    """A least bit set meeting every mask in targets; one of size cap does."""
-    for k in range(cap + 1):
-        r = _hit(targets, k)
-        if r is not None:
-            return r
+    """A least bit set meeting every mask in targets; one of size cap does.
+    Breadth-first over which targets are met, one bit per step: a bit of
+    the shortest target not yet met, which every hitting set must meet.
+    It shares no code with the program's depth-first search."""
+    targets = sorted(targets, key=int.bit_count)
+    meets = {}
+    for j, t in enumerate(targets):
+        for b in bits(t):
+            meets[b] = meets.get(b, 0) | 1 << j
+    every = (1 << len(targets)) - 1
+    reach, level = {0: 0}, [0]
+    for _ in range(cap + 1):
+        if every in reach:
+            return reach[every]
+        grown = []
+        for met in level:
+            first = (~met & met + 1).bit_length() - 1  # shortest not met
+            for b in bits(targets[first]):
+                if met | meets[b] not in reach:
+                    reach[met | meets[b]] = reach[met] | 1 << b
+                    grown.append(met | meets[b])
+        level = grown
     raise AssertionError("unreachable: cap bounds a hitting set")
 
 
@@ -567,6 +583,9 @@ def all_matchings(g):
     return out
 
 
+SCAN_EDGES = 20  # the most edges whose 2^m signatures the scan below takes
+
+
 def max_inclusterability(g, cubic_shortcut=True):
     """Maximum inclusterability index over all signatures of g.
 
@@ -575,7 +594,7 @@ def max_inclusterability(g, cubic_shortcut=True):
     dominated by one of those. Without it, all 2^|E| signatures are scanned.
     """
     m = len(g.edges)
-    if m > MAX_EDGES:
+    if m > SCAN_EDGES:
         raise SearchSizeError("too many edges for signature scan")
     circles = circle_masks(g)
 

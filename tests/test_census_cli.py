@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signedpetersen
-from signedpetersen import cli, frustration, graphs, signed
+from signedpetersen import cli, clustering, frustration, graphs, signed
 from signedpetersen import expected
 from signedpetersen.census import (EXPECTED_ROWS, TABLE_IDS, build_table,
                                    standard_mask, verify_all)
@@ -366,6 +366,23 @@ def test_edge_list_round_trip(pg):
 def test_edge_list_errors(text):
     with pytest.raises(InputError):
         parse_signed_graph(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 3\n0 1 * junk\n", "malformed edge line '0 1 * junk'"),
+    ("n 3\n 0 x -\t\n", "malformed edge line '0 x -'"),
+    ("n 3\n0\n", "malformed edge line '0'"),
+    ("n 3\n0 1 +\n\t1 3 -  \n0 0\n", "vertex out of range in '1 3 -'"),
+    ("n 3\n-1 2\n", "vertex out of range in '-1 2'"),
+    ("n 3\n  # 0 0\n2 2 +\n0 5\n", "loop edge in '2 2 +'"),
+    ("n 3\n0 1 +\n#1 0\n 1 0 - \n0 5\n", "duplicate edge in '1 0 -'"),
+])
+def test_edge_list_error_messages(text, message):
+    # the first faulty line after the header, stripped, whatever follows;
+    # a line whose first token starts with # is a comment
+    with pytest.raises(InputError) as exc:
+        parse_signed_graph(text)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("text, message", [
@@ -795,6 +812,52 @@ def test_cli_cluster_file_lists_no_circles(capsys, tmp_path, monkeypatch):
     refuse_circles(monkeypatch)
     code, out, err = run_cli(capsys, "cluster", "--file", str(path))
     assert (code, out, err) == (0, f"clusterable no inclusterability {q}\n", "")
+
+
+def test_cli_cluster_builds_one_forest_per_round(capsys, tmp_path,
+                                                 monkeypatch):
+    # the forest of the positive edges that is_clusterable builds is round 0
+    # of the index, and each later round builds one forest without the
+    # negative edges and its deletion set H, unless H holds negative edges
+    # only; the rounds' sets H are what _hit returns at the top of its
+    # recursion
+    skips, solved, depth = [], [], [0]
+    forest, hit = graphs.bfs_forest, clustering._hit
+
+    def counted_forest(g, skip=0):
+        skips.append(skip)
+        return forest(g, skip)
+
+    def counted_hit(targets, budget):
+        depth[0] += 1
+        try:
+            found = hit(targets, budget)
+        finally:
+            depth[0] -= 1
+        if not depth[0] and found is not None:
+            solved.append(found)
+        return found
+
+    monkeypatch.setattr(graphs, "bfs_forest", counted_forest)
+    monkeypatch.setattr(clustering, "_hit", counted_hit)
+    rng = random.Random(5)
+    rounds = set()
+    for k in range(40):
+        g = Graph.from_edges(9, rng.sample(
+            list(itertools.combinations(range(9), 2)), rng.randint(9, 20)))
+        s = SignedGraph(g, rng.getrandbits(len(g.edges)))
+        path = tmp_path / f"g{k}.txt"
+        path.write_text(serialize_signed_graph(s))
+        skips.clear()
+        solved.clear()
+        code, out, _ = run_cli(capsys, "cluster", "--file", str(path))
+        assert code == 0
+        assert skips == [s.mask] + [s.mask | h for h in solved
+                                    if h & ~s.mask], k
+        assert out.startswith("clusterable no") == bool(solved), k
+        rounds.add((len(solved) + 1, len(skips)))
+    assert {(1, 1), (2, 2), (3, 3)} <= rounds and any(
+        r > f for r, f in rounds), rounds
 
 
 def test_cli_color_budget_error_prints_nothing(capsys, tmp_path):

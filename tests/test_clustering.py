@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from signedpetersen import clustering
+from signedpetersen import clustering, graphs
 from signedpetersen.clustering import (cluster_number, inclusterability_index,
                                        is_clusterable)
 from signedpetersen.expected import (CLUSTER_NUMBER, INCLUSTERABILITY,
@@ -200,7 +200,7 @@ def test_oversized_graph_refused_before_the_forest(monkeypatch):
         raise AssertionError("spanning forest built for an oversized graph")
 
     monkeypatch.setattr(Graph, "spanning_forest", property(no_forest))
-    monkeypatch.setattr(clustering, "bfs_forest", no_forest)
+    monkeypatch.setattr(graphs, "bfs_forest", no_forest)
     path = Graph.from_edges(17, [(i, i + 1) for i in range(16)])
     with pytest.raises(SearchSizeError, match="too large"):
         is_clusterable(SignedGraph(path, 0))

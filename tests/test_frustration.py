@@ -8,11 +8,13 @@ from signedpetersen.expected import (ALPHA0, ALPHA1, ALPHA2, CLASS_NAMES,
 from signedpetersen.coloring import alpha_k
 from signedpetersen import frustration
 from signedpetersen.frustration import (_edges_by_cuts, _edges_by_syndromes,
+                                        _vertices_by_colourings,
+                                        _vertices_by_syndromes,
                                         balanced_without, frustration_index,
                                         frustration_number, least_edges,
                                         least_vertices)
-from signedpetersen.graphs import (Graph, SearchSizeError, cut_space, petersen,
-                                   syndrome)
+from signedpetersen.graphs import (Graph, SearchSizeError, chord_mask,
+                                   cut_space, petersen, syndrome)
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
 from oracles import (circle_hitting_sets, delete_vertices, deletion_tables,
@@ -306,3 +308,107 @@ def test_least_edges_searches_syndromes_below_the_cut_dimension(monkeypatch):
         walks.clear()
         least_edges(g, 1)
         assert searches_syndromes(g) == (r < 9) and walks == [r] * (r >= 9)
+
+
+def stream_like_graphs():
+    """120 seeded signed graphs of 8-16 vertices with at most 20 edges, as
+    the command-line queries on general graphs come: a random tree plus
+    extra edges from one over the tree up to 3n - 6, each vertex with at
+    most three earlier neighbours, every ninth in two parts; each with a
+    relabelled and switched twin."""
+    rng = random.Random(2101)
+    out = []
+    for i in range(60):
+        n = 8 + i % 9
+        parts = [range(0, n // 2), range(n // 2, n)] if i % 9 == 0 else [
+            range(n)]
+        edges = set()
+        for part in parts:
+            k, top = len(part), min(20 // len(parts), 3 * len(part) - 6)
+            tree = {(rng.choice(part[:j]), part[j]) for j in range(1, k)}
+            back = {v: 1 for _, v in tree}
+            extra = [e for e in itertools.combinations(part, 2)
+                     if e not in tree]
+            rng.shuffle(extra)
+            m = rng.randint(k, max(k, top))
+            for u, v in extra:
+                if len(tree) < m and back[v] < 3:
+                    tree.add((u, v))
+                    back[v] += 1
+            edges |= tree
+        g = Graph.from_edges(n, edges)
+        s = SignedGraph(g, rng.getrandbits(len(g.edges)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        twin = Graph.from_edges(n, ((perm[u], perm[v]) for u, v in g.edges))
+        signs = {tuple(sorted((perm[u], perm[v]))): s.mask >> i & 1
+                 for i, (u, v) in enumerate(g.edges)}
+        t = switch(SignedGraph(twin, sum(signs[e] << i for i, e in
+                                         enumerate(twin.edges))),
+                   rng.getrandbits(n))
+        out += [s, t]
+    return out
+
+
+def test_vertex_routes_find_the_same_deletion():
+    """The syndrome-span route and the two-colouring route of l0 return the
+    same first W on every Petersen switching class (its chord
+    representative), the parity graphs and stream-like graphs, whichever
+    route ``least_vertices`` takes; on P the first W with |W| <= 3 whose
+    span in the deletion tables holds z is the same W again."""
+    g, _ = petersen()
+    order = [sum(1 << v for v in w) for k in range(4)
+             for w in itertools.combinations(range(10), k)]
+    spans = [span for _, span in deletion_tables()]
+    graphs = [SignedGraph(g, chord_mask(g, z)) for z in range(64)]
+    for z, s in enumerate(graphs):
+        first = next(w for w, span in zip(order, spans) if span >> z & 1)
+        assert _vertices_by_syndromes(g, z) == first, z
+    graphs += parity_graphs() + stream_like_graphs()
+    routes = {True: 0, False: 0}
+    for s in graphs:
+        g = s.graph
+        w = _vertices_by_colourings(g, s.mask)
+        assert _vertices_by_syndromes(g, syndrome(g, s.mask)) == w, s
+        assert least_vertices(g, s.mask) == w, s
+        routes[searches_syndromes(g)] += 1
+    assert min(routes.values()) >= 20, routes
+
+
+def test_least_vertices_searches_syndromes_below_the_cut_dimension(
+        monkeypatch):
+    # the rule of least_edges: the syndrome spans when r < n - c, and a
+    # tie, all-negative K10 and the dense side of a disconnected graph
+    # two-colour
+    taken = []
+    for name in ("_vertices_by_syndromes", "_vertices_by_colourings"):
+        def counted(g, key, route=getattr(frustration, name), name=name):
+            taken.append(name)
+            return route(g, key)
+        monkeypatch.setattr(frustration, name, counted)
+
+    def route(g, mask):
+        taken.clear()
+        w = least_vertices(g, mask)
+        assert w == _vertices_by_colourings(g, mask), (g, mask)
+        return taken == ["_vertices_by_syndromes"]
+
+    for n in (10, 16):
+        path = [(i, i + 1) for i in range(n - 1)]
+        chords = [e for e in itertools.combinations(range(n), 2)
+                  if e[1] - e[0] > 1]
+        for r in (n - 2, n - 1):
+            g = Graph.from_edges(n, path + chords[:r])
+            mask = (1 << len(g.edges)) - 1
+            assert route(g, mask) == (r < n - 1), (n, r)
+    k10 = Graph.from_edges(10, itertools.combinations(range(10), 2))
+    assert not route(k10, (1 << 45) - 1)
+    # two components and an isolated vertex: n - c = 12 - 3 = 9
+    left = [(i, i + 1) for i in range(5)]
+    right = [(i, i + 1) for i in range(6, 10)]
+    extra = [(0, 2), (0, 3), (6, 8), (0, 4), (6, 9), (1, 3), (7, 9), (1, 4),
+             (2, 4), (2, 5)]
+    for r in (8, 9):
+        g = Graph.from_edges(12, left + right + extra[:r])
+        assert not g.is_connected()
+        assert route(g, (1 << len(g.edges)) - 1) == (r < 9), r

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -8,11 +9,12 @@ from signedpetersen.graphs import (Cycle, Graph, MatchingClass, SearchSizeError,
                                    automorphism_images, classify_matching,
                                    cut_mask, cut_space,
                                    enumerate_cycles, minimum_coloring, petersen,
-                                   syndrome)
+                                   syndrome, vertex_sets)
 from signedpetersen.signed import SIX_ORDER
 
 from oracles import (all_independent_sets, all_matchings, closed_neighborhood,
-                     cut, cut_preimage, distances, edge_distance,
+                     cut, cut_preimage, deletion_tables, distances,
+                     edge_distance,
                      geometric_matching_class, hexagon_of_vertex,
                      independent_sets, is_petersen)
 
@@ -181,6 +183,28 @@ def test_independent_sets(pg):
     assert table[0] == (0, (), 1)
     assert Counter(size for size, _, _ in table) == \
         Counter(len(s) for s in every)
+
+
+def test_vertex_sets_in_combinations_order_with_their_spans(pg):
+    # every vertex set of P by size, then in itertools.combinations order,
+    # with the edges at it; for |W| <= 3 its basis spans the oracle's U_W,
+    # and the independent sets come in the same order
+    g, _ = pg
+    entries = list(vertex_sets(g))
+    order = [sum(1 << v for v in w) for k in range(11)
+             for w in itertools.combinations(range(10), k)]
+    assert [w for w, _, _ in entries] == order
+    for w, e, _ in entries:
+        assert e == cut_mask(g, w) | sum(
+            1 << i for i, (u, v) in enumerate(g.edges) if w >> u & w >> v & 1)
+    for (_, _, basis), (_, span) in zip(entries, deletion_tables()):
+        vectors = {0}
+        for b in basis:
+            vectors |= {u ^ b for u in vectors}
+        assert sum(1 << u for u in vectors) == span
+    independent = [w for w in order
+                   if not any(w >> u & w >> v & 1 for u, v in g.edges)]
+    assert [w for w, _, _ in vertex_sets(g, independent=True)] == independent
 
 
 def test_matchings(pg):

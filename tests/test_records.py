@@ -123,6 +123,10 @@ def test_repr_reads_like_the_constructor_call():
     (3, ((2, 0),), "edge 2-0 not normalized"),
     (3, ((0, 1), (0, 1)), "repeated edge 0-1"),
     (3, ((1, 2), (0, 1)), "edge list not in canonical order"),
+    (4, ((0, 1), (1, 2), (0, 1)), "repeated edge 0-1"),
+    (4, ((0, 1), (2, 3), (1, 2), (1, 1)), "loop edge 1-1"),
+    (4, ((0, 1), (2, 3), (3, 2)), "edge 3-2 not normalized"),
+    (4, ((0, 2), (0, 1), (1, 4)), "edge 1-4 out of range"),
 ])
 def test_graph_validation_messages(n, edges, message):
     with pytest.raises(ValueError) as exc:
