@@ -325,7 +325,7 @@ def bfs_forest(g: Graph, skip: int = 0) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def forest_paths(g: Graph, skip: int = 0):
+def forest_paths(g: Graph, skip: int):
     """``bfs_forest(g, skip)``, each vertex's component (numbered by least
     vertex), and the edge mask of each vertex's forest path to its root:
     two vertices of one component are joined in the forest by the xor of
