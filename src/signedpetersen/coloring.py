@@ -37,13 +37,14 @@ def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
     (without 0 when zero_free), by backtracking that counts the colors left
     to the last vertex; with first, it stops at the first one and returns a
     positive number, not the count. Proper: the color of w differs from
-    sign(vw) times the color of v on every edge vw."""
+    sign(vw) times the color of v on every edge vw. The back edges come
+    from ``g.neighbours``, each sign from its mask bit, so the query builds
+    neither ``Graph.adjacency`` nor ``Graph.edge_index``."""
     g = s.graph
     n = g.vertex_count
     colors = [c for c in range(-k, k + 1) if c or not zero_free]
-    # Edges back to already-colored vertices, for incremental checking.
-    earlier = [[(u, s.sign(u, v)) for u in g.adjacency[v] if u < v]
-               for v in range(n)]
+    earlier = [[(u, -1 if s.mask >> i & 1 else 1) for u, i in nv if u < v]
+               for v, nv in enumerate(g.neighbours)]
     assigned = [0] * n
 
     def extend(v):

@@ -3,12 +3,12 @@ masks, with round-tripping serializers.
 
 Edge-list format: a header line ``n <vertex_count>``, then one edge per
 line as ``u v +`` or ``u v -`` with 0-based vertex ids (unsigned graphs may
-omit the sign column, defaulting to +).
+omit the sign column, defaulting to +). A file is read raw, decoded once
+as UTF-8 and split where ``str.splitlines`` splits, so a file and its text
+give the same graph.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .graphs import MAX_SEARCH_VERTICES, Graph
 from .signed import SignedGraph
@@ -78,21 +78,29 @@ def _parse_edges(n: int, lines) -> SignedGraph:
 
 
 def load_signed_graph(path: str) -> SignedGraph:
-    """The signed graph of an edge-list file, read once and line by line, with
-    lines split where ``str.splitlines`` splits them, as in
-    ``parse_signed_graph``. Every command refuses more than
-    ``MAX_SEARCH_VERTICES`` vertices with its own message, so a header above
-    that gives the edgeless graph on that many vertices, and no line after
-    the header is read."""
+    """The signed graph of an edge-list file, as ``parse_signed_graph``
+    reads its text, decoded once. The first 8,192 bytes come in one raw
+    read. A longer file is read on unless the block's complete lines hold
+    a header above ``MAX_SEARCH_VERTICES`` ("n 0" stands in for a header
+    past them). Every command refuses more vertices with its own message,
+    so a larger header gives the edgeless graph on that many vertices, and
+    no edge line is parsed."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = chain.from_iterable(map(str.splitlines, fh))
-            n = read_header(lines)
-            if n > MAX_SEARCH_VERTICES:
-                return SignedGraph(Graph(n, ()), 0)
-            return _parse_edges(n, lines)
+        with open(path, "rb", buffering=0) as fh:
+            data = b""
+            while len(data) < 8192 and (more := fh.read(8192 - len(data))):
+                data += more  # a pipe may give a block in parts
+            if len(data) == 8192:  # a longer file: its header first
+                head = data[:data.rfind(b"\n") + 1]
+                n = read_header(iter(head.decode().splitlines() + ["n 0"]))
+                data = head if n > MAX_SEARCH_VERTICES else data + fh.readall()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    lines = iter(data.decode().splitlines())
+    n = read_header(lines)
+    if n > MAX_SEARCH_VERTICES:
+        return SignedGraph(Graph(n, ()), 0)
+    return _parse_edges(n, lines)
 
 
 def serialize_signed_graph(s: SignedGraph) -> str:

@@ -2,8 +2,8 @@
 and the six-way classifier for signatures of the Petersen graph.
 
 A signature is stored as its sign mask over the canonical edge order (bit i
-set when edge i is negative); ``SignedGraph.sign`` is the one place that
-turns an edge bit into +1/-1. A switching set is a vertex mask (bit v set
+set when edge i is negative), which searches read bit by bit; one edge's
++1/-1 is ``SignedGraph.sign``. A switching set is a vertex mask (bit v set
 when vertex v is switched); switching it acts on the sign mask by XOR with
 the edge mask of its cut, from ``graphs.cut_mask`` or ``graphs.cut_space``.
 """
