@@ -1,0 +1,209 @@
+"""Replayable mutation checks: each mutant swaps one exact snippet of a
+source file for a faulty replacement, and every test named beside it must
+then fail.
+
+    python3 tests/mutants.py              # every mutant
+    python3 tests/mutants.py NAME ...     # the named ones
+    python3 tests/mutants.py --list
+
+Each mutant runs in a temporary copy of ``src``, ``tests`` and
+``pyproject.toml``, with only its own tests. A line per mutant says caught
+or missed, with the seconds taken; the script exits 1 when a mutant is
+missed, its snippet does not occur exactly once, or its run does not end.
+It uses the standard library only, and pytest does not collect it. The
+tier-1 test ``tests/test_mutants.py`` checks that every snippet still
+occurs exactly once, so the table fails loudly when the code moves. A
+change to a mutated file should run the table again.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids; a prefix covers its parameters
+
+
+IO, COLORING = "src/signedpetersen/io.py", "src/signedpetersen/coloring.py"
+CLUSTERING = "src/signedpetersen/clustering.py"
+GRAPHS = "src/signedpetersen/graphs.py"
+FRUSTRATION = "src/signedpetersen/frustration.py"
+GROUPS, CLI = "src/signedpetersen/groups.py", "src/signedpetersen/cli.py"
+READ_ON = "data = head if n > MAX_SEARCH_VERTICES else data + fh.readall()"
+
+MUTANTS = (
+    Mutant("rest of a long file never read", IO, READ_ON,
+           "data = head if n > MAX_SEARCH_VERTICES else data",
+           ("tests/test_io.py::test_file_gives_what_its_text_gives",
+            "tests/test_io.py::test_long_file_within_the_cap_is_read_whole")),
+    Mutant("large-header shortcut dropped", IO, READ_ON,
+           "data += fh.readall()",
+           ("tests/test_io.py::test_large_header_is_refused_after_one_block",)),
+    Mutant("back-edge sign inverted", COLORING,
+           "(u, -1 if s.mask >> i & 1 else 1)",
+           "(u, 1 if s.mask >> i & 1 else -1)",
+           ("tests/test_coloring.py::test_colorations_match_brute_force",
+            "tests/test_coloring.py::"
+            "test_color_file_query_builds_neither_adjacency_nor_edge_index")),
+    Mutant("size check after the forest", CLUSTERING,
+           "    if g.vertex_count > MAX_SEARCH_VERTICES:\n"
+           "        raise SearchSizeError(\"graph too large for exact chromatic "
+           "number\")\n"
+           "    forest, comp, _ = s.positive_forest\n",
+           "    forest, comp, _ = s.positive_forest\n"
+           "    if g.vertex_count > MAX_SEARCH_VERTICES:\n"
+           "        raise SearchSizeError(\"graph too large for exact chromatic "
+           "number\")\n",
+           ("tests/test_clustering.py::"
+            "test_oversized_graph_refused_before_the_forest",)),
+    Mutant("hitting set stopped after one round", CLUSTERING,
+           "        if not missed:\n",
+           "        if not missed or targets:\n",
+           ("tests/test_clustering.py::test_inclusterability_witness",
+            "tests/test_clustering.py::"
+            "test_index_and_witness_match_the_listing_routes_on_seeded_graphs")),
+    Mutant("hitting set one larger", CLUSTERING,
+           "            return sub | low\n",
+           "            return sub | low | c & -c\n",
+           ("tests/test_clustering.py::test_inclusterability_witness",
+            "tests/test_clustering.py::"
+            "test_index_and_witness_match_the_listing_routes_on_seeded_graphs")),
+    Mutant("cluster builds its own forest", CLUSTERING,
+           "    forest, comp, _ = s.positive_forest\n",
+           "    forest, comp, _ = forest_paths(g, s.mask)\n",
+           ("tests/test_census_cli.py::"
+            "test_cli_cluster_builds_one_forest_per_round",)),
+    Mutant("vertex sets grown in reverse", GRAPHS,
+           "for v in range(w.bit_length(), n):",
+           "for v in reversed(range(w.bit_length(), n)):",
+           ("tests/test_graphs.py::"
+            "test_vertex_sets_in_combinations_order_with_their_spans",
+            "tests/test_frustration.py::test_vertex_routes_find_the_same_deletion")),
+    Mutant("star without its last two edges", GRAPHS,
+           "for _, i in nv[:-1] if cols[i]]",
+           "for _, i in nv[:-2] if cols[i]]",
+           ("tests/test_graphs.py::"
+            "test_vertex_sets_in_combinations_order_with_their_spans",)),
+    Mutant("syndrome pass without the upward xor", GRAPHS,
+           "                below[parent] ^= below[v]\n",
+           "                pass\n",
+           ("tests/test_frustration.py::"
+            "test_edge_syndromes_match_the_per_edge_formula",)),
+    Mutant("one-pass edge check without the order test", GRAPHS,
+           "if not (last < e and 0 <= u < v < vertex_count):",
+           "if not (0 <= u < v < vertex_count):",
+           ("tests/test_graphs.py::test_graph_validation",)),
+    Mutant("route rule negated", FRUSTRATION,
+           "    return r < len(g.edges) - r\n",
+           "    return r >= len(g.edges) - r\n",
+           ("tests/test_frustration.py::"
+            "test_least_edges_searches_syndromes_below_the_cut_dimension",
+            "tests/test_frustration.py::"
+            "test_least_vertices_searches_syndromes_below_the_cut_dimension")),
+    Mutant("tie sent to the syndrome search", FRUSTRATION,
+           "    return r < len(g.edges) - r\n",
+           "    return r <= len(g.edges) - r\n",
+           ("tests/test_frustration.py::"
+            "test_least_edges_searches_syndromes_below_the_cut_dimension",)),
+    Mutant("comment test read off the line", IO,
+           'if not parts or parts[0][0] == "#":',
+           'if not parts or ln[0] == "#":',
+           ("tests/test_census_cli.py::test_edge_list_error_messages",)),
+    Mutant("sign mask shifted one place", IO,
+           "            mask |= 1 << i\n",
+           "            mask |= 2 << i\n",
+           ("tests/test_census_cli.py::test_edge_list_round_trip",
+            "tests/test_io.py::test_file_gives_what_its_text_gives")),
+    Mutant("transport without the high table", GROUPS,
+           "x ^= y ^ lo[low] ^ hi[high]", "x ^= y ^ lo[low]",
+           ("tests/test_groups.py::"
+            "test_lifts_are_carried_from_the_chord_representative",)),
+    Mutant("argv matcher keeping --k a string", CLI,
+           "value = convert(value)", "convert(value)",
+           ("tests/test_census_cli.py::"
+            "test_argv_matcher_declines_or_agrees_with_argparse",)),
+)
+
+
+def occurrences(m: Mutant) -> int:
+    return (ROOT / m.path).read_text().count(m.snippet)
+
+
+def failed_ids(output: str) -> set[str]:
+    """The node ids that pytest's ``-rf`` summary lists as failed."""
+    return set(re.findall(r"^FAILED (\S+)", output, re.MULTILINE))
+
+
+def run(m: Mutant) -> tuple[bool, str]:
+    """(caught, what happened): caught when every named test fails."""
+    if occurrences(m) != 1:
+        return False, f"snippet occurs {occurrences(m)} times in {m.path}"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                      ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        target = work / m.path
+        target.write_text(target.read_text().replace(m.snippet, m.replacement))
+        env = dict(os.environ, PYTHONPATH=str(work / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rf",
+                 "-p", "no:cacheprovider", *m.tests],
+                cwd=work, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return False, f"no end within {TIMEOUT_S} s"
+    if done.returncode not in (0, 1):  # an error, not a test failure
+        last = (done.stdout.strip().splitlines() or [""])[-1]
+        return False, f"pytest exit {done.returncode}: {last}"
+    failed = failed_ids(done.stdout)
+    alive = [t for t in m.tests
+             if not any(f == t or f.startswith(t + "[") for f in failed)]
+    if alive:
+        return False, "passed: " + ", ".join(alive)
+    return True, f"{len(m.tests)} failed"
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.path}")
+        return 0
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    missed = 0
+    for m in chosen:
+        start = time.perf_counter()
+        caught, what = run(m)
+        missed += not caught
+        print(f"{'caught' if caught else 'MISSED'} {m.name} "
+              f"({time.perf_counter() - start:.1f} s): {what}", flush=True)
+    print(f"{len(chosen) - missed} of {len(chosen)} caught")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -228,3 +228,37 @@ def test_coloring_size_checks_come_first():
         chromatic_numbers(s)
     with pytest.raises(BudgetError):
         count_colorations(s, -1)
+
+
+def test_color_file_query_builds_neither_adjacency_nor_edge_index(
+        capsys, tmp_path, monkeypatch):
+    # the backtrack reads its back edges off Graph.neighbours and each sign
+    # off the mask, so a cold `color --file` builds neither the frozenset
+    # adjacency nor the edge index
+    from signedpetersen import cli, coloring
+    from signedpetersen.io import serialize_signed_graph
+    # not bipartite, and not switching equivalent to its negation
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
+                             (0, 2), (1, 4), (3, 5)])
+    s = SignedGraph(g, 0b001100101)
+    path = tmp_path / "graph.txt"
+    path.write_text(serialize_signed_graph(s))
+    counts = {(k, zf): brute_count(s, k, zf)
+              for k in range(3) for zf in (False, True)}
+    chi = next(k for k in (0, 1, 2) if counts[k, False])
+    chi_star = next(k for k in (1, 2) if counts[k, True])
+
+    def refuse(graph):
+        raise AssertionError("a colour query built a table it does not read")
+
+    for name in ("adjacency", "edge_index"):
+        monkeypatch.setattr(Graph.__dict__[name], "func", refuse)
+    coloring._class_count.cache_clear()
+    coloring._independent_sets.cache_clear()
+    for (k, zf), count in counts.items():
+        argv = ["color", "--file", str(path), "--k", str(k)]
+        kind = "zero-free colorations" if zf else "colorations"
+        assert cli.main(argv + ["--zero-free"] * zf) == 0
+        assert capsys.readouterr().out == (
+            f"{kind} at k={k}: {count}\nchromatic number {chi}\n"
+            f"zero-free chromatic number {chi_star}\n")
