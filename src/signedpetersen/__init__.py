@@ -2,12 +2,11 @@
 switching, frustration, switching automorphisms, signed coloring,
 clusterability, and an exhaustive census of all 2^15 signatures."""
 
-from .graphs import Graph, MatchingClass, petersen
+from .graphs import Graph, petersen
 from .signed import SignedGraph, SixType, classify_six
 
 __all__ = [
     "Graph",
-    "MatchingClass",
     "SignedGraph",
     "SixType",
     "classify_six",

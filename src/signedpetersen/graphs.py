@@ -1,6 +1,6 @@
 """Unsigned graph foundation: Petersen construction, cycles, cuts and the
-cycle-space syndrome, matchings, spanning forests, automorphisms, and
-small-graph minimum colouring.
+cycle-space syndrome, spanning forests, automorphisms, and small-graph
+minimum colouring.
 
 All graphs are simple and undirected, with vertices 0..n-1 and a canonical
 (lexicographically sorted) edge list so that edge indices are deterministic.
@@ -9,7 +9,6 @@ Search routines are exact and capped at 16 vertices.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from functools import lru_cache
 from operator import itemgetter
@@ -126,9 +125,6 @@ class Graph(_Record):
 
     def index_of(self, u: int, v: int) -> int:
         return self.edge_index[(u, v) if u < v else (v, u)]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -478,66 +474,6 @@ def vertex_sets(g: Graph, independent: bool = False):
                                            span_basis(stars[v], basis)))
                     yield entry
         level = grown
-
-
-# ---------------------------------------------------------------------------
-# Matchings
-# ---------------------------------------------------------------------------
-
-class MatchingClass(enum.Enum):
-    """The automorphism classes of matchings of the Petersen graph."""
-
-    EMPTY = "empty"
-    M1 = "M1"
-    M22 = "M2,2"
-    M23 = "M2,3"
-    M32 = "M3,2"
-    M33 = "M3,3"
-    M3PRIME = "M3'"
-    M3_2_3 = "M3,2/3"
-    M4PRIME = "M4'"
-    M5_MINUS_EDGE = "M5-e"
-    M5 = "M5"
-
-
-# One member of each class, its least matching in edge order, as edges
-# between pair labels.
-_MATCHING_MEMBERS = {
-    MatchingClass.EMPTY: (),
-    MatchingClass.M1: (("12", "34"),),
-    MatchingClass.M22: (("12", "34"), ("13", "25")),
-    MatchingClass.M23: (("12", "34"), ("13", "24")),
-    MatchingClass.M32: (("12", "34"), ("13", "25"), ("24", "35")),
-    MatchingClass.M33: (("12", "34"), ("13", "24"), ("14", "23")),
-    MatchingClass.M3PRIME: (("12", "34"), ("13", "25"), ("14", "35")),
-    MatchingClass.M3_2_3: (("12", "34"), ("13", "24"), ("14", "25")),
-    MatchingClass.M4PRIME: (("12", "34"), ("13", "24"), ("14", "25"),
-                            ("15", "23")),
-    MatchingClass.M5_MINUS_EDGE: (("12", "34"), ("13", "25"), ("14", "35"),
-                                  ("15", "24")),
-    MatchingClass.M5: (("12", "34"), ("13", "25"), ("14", "35"), ("15", "24"),
-                       ("23", "45")),
-}
-
-
-def classify_matching(g: Graph, m) -> MatchingClass:
-    """Automorphism class of a matching m, given as vertex pairs, of the
-    Petersen graph: the class whose member lies in the orbit of m's edge
-    mask under the automorphisms."""
-    pg, lab = petersen()
-    if g != pg:
-        raise ValueError("matching classes are defined on the Petersen graph")
-    edges = {(min(u, v), max(u, v)) for u, v in m}
-    if not edges <= g.edge_index.keys():
-        raise ValueError(f"{sorted(edges)} is not a set of edges")
-    orbit = {sum(1 << g.index_of(a[u], a[v]) for u, v in edges)
-             for a in g.automorphisms}
-    vertex = {f"{i}{j}": v for v, (i, j) in enumerate(lab.pair_of)}
-    for c, member in _MATCHING_MEMBERS.items():
-        if sum(1 << g.index_of(vertex[x], vertex[y])
-               for x, y in member) in orbit:
-            return c
-    raise ValueError(f"{sorted(edges)} is not a matching")
 
 
 # ---------------------------------------------------------------------------

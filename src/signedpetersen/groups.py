@@ -5,8 +5,7 @@ representative systems, and isomorphism-type identification of small groups.
 An automorphism lifts to a switching automorphism exactly when it fixes
 the cycle-space syndrome of the sign mask, so the scan tests that first.
 Groups of switching automorphisms are checked by closure under generators
-and read as permutation groups; ``FiniteGroup``, with a Cayley table and
-Light's associativity test, is the reference the tests compare them with.
+and read as permutation groups, so no Cayley table is built.
 
 Conventions. Permutations are image tuples over vertex ids and compose left
 to right: compose(p, q) applies p first. A switching permutation pairs an
@@ -136,7 +135,7 @@ def edge_permutation(g: Graph, perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Finite groups with explicit Cayley tables
+# Finite groups
 # ---------------------------------------------------------------------------
 
 class GroupAxiomError(ValueError):
@@ -144,92 +143,20 @@ class GroupAxiomError(ValueError):
 
 
 class FiniteGroup:
-    """Explicit element list with a verified multiplication table."""
+    """An element list without repeats, with each element's index, checked
+    to be a group by the subclass's ``_check``, which sees the list; the
+    subclass also gives ``element_order`` (by index) and ``is_abelian``."""
 
-    def __init__(self, elements, mul):
+    def __init__(self, elements):
         self.elements = list(elements)
         if len(set(self.elements)) != len(self.elements):
             raise GroupAxiomError("repeated elements")
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self._check(mul)
-
-    def _check(self, mul) -> None:
-        """Build the Cayley table and check the group axioms on it."""
-        self.table = self._cayley_table(mul)
-        self.identity = self._find_identity()
-        self.inverses = self._find_inverses()
-        self._check_associativity()
-
-    def _cayley_table(self, mul) -> list[list[int]]:
-        """Row a, column b: the index of mul(a, b), which must be listed."""
-        table = []
-        for a in self.elements:
-            row = []
-            for b in self.elements:
-                c = mul(a, b)
-                k = self.index.get(c)
-                if k is None:
-                    raise GroupAxiomError(f"not closed: {a} * {b} = {c}")
-                row.append(k)
-            table.append(row)
-        return table
-
-    def _find_identity(self) -> int:
-        for i in range(len(self.elements)):
-            if all(self.table[i][j] == j and self.table[j][i] == j
-                   for j in range(len(self.elements))):
-                return i
-        raise GroupAxiomError("no identity element")
-
-    def _find_inverses(self):
-        e = self.identity
-        inv = [-1] * len(self.elements)
-        for i, row in enumerate(self.table):
-            for j, x in enumerate(row):
-                if x == e:
-                    inv[i] = j
-        if any(v < 0 for v in inv):
-            raise GroupAxiomError("missing inverse")
-        return inv
-
-    def _check_associativity(self):
-        """Light's test: the table is associative exactly when
-        (xa)y = x(ay) for all x and y and each a of a generating set, since
-        the elements a that pass are closed under products. Generators are
-        taken greedily: the least element not yet reached, after which the
-        reached set is closed under right multiplication by the generators
-        so far."""
-        t = self.table
-        reached = {self.identity}
-        gens = []
-        for a in range(len(t)):
-            if a in reached:
-                continue
-            gens.append(a)
-            stack = list(reached)
-            while stack:
-                x = stack.pop()
-                for g in gens:
-                    y = t[x][g]
-                    if y not in reached:
-                        reached.add(y)
-                        stack.append(y)
-        for a in gens:
-            row_a = t[a]
-            for row_x in t:
-                if t[row_x[a]] != [row_x[ay] for ay in row_a]:
-                    raise GroupAxiomError("not associative")
+        self._check()
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != self.identity:
-            x = self.table[x][i]
-            k += 1
-        return k
 
     @cached_property
     def order_histogram(self) -> dict[int, int]:
@@ -238,11 +165,6 @@ class FiniteGroup:
             o = self.element_order(i)
             hist[o] = hist.get(o, 0) + 1
         return hist
-
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(n) for j in range(i + 1, n))
 
 
 _CATALOG = {
@@ -291,9 +213,9 @@ class SwitchingGroup(FiniteGroup):
             raise GroupAxiomError("two elements share a permutation")
         if known:
             self.generators, self.order_histogram = known
-        super().__init__(elements, None)
+        super().__init__(elements)
 
-    def _check(self, mul) -> None:
+    def _check(self) -> None:
         if "generators" not in self.__dict__:
             self.generators = _closure_generators(self.by_perm)
 
@@ -479,7 +401,7 @@ class CosetSystem(_Record):
     _fields = ("group", "subgroup", "representatives",
                "closed_under_conjugation")
 
-    def __init__(self, group: FiniteGroup, subgroup: FiniteGroup,
+    def __init__(self, group: SwitchingGroup, subgroup: SwitchingGroup,
                  representatives: tuple[SwitchingPermutation, ...],
                  closed_under_conjugation: bool):
         self.__dict__.update(group=group, subgroup=subgroup,
@@ -487,7 +409,8 @@ class CosetSystem(_Record):
                              closed_under_conjugation=closed_under_conjugation)
 
 
-def coset_system(group: FiniteGroup, subgroup: FiniteGroup) -> CosetSystem:
+def coset_system(group: SwitchingGroup,
+                 subgroup: SwitchingGroup) -> CosetSystem:
     """Left-coset representatives of the subgroup (trivial switching parts)
     inside a switching automorphism group.
 

@@ -1,14 +1,16 @@
-"""File and literal input formats: signed edge lists and Petersen sign
-masks, with round-tripping serializers.
+"""Input formats: signed edge lists, and Petersen sign masks written as hex
+literals.
 
 Edge-list format: a header line ``n <vertex_count>``, then one edge per
 line as ``u v +`` or ``u v -`` with 0-based vertex ids (unsigned graphs may
-omit the sign column, defaulting to +). A file is read raw, decoded once
-as UTF-8 and split where ``str.splitlines`` splits, so a file and its text
+omit the sign column, defaulting to +). A file is read raw, decoded as
+UTF-8 and split where ``str.splitlines`` splits, so a file and its text
 give the same graph.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .graphs import MAX_SEARCH_VERTICES, Graph
 from .signed import SignedGraph
@@ -79,35 +81,36 @@ def _parse_edges(n: int, lines) -> SignedGraph:
 
 def load_signed_graph(path: str) -> SignedGraph:
     """The signed graph of an edge-list file, as ``parse_signed_graph``
-    reads its text, decoded once. The first 8,192 bytes come in one raw
-    read. A longer file is read on unless the block's complete lines hold
-    a header above ``MAX_SEARCH_VERTICES`` ("n 0" stands in for a header
-    past them). Every command refuses more vertices with its own message,
-    so a larger header gives the edgeless graph on that many vertices, and
-    no edge line is parsed."""
+    reads its text. The first 8,192 bytes come in one raw read; a shorter
+    file is decoded and split at once. Every command refuses more than
+    ``MAX_SEARCH_VERTICES`` vertices with its own message, so a larger
+    header gives the edgeless graph on that many vertices, and no edge
+    line is parsed."""
     try:
         with open(path, "rb", buffering=0) as fh:
             data = b""
             while len(data) < 8192 and (more := fh.read(8192 - len(data))):
                 data += more  # a pipe may give a block in parts
-            if len(data) == 8192:  # a longer file: its header first
-                head = data[:data.rfind(b"\n") + 1]
-                n = read_header(iter(head.decode().splitlines() + ["n 0"]))
-                data = head if n > MAX_SEARCH_VERTICES else data + fh.readall()
+            lines = (_read_on(fh, data) if len(data) == 8192
+                     else iter(data.decode().splitlines()))
+            n = read_header(lines)
+            if n > MAX_SEARCH_VERTICES:
+                return SignedGraph(Graph(n, ()), 0)
+            return _parse_edges(n, lines)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    lines = iter(data.decode().splitlines())
-    n = read_header(lines)
-    if n > MAX_SEARCH_VERTICES:
-        return SignedGraph(Graph(n, ()), 0)
-    return _parse_edges(n, lines)
 
 
-def serialize_signed_graph(s: SignedGraph) -> str:
-    out = [f"n {s.graph.vertex_count}"]
-    for i, (u, v) in enumerate(s.graph.edges):
-        out.append(f"{u} {v} {'-' if s.mask >> i & 1 else '+'}")
-    return "\n".join(out) + "\n"
+def _read_on(fh, block: bytes):
+    """The lines of a file whose first block is ``block``: the block's
+    complete lines, and only once the parser has used them up, the lines
+    after them, the rest of the file read whole. A large header or a
+    faulty line in the block thus ends the read. The file is decoded in
+    one piece, so a decode error names its offset in the file."""
+    head = block[:block.rfind(b"\n") + 1].decode().splitlines()
+    yield from head
+    lines = (block + fh.readall()).decode().splitlines()
+    yield from itertools.islice(lines, len(head), None)
 
 
 def parse_mask(text: str) -> int:

@@ -2,8 +2,9 @@
 and the six-way classifier for signatures of the Petersen graph.
 
 A signature is stored as its sign mask over the canonical edge order (bit i
-set when edge i is negative), which searches read bit by bit; one edge's
-+1/-1 is ``SignedGraph.sign``. A switching set is a vertex mask (bit v set
+set when edge i is negative), which searches read bit by bit; a circle is
+negative when the mask meets its edge mask in an odd number of edges
+(``odd_count``). A switching set is a vertex mask (bit v set
 when vertex v is switched); switching it acts on the sign mask by XOR with
 the edge mask of its cut, from ``graphs.cut_mask`` or ``graphs.cut_space``.
 """
@@ -30,9 +31,6 @@ class SignedGraph(_Record):
             raise ValueError(f"mask {mask:#x} out of range for {m} edges")
         self.__dict__.update(graph=graph, mask=mask)
 
-    def sign(self, u: int, v: int) -> int:
-        return -1 if self.mask >> self.graph.index_of(u, v) & 1 else 1
-
     @_cached
     def positive_forest(self):
         """``graphs.forest_paths`` of the positive edges, kept: clusterability
@@ -51,10 +49,6 @@ def switch(s: SignedGraph, x: int) -> SignedGraph:
 
 def negate(s: SignedGraph) -> SignedGraph:
     return SignedGraph(s.graph, s.mask ^ ((1 << len(s.graph.edges)) - 1))
-
-
-def sign_of_circle(s: SignedGraph, c: Cycle) -> int:
-    return -1 if (s.mask & c.edge_mask).bit_count() & 1 else 1
 
 
 class BalanceResult(_Record):

@@ -1,24 +1,27 @@
 """Reference routes the tests compare the program with, each computing a
 value the program also computes the slow and direct way, and the helpers
-only the tests use: cycle notation, products, conjugates and actions of
-switching permutations, the coset product, matchings with their classes
-read from edge distances, and the maximum inclusterability."""
+only the tests use: edge and circle signs, the edge-list writer, groups
+checked on their Cayley tables, cycle notation, products, conjugates and
+actions of switching permutations, the coset product, matchings with their
+classes found two ways, and the maximum inclusterability."""
 
+import enum
 import itertools
 from functools import lru_cache
 
 from signedpetersen.coloring import _count, count_colorations
-from signedpetersen.graphs import (Cycle, Graph, MatchingClass,
-                                   SearchSizeError, automorphism_images,
-                                   bits, cut_mask, cut_space,
+from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
+                                   automorphism_images, bits, cut_mask,
+                                   cut_space,
                                    enumerate_cycles, forest_preimage,
                                    minimum_coloring, petersen, span_basis,
                                    syndrome, tree_cycle)
-from signedpetersen.groups import (CosetError, CosetSystem, SwitchingGroup,
+from signedpetersen.groups import (CosetError, CosetSystem, FiniteGroup,
+                                   GroupAxiomError, SwitchingGroup,
                                    SwitchingPermutation, _automorphism_edge_maps,
                                    _default_reps, compose,
                                    edge_permutation, inverse, sp_negate)
-from signedpetersen.signed import SignedGraph, sign_of_circle, switch
+from signedpetersen.signed import SignedGraph, switch
 
 
 def cut(g, x):
@@ -37,6 +40,24 @@ def cut_preimage(g, d):
     """
     x = forest_preimage(g, d)
     return x if cut_mask(g, x) == d else None
+
+
+def edge_sign(s, u, v):
+    """+1 or -1, the sign of the edge uv of s."""
+    return -1 if s.mask >> s.graph.index_of(u, v) & 1 else 1
+
+
+def sign_of_circle(s, c):
+    """+1 or -1, the product of the signs of the circle's edges."""
+    return -1 if (s.mask & c.edge_mask).bit_count() & 1 else 1
+
+
+def serialize_signed_graph(s):
+    """The edge-list text of s, one signed edge a line in edge order."""
+    out = [f"n {s.graph.vertex_count}"]
+    for i, (u, v) in enumerate(s.graph.edges):
+        out.append(f"{u} {v} {'-' if s.mask >> i & 1 else '+'}")
+    return "\n".join(out) + "\n"
 
 
 def negative_circle_counts(s, lengths):
@@ -70,7 +91,7 @@ def independent_sets(g, k):
     """All independent vertex sets of size exactly k."""
     return [frozenset(combo)
             for combo in itertools.combinations(range(g.vertex_count), k)
-            if not any(g.has_edge(a, b)
+            if not any(b in g.adjacency[a]
                        for a, b in itertools.combinations(combo, 2))]
 
 
@@ -147,6 +168,94 @@ def pullback(mask, index_map):
 def sp_inverse(a):
     inv = inverse(a.perm)
     return SwitchingPermutation(pullback(a.switch_mask, inv), inv)
+
+
+class CayleyGroup(FiniteGroup):
+    """Elements with a product, checked on the Cayley table: closure, an
+    identity, inverses, and Light's associativity test. Element orders and
+    commutativity are read off the table."""
+
+    def __init__(self, elements, mul):
+        self.mul = mul
+        super().__init__(elements)
+
+    def _check(self) -> None:
+        self.table = self._cayley_table()
+        self.identity = self._find_identity()
+        self.inverses = self._find_inverses()
+        self._check_associativity()
+
+    def _cayley_table(self) -> list[list[int]]:
+        """Row a, column b: the index of mul(a, b), which must be listed."""
+        table = []
+        for a in self.elements:
+            row = []
+            for b in self.elements:
+                c = self.mul(a, b)
+                k = self.index.get(c)
+                if k is None:
+                    raise GroupAxiomError(f"not closed: {a} * {b} = {c}")
+                row.append(k)
+            table.append(row)
+        return table
+
+    def _find_identity(self) -> int:
+        for i in range(len(self.elements)):
+            if all(self.table[i][j] == j and self.table[j][i] == j
+                   for j in range(len(self.elements))):
+                return i
+        raise GroupAxiomError("no identity element")
+
+    def _find_inverses(self):
+        e = self.identity
+        inv = [-1] * len(self.elements)
+        for i, row in enumerate(self.table):
+            for j, x in enumerate(row):
+                if x == e:
+                    inv[i] = j
+        if any(v < 0 for v in inv):
+            raise GroupAxiomError("missing inverse")
+        return inv
+
+    def _check_associativity(self):
+        """Light's test: the table is associative exactly when
+        (xa)y = x(ay) for all x and y and each a of a generating set, since
+        the elements a that pass are closed under products. Generators are
+        taken greedily: the least element not yet reached, after which the
+        reached set is closed under right multiplication by the generators
+        so far."""
+        t = self.table
+        reached = {self.identity}
+        gens = []
+        for a in range(len(t)):
+            if a in reached:
+                continue
+            gens.append(a)
+            stack = list(reached)
+            while stack:
+                x = stack.pop()
+                for g in gens:
+                    y = t[x][g]
+                    if y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+        for a in gens:
+            row_a = t[a]
+            for row_x in t:
+                if t[row_x[a]] != [row_x[ay] for ay in row_a]:
+                    raise GroupAxiomError("not associative")
+
+    def element_order(self, i: int) -> int:
+        k, x = 1, i
+        while x != self.identity:
+            x = self.table[x][i]
+            k += 1
+        return k
+
+    def is_abelian(self) -> bool:
+        n = self.order
+        return all(self.table[i][j] == self.table[j][i]
+                   for i in range(n) for j in range(i + 1, n))
 
 
 def graph_automorphisms(g):
@@ -532,6 +641,62 @@ def edge_distance(g, e, f):
     return 1 + min(distances(g)[a][b] for a in e for b in f)
 
 
+class MatchingClass(enum.Enum):
+    """The automorphism classes of matchings of the Petersen graph."""
+
+    EMPTY = "empty"
+    M1 = "M1"
+    M22 = "M2,2"
+    M23 = "M2,3"
+    M32 = "M3,2"
+    M33 = "M3,3"
+    M3PRIME = "M3'"
+    M3_2_3 = "M3,2/3"
+    M4PRIME = "M4'"
+    M5_MINUS_EDGE = "M5-e"
+    M5 = "M5"
+
+
+# One member of each class, its least matching in edge order, as edges
+# between pair labels.
+MATCHING_MEMBERS = {
+    MatchingClass.EMPTY: (),
+    MatchingClass.M1: (("12", "34"),),
+    MatchingClass.M22: (("12", "34"), ("13", "25")),
+    MatchingClass.M23: (("12", "34"), ("13", "24")),
+    MatchingClass.M32: (("12", "34"), ("13", "25"), ("24", "35")),
+    MatchingClass.M33: (("12", "34"), ("13", "24"), ("14", "23")),
+    MatchingClass.M3PRIME: (("12", "34"), ("13", "25"), ("14", "35")),
+    MatchingClass.M3_2_3: (("12", "34"), ("13", "24"), ("14", "25")),
+    MatchingClass.M4PRIME: (("12", "34"), ("13", "24"), ("14", "25"),
+                            ("15", "23")),
+    MatchingClass.M5_MINUS_EDGE: (("12", "34"), ("13", "25"), ("14", "35"),
+                                  ("15", "24")),
+    MatchingClass.M5: (("12", "34"), ("13", "25"), ("14", "35"), ("15", "24"),
+                       ("23", "45")),
+}
+
+
+def classify_matching(g, m):
+    """Automorphism class of a matching m, given as vertex pairs, of the
+    Petersen graph: the class whose member lies in the orbit of m's edge
+    mask under the automorphisms."""
+    pg, lab = petersen()
+    if g != pg:
+        raise ValueError("matching classes are defined on the Petersen graph")
+    edges = {(min(u, v), max(u, v)) for u, v in m}
+    if not edges <= g.edge_index.keys():
+        raise ValueError(f"{sorted(edges)} is not a set of edges")
+    orbit = {sum(1 << g.index_of(a[u], a[v]) for u, v in edges)
+             for a in g.automorphisms}
+    vertex = {f"{i}{j}": v for v, (i, j) in enumerate(lab.pair_of)}
+    for c, member in MATCHING_MEMBERS.items():
+        if sum(1 << g.index_of(vertex[x], vertex[y])
+               for x, y in member) in orbit:
+            return c
+    raise ValueError(f"{sorted(edges)} is not a matching")
+
+
 def geometric_matching_class(g, m):
     """Automorphism class of a matching of the Petersen graph, from the
     edge distances within it, whether a 3-matching of pairwise distance 2
@@ -560,7 +725,7 @@ def geometric_matching_class(g, m):
             return MatchingClass.M32
         return MatchingClass.M3PRIME
     unmatched = [v for v in range(g.vertex_count) if v not in verts]
-    if g.has_edge(*unmatched):
+    if unmatched[1] in g.adjacency[unmatched[0]]:
         return MatchingClass.M5_MINUS_EDGE
     return MatchingClass.M4PRIME
 
@@ -584,6 +749,7 @@ def all_matchings(g):
 
 
 SCAN_EDGES = 20  # the most edges whose 2^m signatures the scan below takes
+MAX_INCLUSTERABILITY = 3  # of the Petersen graph, over all its signatures
 
 
 def max_inclusterability(g, cubic_shortcut=True):

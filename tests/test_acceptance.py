@@ -16,8 +16,10 @@ from signedpetersen.groups import (aut_signed, coset_system, identify_group,
 from signedpetersen.signed import (SignedGraph, negate, petersen_cut_masks,
                                    petersen_invariants, switch)
 
-from oracles import (balanced_expansion_check, max_inclusterability,
-                     negative_circle_counts, petersen_l0_by_spans)
+from oracles import (MAX_INCLUSTERABILITY, balanced_expansion_check,
+                     max_inclusterability, negative_circle_counts,
+                     petersen_l0_by_spans)
+from p32_tables import P32_CELLS
 from test_sp_tables import build_p32_reps
 
 
@@ -84,7 +86,7 @@ def test_criterion_05_multiplication_tables(reps):
     from oracles import general_product, sp_multiply
     reps32, stab = build_p32_reps()
     ok = True
-    for (rk, ck), (sign, wkey, nu) in expected.P32_CELLS.items():
+    for (rk, ck), (sign, wkey, nu) in P32_CELLS.items():
         target = sp_multiply(reps32[wkey], SwitchingPermutation(0, stab[nu]))
         if sign < 0:
             target = sp_negate(target)
@@ -100,7 +102,7 @@ def test_criterion_05_multiplication_tables(reps):
                 for j in range(len(system.representatives)):
                     for beta in a.elements:
                         general_product(system, (i, alpha), (j, beta))
-    report(5, ok, f"{len(expected.P32_CELLS)} table cells and all coset "
+    report(5, ok, f"{len(P32_CELLS)} table cells and all coset "
            "products verified against direct multiplication")
 
 
@@ -138,7 +140,7 @@ def test_criterion_08_clustering(pg, reps):
     dt = time.perf_counter() - t0
     ok = (tuple(clun) == expected.CLUSTER_NUMBER
           and tuple(q) == expected.INCLUSTERABILITY
-          and full == short == expected.MAX_INCLUSTERABILITY
+          and full == short == MAX_INCLUSTERABILITY
           and dt < 600.0)
     report(8, ok, f"clun/Q rows match; max Q = {full} both ways in {dt:.1f}s")
 

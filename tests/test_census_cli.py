@@ -19,13 +19,12 @@ from signedpetersen.census import (EXPECTED_ROWS, TABLE_IDS, build_table,
                                    standard_mask, verify_all)
 from signedpetersen.frustration import frustration_index, frustration_number
 from signedpetersen.io import (InputError, format_mask, load_signed_graph,
-                               parse_mask, parse_signed_graph, read_header,
-                               serialize_signed_graph)
+                               parse_mask, parse_signed_graph, read_header)
 from signedpetersen.signed import SIX_ORDER, SignedGraph, classify_six_mask
 from signedpetersen.graphs import Graph, cut_mask, petersen, syndrome
 
 from oracles import (circle_hitting_sets, inclusterability_by_circles,
-                     is_petersen)
+                     is_petersen, serialize_signed_graph)
 
 
 # --------------------------------------------------------------------------
@@ -153,10 +152,10 @@ def test_verify_all_does_group_work_once(monkeypatch):
     """verify_all scans the Petersen automorphisms once, builds their 120
     edge maps once, and builds each representative's lifts once, from one
     scan of its switching class: the twelve T4 groups and the T5 orbit
-    counts read them. The
-    groups are checked by closure under generators, so no Cayley table is
-    built. T3 tests balance on vertex masks, and T9 and the difference
-    formula on syndrome spans, so no per-graph balance test runs."""
+    counts read them. The groups are checked by closure under generators:
+    ``groups`` defines no Cayley table, and no group built holds one. T3
+    tests balance on vertex masks, and T9 and the difference formula on
+    syndrome spans, so no per-graph balance test runs."""
     from signedpetersen import census, coloring, graphs, groups, signed
     from functools import lru_cache
     scans, edge_maps, lifted, built, tables, balance, current = (
@@ -164,7 +163,7 @@ def test_verify_all_does_group_work_once(monkeypatch):
     search, init, build = (graphs._automorphism_search,
                            groups.FiniteGroup.__init__, census.build_table)
     edge_permutation = groups.edge_permutation
-    lifts, cayley_table = groups._lifts.__wrapped__, groups.FiniteGroup._cayley_table
+    lifts = groups._lifts.__wrapped__
     is_balanced = signed.is_balanced
 
     def counted_search(g):
@@ -179,13 +178,10 @@ def test_verify_all_does_group_work_once(monkeypatch):
         lifted.append(s.mask)
         return lifts(s)
 
-    def counted_init(self, elements, mul):
-        init(self, elements, mul)
+    def counted_init(self, elements):
+        init(self, elements)
         built.append((current[-1], self.order))
-
-    def counted_cayley_table(self, mul):
-        tables.append(self.order)
-        return cayley_table(self, mul)
+        tables.extend(name for name in vars(self) if "table" in name)
 
     def counted_is_balanced(s):
         balance.append(s)
@@ -197,8 +193,6 @@ def test_verify_all_does_group_work_once(monkeypatch):
 
     monkeypatch.setattr(graphs, "_automorphism_search", counted_search)
     monkeypatch.setattr(groups.FiniteGroup, "__init__", counted_init)
-    monkeypatch.setattr(groups.FiniteGroup, "_cayley_table",
-                        counted_cayley_table)
     monkeypatch.setattr(census, "build_table", tracked_build)
     monkeypatch.setattr(groups, "edge_permutation", counted_edge_permutation)
     monkeypatch.setattr(groups, "_lifts", lru_cache(maxsize=8)(counted_lifts))
@@ -222,6 +216,8 @@ def test_verify_all_does_group_work_once(monkeypatch):
     orders = [order for _, order in built]
     assert sorted(orders) == sorted(expected.AUT_ORDERS + expected.SWAUT_ORDERS)
     assert tables == [] and balance == []
+    assert not [name for name in [*vars(groups), *vars(groups.FiniteGroup)]
+                if "cayley" in name.lower()]
 
 
 def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,

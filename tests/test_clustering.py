@@ -7,14 +7,15 @@ from signedpetersen import clustering, graphs
 from signedpetersen.clustering import (cluster_number, inclusterability_index,
                                        is_clusterable)
 from signedpetersen.expected import (CLUSTER_NUMBER, INCLUSTERABILITY,
-                                     MAX_INCLUSTERABILITY, T10_COLUMNS)
+                                     T10_COLUMNS)
 from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
                                    enumerate_cycles)
-from signedpetersen.signed import SignedGraph, negate, sign_of_circle
+from signedpetersen.signed import SignedGraph, negate
 
-from oracles import (bad_cycles, circle_masks,
-                     clusterability_by_positive_graph,
-                     inclusterability_by_circles, max_inclusterability)
+from oracles import (MAX_INCLUSTERABILITY, bad_cycles, circle_masks,
+                     clusterability_by_positive_graph, edge_sign,
+                     inclusterability_by_circles, max_inclusterability,
+                     sign_of_circle)
 
 
 def delete_edges(s, drop):
@@ -49,7 +50,7 @@ def test_clusterability_witnesses(pg, reps):
                 for v in part:
                     owner[v] = ci
             for u, v in s.graph.edges:
-                assert (owner[u] == owner[v]) == (s.sign(u, v) > 0)
+                assert (owner[u] == owner[v]) == (edge_sign(s, u, v) > 0)
         else:
             # witness is a circle with exactly one negative edge
             assert sign_of_circle(s, witness) == -1
@@ -73,7 +74,7 @@ def fewest_clusters(s):
     earlier vertex breaks the rule, which no extension can mend."""
     g = s.graph
     n = g.vertex_count
-    earlier = [[(w, s.sign(v, w) > 0) for w in g.adjacency[v] if w < v]
+    earlier = [[(w, edge_sign(s, v, w) > 0) for w in g.adjacency[v] if w < v]
                for v in range(n)]
     block = [0] * n
     best = None
@@ -113,7 +114,7 @@ def test_cluster_number_against_set_partitions(reps):
             assert sum(map(len, parts)) == len(part_of) == s.graph.vertex_count
             assert len(parts) == expected
             for u, v in s.graph.edges:
-                assert (part_of[u] == part_of[v]) == (s.sign(u, v) > 0)
+                assert (part_of[u] == part_of[v]) == (edge_sign(s, u, v) > 0)
             clusterable += 1
     assert 30 <= clusterable <= len(sigs) - 30
 
@@ -180,7 +181,7 @@ def test_forest_witness_against_cycle_listing():
             part_of = {v: i for i, p in enumerate(witness) for v in p}
             assert sorted(part_of) == list(range(n))
             for u, v in g.edges:
-                assert (part_of[u] == part_of[v]) == (s.sign(u, v) > 0)
+                assert (part_of[u] == part_of[v]) == (edge_sign(s, u, v) > 0)
         else:
             assert witness == Cycle.from_vertices(g, witness.vertices)
             assert (witness.edge_mask & s.mask).bit_count() == 1

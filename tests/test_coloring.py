@@ -10,7 +10,8 @@ from signedpetersen.expected import (CHI, CHI3, CHI3_DIFFERENCE, CHI_STAR,
 from signedpetersen.graphs import Graph, SearchSizeError, minimum_coloring
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
-from oracles import balanced_expansion_check, switching_color_invariance_check
+from oracles import (balanced_expansion_check, edge_sign,
+                     serialize_signed_graph, switching_color_invariance_check)
 
 
 def signed_cycle(length, negatives):
@@ -119,7 +120,7 @@ def test_two_of_three_law():
 def brute_colorations(s, k, zero_free):
     """The proper colorations, found by trying every assignment of colors."""
     colors = [c for c in range(-k, k + 1) if c or not zero_free]
-    edges = [(u, v, s.sign(u, v)) for u, v in s.graph.edges]
+    edges = [(u, v, edge_sign(s, u, v)) for u, v in s.graph.edges]
     return (a for a in itertools.product(colors, repeat=s.graph.vertex_count)
             if all(a[v] != sig * a[u] for u, v, sig in edges))
 
@@ -236,7 +237,6 @@ def test_color_file_query_builds_neither_adjacency_nor_edge_index(
     # off the mask, so a cold `color --file` builds neither the frozenset
     # adjacency nor the edge index
     from signedpetersen import cli, coloring
-    from signedpetersen.io import serialize_signed_graph
     # not bipartite, and not switching equivalent to its negation
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
                              (0, 2), (1, 4), (3, 5)])

@@ -5,16 +5,15 @@ import pytest
 
 from signedpetersen.census import standard_mask
 from signedpetersen.coloring import _independent_sets
-from signedpetersen.graphs import (Cycle, Graph, MatchingClass, SearchSizeError,
-                                   automorphism_images, classify_matching,
-                                   cut_mask, cut_space,
+from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
+                                   automorphism_images, cut_mask, cut_space,
                                    enumerate_cycles, minimum_coloring, petersen,
                                    syndrome, vertex_sets)
 from signedpetersen.signed import SIX_ORDER
 
-from oracles import (all_independent_sets, all_matchings, closed_neighborhood,
-                     cut, cut_preimage, deletion_tables, distances,
-                     edge_distance,
+from oracles import (MatchingClass, all_independent_sets, all_matchings,
+                     classify_matching, closed_neighborhood, cut,
+                     cut_preimage, deletion_tables, distances, edge_distance,
                      geometric_matching_class, hexagon_of_vertex,
                      independent_sets, is_petersen)
 
@@ -53,7 +52,7 @@ def test_petersen_basics(pg):
     for u in range(10):
         for v in range(u + 1, 10):
             disjoint = not set(lab.pair_of[u]) & set(lab.pair_of[v])
-            assert g.has_edge(u, v) == disjoint
+            assert (v in g.adjacency[u]) == disjoint
     # diameter 2
     assert max(max(row) for row in distances(g)) == 2
 
@@ -177,7 +176,7 @@ def test_independent_sets(pg):
     assert frozenset() in every
     assert len(every) == 1 + 10 + 30 + 30 + 5
     for s in every:
-        assert all(not g.has_edge(u, v) for u in s for v in s if u < v)
+        assert all(v not in g.adjacency[u] for u in s for v in s if u < v)
     # the colouring table holds each independent set once, the empty first
     table = _independent_sets(g)
     assert table[0] == (0, (), 1)

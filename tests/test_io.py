@@ -216,3 +216,14 @@ def test_long_file_within_the_cap_is_read_whole(tmp_path, counted):
     path.write_text(text)
     assert load_signed_graph(str(path)) == parse_signed_graph(text)
     assert counted.read_bytes == len(text)
+
+
+def test_faulty_line_in_the_first_block_ends_the_read(capsys, tmp_path,
+                                                       counted):
+    # a duplicate edge on line 3 of a 2 MB file within the cap: the first
+    # block's lines are parsed before the rest is read
+    path = tmp_path / "dup.txt"
+    path.write_text("n 16\n0 1 +\n1 0 -\n" + "2 3 +\n" * 350_000)
+    assert run_cli(capsys, "cluster", "--file", str(path)) == (
+        2, "", "error: duplicate edge in '1 0 -'\n")
+    assert 0 < counted.read_bytes <= BLOCK

@@ -145,9 +145,9 @@ def test_balance_agrees_with_frustration_zero(pg, frustration_indices):
 
 
 def test_group_axioms_and_projection_on_random_switchings(reps):
-    # FiniteGroup construction machine-checks closure, identity, inverses,
-    # and associativity; build switched copies and confirm projection
-    # injectivity survives switching
+    # SwAut is checked to be a group once per switching class, by closure
+    # under generators on the class's chord representative; build switched
+    # copies and confirm projection injectivity survives switching
     from signedpetersen.groups import swaut
     rng = random.Random(109)
     for s in reps[2:5]:

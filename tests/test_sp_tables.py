@@ -4,10 +4,6 @@ elements."""
 
 import itertools
 
-from signedpetersen.expected import (P32_CELLS, P32_CORRECTED_CELLS,
-                                     P32_PUBLISHED_VARIANTS, P32_STABILIZER,
-                                     P32_U_PERM, P32_W_PERM, P32_W_SET,
-                                     P32_Z_SET, U_KEYS, W_KEYS)
 from signedpetersen.graphs import petersen
 from signedpetersen.groups import (SwitchingPermutation, aut_signed,
                                    induced_permutation, sp_identity,
@@ -15,6 +11,9 @@ from signedpetersen.groups import (SwitchingPermutation, aut_signed,
 
 from oracles import (closed_neighborhood, parse_cycles, sp_act, sp_conjugate,
                      sp_multiply)
+from p32_tables import (P32_CELLS, P32_CORRECTED_CELLS, P32_PUBLISHED_VARIANTS,
+                        P32_STABILIZER, P32_U_PERM, P32_W_PERM, P32_W_SET,
+                        P32_Z_SET, U_KEYS, W_KEYS)
 
 
 def build_p32_reps():

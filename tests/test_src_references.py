@@ -1,0 +1,90 @@
+"""Every definition in ``src`` is used by the program itself: each
+top-level function, class and constant, and each method, is referenced in
+``src`` somewhere outside its own definition. Code that only the tests
+need lives with the tests (``oracles``, ``p32_tables``). The names in
+``KEPT`` are used only from outside ``src``, each for its reason; the
+other functions the benchmark's tracer wraps by name are called in
+``src`` as well."""
+
+import ast
+from pathlib import Path
+
+import signedpetersen
+
+SRC = Path(signedpetersen.__file__).parent
+
+KEPT = {
+    "is_balanced": "the benchmark's tracer wraps it by name "
+                   "(signed.is_balanced)",
+    "EXPECTED_ROWS": "the benchmark checks each table's output against it",
+    "switch": "public API: switching a vertex set, the paper's basic "
+              "operation",
+    "parse_signed_graph": "public API: the edge-list format from text, as "
+                          "load_signed_graph reads it from a file",
+}
+
+
+def definitions(tree):
+    """(name, node, is_method) for each top-level function, class and
+    constant, and each method of a top-level class but the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and \
+                        not item.name.startswith("__"):
+                    yield item.name, item, True
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id != "__all__":
+                    yield t.id, node, False
+
+
+def references(tree):
+    """(name, node, is_plain_name) for each node of tree that may refer to
+    a definition: an attribute read, a string (as in ``__all__``), or a
+    plain name read, which cannot refer to a method."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, node, False
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node, False
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node, True
+
+
+def unreferenced(src=SRC):
+    """Each definition in src that is referenced nowhere else, as
+    "file: name"."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    refs = {}
+    for tree in trees.values():
+        for name, node, plain in references(tree):
+            refs.setdefault(name, []).append((id(node), plain))
+    for path, tree in trees.items():
+        for name, node, is_method in definitions(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(ref not in own and not (is_method and plain)
+                       for ref, plain in refs.get(name, ())):
+                yield f"{path.name}: {name}"
+
+
+def test_every_src_definition_is_referenced_in_src():
+    found = set(unreferenced())
+    kept = {f for f in found if f.split(": ")[1] in KEPT}
+    assert found - kept == set()
+    # every kept name is still defined and still otherwise unused
+    assert {k.split(": ")[1] for k in kept} == set(KEPT)
+
+
+def test_the_guard_sees_a_helper_that_only_tests_call(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "graphs.py", "a") as fh:
+        fh.write("\n\ndef _helper(g):\n    return _helper\n\n"
+                 "class _Box:\n    def unused(self):\n        pass\n")
+    assert set(unreferenced(tmp_path)) >= {
+        "graphs.py: _helper", "graphs.py: _Box", "graphs.py: unused"}
