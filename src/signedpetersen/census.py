@@ -12,11 +12,11 @@ from .clustering import cluster_number, inclusterability_index
 from .coloring import (alpha_k, chi3_difference, chromatic_numbers,
                        count_colorations)
 from .frustration import frustration_number
-from .graphs import _Record, chord_mask, petersen
+from .graphs import _Record, chord_mask, cut_space, petersen
 from .groups import aut_signed, identify_group, orbit_counts, swaut
 from .io import format_mask
 from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType,
-                     classify_six_mask, negate, odd_count, petersen_cut_masks,
+                     classify_six_mask, negate, odd_count,
                      petersen_invariants, petersen_pentagon_masks)
 
 
@@ -45,7 +45,8 @@ def _switching_orbits():
     """Every switching class of Petersen signatures once, as the list of
     its 512 masks: one class per syndrome z, the chords of z switched by
     each cut."""
-    g, cuts = petersen()[0], petersen_cut_masks()
+    g = petersen()[0]
+    cuts = [c for _, c in cut_space(g)]
     for z in range(1 << len(g.chords)):
         base = chord_mask(g, z)
         yield [base ^ c for c in cuts]

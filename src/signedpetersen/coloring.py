@@ -26,6 +26,8 @@ from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError,
 from .signed import SignedGraph, negate, petersen_invariants
 
 MAX_K = 2
+# A count at k = 2 walks every colouring: 5 * 4^(n - 1) on an n-vertex path.
+MAX_K2_VERTICES = 11
 
 
 class BudgetError(ValueError):
@@ -38,8 +40,7 @@ def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
     to the last vertex; with first, it stops at the first one and returns a
     positive number, not the count. Proper: the color of w differs from
     sign(vw) times the color of v on every edge vw. The back edges come
-    from ``g.neighbours``, each sign from its mask bit, so the query builds
-    neither ``Graph.adjacency`` nor ``Graph.edge_index``."""
+    from ``g.neighbours``, each sign from its mask bit."""
     g = s.graph
     n = g.vertex_count
     colors = [c for c in range(-k, k + 1) if c or not zero_free]
@@ -91,10 +92,12 @@ def _count_one(g: Graph, z: int, zero_free: bool) -> int:
 
 
 def _class_syndrome(s: SignedGraph, k: int) -> int:
-    """The syndrome of s, after the budget and size checks."""
+    """The syndrome of s, after the budget and size checks: a count at
+    k = 2 is refused past MAX_K2_VERTICES vertices."""
     if k < 0 or k > MAX_K:
         raise BudgetError(f"k={k} outside the supported range 0..{MAX_K}")
-    if s.graph.vertex_count > MAX_SEARCH_VERTICES:
+    if s.graph.vertex_count > (MAX_K2_VERTICES if k == 2
+                               else MAX_SEARCH_VERTICES):
         raise SearchSizeError("graph too large for coloring search")
     return syndrome(s.graph, s.mask)
 

@@ -22,9 +22,9 @@ class SearchSizeError(ValueError):
 
 class _cached:
     """A property computed on first read and kept in the instance's
-    ``__dict__``, which later reads find first. It is
-    ``functools.cached_property`` without the lock that Python 3.11 takes on
-    every first read; Python 3.12 dropped it. Every query on a new graph
+    ``__dict__``, which later reads find first. It is the cached property
+    of ``functools`` without the lock that Python 3.11 takes on every
+    first read; Python 3.12 dropped it. Every query on a new graph
     makes a few first reads, and with the lock a cold one costs several
     times as much."""
 
@@ -111,23 +111,14 @@ class Graph(_Record):
         norm = sorted({(min(u, v), max(u, v)) for u, v in edges})
         return cls(vertex_count, tuple(norm))
 
-    @_cached
-    def adjacency(self) -> tuple[frozenset, ...]:
-        adj = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(a) for a in adj)
-
-    @_cached
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     def index_of(self, u: int, v: int) -> int:
-        return self.edge_index[(u, v) if u < v else (v, u)]
+        """Index of the edge uv, the one edge at both ends, or -1 when u
+        and v are not adjacent (u == v included)."""
+        inc = self.incidence
+        return (inc[u] & inc[v]).bit_length() - 1 if u != v else -1
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.neighbours[v])
 
     @_cached
     def incidence(self) -> tuple[int, ...]:
@@ -252,8 +243,8 @@ class Cycle(_Record):
             raise ValueError(f"not a cycle: {verts}")
         mask = 0
         for a, b in zip(verts, verts[1:] + verts[:1]):
-            i = g.edge_index.get((a, b) if a < b else (b, a))
-            if i is None:
+            i = g.index_of(a, b)
+            if i < 0:
                 raise ValueError(f"not a cycle: {a}-{b} is not an edge")
             mask |= 1 << i
         return cls(_canonical_rotation(verts), mask)
@@ -274,7 +265,7 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
     deterministic order (by length, then vertex sequence)."""
     if max_len > g.vertex_count:
         max_len = g.vertex_count
-    adj = [sorted(a) for a in g.adjacency]
+    adj = [[w for w, _ in nv] for nv in g.neighbours]
     found = []
 
     def dfs(root, path, visited):
@@ -488,12 +479,13 @@ def automorphism_images(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Backtracking over vertices with degree filtering and full adjacency
-    consistency against already-mapped vertices."""
+    consistency, both ways on neighbour bitmasks, against already-mapped
+    vertices."""
     n = g.vertex_count
     if n > MAX_SEARCH_VERTICES:
         raise SearchSizeError(f"{n} vertices exceeds cap {MAX_SEARCH_VERTICES}")
     degs = [g.degree(v) for v in range(n)]
-    adj = g.adjacency
+    adj = [sum(1 << w for w, _ in nv) for nv in g.neighbours]
     result = []
     image = [-1] * n
     used = [False] * n
@@ -507,7 +499,7 @@ def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
                 continue
             ok = True
             for j in range(i):
-                if (j in adj[i]) != (image[j] in adj[w]):
+                if (adj[i] >> j ^ adj[w] >> image[j]) & 1:
                     ok = False
                     break
             if ok:
@@ -531,7 +523,8 @@ def _coloring(g: Graph, k: int) -> list[int] | None:
     n = g.vertex_count
     order = sorted(range(n), key=g.degree, reverse=True)
     pos = {v: i for i, v in enumerate(order)}
-    earlier = [[w for w in g.adjacency[v] if pos[w] < pos[v]] for v in order]
+    earlier = [[w for w, _ in g.neighbours[v] if pos[w] < pos[v]]
+               for v in order]
     colors = [-1] * n
 
     def extend(i):

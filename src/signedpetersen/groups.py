@@ -11,19 +11,22 @@ Conventions. Permutations are image tuples over vertex ids and compose left
 to right: compose(p, q) applies p first. A switching permutation pairs an
 exact vertex subset (as a bitmask) with a permutation and acts on signatures
 by switching first, permuting second. Two switching permutations that differ
-by complementing the switching set act identically on a connected graph;
-group elements are stored with the canonical lift (vertex 0 unswitched).
+by complementing the switching set act identically on a connected graph, so
+a lift is stored in one canonical form, vertex 0 unswitched. ``aut_signed``,
+``swaut`` and ``orbit_counts`` read their lifts from ``_lifts``, which
+refuses a disconnected graph and one of more than MAX_SEARCH_VERTICES
+vertices.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, _Record,
-                     automorphism_images, bits, chord_mask, forest_preimage,
-                     syndrome)
+from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, _cached,
+                     _Record, automorphism_images, bits, chord_mask,
+                     forest_preimage, syndrome)
 from .signed import SignedGraph
 
 # ---------------------------------------------------------------------------
@@ -158,7 +161,7 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @cached_property
+    @_cached
     def order_histogram(self) -> dict[int, int]:
         hist = {}
         for i in range(self.order):
@@ -282,23 +285,13 @@ def _automorphism_edge_maps(g: Graph):
                  for p, inv in maps)
 
 
-def _switching_scan_guard(g: Graph) -> None:
-    """Switching automorphisms are computed on connected graphs of at most
-    MAX_SEARCH_VERTICES vertices, where the lift with vertex 0 unswitched
-    is unique."""
-    if g.vertex_count > MAX_SEARCH_VERTICES:
-        raise SearchSizeError("graph too large for switching scan")
-    if not g.is_connected():
-        raise ValueError("switching automorphisms need a connected graph")
-
-
 @lru_cache(maxsize=64)
 def _switching_class(g: Graph, z: int):
     """What every signature with syndrome z shares, found once per
     switching class: the automorphisms of g that lift (those that fix z),
     each with the switching part of its lift on the chord representative
     ``chord_mask(g, z)`` and the tables that pull vertex masks back through
-    it; and each component of g as (least vertex, vertex mask)."""
+    it."""
     b = chord_mask(g, z)
     zbits, bbits = tuple(bits(z)), tuple(bits(b))
     lifts = []
@@ -312,12 +305,7 @@ def _switching_class(g: Graph, z: int):
                 moved |= pull[j]
             lifts.append((p, forest_preimage(g, b ^ moved),
                           _push_tables(inverse(p))))
-    components = []  # the forest lists each component after its root
-    for v, parent, _ in g.spanning_forest:
-        if parent < 0:
-            components.append([v, 0])
-        components[-1][1] |= 1 << v
-    return tuple(lifts), tuple(map(tuple, components))
+    return tuple(lifts)
 
 
 @lru_cache(maxsize=64)
@@ -327,7 +315,7 @@ def _class_group(g: Graph, z: int):
     of its element orders: the group of any other signature of the class
     is its conjugate by the switching between them, with the same
     permutations."""
-    lifts = _switching_class(g, z)[0]
+    lifts = _switching_class(g, z)
     return (_closure_generators({p: SwitchingPermutation(x, p)
                                  for p, x, _ in lifts}),
             Counter(perm_order(p) for p, _, _ in lifts))
@@ -336,25 +324,26 @@ def _class_group(g: Graph, z: int):
 @lru_cache(maxsize=8)
 def _lifts(s: SignedGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Each automorphism p of the underlying graph that lifts, with the
-    switching part X of its lift, least vertex of each component out, and
-    X = 0 when p preserves the signs. They are carried from the chord
-    representative b of the switching class: with Y the switching that
-    takes b to the mask, X is X_b xor Y xor the pullback of Y through p,
-    canonicalised. ``aut_signed``, ``swaut`` and ``orbit_counts`` read
-    it."""
+    switching part X of its lift, vertex 0 unswitched, and X = 0 when p
+    preserves the signs. They are carried from the chord representative b
+    of the switching class: with Y the switching that takes b to the mask,
+    X is X_b xor Y xor the pullback of Y through p, canonicalised. The lift
+    is unique only on a connected graph, and the scan is capped at
+    MAX_SEARCH_VERTICES vertices, so anything else is refused first.
+    ``aut_signed``, ``swaut`` and ``orbit_counts`` read it."""
     g, mask = s.graph, s.mask
+    if g.vertex_count > MAX_SEARCH_VERTICES:
+        raise SearchSizeError("graph too large for switching scan")
+    if not g.is_connected():
+        raise ValueError("switching automorphisms need a connected graph")
     z = syndrome(g, mask)
-    lifts, components = _switching_class(g, z)
     y = forest_preimage(g, mask ^ chord_mask(g, z))
-    h = (g.vertex_count + 1) // 2
+    full, h = (1 << g.vertex_count) - 1, (g.vertex_count + 1) // 2
     low, high = y & (1 << h) - 1, y >> h
     out = []
-    for p, x, (lo, hi) in lifts:
+    for p, x, (lo, hi) in _switching_class(g, z):
         x ^= y ^ lo[low] ^ hi[high]
-        for r, c in components:
-            if x >> r & 1:
-                x ^= c
-        out.append((p, x))
+        out.append((p, x ^ full if x & 1 else x))
     return tuple(out)
 
 
@@ -371,7 +360,6 @@ def swaut(s: SignedGraph) -> SwitchingGroup:
     automorphism that lifts contributes its lift with vertex 0
     unswitched."""
     g = s.graph
-    _switching_scan_guard(g)
     return SwitchingGroup((SwitchingPermutation(x, p) for p, x in _lifts(s)),
                           _class_group(g, syndrome(g, s.mask)))
 
@@ -381,7 +369,6 @@ def orbit_counts(s: SignedGraph) -> tuple[int, int]:
     orbit-stabilizer: the order of Aut of the underlying graph divided by
     the number of automorphisms that fix the sign mask, and by the number
     that lift, one list per switching class. No group is built."""
-    _switching_scan_guard(s.graph)
     lifts, aut = _lifts(s), len(_automorphism_edge_maps(s.graph))
     fixed = sum(1 for _, x in lifts if x == 0)
     return aut // fixed, aut // len(lifts)

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from .frustration import least_edges, least_vertices
 from .graphs import (Cycle, Graph, _Record, _cached, bits, chord_mask,
-                     cut_mask, cut_space, enumerate_cycles, forest_paths,
-                     forest_preimage, petersen, syndrome, tree_cycle)
+                     cut_mask, enumerate_cycles, forest_paths, forest_preimage,
+                     petersen, syndrome, tree_cycle)
 
 
 class SignedGraph(_Record):
@@ -103,8 +103,7 @@ class SixType(enum.Enum):
     P33 = "P3,3"
 
 
-SIX_ORDER = (SixType.PLUS_P, SixType.P1, SixType.P22,
-             SixType.P23, SixType.P32, SixType.P33)
+SIX_ORDER = tuple(SixType)
 
 # Fingerprint (frustration index, negative pentagon count) per class.
 SIX_FINGERPRINT = {
@@ -115,13 +114,6 @@ SIX_FINGERPRINT = {
     (3, 6): SixType.P32,
     (3, 12): SixType.P33,
 }
-
-
-@lru_cache(maxsize=1)
-def petersen_cut_masks() -> tuple[int, ...]:
-    """Edge bitmasks of all 512 cuts of the Petersen graph, in
-    ``cut_space`` order; entry 0 is the empty cut."""
-    return tuple(c for _, c in cut_space(petersen()[0]))
 
 
 @lru_cache(maxsize=1)

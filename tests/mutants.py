@@ -62,7 +62,16 @@ MUTANTS = (
            "(u, 1 if s.mask >> i & 1 else -1)",
            ("tests/test_coloring.py::test_colorations_match_brute_force",
             "tests/test_coloring.py::"
-            "test_color_file_query_builds_neither_adjacency_nor_edge_index")),
+            "test_color_file_query_matches_brute_force_counts")),
+    Mutant("k = 2 bound checked after the count", COLORING,
+           "    return _class_count(s.graph, _class_syndrome(s, k), k, "
+           "zero_free, False)\n",
+           "    count = _class_count(s.graph, syndrome(s.graph, s.mask), k, "
+           "zero_free, False)\n"
+           "    _class_syndrome(s, k)\n"
+           "    return count\n",
+           ("tests/test_coloring.py::"
+            "test_color_at_two_refused_past_eleven_vertices",)),
     Mutant("size check after the forest", CLUSTERING,
            "    if g.vertex_count > MAX_SEARCH_VERTICES:\n"
            "        raise SearchSizeError(\"graph too large for exact chromatic "
@@ -107,6 +116,16 @@ MUTANTS = (
            "                pass\n",
            ("tests/test_frustration.py::"
             "test_edge_syndromes_match_the_per_edge_formula",)),
+    Mutant("edge index one too high", GRAPHS,
+           "(inc[u] & inc[v]).bit_length() - 1 if u != v else -1",
+           "(inc[u] & inc[v]).bit_length() if u != v else -1",
+           ("tests/test_graphs.py::"
+            "test_index_of_finds_each_edge_and_no_other_pair",)),
+    Mutant("automorphism search tests adjacency one way", GRAPHS,
+           "if (adj[i] >> j ^ adj[w] >> image[j]) & 1:",
+           "if adj[i] >> j & 1 and not adj[w] >> image[j] & 1:",
+           ("tests/test_graphs.py::"
+            "test_automorphism_search_extends_only_partial_isomorphisms",)),
     Mutant("one-pass edge check without the order test", GRAPHS,
            "if not (last < e and 0 <= u < v < vertex_count):",
            "if not (0 <= u < v < vertex_count):",
@@ -136,6 +155,11 @@ MUTANTS = (
            "x ^= y ^ lo[low] ^ hi[high]", "x ^= y ^ lo[low]",
            ("tests/test_groups.py::"
             "test_lifts_are_carried_from_the_chord_representative",)),
+    Mutant("lifts without the vertex-0 step", GROUPS,
+           "out.append((p, x ^ full if x & 1 else x))", "out.append((p, x))",
+           ("tests/test_groups.py::test_lifts_match_the_pullback_scan",
+            "tests/test_groups.py::"
+            "test_lifts_are_carried_from_the_chord_representative")),
     Mutant("closure check blind to switching masks", GROUPS,
            "if c is None or c.switch_mask != (z ^ full if z & 1 else z):",
            "if c is None:",

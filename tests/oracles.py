@@ -31,6 +31,22 @@ def cut(g, x):
                      if (u in xs) != (v in xs))
 
 
+@lru_cache(maxsize=64)
+def adjacency(g):
+    """Each vertex's neighbours as a frozenset, from the edge list."""
+    adj = [set() for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(map(frozenset, adj))
+
+
+@lru_cache(maxsize=64)
+def edge_index(g):
+    """The index of each edge (u, v), u < v, from the edge list."""
+    return {e: i for i, e in enumerate(g.edges)}
+
+
 def cut_preimage(g, d):
     """The vertex mask X with cut(X) = d (as edge masks) that leaves the
     least vertex of every component out, or None when d is not a cut.
@@ -44,7 +60,7 @@ def cut_preimage(g, d):
 
 def edge_sign(s, u, v):
     """+1 or -1, the sign of the edge uv of s."""
-    return -1 if s.mask >> s.graph.index_of(u, v) & 1 else 1
+    return -1 if s.mask >> edge_index(s.graph)[min(u, v), max(u, v)] & 1 else 1
 
 
 def sign_of_circle(s, c):
@@ -91,7 +107,7 @@ def independent_sets(g, k):
     """All independent vertex sets of size exactly k."""
     return [frozenset(combo)
             for combo in itertools.combinations(range(g.vertex_count), k)
-            if not any(b in g.adjacency[a]
+            if not any(b in adjacency(g)[a]
                        for a, b in itertools.combinations(combo, 2))]
 
 
@@ -602,7 +618,7 @@ def distances(g):
         while frontier:
             nxt = []
             for u in frontier:
-                for w in g.adjacency[u]:
+                for w in adjacency(g)[u]:
                     if dist[w] < 0:
                         dist[w] = dist[u] + 1
                         nxt.append(w)
@@ -612,7 +628,7 @@ def distances(g):
 
 
 def closed_neighborhood(g, v):
-    return g.adjacency[v] | {v}
+    return adjacency(g)[v] | {v}
 
 
 def hexagon_of_vertex(g, v):
@@ -624,7 +640,7 @@ def hexagon_of_vertex(g, v):
         raise ValueError("graph is not the Petersen graph")
     order = [rest[0]]
     while len(order) < 6:
-        nxt = [w for w in g.adjacency[order[-1]]
+        nxt = [w for w in adjacency(g)[order[-1]]
                if w in rest and w not in order]
         if not nxt:
             raise ValueError("complement of N[v] is not a hexagon")
@@ -685,14 +701,16 @@ def classify_matching(g, m):
     if g != pg:
         raise ValueError("matching classes are defined on the Petersen graph")
     edges = {(min(u, v), max(u, v)) for u, v in m}
-    if not edges <= g.edge_index.keys():
+    index = edge_index(g)
+    if not edges <= index.keys():
         raise ValueError(f"{sorted(edges)} is not a set of edges")
-    orbit = {sum(1 << g.index_of(a[u], a[v]) for u, v in edges)
-             for a in g.automorphisms}
+
+    def mask(pairs):
+        return sum(1 << index[min(u, v), max(u, v)] for u, v in pairs)
+    orbit = {mask((a[u], a[v]) for u, v in edges) for a in g.automorphisms}
     vertex = {f"{i}{j}": v for v, (i, j) in enumerate(lab.pair_of)}
     for c, member in MATCHING_MEMBERS.items():
-        if sum(1 << g.index_of(vertex[x], vertex[y])
-               for x, y in member) in orbit:
+        if mask((vertex[x], vertex[y]) for x, y in member) in orbit:
             return c
     raise ValueError(f"{sorted(edges)} is not a matching")
 
@@ -719,13 +737,13 @@ def geometric_matching_class(g, m):
             return MatchingClass.M33
         if dists == [2, 2, 3]:
             return MatchingClass.M3_2_3
-        mask = sum(1 << g.edge_index[e] for e in edges)
+        mask = sum(1 << edge_index(g)[e] for e in edges)
         if any(mask & hexagon_of_vertex(g, v).edge_mask == mask
                for v in range(g.vertex_count)):
             return MatchingClass.M32
         return MatchingClass.M3PRIME
     unmatched = [v for v in range(g.vertex_count) if v not in verts]
-    if unmatched[1] in g.adjacency[unmatched[0]]:
+    if unmatched[1] in adjacency(g)[unmatched[0]]:
         return MatchingClass.M5_MINUS_EDGE
     return MatchingClass.M4PRIME
 
@@ -770,8 +788,8 @@ def max_inclusterability(g, cubic_shortcut=True):
 
     masks = range(1 << m)
     if cubic_shortcut:
-        if any(g.degree(v) > 3 for v in range(g.vertex_count)):
+        if any(len(nv) > 3 for nv in adjacency(g)):
             raise ValueError("shortcut needs maximum degree at most 3")
-        masks = (sum(1 << g.edge_index[e] for e in matching)
+        masks = (sum(1 << edge_index(g)[e] for e in matching)
                  for matching in all_matchings(g))
     return max(map(q_of, masks))

@@ -10,11 +10,12 @@ from signedpetersen.clustering import cluster_number, inclusterability_index
 from signedpetersen.coloring import (_count, chi3_difference,
                                      chromatic_numbers, count_colorations)
 from signedpetersen.frustration import frustration_index, frustration_number
-from signedpetersen.graphs import enumerate_cycles, petersen, syndrome
+from signedpetersen.graphs import (cut_space, enumerate_cycles, petersen,
+                                   syndrome)
 from signedpetersen.groups import (aut_signed, coset_system, identify_group,
                                    orbit_counts, swaut)
-from signedpetersen.signed import (SignedGraph, negate, petersen_cut_masks,
-                                   petersen_invariants, switch)
+from signedpetersen.signed import (SignedGraph, negate, petersen_invariants,
+                                   switch)
 
 from oracles import (MAX_INCLUSTERABILITY, balanced_expansion_check,
                      max_inclusterability, negative_circle_counts,
@@ -148,7 +149,7 @@ def test_criterion_08_clustering(pg, reps):
 def test_criterion_09_property_suite(pg, reps):
     g, _ = pg
     rng = random.Random(901)
-    cuts = petersen_cut_masks()
+    cuts = [c for _, c in cut_space(g)]
     cycles = enumerate_cycles(g, 10)
     ok = True
     for _ in range(1000):

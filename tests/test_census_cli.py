@@ -57,12 +57,11 @@ def test_deletion_tables_match_restricted_cuts():
     # oracle: every one of the 512 Petersen cuts restricted to the kept
     # edges. A mask of each of the 64 syndromes (its chords, switched by a
     # seeded cut) is balanced on P - W exactly when its kept part is one.
-    from signedpetersen.graphs import bits, syndrome
-    from signedpetersen.signed import petersen_cut_masks
+    from signedpetersen.graphs import bits, cut_space, syndrome
     from oracles import deletion_tables
     g, _ = petersen()
     rng = random.Random(13)
-    cuts = petersen_cut_masks()
+    cuts = [c for _, c in cut_space(g)]
     tables = deletion_tables()
     sets = [w for k in range(4) for w in itertools.combinations(range(10), k)]
     assert len(tables) == len(sets) == 176

@@ -12,10 +12,10 @@ from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
                                    enumerate_cycles)
 from signedpetersen.signed import SignedGraph, negate
 
-from oracles import (MAX_INCLUSTERABILITY, bad_cycles, circle_masks,
-                     clusterability_by_positive_graph, edge_sign,
-                     inclusterability_by_circles, max_inclusterability,
-                     sign_of_circle)
+from oracles import (MAX_INCLUSTERABILITY, adjacency, bad_cycles,
+                     circle_masks, clusterability_by_positive_graph,
+                     edge_index, edge_sign, inclusterability_by_circles,
+                     max_inclusterability, sign_of_circle)
 
 
 def delete_edges(s, drop):
@@ -74,7 +74,7 @@ def fewest_clusters(s):
     earlier vertex breaks the rule, which no extension can mend."""
     g = s.graph
     n = g.vertex_count
-    earlier = [[(w, edge_sign(s, v, w) > 0) for w in g.adjacency[v] if w < v]
+    earlier = [[(w, edge_sign(s, v, w) > 0) for w in adjacency(g)[v] if w < v]
                for v in range(n)]
     block = [0] * n
     best = None
@@ -216,7 +216,7 @@ def check_against_listing_routes(s):
     g = s.graph
     q, dels = inclusterability_index(s)
     assert q == len(dels) == inclusterability_by_circles(s).bit_count()
-    hit = sum(1 << g.edge_index[e] for e in dels)
+    hit = sum(1 << edge_index(g)[e] for e in dels)
     assert all(c & hit for c in bad_cycles(circle_masks(g), s.mask))
     assert is_clusterable(s) == clusterability_by_positive_graph(s)
 

@@ -231,11 +231,9 @@ def test_coloring_size_checks_come_first():
         count_colorations(s, -1)
 
 
-def test_color_file_query_builds_neither_adjacency_nor_edge_index(
-        capsys, tmp_path, monkeypatch):
-    # the backtrack reads its back edges off Graph.neighbours and each sign
-    # off the mask, so a cold `color --file` builds neither the frozenset
-    # adjacency nor the edge index
+def test_color_file_query_matches_brute_force_counts(capsys, tmp_path):
+    # a cold `color --file` at each k, both zero-free settings, against the
+    # brute-force counts
     from signedpetersen import cli, coloring
     # not bipartite, and not switching equivalent to its negation
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
@@ -247,12 +245,6 @@ def test_color_file_query_builds_neither_adjacency_nor_edge_index(
               for k in range(3) for zf in (False, True)}
     chi = next(k for k in (0, 1, 2) if counts[k, False])
     chi_star = next(k for k in (1, 2) if counts[k, True])
-
-    def refuse(graph):
-        raise AssertionError("a colour query built a table it does not read")
-
-    for name in ("adjacency", "edge_index"):
-        monkeypatch.setattr(Graph.__dict__[name], "func", refuse)
     coloring._class_count.cache_clear()
     coloring._independent_sets.cache_clear()
     for (k, zf), count in counts.items():
@@ -262,3 +254,36 @@ def test_color_file_query_builds_neither_adjacency_nor_edge_index(
         assert capsys.readouterr().out == (
             f"{kind} at k={k}: {count}\nchromatic number {chi}\n"
             f"zero-free chromatic number {chi_star}\n")
+
+
+def test_color_at_two_refused_past_eleven_vertices(capsys, tmp_path,
+                                                  monkeypatch):
+    # a count at k = 2 walks every colouring (5 * 4^11 on a 12-vertex
+    # path), so on 12 vertices `color --k 2` exits 2 before any count, with
+    # no output; at the bound and on the Petersen graph it still counts
+    from signedpetersen import cli, coloring
+    path = tmp_path / "path12.txt"
+    path.write_text(serialize_signed_graph(SignedGraph(
+        Graph.from_edges(12, [(i, i + 1) for i in range(11)]), 0)))
+
+    def refuse(*args):
+        raise AssertionError("counted before the size check")
+
+    coloring._class_count.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(coloring, "_count", refuse)
+        for extra in ([], ["--zero-free"]):
+            argv = ["color", "--file", str(path), "--k", "2", *extra]
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: graph too large for coloring search\n"
+    assert coloring.MAX_K2_VERTICES == 11
+    # zero-free closed forms at four colours on the 11-cycle
+    assert count_colorations(signed_cycle(11, 0), 2, True) == 3 ** 11 - 3
+    assert count_colorations(signed_cycle(11, 1), 2, True) == 3 ** 11 + 1
+    assert cli.main(["color", "--mask", "0x0000", "--k", "2",
+                     "--zero-free"]) == 0
+    assert capsys.readouterr().out == (
+        "zero-free colorations at k=2: 12960\nchromatic number 1\n"
+        "zero-free chromatic number 2\n")

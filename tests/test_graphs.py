@@ -1,8 +1,10 @@
 import itertools
+import sys
 from collections import Counter
 
 import pytest
 
+from signedpetersen import graphs
 from signedpetersen.census import standard_mask
 from signedpetersen.coloring import _independent_sets
 from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
@@ -11,11 +13,11 @@ from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
                                    syndrome, vertex_sets)
 from signedpetersen.signed import SIX_ORDER
 
-from oracles import (MatchingClass, all_independent_sets, all_matchings,
-                     classify_matching, closed_neighborhood, cut,
-                     cut_preimage, deletion_tables, distances, edge_distance,
-                     geometric_matching_class, hexagon_of_vertex,
-                     independent_sets, is_petersen)
+from oracles import (MatchingClass, adjacency, all_independent_sets,
+                     all_matchings, classify_matching, closed_neighborhood,
+                     cut, cut_preimage, deletion_tables, distances,
+                     edge_distance, edge_index, geometric_matching_class,
+                     hexagon_of_vertex, independent_sets, is_petersen)
 
 
 def k4():
@@ -52,9 +54,19 @@ def test_petersen_basics(pg):
     for u in range(10):
         for v in range(u + 1, 10):
             disjoint = not set(lab.pair_of[u]) & set(lab.pair_of[v])
-            assert (v in g.adjacency[u]) == disjoint
+            assert (v in adjacency(g)[u]) == disjoint
     # diameter 2
     assert max(max(row) for row in distances(g)) == 2
+
+
+def test_index_of_finds_each_edge_and_no_other_pair(pg):
+    # the one edge at both ends; a non-edge, a vertex with itself included,
+    # gives -1, never an index that looks valid
+    for g in (pg[0], k4(), c5(), two_components()):
+        index = edge_index(g)
+        for u, v in itertools.product(range(g.vertex_count), repeat=2):
+            want = index.get((min(u, v), max(u, v)), -1) if u != v else -1
+            assert g.index_of(u, v) == want, (u, v)
 
 
 def test_petersen_labeling(pg):
@@ -176,7 +188,7 @@ def test_independent_sets(pg):
     assert frozenset() in every
     assert len(every) == 1 + 10 + 30 + 30 + 5
     for s in every:
-        assert all(v not in g.adjacency[u] for u in s for v in s if u < v)
+        assert all(v not in adjacency(g)[u] for u in s for v in s if u < v)
     # the colouring table holds each independent set once, the empty first
     table = _independent_sets(g)
     assert table[0] == (0, (), 1)
@@ -268,6 +280,44 @@ def test_automorphisms(pg):
     assert len(automorphism_images(k4())) == 24
     assert len(automorphism_images(c5())) == 10
     assert len(automorphism_images(k33())) == 72
+
+
+def search_nodes(g):
+    """How many partial maps the automorphism search extends: the calls of
+    its inner ``extend``, counted by a profile hook."""
+    extend = next(c for c in graphs._automorphism_search.__code__.co_consts
+                  if getattr(c, "co_name", "") == "extend")
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is extend
+    sys.setprofile(profile)
+    try:
+        graphs._automorphism_search(g)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def partial_isomorphisms(g):
+    """The injective maps of each prefix 0..i-1 of the vertices, i = 0..n,
+    that keep degrees, adjacency and non-adjacency."""
+    adj, n = adjacency(g), g.vertex_count
+    return sum(1 for i in range(n + 1)
+               for image in itertools.permutations(range(n), i)
+               if all(len(adj[v]) == len(adj[w]) for v, w in enumerate(image))
+               and all((u in adj[v]) == (image[u] in adj[image[v]])
+                       for u, v in itertools.combinations(range(i), 2)))
+
+
+def test_automorphism_search_extends_only_partial_isomorphisms():
+    # the search extends a partial map only while it keeps adjacency both
+    # ways; a test one way only finds the same automorphisms through more
+    # partial maps
+    pentagram = Graph.from_edges(5, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
+    for g in (pentagram, k33(), two_components()):
+        assert search_nodes(g) == partial_isomorphisms(g)
 
 
 def test_search_size_guard():

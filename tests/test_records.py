@@ -146,13 +146,12 @@ def test_signed_graph_validation_messages(mask, message):
 
 def test_cached_properties_are_kept_out_of_equality():
     g = Graph(3, PATH3)
-    assert g.adjacency == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
-    assert g.edge_index == {(0, 1): 0, (1, 2): 1}
+    assert g.neighbours == (((1, 0),), ((0, 0), (2, 1)), ((1, 1),))
     assert g.incidence == (1, 3, 2)
     assert g.spanning_forest == ((0, -1, -1), (1, 0, 0), (2, 1, 1))
     assert g.automorphisms == ((0, 1, 2), (2, 1, 0))
-    assert g.adjacency is g.adjacency
-    assert {"adjacency", "edge_index", "incidence"} <= g.__dict__.keys()
+    assert g.neighbours is g.neighbours
+    assert {"neighbours", "incidence"} <= g.__dict__.keys()
     fresh = Graph(3, PATH3)
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
     lab = PetersenLabeling()

@@ -4,16 +4,16 @@ import pytest
 
 from signedpetersen.expected import (CLASS_NAMES, NEGATIVE_HEXAGONS,
                                      NEGATIVE_PENTAGONS)
-from signedpetersen.graphs import Graph, enumerate_cycles
+from signedpetersen.graphs import Graph, cut_space, enumerate_cycles
 from signedpetersen.signed import (SIX_ORDER, BalanceResult, SignedGraph,
                                    classify_six,
                                    classify_six_mask, is_balanced, negate,
-                                   petersen_cut_masks,
                                    petersen_hexagon_masks, petersen_invariants,
                                    petersen_pentagon_masks, switch)
 
-from oracles import (edge_sign, minimal_representative, negative_circle_counts,
-                     sign_of_circle, switching_equivalence)
+from oracles import (adjacency, edge_sign, minimal_representative,
+                     negative_circle_counts, sign_of_circle,
+                     switching_equivalence)
 
 
 def test_signed_graph_construction(pg):
@@ -34,7 +34,7 @@ def test_switching_function(pg):
     assert switch(s, 0) == s
     assert switch(s, (1 << 10) - 1) == s  # the cut of all vertices is empty
     assert switch(s, 1 << 9).mask == s.mask ^ sum(
-        1 << g.index_of(9, u) for u in g.adjacency[9])
+        1 << g.index_of(9, u) for u in adjacency(g)[9])
     for x in (-1, 1 << 10):
         with pytest.raises(ValueError):
             switch(s, x)
@@ -93,8 +93,8 @@ def test_negative_circle_counts_table(reps):
         assert counts[6] == NEGATIVE_HEXAGONS[i], CLASS_NAMES[i]
 
 
-def test_cut_masks_form_xor_space():
-    masks = petersen_cut_masks()
+def test_cut_masks_form_xor_space(pg):
+    masks = [c for _, c in cut_space(pg[0])]
     assert len(masks) == 512
     assert len(set(masks)) == 512
     assert masks[0] == 0

@@ -4,7 +4,7 @@ top-level function, class and constant, and each method, is referenced in
 need lives with the tests (``oracles``, ``p32_tables``). The names in
 ``KEPT`` are used only from outside ``src``, each for its reason; the
 other functions the benchmark's tracer wraps by name are called in
-``src`` as well."""
+``src`` as well. Every module-level import is read by its module."""
 
 import ast
 from pathlib import Path
@@ -72,6 +72,25 @@ def unreferenced(src=SRC):
                 yield f"{path.name}: {name}"
 
 
+def unused_imports(src=SRC):
+    """Each name that a module-level import in src binds (``__future__``
+    aside) and its module never reads, as "file: name". A plain name read
+    counts, and so does a string equal to the name, as in ``__all__``."""
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.value for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        yield f"{path.name}: {name}"
+
+
 def test_every_src_definition_is_referenced_in_src():
     found = set(unreferenced())
     kept = {f for f in found if f.split(": ")[1] in KEPT}
@@ -88,3 +107,16 @@ def test_the_guard_sees_a_helper_that_only_tests_call(tmp_path):
                  "class _Box:\n    def unused(self):\n        pass\n")
     assert set(unreferenced(tmp_path)) >= {
         "graphs.py: _helper", "graphs.py: _Box", "graphs.py: unused"}
+
+
+def test_every_src_import_is_read():
+    assert list(unused_imports()) == []
+
+
+def test_the_guard_sees_an_import_left_behind(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "signed.py", "a") as fh:
+        fh.write("\nimport os.path\nfrom .graphs import cut_space as cs\n")
+    assert set(unused_imports(tmp_path)) == {"signed.py: os",
+                                             "signed.py: cs"}
