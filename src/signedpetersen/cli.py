@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 from . import census as census_mod
 from . import io as io_mod
-from .clustering import inclusterability_index, is_clusterable
+from .clustering import bad_edge, inclusterability_index, is_clusterable
 from .coloring import chromatic_numbers, count_colorations
 from .frustration import frustration_index, frustration_number
 from .graphs import bits, petersen
@@ -61,30 +61,32 @@ def cmd_group(args) -> int:
     print(f"swaut order {sw.order} label {identify_group(sw)}")
     if args.coset_table:
         system = coset_system(sw, aut)
-        print(f"cosets {len(system.representatives)} "
+        labels, reps = _names()[0], system.representatives
+        print(f"cosets {len(reps)} "
               f"conjugation-closed {system.closed_under_conjugation}")
-        _, lab = petersen()
-        for i, r in enumerate(system.representatives):
-            sset = ",".join(f"{a}{b}" for a, b in
-                            sorted(lab.pair_of[v] for v in bits(r.switch_mask)))
-            perm = _vertex_perm_name(r.perm)
-            print(f"rep {i}: switch {{{sset}}} perm {perm}")
+        print("\n".join(
+            f"rep {i}: switch {{{','.join([labels[v] for v in bits(x)])}}} "
+            f"perm {_vertex_perm_name(p)}" for i, (x, p) in enumerate(reps)))
     return 0
 
 
 def _vertex_perm_name(perm) -> str:
     """Cycle notation on {1..5} when the vertex permutation is induced from
     one, else the raw image vector."""
-    return _induced_names().get(tuple(perm)) or str(list(perm))
+    return _names()[1].get(tuple(perm)) or str(list(perm))
 
 
 @lru_cache(maxsize=1)
-def _induced_names() -> dict[tuple[int, ...], str]:
-    """Cycle notation of each of the 120 permutations of {1..5}, keyed by
-    the vertex permutation of the Petersen graph it induces."""
+def _names():
+    """The label "ij" of each Petersen vertex v_ij, numbered in the
+    lexicographic order of the pairs, so that the labels of a switching set
+    read off its bits come out sorted; and the cycle notation of each of
+    the 120 permutations of {1..5}, keyed by the vertex permutation of the
+    Petersen graph it induces."""
     _, lab = petersen()
-    return {induced_permutation(lab, base): format_cycles(base)
-            for base in itertools.permutations(range(1, 6))}
+    return (tuple(f"{a}{b}" for a, b in lab.pair_of),
+            {induced_permutation(lab, base): format_cycles(base)
+             for base in itertools.permutations(range(1, 6))})
 
 
 def cmd_color(args) -> int:
@@ -101,11 +103,11 @@ def cmd_color(args) -> int:
 
 def cmd_cluster(args) -> int:
     s = _load(args)
-    ok, witness = is_clusterable(s)
-    if ok:
-        print(f"clusterable yes clusters {len(witness)}")
-    else:
+    # decided before any witness: an unclusterable query builds no circle
+    if bad_edge(s):
         print(f"clusterable no inclusterability {inclusterability_index(s)[0]}")
+    else:
+        print(f"clusterable yes clusters {len(is_clusterable(s)[1])}")
     return 0
 
 

@@ -44,22 +44,34 @@ def _hit(targets: list[int], budget: int):
     return None
 
 
-def is_clusterable(s: SignedGraph):
-    """(flag, witness), from one spanning forest of the positive subgraph.
-    If a negative edge joins two vertices of one component, the witness is
-    the least such edge, closed by the forest path between its ends.
-    Otherwise it is the fewest-parts partition with positive edges inside
-    parts and negative edges across, from a minimum colouring of the graph
-    that the negative edges make on the components. A graph of more than
-    MAX_SEARCH_VERTICES vertices is refused before any of this work."""
+def bad_edge(s: SignedGraph):
+    """The least negative edge (u, w) of s with both ends in one component
+    of the positive subgraph, or None when s is clusterable (Davis). A
+    graph of more than MAX_SEARCH_VERTICES vertices is refused before the
+    forest is built."""
     g = s.graph
     if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for exact chromatic number")
-    forest, comp, _ = s.positive_forest
-    negative = [g.edges[i] for i in bits(s.mask)]
-    for u, w in negative:
+    comp = s.positive_forest[1]
+    for i in bits(s.mask):
+        u, w = g.edges[i]
         if comp[u] == comp[w]:
-            return False, tree_cycle(g, forest, u, w)
+            return u, w
+    return None
+
+
+def is_clusterable(s: SignedGraph):
+    """(flag, witness), from one spanning forest of the positive subgraph.
+    If ``bad_edge`` finds a negative edge inside one component, the witness
+    is that edge, closed by the forest path between its ends. Otherwise it
+    is the fewest-parts partition with positive edges inside parts and
+    negative edges across, from a minimum colouring of the graph that the
+    negative edges make on the components."""
+    g, bad = s.graph, bad_edge(s)
+    forest, comp, _ = s.positive_forest
+    if bad:
+        return False, tree_cycle(g, forest, *bad)
+    negative = (g.edges[i] for i in bits(s.mask))
     coloring = minimum_coloring(Graph.from_edges(
         max(comp, default=-1) + 1, ((comp[u], comp[w]) for u, w in negative)))
     parts = [set() for _ in range(max(coloring, default=-1) + 1)]

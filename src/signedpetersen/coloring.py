@@ -39,24 +39,29 @@ def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
     (without 0 when zero_free), by backtracking that counts the colors left
     to the last vertex; with first, it stops at the first one and returns a
     positive number, not the count. Proper: the color of w differs from
-    sign(vw) times the color of v on every edge vw. The back edges come
-    from ``g.neighbours``, each sign from its mask bit."""
+    sign(vw) times the color of v on every edge vw. Vertices are assigned
+    by decreasing degree, ties by index, as ``graphs.minimum_coloring``
+    orders them, so a clique fails before the sparse rest is walked; the
+    back edges come from ``g.neighbours``, each sign from its mask bit."""
     g = s.graph
     n = g.vertex_count
     colors = [c for c in range(-k, k + 1) if c or not zero_free]
-    earlier = [[(u, -1 if s.mask >> i & 1 else 1) for u, i in nv if u < v]
-               for v, nv in enumerate(g.neighbours)]
+    order = sorted(range(n), key=g.degree, reverse=True)
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [[(pos[u], -1 if s.mask >> j & 1 else 1)
+                for u, j in g.neighbours[v] if pos[u] < i]
+               for i, v in enumerate(order)]
     assigned = [0] * n
 
-    def extend(v):
-        banned = {sig * assigned[u] for u, sig in earlier[v]}
-        if v == n - 1:  # colors is closed under negation, so banned is in it
+    def extend(i):
+        banned = {sig * assigned[u] for u, sig in earlier[i]}
+        if i == n - 1:  # colors is closed under negation, so banned is in it
             return len(colors) - len(banned)
         total = 0
         for c in colors:
             if c not in banned:
-                assigned[v] = c
-                total += extend(v + 1)
+                assigned[i] = c
+                total += extend(i + 1)
                 if first and total:
                     break
         return total

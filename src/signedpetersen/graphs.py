@@ -517,42 +517,37 @@ def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
 # Minimum colouring
 # ---------------------------------------------------------------------------
 
-def _coloring(g: Graph, k: int) -> list[int] | None:
-    """A proper colouring of g with colours 0..k-1, one per vertex, or
-    None when there is none."""
+def minimum_coloring(g: Graph) -> list[int]:
+    """A proper vertex colouring with the fewest colours, one per vertex,
+    by a backtrack over the vertices by decreasing degree that tries 2, 3,
+    ... colours in turn (an edge needs two, a vertex one). A minimum
+    colouring uses every one of its colours, so the chromatic number is
+    one more than the largest."""
     n = g.vertex_count
+    if n > MAX_SEARCH_VERTICES:
+        raise SearchSizeError("graph too large for exact chromatic number")
     order = sorted(range(n), key=g.degree, reverse=True)
     pos = {v: i for i, v in enumerate(order)}
     earlier = [[w for w, _ in g.neighbours[v] if pos[w] < pos[v]]
                for v in order]
     colors = [-1] * n
 
-    def extend(i):
+    def extend(i, k):
         if i == n:
             return True
         v = order[i]
-        limit = min(k, i + 1)  # symmetry break: first use of each color
         used = {colors[w] for w in earlier[i]}
-        for c in range(limit):
+        # symmetry break: first use of each color
+        for c in range(min(k, i + 1)):
             if c not in used:
                 colors[v] = c
-                if extend(i + 1):
+                if extend(i + 1, k):
                     return True
         colors[v] = -1
         return False
 
-    return colors if extend(0) else None
-
-
-def minimum_coloring(g: Graph) -> list[int]:
-    """A proper vertex colouring with the fewest colours, one per vertex.
-    A minimum colouring uses every one of its colours, so the chromatic
-    number is one more than the largest."""
-    if g.vertex_count > MAX_SEARCH_VERTICES:
-        raise SearchSizeError("graph too large for exact chromatic number")
-    # an edge needs two colours, a vertex one
-    for k in itertools.count(2 if g.edges else min(g.vertex_count, 1)):
-        colors = _coloring(g, k)
-        if colors is not None:
-            return colors
+    k = 2 if g.edges else min(n, 1)
+    while not extend(0, k):
+        k += 1
+    return colors
 

@@ -8,21 +8,23 @@ Groups of switching automorphisms are checked by closure under generators
 and read as permutation groups, so no Cayley table is built.
 
 Conventions. Permutations are image tuples over vertex ids and compose left
-to right: compose(p, q) applies p first. A switching permutation pairs an
-exact vertex subset (as a bitmask) with a permutation and acts on signatures
-by switching first, permuting second. Two switching permutations that differ
-by complementing the switching set act identically on a connected graph, so
-a lift is stored in one canonical form, vertex 0 unswitched. ``aut_signed``,
-``swaut`` and ``orbit_counts`` read their lifts from ``_lifts``, which
-refuses a disconnected graph and one of more than MAX_SEARCH_VERTICES
-vertices.
+to right: compose(p, q) applies p first. A switching automorphism has one
+form, the pair (switch_mask, perm) of an exact vertex subset (as a bitmask)
+and a permutation, acting on signatures by switching first, permuting
+second; ``SwitchingPermutation`` is that tuple with its two fields named, so
+pairs compare, hash and sort as tuples, by mask and then permutation. Two
+pairs that differ by complementing the switching set act identically on a
+connected graph, so a lift is stored in one canonical form, vertex 0
+unswitched. ``aut_signed``, ``swaut`` and ``orbit_counts`` read their lifts
+from ``_lifts``, which refuses a disconnected graph and one of more than
+MAX_SEARCH_VERTICES vertices.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from functools import lru_cache
+from collections import Counter, namedtuple
+from functools import lru_cache, partial
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, _cached,
                      _Record, automorphism_images, bits, chord_mask,
@@ -108,28 +110,12 @@ def induced_permutation(labeling, base: tuple[int, ...]) -> tuple[int, ...]:
 # Switching permutations
 # ---------------------------------------------------------------------------
 
-class SwitchingPermutation(_Record):
-    """An exact switching set (vertex bitmask) paired with a vertex
-    permutation, acting switch-first."""
-
-    _fields = ("switch_mask", "perm")
-
-    def __init__(self, switch_mask: int, perm: tuple[int, ...]):
-        self.__dict__.update(switch_mask=switch_mask, perm=perm)
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-
-def sp_identity(n: int) -> SwitchingPermutation:
-    return SwitchingPermutation(0, identity_perm(n))
-
-
-def sp_negate(a: SwitchingPermutation) -> SwitchingPermutation:
-    """Complement the switching set; same action on a connected graph."""
-    full = (1 << a.n) - 1
-    return SwitchingPermutation(a.switch_mask ^ full, a.perm)
+SwitchingPermutation = namedtuple("SwitchingPermutation", "switch_mask perm")
+SwitchingPermutation.__doc__ = """A switching automorphism, the pair of an
+exact switching set (vertex bitmask) and a vertex permutation, acting
+switch-first."""
+# a pair from a 2-tuple, without the namedtuple's Python-level __new__
+_pair = partial(tuple.__new__, SwitchingPermutation)
 
 
 def edge_permutation(g: Graph, perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -152,9 +138,9 @@ class FiniteGroup:
 
     def __init__(self, elements):
         self.elements = list(elements)
-        if len(set(self.elements)) != len(self.elements):
+        self.index = dict(zip(self.elements, range(len(self.elements))))
+        if len(self.index) != len(self.elements):
             raise GroupAxiomError("repeated elements")
-        self.index = {e: i for i, e in enumerate(self.elements)}
         self._check()
 
     @property
@@ -200,18 +186,18 @@ def identify_group(g: FiniteGroup) -> str:
 # ---------------------------------------------------------------------------
 
 class SwitchingGroup(FiniteGroup):
-    """Switching permutations stored as canonical lifts, sorted by switching
-    mask and permutation. On a connected graph a lift is fixed by its
-    permutation, so the group is isomorphic to its group of permutations:
-    element orders and commutativity are read from permutations, and no
-    Cayley table is built. ``known``, permutations that generate the group
-    and the histogram of its element orders, is given only for a list
-    known to be a group (a conjugate of a checked one); otherwise the
-    closure check finds the generators."""
+    """(switch_mask, perm) pairs stored as canonical lifts, in tuple order:
+    by switching mask, then permutation. On a connected graph a lift is
+    fixed by its permutation, so the group is isomorphic to its group of
+    permutations: element orders and commutativity are read from
+    permutations, and no Cayley table is built. ``known``, permutations
+    that generate the group and the histogram of its element orders, is
+    given only for a list known to be a group (a conjugate of a checked
+    one); otherwise the closure check finds the generators."""
 
     def __init__(self, elements, known=None):
-        elements = sorted(elements, key=lambda e: (e.switch_mask, e.perm))
-        self.by_perm = {e.perm: e for e in elements}
+        elements = sorted(elements)
+        self.by_perm = {e[1]: e for e in elements}
         if len(self.by_perm) != len(elements):
             raise GroupAxiomError("two elements share a permutation")
         if known:
@@ -223,7 +209,7 @@ class SwitchingGroup(FiniteGroup):
             self.generators = _closure_generators(self.by_perm)
 
     def element_order(self, i: int) -> int:
-        return perm_order(self.elements[i].perm)
+        return perm_order(self.elements[i][1])
 
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise."""
@@ -237,41 +223,40 @@ class SwitchingGroup(FiniteGroup):
 
 
 def _closure_generators(by_perm) -> tuple[tuple[int, ...], ...]:
-    """Check that the switching permutations by_perm lists (keyed by
+    """Check that the (switch_mask, perm) pairs by_perm lists (keyed by
     permutation) form a group, by closure under greedy generators, |S|·|T|
     products in place of |S|^2 Cayley cells: each element not yet reached
     becomes a generator, and each reached element is multiplied once by
     each generator. Each product, canonicalised, must be listed; with the
     identity listed, the list is then the group the generators generate.
     Returns the permutations of the generators."""
-    elements = list(by_perm.values())
-    one = sp_identity(elements[0].n if elements else 0)
-    if by_perm.get(one.perm) != one:
+    n = len(next(iter(by_perm), ()))
+    one = identity_perm(n)
+    if by_perm.get(one) != (0, one):
         raise GroupAxiomError("no identity element")
-    full, h = (1 << one.n) - 1, (one.n + 1) // 2
+    full, h = (1 << n) - 1, (n + 1) // 2
     low = (1 << h) - 1
-    reached, gens = {one.perm: one}, []
-    for candidate in elements:
-        if candidate.perm in reached:
+    reached, gens = {one: (0, one)}, []
+    for candidate in by_perm.values():
+        if candidate[1] in reached:
             continue
         gens.append(candidate)
         work = [(a, (candidate,)) for a in reached.values()]
         while work:
-            a, ts = work.pop()
+            (x, p), ts = work.pop()
             # the semidirect product, canonicalised, inlined: the switching
-            # set of t is pulled back through a, pushed through a's inverse
-            lo, hi = _push_tables(inverse(a.perm))
-            for t in ts:
-                q = compose(a.perm, t.perm)
-                x = t.switch_mask
-                z = a.switch_mask ^ lo[x & low] ^ hi[x >> h]
+            # set of t is pulled back through p, pushed through p's inverse
+            lo, hi = _push_tables(inverse(p))
+            for y, r in ts:
+                q = compose(p, r)
+                z = x ^ lo[y & low] ^ hi[y >> h]
                 c = by_perm.get(q)
-                if c is None or c.switch_mask != (z ^ full if z & 1 else z):
-                    raise GroupAxiomError(f"not closed: {a} * {t}")
+                if c is None or c[0] != (z ^ full if z & 1 else z):
+                    raise GroupAxiomError(f"not closed: {(x, p)} * {(y, r)}")
                 if q not in reached:
                     reached[q] = c
                     work.append((c, tuple(gens)))
-    return tuple(t.perm for t in gens)
+    return tuple(r for _, r in gens)
 
 
 @lru_cache(maxsize=8)
@@ -288,10 +273,10 @@ def _automorphism_edge_maps(g: Graph):
 @lru_cache(maxsize=64)
 def _switching_class(g: Graph, z: int):
     """What every signature with syndrome z shares, found once per
-    switching class: the automorphisms of g that lift (those that fix z),
-    each with the switching part of its lift on the chord representative
-    ``chord_mask(g, z)`` and the tables that pull vertex masks back through
-    it."""
+    switching class: the automorphisms p of g that lift (those that fix z),
+    each as (X, p, push tables), with X the switching part of its lift on
+    the chord representative ``chord_mask(g, z)`` and the tables that pull
+    vertex masks back through p."""
     b = chord_mask(g, z)
     zbits, bbits = tuple(bits(z)), tuple(bits(b))
     lifts = []
@@ -303,7 +288,7 @@ def _switching_class(g: Graph, z: int):
             moved = 0
             for j in bbits:
                 moved |= pull[j]
-            lifts.append((p, forest_preimage(g, b ^ moved),
+            lifts.append((forest_preimage(g, b ^ moved), p,
                           _push_tables(inverse(p))))
     return tuple(lifts)
 
@@ -316,21 +301,21 @@ def _class_group(g: Graph, z: int):
     is its conjugate by the switching between them, with the same
     permutations."""
     lifts = _switching_class(g, z)
-    return (_closure_generators({p: SwitchingPermutation(x, p)
-                                 for p, x, _ in lifts}),
-            Counter(perm_order(p) for p, _, _ in lifts))
+    return (_closure_generators({p: (x, p) for x, p, _ in lifts}),
+            Counter(perm_order(p) for _, p, _ in lifts))
 
 
 @lru_cache(maxsize=8)
-def _lifts(s: SignedGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each automorphism p of the underlying graph that lifts, with the
-    switching part X of its lift, vertex 0 unswitched, and X = 0 when p
-    preserves the signs. They are carried from the chord representative b
-    of the switching class: with Y the switching that takes b to the mask,
-    X is X_b xor Y xor the pullback of Y through p, canonicalised. The lift
-    is unique only on a connected graph, and the scan is capped at
-    MAX_SEARCH_VERTICES vertices, so anything else is refused first.
-    ``aut_signed``, ``swaut`` and ``orbit_counts`` read it."""
+def _lifts(s: SignedGraph) -> tuple[SwitchingPermutation, ...]:
+    """Each automorphism p of the underlying graph that lifts, as the pair
+    (X, p) with X the switching part of its lift, vertex 0 unswitched, and
+    X = 0 when p preserves the signs. They are carried from the chord
+    representative b of the switching class: with Y the switching that
+    takes b to the mask, X is X_b xor Y xor the pullback of Y through p,
+    canonicalised. The lift is unique only on a connected graph, and the
+    scan is capped at MAX_SEARCH_VERTICES vertices, so anything else is
+    refused first. ``aut_signed``, ``swaut`` and ``orbit_counts`` read
+    it."""
     g, mask = s.graph, s.mask
     if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for switching scan")
@@ -341,17 +326,16 @@ def _lifts(s: SignedGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
     full, h = (1 << g.vertex_count) - 1, (g.vertex_count + 1) // 2
     low, high = y & (1 << h) - 1, y >> h
     out = []
-    for p, x, (lo, hi) in _switching_class(g, z):
+    for x, p, (lo, hi) in _switching_class(g, z):
         x ^= y ^ lo[low] ^ hi[high]
-        out.append((p, x ^ full if x & 1 else x))
+        out.append(_pair((x ^ full if x & 1 else x, p)))
     return tuple(out)
 
 
 def aut_signed(s: SignedGraph) -> SwitchingGroup:
     """Sign-preserving automorphisms: the stabilizer of the sign mask
     inside the automorphism group of the underlying graph."""
-    return SwitchingGroup(SwitchingPermutation(0, p)
-                          for p, x in _lifts(s) if x == 0)
+    return SwitchingGroup(e for e in _lifts(s) if not e[0])
 
 
 def swaut(s: SignedGraph) -> SwitchingGroup:
@@ -360,8 +344,7 @@ def swaut(s: SignedGraph) -> SwitchingGroup:
     automorphism that lifts contributes its lift with vertex 0
     unswitched."""
     g = s.graph
-    return SwitchingGroup((SwitchingPermutation(x, p) for p, x in _lifts(s)),
-                          _class_group(g, syndrome(g, s.mask)))
+    return SwitchingGroup(_lifts(s), _class_group(g, syndrome(g, s.mask)))
 
 
 def orbit_counts(s: SignedGraph) -> tuple[int, int]:
@@ -370,7 +353,7 @@ def orbit_counts(s: SignedGraph) -> tuple[int, int]:
     the number of automorphisms that fix the sign mask, and by the number
     that lift, one list per switching class. No group is built."""
     lifts, aut = _lifts(s), len(_automorphism_edge_maps(s.graph))
-    fixed = sum(1 for _, x in lifts if x == 0)
+    fixed = sum(1 for x, _ in lifts if x == 0)
     return aut // fixed, aut // len(lifts)
 
 
@@ -410,16 +393,15 @@ def coset_system(group: SwitchingGroup,
     """
     if not subgroup.is_subgroup(group):
         raise CosetError("not a subgroup")
-    if any(e.switch_mask for e in subgroup.elements):
+    if any(x for x, _ in subgroup.elements):
         raise CosetError("subgroup must have trivial switching parts")
 
-    n = subgroup.elements[0].n
+    n = len(subgroup.elements[0][1])
     cosets: dict[int, list[SwitchingPermutation]] = {}
     for e in group.elements:
-        cosets.setdefault(e.switch_mask, []).append(e)
+        cosets.setdefault(e[0], []).append(e)
     one = identity_perm(n)
-    conjugations = [_conjugation(a.perm) for a in subgroup.elements
-                    if a.perm != one]
+    conjugations = [_conjugation(p) for _, p in subgroup.elements if p != one]
 
     reps = _default_reps(cosets, n)
     closed = _is_conjugation_closed(reps, conjugations)
@@ -445,22 +427,22 @@ def _conjugation(alpha: tuple[int, ...]):
 
 
 def _default_reps(cosets, n: int) -> list[SwitchingPermutation]:
-    reps = []
-    half = n / 2
+    """The least pair of each coset, in mask order, or its complement when
+    that switches fewer vertices, or as many with the smaller mask."""
+    reps, full = [], (1 << n) - 1
     for mask in sorted(cosets):
-        elem = min(cosets[mask], key=lambda e: e.perm)
-        comp = sp_negate(elem)
-        size = elem.switch_mask.bit_count()
-        take_comp = size > half or (size == half and comp.switch_mask < elem.switch_mask)
-        reps.append(comp if take_comp else elem)
+        x, p = elem = min(cosets[mask])
+        size = 2 * x.bit_count()
+        take_comp = size > n or (size == n and x ^ full < x)
+        reps.append(_pair((x ^ full, p)) if take_comp else elem)
     return reps
 
 
 def _is_conjugation_closed(reps, conjugations) -> bool:
     """Each rep conjugated by each subgroup element but the identity is a
     rep."""
-    pairs = {(r.switch_mask, r.perm) for r in reps}
-    return all(c(x, p) in pairs for x, p in pairs for c in conjugations)
+    pairs = set(reps)
+    return all(c(x, p) in pairs for x, p in reps for c in conjugations)
 
 
 def _closed_reps(cosets, conjugations, n: int):
@@ -476,14 +458,14 @@ def _closed_reps(cosets, conjugations, n: int):
     chosen: dict[int, tuple[int, tuple[int, ...]]] = {}
     while todo:
         seed = min(todo)
-        orbits = (_conjugates(seed, (x, e.perm), conjugations, full)
-                  for e in cosets[seed] for x in (e.switch_mask, e.switch_mask ^ full))
+        orbits = (_conjugates(seed, (x, p), conjugations, full)
+                  for _, p in cosets[seed] for x in (seed, seed ^ full))
         orbit = next(filter(None, orbits), None)
         if orbit is None:
             return None
         chosen.update(orbit)
         todo -= orbit.keys()
-    return [SwitchingPermutation(*chosen[mask]) for mask in sorted(chosen)]
+    return [_pair(chosen[mask]) for mask in sorted(chosen)]
 
 
 def _conjugates(seed: int, cand, conjugations, full: int):

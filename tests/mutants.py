@@ -58,8 +58,8 @@ MUTANTS = (
             "tests/test_io.py::"
             "test_faulty_line_in_the_first_block_ends_the_read")),
     Mutant("back-edge sign inverted", COLORING,
-           "(u, -1 if s.mask >> i & 1 else 1)",
-           "(u, 1 if s.mask >> i & 1 else -1)",
+           "(pos[u], -1 if s.mask >> j & 1 else 1)",
+           "(pos[u], 1 if s.mask >> j & 1 else -1)",
            ("tests/test_coloring.py::test_colorations_match_brute_force",
             "tests/test_coloring.py::"
             "test_color_file_query_matches_brute_force_counts")),
@@ -72,12 +72,17 @@ MUTANTS = (
            "    return count\n",
            ("tests/test_coloring.py::"
             "test_color_at_two_refused_past_eleven_vertices",)),
+    Mutant("degree order dropped from the colouring backtrack", COLORING,
+           "order = sorted(range(n), key=g.degree, reverse=True)",
+           "order = list(range(n))",
+           ("tests/test_coloring.py::"
+            "test_color_fails_fast_on_a_clique_beside_a_long_path",)),
     Mutant("size check after the forest", CLUSTERING,
            "    if g.vertex_count > MAX_SEARCH_VERTICES:\n"
            "        raise SearchSizeError(\"graph too large for exact chromatic "
            "number\")\n"
-           "    forest, comp, _ = s.positive_forest\n",
-           "    forest, comp, _ = s.positive_forest\n"
+           "    comp = s.positive_forest[1]\n",
+           "    comp = s.positive_forest[1]\n"
            "    if g.vertex_count > MAX_SEARCH_VERTICES:\n"
            "        raise SearchSizeError(\"graph too large for exact chromatic "
            "number\")\n",
@@ -96,10 +101,21 @@ MUTANTS = (
             "tests/test_clustering.py::"
             "test_index_and_witness_match_the_listing_routes_on_seeded_graphs")),
     Mutant("cluster builds its own forest", CLUSTERING,
-           "    forest, comp, _ = s.positive_forest\n",
-           "    forest, comp, _ = forest_paths(g, s.mask)\n",
+           "    comp = s.positive_forest[1]\n",
+           "    comp = forest_paths(g, s.mask)[1]\n",
            ("tests/test_census_cli.py::"
             "test_cli_cluster_builds_one_forest_per_round",)),
+    Mutant("cluster decision read from the spanning forest", CLUSTERING,
+           "    comp = s.positive_forest[1]\n",
+           "    comp = forest_paths(g, 0)[1]\n",
+           ("tests/test_census_cli.py::test_cli_cluster_general_graph_files",
+            "tests/test_cli_golden.py::"
+            "test_group_and_cluster_digests_over_the_six_classes")),
+    Mutant("unclusterable cluster query builds the witness", CLI,
+           "    if bad_edge(s):\n",
+           "    if not is_clusterable(s)[0]:\n",
+           ("tests/test_census_cli.py::"
+            "test_warm_group_and_cluster_compute_only_what_they_print",)),
     Mutant("vertex sets grown in reverse", GRAPHS,
            "for v in range(w.bit_length(), n):",
            "for v in reversed(range(w.bit_length(), n)):",
@@ -130,6 +146,12 @@ MUTANTS = (
            "if not (last < e and 0 <= u < v < vertex_count):",
            "if not (0 <= u < v < vertex_count):",
            ("tests/test_graphs.py::test_graph_validation",)),
+    Mutant("minimum colouring checks the later neighbours", GRAPHS,
+           "earlier = [[w for w, _ in g.neighbours[v] if pos[w] < pos[v]]",
+           "earlier = [[w for w, _ in g.neighbours[v] if pos[w] > pos[v]]",
+           ("tests/test_graphs.py::test_minimum_coloring",
+            "tests/test_cli_golden.py::"
+            "test_group_and_cluster_digests_over_the_six_classes")),
     Mutant("route rule negated", FRUSTRATION,
            "    return r < len(g.edges) - r\n",
            "    return r >= len(g.edges) - r\n",
@@ -156,15 +178,28 @@ MUTANTS = (
            ("tests/test_groups.py::"
             "test_lifts_are_carried_from_the_chord_representative",)),
     Mutant("lifts without the vertex-0 step", GROUPS,
-           "out.append((p, x ^ full if x & 1 else x))", "out.append((p, x))",
+           "out.append(_pair((x ^ full if x & 1 else x, p)))",
+           "out.append(_pair((x, p)))",
            ("tests/test_groups.py::test_lifts_match_the_pullback_scan",
             "tests/test_groups.py::"
             "test_lifts_are_carried_from_the_chord_representative")),
     Mutant("closure check blind to switching masks", GROUPS,
-           "if c is None or c.switch_mask != (z ^ full if z & 1 else z):",
+           "if c is None or c[0] != (z ^ full if z & 1 else z):",
            "if c is None:",
            ("tests/test_groups.py::"
             "test_switching_group_rejects_bad_elements",)),
+    Mutant("Aut closure check skipped", GROUPS,
+           "self.generators = _closure_generators(self.by_perm)",
+           "self.generators = tuple(self.by_perm)[1:]",
+           ("tests/test_groups.py::test_switching_group_rejects_bad_elements",
+            "tests/test_groups.py::"
+            "test_switching_group_accepts_exactly_the_subgroups",
+            "tests/test_census_cli.py::"
+            "test_warm_group_and_cluster_compute_only_what_they_print")),
+    Mutant("coset tie-break inverted", GROUPS,
+           "(size == n and x ^ full < x)", "(size == n and x ^ full > x)",
+           ("tests/test_groups.py::"
+            "test_coset_representatives_switch_at_most_half_the_vertices",)),
     Mutant("every switching group abelian", GROUPS,
            "        return all(compose(a, b) == compose(b, a)\n"
            "                   for a, b in "

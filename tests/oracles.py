@@ -20,7 +20,7 @@ from signedpetersen.groups import (CosetError, CosetSystem, FiniteGroup,
                                    GroupAxiomError, SwitchingGroup,
                                    SwitchingPermutation, _automorphism_edge_maps,
                                    _default_reps, compose,
-                                   edge_permutation, inverse, sp_negate)
+                                   edge_permutation, identity_perm, inverse)
 from signedpetersen.signed import SignedGraph, switch
 
 
@@ -181,6 +181,15 @@ def pullback(mask, index_map):
     return out
 
 
+def sp_identity(n):
+    return SwitchingPermutation(0, identity_perm(n))
+
+
+def sp_negate(a):
+    """Complement the switching set; same action on a connected graph."""
+    return SwitchingPermutation(a.switch_mask ^ (1 << len(a.perm)) - 1, a.perm)
+
+
 def sp_inverse(a):
     inv = inverse(a.perm)
     return SwitchingPermutation(pullback(a.switch_mask, inv), inv)
@@ -282,9 +291,9 @@ def graph_automorphisms(g):
 
 
 def scan_lifts(s):
-    """Each automorphism p of the underlying graph that lifts, with the
-    switching part of its lift: cut_preimage of the mask xor its pullback
-    through p, tried for every p."""
+    """Each automorphism p of the underlying graph that lifts, as the pair
+    (switching part of its lift, p): cut_preimage of the mask xor its
+    pullback through p, tried for every p."""
     g, mask = s.graph, s.mask
     out = []
     for p in automorphism_images(g):
@@ -292,7 +301,7 @@ def scan_lifts(s):
         moved = sum(1 << inv[j] for j in range(len(g.edges)) if mask >> j & 1)
         x = cut_preimage(g, mask ^ moved)
         if x is not None:
-            out.append((p, x))
+            out.append((x, p))
     return tuple(out)
 
 
@@ -418,8 +427,8 @@ def edge_syndromes(g):
 
 
 def syndrome_lifts(s):
-    """Each automorphism p of the underlying graph that lifts, with the
-    switching part of its lift, scanned for the signature itself: p lifts
+    """Each automorphism p of the underlying graph that lifts, as the pair
+    (switching part of its lift, p), scanned for the signature itself: p lifts
     when it fixes the syndrome of the mask, and then the part is read off
     the forest from the mask xor its pullback through p."""
     g, mask = s.graph, s.mask
@@ -434,7 +443,7 @@ def syndrome_lifts(s):
             moved = 0
             for j in mbits:
                 moved |= pull[j]
-            out.append((p, forest_preimage(g, mask ^ moved)))
+            out.append((forest_preimage(g, mask ^ moved), p))
     return tuple(out)
 
 
@@ -504,7 +513,7 @@ def reference_coset_system(group, subgroup):
     cosets = {}
     for e in group.elements:
         cosets.setdefault(e.switch_mask, []).append(e)
-    reps = _default_reps(cosets, subgroup.elements[0].n)
+    reps = _default_reps(cosets, len(subgroup.elements[0].perm))
     closed = is_conjugation_closed(reps, subgroup)
     if not closed:
         alternative = closed_reps(cosets, subgroup)

@@ -83,8 +83,8 @@ def test_criterion_04_orbit_counts_two_ways(reps):
 
 
 def test_criterion_05_multiplication_tables(reps):
-    from signedpetersen.groups import SwitchingPermutation, sp_negate
-    from oracles import general_product, sp_multiply
+    from signedpetersen.groups import SwitchingPermutation
+    from oracles import general_product, sp_multiply, sp_negate
     reps32, stab = build_p32_reps()
     ok = True
     for (rk, ck), (sign, wkey, nu) in P32_CELLS.items():

@@ -267,6 +267,58 @@ def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
     assert 1 not in counted
 
 
+def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
+                                                             monkeypatch,
+                                                             rep_masks):
+    # A warm group --coset-table query on a P2,2 mask reads one lift list
+    # and runs one closure check, that of its Aut; SwAut's generators come
+    # from the class cache. An unclusterable cluster query decides from the
+    # positive forest and builds no witness circle.
+    from functools import lru_cache
+    from signedpetersen import groups
+    lifted, closures, cycles = [], [], []
+    lifts, closure = groups._lifts.__wrapped__, groups._closure_generators
+    tree_cycle = graphs.tree_cycle
+
+    def counted_lifts(s):
+        lifted.append(s.mask)
+        return lifts(s)
+
+    def counted_closure(by_perm):
+        closures.append(len(by_perm))
+        return closure(by_perm)
+
+    def counted_cycle(*args):
+        cycles.append(args)
+        return tree_cycle(*args)
+
+    g, m = petersen()[0], rep_masks[2]
+    assert run_cli(capsys, "group", "--mask", format_mask(m),
+                   "--coset-table")[0] == 0
+    monkeypatch.setattr(groups, "_lifts", lru_cache(maxsize=8)(counted_lifts))
+    monkeypatch.setattr(groups, "_closure_generators", counted_closure)
+    for module in (graphs, clustering, signed):
+        monkeypatch.setattr(module, "tree_cycle", counted_cycle)
+    for x in (0b11, 0b1010010110):
+        mask = m ^ cut_mask(g, x)
+        lifted.clear()
+        closures.clear()
+        code, out, _ = run_cli(capsys, "group", "--mask", format_mask(mask),
+                               "--coset-table")
+        assert code == 0 and "swaut order 4 label V4" in out
+        aut_order = int(out.split()[2])
+        assert lifted == [mask] and closures == [aut_order]
+    for mask in rep_masks[1:4]:
+        assert run_cli(capsys, "cluster", "--mask", format_mask(mask)) == \
+            (0, f"clusterable no inclusterability "
+                f"{expected.INCLUSTERABILITY[2 * rep_masks.index(mask)]}\n",
+             "")
+    assert cycles == []
+    # the witness is still built where it is asked for
+    assert not clustering.is_clusterable(SignedGraph(g, m))[0]
+    assert len(cycles) == 1
+
+
 def test_classify_and_color_read_each_switching_class_once(capsys,
                                                           monkeypatch,
                                                           rep_masks):

@@ -8,6 +8,10 @@ The fixture covers ``census`` and the nine tables in every format, and
 and ``group --coset-table`` on a switched and a relabelled twin of each
 standard mask, whose groups are conjugates of the standard ones.
 
+Over the 3,072 masks of the six standard masks' switching classes,
+``group --coset-table`` and ``cluster`` are pinned by one SHA-256 each of
+their exit codes and outputs in mask order.
+
 ``data/cli_parser_golden.json`` holds the same record for the command
 lines that take the argparse path: the help screens, the usage errors,
 and the spellings only argparse accepts (abbreviations, ``--opt=value``,
@@ -19,6 +23,7 @@ To record both fixtures again (only when an output is meant to change):
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -26,7 +31,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from signedpetersen import census, cli
-from signedpetersen.graphs import cut_mask, petersen
+from signedpetersen.graphs import cut_mask, cut_space, petersen
 from signedpetersen.groups import SwitchingPermutation, induced_permutation
 from signedpetersen.io import format_mask
 from signedpetersen.signed import SIX_ORDER, SignedGraph
@@ -113,6 +118,30 @@ def test_parser_path_matches_golden(monkeypatch):
     assert [r["argv"] for r in recorded] == parser_commands()
     differ = [" ".join(r["argv"]) for r in recorded if run(r["argv"]) != r]
     assert differ == []
+
+
+# SHA-256 of f"{exit}\n{stdout}" over the class masks, in mask order, as
+# recorded before the switching automorphisms took the (mask, perm) form
+CLASS_DIGESTS = {
+    "group": "8f39c8bbe6348363ad4bb922497dbd631267c830e59b6a8de574b4e6f8ffb76d",
+    "cluster": "265bab15c17bbf7ba673fef3a8760cfbfa92daba200a59e6bbd9fa89b3d8e9dc",
+}
+
+
+def test_group_and_cluster_digests_over_the_six_classes():
+    g, _ = petersen()
+    cuts = [c for _, c in cut_space(g)]
+    masks = sorted({census.standard_mask(t) ^ c for t in SIX_ORDER
+                    for c in cuts})
+    assert len(masks) == 6 * 512
+    for command, extra in (("group", ["--coset-table"]), ("cluster", [])):
+        h = hashlib.sha256()
+        for m in masks:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main([command, "--mask", f"0x{m:04x}", *extra])
+            h.update(f"{code}\n{out.getvalue()}".encode())
+        assert h.hexdigest() == CLASS_DIGESTS[command], command
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import signedpetersen
 from signedpetersen.coloring import (BudgetError, _count, chi3_difference,
                                      chromatic_numbers, count_colorations)
 from signedpetersen.expected import (CHI, CHI3, CHI3_DIFFERENCE, CHI_STAR,
@@ -287,3 +292,23 @@ def test_color_at_two_refused_past_eleven_vertices(capsys, tmp_path,
     assert capsys.readouterr().out == (
         "zero-free colorations at k=2: 12960\nchromatic number 1\n"
         "zero-free chromatic number 2\n")
+
+
+def test_color_fails_fast_on_a_clique_beside_a_long_path(tmp_path):
+    # all positive: a 10-vertex path beside a K6, which has no colouring at
+    # k = 2; in index order the first-stop search walked every colouring of
+    # the path before each K6 failure, and by degree the clique fails first
+    edges = [(i, i + 1) for i in range(9)] + \
+        list(itertools.combinations(range(10, 16), 2))
+    path = tmp_path / "path_k6.txt"
+    path.write_text(serialize_signed_graph(
+        SignedGraph(Graph.from_edges(16, edges), 0)))
+    src = str(Path(signedpetersen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "signedpetersen.cli", "color", "--k", "1",
+         "--file", str(path)], capture_output=True, text=True, env=env,
+        timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: chromatic number exceeds the k <= 2 budget\n")

@@ -17,7 +17,7 @@ from signedpetersen.groups import (CosetError, GroupAxiomError,
                                    edge_permutation, format_cycles,
                                    identify_group, identity_perm,
                                    induced_permutation, inverse, orbit_counts,
-                                   sp_identity, sp_negate, swaut)
+                                   swaut)
 from signedpetersen.signed import SignedGraph, negate, switch
 
 from oracles import (CayleyGroup, adjacency, closed_neighborhood, cut,
@@ -25,8 +25,8 @@ from oracles import (CayleyGroup, adjacency, closed_neighborhood, cut,
                      general_product, graph_automorphisms,
                      is_conjugation_closed, parse_cycles, pullback,
                      reference_coset_system, rep_for_mask, scan_lifts, sp_act,
-                     sp_canonical, sp_conjugate, sp_inverse, sp_multiply,
-                     syndrome_lifts)
+                     sp_canonical, sp_conjugate, sp_identity, sp_inverse,
+                     sp_multiply, sp_negate, syndrome_lifts)
 
 
 # --------------------------------------------------------------------------
@@ -415,12 +415,12 @@ def test_lifts_are_carried_from_the_chord_representative(pg):
     full = (1 << 10) - 1
     for z in range(64):
         b = chord_mask(g, z)
-        at_b = dict(syndrome_lifts(SignedGraph(g, b)))
+        at_b = {p: x for x, p in syndrome_lifts(SignedGraph(g, b))}
         for y, c in cut_space(g):
             s = SignedGraph(g, b ^ c)
             lifts = syndrome_lifts(s)
             assert groups._lifts(s) == lifts, s.mask
-            for p, x in lifts:
+            for x, p in lifts:
                 carried = at_b[p] ^ y ^ pullback(y, p)
                 assert (carried ^ full if carried & 1 else carried) == x
 
@@ -434,8 +434,8 @@ def test_coset_systems_match_the_element_reference(pg, reps):
     for s in sampled_signatures(pg, reps):
         lifts = syndrome_lifts(s)
         aut = SwitchingGroup(SwitchingPermutation(0, p)
-                             for p, x in lifts if x == 0)
-        w = SwitchingGroup(SwitchingPermutation(x, p) for p, x in lifts)
+                             for x, p in lifts if x == 0)
+        w = SwitchingGroup(SwitchingPermutation(x, p) for x, p in lifts)
         got_aut, got_w = aut_signed(s), swaut(s)
         assert (got_aut.elements, got_w.elements) == (aut.elements, w.elements)
         assert [identify_group(h) for h in (got_aut, got_w)] == \
@@ -449,6 +449,29 @@ def test_coset_systems_match_the_element_reference(pg, reps):
         fallback += not is_conjugation_closed(_default_reps(cosets, 10), aut)
         unclosed += not want.closed_under_conjugation
     assert fallback > unclosed > 0
+
+
+def test_coset_representatives_switch_at_most_half_the_vertices():
+    # each default representative is the coset's least permutation with
+    # the smaller of its two switching sets; at exactly half the vertices,
+    # the smaller mask. Switching parts on the Petersen graph have even
+    # size, so the tie is taken here on K4 and the hexagon.
+    k4 = Graph.from_edges(4, itertools.combinations(range(4), 2))
+    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    for g in (k4, c6):
+        n, full, ties = g.vertex_count, (1 << g.vertex_count) - 1, 0
+        for m in range(1 << len(g.edges)):
+            cosets = {}
+            for e in swaut(SignedGraph(g, m)).elements:
+                cosets.setdefault(e.switch_mask, []).append(e)
+            for mask, r in zip(sorted(cosets), _default_reps(cosets, n)):
+                assert r.perm == min(e.perm for e in cosets[mask])
+                assert r.switch_mask in (mask, mask ^ full)
+                size = 2 * r.switch_mask.bit_count()
+                assert size < n or size == n and \
+                    r.switch_mask < r.switch_mask ^ full, (m, r)
+                ties += size == n
+        assert ties > 0
 
 
 def oracle_group(elements):
@@ -575,7 +598,7 @@ def decompose(system, x):
     t = sp_multiply(sp_inverse(system.representatives[k]), x)
     if t.switch_mask == 0:
         sign = 1
-    elif t.switch_mask == (1 << x.n) - 1:
+    elif t.switch_mask == (1 << len(x.perm)) - 1:
         sign, t = -1, SwitchingPermutation(0, t.perm)
     else:
         raise CosetError("element not in representative * subgroup")

@@ -1,6 +1,9 @@
 """The record classes: equality, hash and repr by field values, fields that
 cannot be assigned or deleted, the validation of graphs and signed graphs,
-and a package import that leaves ``dataclasses`` and ``inspect`` unloaded."""
+and a package import that leaves ``dataclasses`` and ``inspect`` unloaded.
+A switching permutation is not a record but the (switch_mask, perm) tuple
+with its fields named: it shares the records' equality, hash and repr by
+fields, and equals its plain pair."""
 
 import ast
 import os
@@ -54,16 +57,20 @@ def cases(sw6, aut6):
 
 
 RECORD_CLASSES = (Graph, PetersenLabeling, Cycle, SignedGraph, BalanceResult,
-                  SwitchingPermutation, CosetSystem, TableArtifact)
+                  CosetSystem, TableArtifact)
 ids = pytest.mark.parametrize("cls", RECORD_CLASSES,
                               ids=[c.__name__ for c in RECORD_CLASSES])
+FIELD_CLASSES = RECORD_CLASSES[:5] + (SwitchingPermutation,) + \
+    RECORD_CLASSES[5:]
+field_ids = pytest.mark.parametrize("cls", FIELD_CLASSES,
+                                    ids=[c.__name__ for c in FIELD_CLASSES])
 
 
 def fields(record):
     return tuple(getattr(record, f) for f in record._fields)
 
 
-@ids
+@field_ids
 def test_equal_fields_give_equal_records_and_hashes(cases, cls):
     a, twin, other = cases[cls]
     assert a is not twin and a == twin and not a != twin
@@ -101,11 +108,32 @@ def test_fields_cannot_be_assigned_or_deleted(cases, cls):
     assert a == twin and "extra" not in a.__dict__
 
 
-@ids
+@field_ids
 def test_repr_shows_the_fields(cases, cls):
     a = cases[cls][0]
     assert repr(a) == "{}({})".format(cls.__name__, ", ".join(
         f"{f}={getattr(a, f)!r}" for f in cls._fields))
+
+
+def test_a_switching_permutation_is_its_pair(cases):
+    # the one form of a switching automorphism: a tuple that equals, hashes
+    # and sorts as its plain pair, with fields that cannot be assigned or
+    # deleted and no room for others, and unequal to every record
+    a, twin, other = cases[SwitchingPermutation]
+    assert a == (5, (1, 0, 2)) and (5, (1, 0, 2)) == a
+    assert hash(a) == hash((5, (1, 0, 2))) and (a.switch_mask, a.perm) == a
+    assert sorted([a, (4, (2, 1, 0)), other]) == [(4, (1, 0, 2)),
+                                                 (4, (2, 1, 0)), a]
+    for f in SwitchingPermutation._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, None)
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == twin and not hasattr(a, "__dict__")
+    for cls in RECORD_CLASSES:
+        assert a != cases[cls][0] and cases[cls][0] != a
 
 
 def test_repr_reads_like_the_constructor_call():

@@ -6,11 +6,10 @@ import itertools
 
 from signedpetersen.graphs import petersen
 from signedpetersen.groups import (SwitchingPermutation, aut_signed,
-                                   induced_permutation, sp_identity,
-                                   sp_negate)
+                                   induced_permutation)
 
 from oracles import (closed_neighborhood, parse_cycles, sp_act, sp_conjugate,
-                     sp_multiply)
+                     sp_identity, sp_multiply, sp_negate)
 from p32_tables import (P32_CELLS, P32_CORRECTED_CELLS, P32_PUBLISHED_VARIANTS,
                         P32_STABILIZER, P32_U_PERM, P32_W_PERM, P32_W_SET,
                         P32_Z_SET, U_KEYS, W_KEYS)
