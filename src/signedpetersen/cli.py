@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 from . import census as census_mod
 from . import io as io_mod
-from .clustering import bad_edge, inclusterability_index, is_clusterable
+from .clustering import cluster_number, inclusterability_index
 from .coloring import chromatic_numbers, count_colorations
 from .frustration import frustration_index, frustration_number
 from .graphs import bits, petersen
@@ -103,11 +103,11 @@ def cmd_color(args) -> int:
 
 def cmd_cluster(args) -> int:
     s = _load(args)
-    # decided before any witness: an unclusterable query builds no circle
-    if bad_edge(s):
+    clusters = cluster_number(s)
+    if clusters is None:
         print(f"clusterable no inclusterability {inclusterability_index(s)[0]}")
     else:
-        print(f"clusterable yes clusters {len(is_clusterable(s)[1])}")
+        print(f"clusterable yes clusters {clusters}")
     return 0
 
 

@@ -1,14 +1,16 @@
 """Clusterability of signed graphs: Davis's criterion on the positive
-components, the cluster number from a minimum colouring, and the exact
-inclusterability index.
+components, the cluster number from a minimum colouring of those
+components, and the exact inclusterability index.
 
 A signature is clusterable exactly when no negative edge joins two vertices
 of one component of the positive subgraph (Davis), equivalently when no
 circle carries exactly one negative edge. The cluster number is then the
 chromatic number of the graph that the negative edges make on those
-components. Every cycle of a subgraph is a cycle of the original graph, so
-the minimum number of edge deletions reaching clusterability is the size of
-a least set meeting every "bad" circle, one with exactly one negative edge.
+components, which is never built: a backtrack colours the components on
+the bitmasks of the components that their negative edges reach. Every
+cycle of a subgraph is a cycle of the original graph, so the minimum
+number of edge deletions reaching clusterability is the size of a least
+set meeting every "bad" circle, one with exactly one negative edge.
 No circle is listed. Both questions read one breadth-first forest of the
 positive edges that are kept, and a negative edge inside one of its
 components closes a bad circle with the forest path between its ends. The
@@ -18,8 +20,8 @@ query builds it once for both questions.
 
 from __future__ import annotations
 
-from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
-                     forest_paths, minimum_coloring, tree_cycle)
+from .graphs import (MAX_SEARCH_VERTICES, SearchSizeError, bits,
+                     forest_paths, tree_cycle)
 from .signed import SignedGraph
 
 MAX_EDGES = 20
@@ -60,30 +62,60 @@ def bad_edge(s: SignedGraph):
     return None
 
 
+def _clusters(s: SignedGraph) -> list[int]:
+    """The colour classes, as component masks, of a minimum colouring of
+    the components of the positive subgraph (numbered as
+    ``s.positive_forest`` numbers them) in which no negative edge joins two
+    components of one colour. s must be clusterable. A backtrack takes the
+    components by decreasing number of neighbouring components, ties by
+    index, and tries 2, 3, ... colours in turn (a negative edge needs two, a
+    component one); the i-th taken, from 0, gets no colour above i."""
+    g, comp = s.graph, s.positive_forest[1]
+    n = max(comp, default=-1) + 1
+    adj = [0] * n
+    for i in bits(s.mask):
+        u, w = g.edges[i]
+        adj[comp[u]] |= 1 << comp[w]
+        adj[comp[w]] |= 1 << comp[u]
+    order = sorted(range(n), key=lambda c: adj[c].bit_count(), reverse=True)
+
+    def extend(i, classes):
+        if i == n:
+            return True
+        c = order[i]
+        for j in range(min(len(classes), i + 1)):
+            if not classes[j] & adj[c]:
+                classes[j] |= 1 << c
+                if extend(i + 1, classes):
+                    return True
+                classes[j] ^= 1 << c
+        return False
+
+    k = 2 if s.mask else min(n, 1)
+    while not extend(0, classes := [0] * k):
+        k += 1
+    return classes
+
+
 def is_clusterable(s: SignedGraph):
     """(flag, witness), from one spanning forest of the positive subgraph.
     If ``bad_edge`` finds a negative edge inside one component, the witness
     is that edge, closed by the forest path between its ends. Otherwise it
     is the fewest-parts partition with positive edges inside parts and
-    negative edges across, from a minimum colouring of the graph that the
-    negative edges make on the components."""
-    g, bad = s.graph, bad_edge(s)
+    negative edges across: the vertices of each colour class of
+    ``_clusters``."""
+    bad = bad_edge(s)
     forest, comp, _ = s.positive_forest
     if bad:
-        return False, tree_cycle(g, forest, *bad)
-    negative = (g.edges[i] for i in bits(s.mask))
-    coloring = minimum_coloring(Graph.from_edges(
-        max(comp, default=-1) + 1, ((comp[u], comp[w]) for u, w in negative)))
-    parts = [set() for _ in range(max(coloring, default=-1) + 1)]
-    for v, c in enumerate(comp):
-        parts[coloring[c]].add(v)
-    return True, tuple(frozenset(p) for p in parts)
+        return False, tree_cycle(s.graph, forest, *bad)
+    return True, tuple(frozenset(v for v, c in enumerate(comp) if part >> c & 1)
+                       for part in _clusters(s))
 
 
 def cluster_number(s: SignedGraph) -> int | None:
-    """Minimum cluster count, None when unclusterable."""
-    ok, witness = is_clusterable(s)
-    return len(witness) if ok else None
+    """Minimum cluster count, None when unclusterable: the number of colour
+    classes of ``_clusters``. No witness is built either way."""
+    return None if bad_edge(s) else len(_clusters(s))
 
 
 def inclusterability_index(s: SignedGraph):

@@ -40,9 +40,9 @@ def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
     to the last vertex; with first, it stops at the first one and returns a
     positive number, not the count. Proper: the color of w differs from
     sign(vw) times the color of v on every edge vw. Vertices are assigned
-    by decreasing degree, ties by index, as ``graphs.minimum_coloring``
-    orders them, so a clique fails before the sparse rest is walked; the
-    back edges come from ``g.neighbours``, each sign from its mask bit."""
+    by decreasing degree, ties by increasing index (a stable sort), so a
+    clique fails before the sparse rest is walked; the back edges come
+    from ``g.neighbours``, each sign from its mask bit."""
     g = s.graph
     n = g.vertex_count
     colors = [c for c in range(-k, k + 1) if c or not zero_free]

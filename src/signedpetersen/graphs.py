@@ -1,6 +1,5 @@
 """Unsigned graph foundation: Petersen construction, cycles, cuts and the
-cycle-space syndrome, spanning forests, automorphisms, and small-graph
-minimum colouring.
+cycle-space syndrome, spanning forests, vertex sets and automorphisms.
 
 All graphs are simple and undirected, with vertices 0..n-1 and a canonical
 (lexicographically sorted) edge list so that edge indices are deterministic.
@@ -216,7 +215,7 @@ def petersen() -> tuple[Graph, PetersenLabeling]:
         for b in range(a + 1, 10):
             if not set(PETERSEN_PAIRS[a]) & set(PETERSEN_PAIRS[b]):
                 edges.append((a, b))
-    return Graph(10, tuple(sorted(edges))), PetersenLabeling()
+    return Graph.from_edges(10, edges), PetersenLabeling()
 
 
 # ---------------------------------------------------------------------------
@@ -511,43 +510,4 @@ def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     extend(0)
     return tuple(result)
-
-
-# ---------------------------------------------------------------------------
-# Minimum colouring
-# ---------------------------------------------------------------------------
-
-def minimum_coloring(g: Graph) -> list[int]:
-    """A proper vertex colouring with the fewest colours, one per vertex,
-    by a backtrack over the vertices by decreasing degree that tries 2, 3,
-    ... colours in turn (an edge needs two, a vertex one). A minimum
-    colouring uses every one of its colours, so the chromatic number is
-    one more than the largest."""
-    n = g.vertex_count
-    if n > MAX_SEARCH_VERTICES:
-        raise SearchSizeError("graph too large for exact chromatic number")
-    order = sorted(range(n), key=g.degree, reverse=True)
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [[w for w, _ in g.neighbours[v] if pos[w] < pos[v]]
-               for v in order]
-    colors = [-1] * n
-
-    def extend(i, k):
-        if i == n:
-            return True
-        v = order[i]
-        used = {colors[w] for w in earlier[i]}
-        # symmetry break: first use of each color
-        for c in range(min(k, i + 1)):
-            if c not in used:
-                colors[v] = c
-                if extend(i + 1, k):
-                    return True
-        colors[v] = -1
-        return False
-
-    k = 2 if g.edges else min(n, 1)
-    while not extend(0, k):
-        k += 1
-    return colors
 

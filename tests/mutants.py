@@ -111,11 +111,29 @@ MUTANTS = (
            ("tests/test_census_cli.py::test_cli_cluster_general_graph_files",
             "tests/test_cli_golden.py::"
             "test_group_and_cluster_digests_over_the_six_classes")),
-    Mutant("unclusterable cluster query builds the witness", CLI,
-           "    if bad_edge(s):\n",
-           "    if not is_clusterable(s)[0]:\n",
+    Mutant("unclusterable cluster query builds the witness", CLUSTERING,
+           "return None if bad_edge(s) else",
+           "return None if not is_clusterable(s)[0] else",
            ("tests/test_census_cli.py::"
             "test_warm_group_and_cluster_compute_only_what_they_print",)),
+    Mutant("cluster colouring tests the component, not its neighbours",
+           CLUSTERING,
+           "if not classes[j] & adj[c]:", "if not classes[j] & 1 << c:",
+           ("tests/test_graphs.py::test_minimum_coloring",
+            "tests/test_cli_golden.py::"
+            "test_group_and_cluster_digests_over_the_six_classes")),
+    Mutant("cluster colouring keeps the colour bit on return", CLUSTERING,
+           "                classes[j] ^= 1 << c\n",
+           "                pass\n",
+           ("tests/test_clustering.py::"
+            "test_index_and_witness_match_the_listing_routes_on_every_"
+            "petersen_signature",)),
+    Mutant("components taken by increasing degree", CLUSTERING,
+           "key=lambda c: adj[c].bit_count(), reverse=True)",
+           "key=lambda c: adj[c].bit_count())",
+           ("tests/test_clustering.py::"
+            "test_index_and_witness_match_the_listing_routes_on_every_"
+            "petersen_signature",)),
     Mutant("vertex sets grown in reverse", GRAPHS,
            "for v in range(w.bit_length(), n):",
            "for v in reversed(range(w.bit_length(), n)):",
@@ -146,12 +164,6 @@ MUTANTS = (
            "if not (last < e and 0 <= u < v < vertex_count):",
            "if not (0 <= u < v < vertex_count):",
            ("tests/test_graphs.py::test_graph_validation",)),
-    Mutant("minimum colouring checks the later neighbours", GRAPHS,
-           "earlier = [[w for w, _ in g.neighbours[v] if pos[w] < pos[v]]",
-           "earlier = [[w for w, _ in g.neighbours[v] if pos[w] > pos[v]]",
-           ("tests/test_graphs.py::test_minimum_coloring",
-            "tests/test_cli_golden.py::"
-            "test_group_and_cluster_digests_over_the_six_classes")),
     Mutant("route rule negated", FRUSTRATION,
            "    return r < len(g.edges) - r\n",
            "    return r >= len(g.edges) - r\n",

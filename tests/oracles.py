@@ -3,18 +3,18 @@ value the program also computes the slow and direct way, and the helpers
 only the tests use: edge and circle signs, the edge-list writer, groups
 checked on their Cayley tables, cycle notation, products, conjugates and
 actions of switching permutations, the coset product, matchings with their
-classes found two ways, and the maximum inclusterability."""
+classes found two ways, a minimum vertex colouring, and the maximum
+inclusterability."""
 
 import enum
 import itertools
 from functools import lru_cache
 
 from signedpetersen.coloring import _count, count_colorations
-from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
-                                   automorphism_images, bits, cut_mask,
-                                   cut_space,
-                                   enumerate_cycles, forest_preimage,
-                                   minimum_coloring, petersen, span_basis,
+from signedpetersen.graphs import (MAX_SEARCH_VERTICES, Cycle, Graph,
+                                   SearchSizeError, automorphism_images, bits,
+                                   cut_mask, cut_space, enumerate_cycles,
+                                   forest_preimage, petersen, span_basis,
                                    syndrome, tree_cycle)
 from signedpetersen.groups import (CosetError, CosetSystem, FiniteGroup,
                                    GroupAxiomError, SwitchingGroup,
@@ -349,11 +349,47 @@ def inclusterability_by_circles(s):
                             s.mask.bit_count())
 
 
+def minimum_coloring(g: Graph) -> list[int]:
+    """A proper vertex colouring with the fewest colours, one per vertex,
+    by a backtrack over the vertices by decreasing degree that tries 2, 3,
+    ... colours in turn (an edge needs two, a vertex one). A minimum
+    colouring uses every one of its colours, so the chromatic number is
+    one more than the largest."""
+    n = g.vertex_count
+    if n > MAX_SEARCH_VERTICES:
+        raise SearchSizeError("graph too large for exact chromatic number")
+    order = sorted(range(n), key=g.degree, reverse=True)
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [[w for w, _ in g.neighbours[v] if pos[w] < pos[v]]
+               for v in order]
+    colors = [-1] * n
+
+    def extend(i, k):
+        if i == n:
+            return True
+        v = order[i]
+        used = {colors[w] for w in earlier[i]}
+        # symmetry break: first use of each color
+        for c in range(min(k, i + 1)):
+            if c not in used:
+                colors[v] = c
+                if extend(i + 1, k):
+                    return True
+        colors[v] = -1
+        return False
+
+    k = 2 if g.edges else min(n, 1)
+    while not extend(0, k):
+        k += 1
+    return colors
+
+
 def clusterability_by_positive_graph(s):
     """``is_clusterable`` from the spanning forest of a separate graph of
     the positive edges: the least negative edge inside a positive
     component, closed by the forest path, or the fewest-parts partition
-    with the components numbered by least vertex."""
+    from ``minimum_coloring`` of a separate graph of the negative edges on
+    the components, numbered by least vertex."""
     g = s.graph
     positive = Graph(g.vertex_count, tuple(
         e for i, e in enumerate(g.edges) if not s.mask >> i & 1))

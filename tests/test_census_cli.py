@@ -269,16 +269,18 @@ def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
 
 def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
                                                              monkeypatch,
-                                                             rep_masks):
+                                                             rep_masks,
+                                                             tmp_path):
     # A warm group --coset-table query on a P2,2 mask reads one lift list
     # and runs one closure check, that of its Aut; SwAut's generators come
-    # from the class cache. An unclusterable cluster query decides from the
-    # positive forest and builds no witness circle.
+    # from the class cache. A cluster query and T10 read the cluster number
+    # from the positive forest: no witness circle, and no graph built on
+    # the components.
     from functools import lru_cache
     from signedpetersen import groups
-    lifted, closures, cycles = [], [], []
+    lifted, closures, cycles, built = [], [], [], []
     lifts, closure = groups._lifts.__wrapped__, groups._closure_generators
-    tree_cycle = graphs.tree_cycle
+    tree_cycle, graph_init = graphs.tree_cycle, Graph.__init__
 
     def counted_lifts(s):
         lifted.append(s.mask)
@@ -292,6 +294,10 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
         cycles.append(args)
         return tree_cycle(*args)
 
+    def counted_init(self, *args):
+        built.append(args)
+        graph_init(self, *args)
+
     g, m = petersen()[0], rep_masks[2]
     assert run_cli(capsys, "group", "--mask", format_mask(m),
                    "--coset-table")[0] == 0
@@ -299,6 +305,7 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
     monkeypatch.setattr(groups, "_closure_generators", counted_closure)
     for module in (graphs, clustering, signed):
         monkeypatch.setattr(module, "tree_cycle", counted_cycle)
+    monkeypatch.setattr(Graph, "__init__", counted_init)
     for x in (0b11, 0b1010010110):
         mask = m ^ cut_mask(g, x)
         lifted.clear()
@@ -313,10 +320,27 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
             (0, f"clusterable no inclusterability "
                 f"{expected.INCLUSTERABILITY[2 * rep_masks.index(mask)]}\n",
              "")
+    for i, mask in enumerate(rep_masks):
+        for j, x in ((2 * i, mask), (2 * i + 1, mask ^ ((1 << 15) - 1))):
+            if expected.CLUSTER_NUMBER[j] is not None:
+                assert run_cli(capsys, "cluster", "--mask", format_mask(x)) \
+                    == (0, f"clusterable yes clusters "
+                           f"{expected.CLUSTER_NUMBER[j]}\n", "")
+    assert cycles == [] and built == []
+    assert build_table("T10").rows[0][1] == expected.CLUSTER_NUMBER
     assert cycles == []
     # the witness is still built where it is asked for
     assert not clustering.is_clusterable(SignedGraph(g, m))[0]
     assert len(cycles) == 1
+    # the count needs no graph on the components: all-negative K16 has 16
+    path = tmp_path / "k16.txt"
+    path.write_text(serialize_signed_graph(SignedGraph(
+        Graph.from_edges(16, itertools.combinations(range(16), 2)),
+        (1 << 120) - 1)))
+    built.clear()
+    assert run_cli(capsys, "cluster", "--file", str(path)) == \
+        (0, "clusterable yes clusters 16\n", "")
+    assert len(built) == 1  # the loaded graph
 
 
 def test_classify_and_color_read_each_switching_class_once(capsys,
@@ -863,7 +887,8 @@ def test_cli_cluster_file_lists_no_circles(capsys, tmp_path, monkeypatch):
 
 def test_cli_cluster_builds_one_forest_per_round(capsys, tmp_path,
                                                  monkeypatch):
-    # the forest of the positive edges that is_clusterable builds is round 0
+    # the positive forest kept on the signed graph, which bad_edge reads,
+    # is round 0
     # of the index, and each later round builds one forest without the
     # negative edges and its deletion set H, unless H holds negative edges
     # only; the rounds' sets H are what _hit returns at the top of its

@@ -210,15 +210,18 @@ def test_oversized_graph_refused_before_the_forest(monkeypatch):
 def check_against_listing_routes(s):
     """The index against a least hitting set of every listed bad circle, its
     deletion set against those circles (by Davis, deleting it leaves a
-    clusterable signature exactly when it meets all of them), and the
-    clusterability witness against the forest of a separate positive
-    graph."""
+    clusterable signature exactly when it meets all of them), the
+    clusterability witness against the forest of a separate positive graph
+    and the colouring of a separate graph on its components, and the
+    cluster number against the witness."""
     g = s.graph
     q, dels = inclusterability_index(s)
     assert q == len(dels) == inclusterability_by_circles(s).bit_count()
     hit = sum(1 << edge_index(g)[e] for e in dels)
     assert all(c & hit for c in bad_cycles(circle_masks(g), s.mask))
-    assert is_clusterable(s) == clusterability_by_positive_graph(s)
+    ok, witness = is_clusterable(s)
+    assert (ok, witness) == clusterability_by_positive_graph(s)
+    assert cluster_number(s) == (len(witness) if ok else None)
 
 
 def test_index_and_witness_match_the_listing_routes_on_every_petersen_signature(pg):

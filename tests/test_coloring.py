@@ -12,10 +12,10 @@ from signedpetersen.coloring import (BudgetError, _count, chi3_difference,
                                      chromatic_numbers, count_colorations)
 from signedpetersen.expected import (CHI, CHI3, CHI3_DIFFERENCE, CHI_STAR,
                                      CLASS_NAMES)
-from signedpetersen.graphs import Graph, SearchSizeError, minimum_coloring
+from signedpetersen.graphs import Graph, SearchSizeError
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
-from oracles import (balanced_expansion_check, edge_sign,
+from oracles import (balanced_expansion_check, edge_sign, minimum_coloring,
                      serialize_signed_graph, switching_color_invariance_check)
 
 

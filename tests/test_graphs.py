@@ -7,17 +7,19 @@ import pytest
 from signedpetersen import graphs
 from signedpetersen.census import standard_mask
 from signedpetersen.coloring import _independent_sets
+from signedpetersen.clustering import cluster_number
 from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
                                    automorphism_images, cut_mask, cut_space,
-                                   enumerate_cycles, minimum_coloring, petersen,
-                                   syndrome, vertex_sets)
-from signedpetersen.signed import SIX_ORDER
+                                   enumerate_cycles, petersen, syndrome,
+                                   vertex_sets)
+from signedpetersen.signed import SIX_ORDER, SignedGraph
 
 from oracles import (MatchingClass, adjacency, all_independent_sets,
                      all_matchings, classify_matching, closed_neighborhood,
                      cut, cut_preimage, deletion_tables, distances,
                      edge_distance, edge_index, geometric_matching_class,
-                     hexagon_of_vertex, independent_sets, is_petersen)
+                     hexagon_of_vertex, independent_sets, is_petersen,
+                     minimum_coloring)
 
 
 def k4():
@@ -267,8 +269,12 @@ def test_matching_classes_refuse_other_input(pg):
 
 
 def test_minimum_coloring(pg):
+    # with every edge negative each vertex is its own positive component, so
+    # the cluster number is the chromatic number (3 for Petersen: T10's -P)
     g, _ = pg
     for graph, chi in ((g, 3), (k4(), 4), (c5(), 3), (k33(), 2)):
+        s = SignedGraph(graph, (1 << len(graph.edges)) - 1)
+        assert cluster_number(s) == chi
         colors = minimum_coloring(graph)
         assert max(colors) + 1 == chi
         assert all(colors[u] != colors[v] for u, v in graph.edges)

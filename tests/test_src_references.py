@@ -1,10 +1,13 @@
 """Every definition in ``src`` is used by the program itself: each
 top-level function, class and constant, and each method, is referenced in
 ``src`` somewhere outside its own definition. Code that only the tests
-need lives with the tests (``oracles``, ``p32_tables``). The names in
-``KEPT`` are used only from outside ``src``, each for its reason; the
-other functions the benchmark's tracer wraps by name are called in
-``src`` as well. Every module-level import is read by its module."""
+need lives with the tests (``oracles``, ``p32_tables``): the reference
+minimum colouring of a ``Graph``, for one. The names in ``KEPT`` are used
+only from outside ``src``, each for its reason; the other functions the
+benchmark's tracer wraps by name are called in ``src`` as well. A public
+constructor stays referenced by its use in ``src`` (``petersen`` builds
+its graph with ``Graph.from_edges``). Every module-level import is read by
+its module."""
 
 import ast
 from pathlib import Path
@@ -16,6 +19,8 @@ SRC = Path(signedpetersen.__file__).parent
 KEPT = {
     "is_balanced": "the benchmark's tracer wraps it by name "
                    "(signed.is_balanced)",
+    "is_clusterable": "the benchmark's tracer wraps it by name; the tests "
+                      "read its witnesses",
     "EXPECTED_ROWS": "the benchmark checks each table's output against it",
     "switch": "public API: switching a vertex set, the paper's basic "
               "operation",
