@@ -39,23 +39,24 @@ def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
     (without 0 when zero_free), by backtracking that counts the colors left
     to the last vertex; with first, it stops at the first one and returns a
     positive number, not the count. Proper: the color of w differs from
-    sign(vw) times the color of v on every edge vw. Vertices are assigned
-    by decreasing degree, ties by increasing index (a stable sort), so a
-    clique fails before the sparse rest is walked; the back edges come
-    from ``g.neighbours``, each sign from its mask bit."""
+    sign(vw) times the color of v on every edge vw. Each component of the
+    spanning forest is counted on its own, by decreasing degree, ties by
+    increasing index (a stable sort), and the counts multiplied: a clique
+    fails before the sparse rest is walked, and a component with no
+    coloration ends the count. The back edges come from ``g.neighbours``,
+    each sign from its mask bit."""
     g = s.graph
-    n = g.vertex_count
     colors = [c for c in range(-k, k + 1) if c or not zero_free]
-    order = sorted(range(n), key=g.degree, reverse=True)
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [[(pos[u], -1 if s.mask >> j & 1 else 1)
-                for u, j in g.neighbours[v] if pos[u] < i]
-               for i, v in enumerate(order)]
-    assigned = [0] * n
+    root, parts = {}, {}
+    for v, parent, _ in g.spanning_forest:
+        root[v] = root[parent] if parent >= 0 else v
+    for v in sorted(range(g.vertex_count), key=g.degree, reverse=True):
+        parts.setdefault(root[v], []).append(v)
+    assigned = [0] * g.vertex_count
 
     def extend(i):
         banned = {sig * assigned[u] for u, sig in earlier[i]}
-        if i == n - 1:  # colors is closed under negation, so banned is in it
+        if i == last:  # colors is closed under negation, so banned is in it
             return len(colors) - len(banned)
         total = 0
         for c in colors:
@@ -66,7 +67,17 @@ def _count(s: SignedGraph, k: int, zero_free: bool, first: bool = False) -> int:
                     break
         return total
 
-    return extend(0) if n else 1
+    total = 1
+    for order in parts.values():
+        pos = {v: i for i, v in enumerate(order)}
+        earlier = [[(pos[u], -1 if s.mask >> j & 1 else 1)
+                    for u, j in g.neighbours[v] if pos[u] < i]
+                   for i, v in enumerate(order)]
+        last = len(order) - 1
+        total *= extend(0)
+        if not total:
+            break
+    return total
 
 
 @lru_cache(maxsize=8)

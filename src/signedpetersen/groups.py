@@ -22,7 +22,6 @@ MAX_SEARCH_VERTICES vertices.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, namedtuple
 from functools import lru_cache, partial
 
@@ -61,14 +60,14 @@ def perm_order(p: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=512)
-def _push_tables(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """p acting on vertex masks, bit v to bit p[v], as two tables, one per
-    half of the bits: x goes to lo[x & (2^h - 1)] ^ hi[x >> h] with
-    h = (n + 1) // 2, two 32-entry tables on the Petersen graph. Pushing
-    through p pulls back through the inverse of p."""
-    h = (len(p) + 1) // 2
+def _pull_tables(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Vertex masks pulled back through p, bit p[v] to bit v, as two
+    tables, one per half of the bits: x goes to lo[x & (2^h - 1)] ^
+    hi[x >> h] with h = (n + 1) // 2, two 32-entry tables on the Petersen
+    graph. Pulling back through p pushes through the inverse of p."""
+    ai, h = inverse(p), (len(p) + 1) // 2
     tables = []
-    for half in (p[:h], p[h:]):
+    for half in (ai[:h], ai[h:]):
         t = [0]
         for w in half:
             t += [y | 1 << w for y in t]
@@ -134,7 +133,7 @@ class GroupAxiomError(ValueError):
 class FiniteGroup:
     """An element list without repeats, with each element's index, checked
     to be a group by the subclass's ``_check``, which sees the list; the
-    subclass also gives ``element_order`` (by index) and ``is_abelian``."""
+    subclass also gives ``element_order`` (by index)."""
 
     def __init__(self, elements):
         self.elements = list(elements)
@@ -148,36 +147,34 @@ class FiniteGroup:
         return len(self.elements)
 
     @_cached
-    def order_histogram(self) -> dict[int, int]:
-        hist = {}
-        for i in range(self.order):
-            o = self.element_order(i)
-            hist[o] = hist.get(o, 0) + 1
-        return hist
+    def order_histogram(self) -> Counter:
+        return Counter(map(self.element_order, range(self.order)))
 
 
+# Order and element-order histogram name each group below, commutativity
+# included: every group of order 1, 2 or 4 is abelian, an abelian one of
+# order 6 or 24 (60 or 120) has an element of order 6 (15), and no abelian
+# group of order 8 has the histogram of D4 or Q8.
 _CATALOG = {
-    (1, True, ((1, 1),)): "1",
-    (2, True, ((1, 1), (2, 1))): "Z2",
-    (4, True, ((1, 1), (2, 1), (4, 2))): "Z4",
-    (4, True, ((1, 1), (2, 3))): "V4",
-    (6, False, ((1, 1), (2, 3), (3, 2))): "S3",
-    (8, False, ((1, 1), (2, 5), (4, 2))): "D4",
-    (8, False, ((1, 1), (2, 1), (4, 6))): "Q8",
-    (24, False, ((1, 1), (2, 9), (3, 8), (4, 6))): "S4",
-    (60, False, ((1, 1), (2, 15), (3, 20), (5, 24))): "A5",
-    (120, False, ((1, 1), (2, 25), (3, 20), (4, 30), (5, 24), (6, 20))): "S5",
+    (1, ((1, 1),)): "1",
+    (2, ((1, 1), (2, 1))): "Z2",
+    (4, ((1, 1), (2, 1), (4, 2))): "Z4",
+    (4, ((1, 1), (2, 3))): "V4",
+    (6, ((1, 1), (2, 3), (3, 2))): "S3",
+    (8, ((1, 1), (2, 5), (4, 2))): "D4",
+    (8, ((1, 1), (2, 1), (4, 6))): "Q8",
+    (24, ((1, 1), (2, 9), (3, 8), (4, 6))): "S4",
+    (60, ((1, 1), (2, 15), (3, 20), (5, 24))): "A5",
+    (120, ((1, 1), (2, 25), (3, 20), (4, 30), (5, 24), (6, 20))): "S5",
 }
 
 
 def identify_group(g: FiniteGroup) -> str:
-    """Label ("S5", "1", ..., "other") by order, abelianness, and
-    element-order histogram; the combination separates every pair in the
-    catalog."""
+    """Label ("S5", "1", ..., "other") by order and element-order
+    histogram, which separate every pair in the catalog."""
     if g.order > 120:
         return "other"
-    key = (g.order, g.is_abelian(),
-           tuple(sorted(g.order_histogram.items())))
+    key = (g.order, tuple(sorted(g.order_histogram.items())))
     return _CATALOG.get(key, "other")
 
 
@@ -189,32 +186,26 @@ class SwitchingGroup(FiniteGroup):
     """(switch_mask, perm) pairs stored as canonical lifts, in tuple order:
     by switching mask, then permutation. On a connected graph a lift is
     fixed by its permutation, so the group is isomorphic to its group of
-    permutations: element orders and commutativity are read from
-    permutations, and no Cayley table is built. ``known``, permutations
-    that generate the group and the histogram of its element orders, is
+    permutations: element orders are read from permutations, and no Cayley
+    table is built. ``histogram``, the histogram of element orders, is
     given only for a list known to be a group (a conjugate of a checked
-    one); otherwise the closure check finds the generators."""
+    one); otherwise the closure check runs."""
 
-    def __init__(self, elements, known=None):
+    def __init__(self, elements, histogram=None):
         elements = sorted(elements)
         self.by_perm = {e[1]: e for e in elements}
         if len(self.by_perm) != len(elements):
             raise GroupAxiomError("two elements share a permutation")
-        if known:
-            self.generators, self.order_histogram = known
+        if histogram:
+            self.order_histogram = histogram
         super().__init__(elements)
 
     def _check(self) -> None:
-        if "generators" not in self.__dict__:
-            self.generators = _closure_generators(self.by_perm)
+        if "order_histogram" not in self.__dict__:
+            _check_closure(self.by_perm)
 
     def element_order(self, i: int) -> int:
         return perm_order(self.elements[i][1])
-
-    def is_abelian(self) -> bool:
-        """Whether the generators commute pairwise."""
-        return all(compose(a, b) == compose(b, a)
-                   for a, b in itertools.combinations(self.generators, 2))
 
     def is_subgroup(self, other: "SwitchingGroup") -> bool:
         """Whether every element lies in other; both are checked groups
@@ -222,14 +213,13 @@ class SwitchingGroup(FiniteGroup):
         return all(e in other.index for e in self.elements)
 
 
-def _closure_generators(by_perm) -> tuple[tuple[int, ...], ...]:
+def _check_closure(by_perm) -> None:
     """Check that the (switch_mask, perm) pairs by_perm lists (keyed by
     permutation) form a group, by closure under greedy generators, |S|·|T|
     products in place of |S|^2 Cayley cells: each element not yet reached
     becomes a generator, and each reached element is multiplied once by
     each generator. Each product, canonicalised, must be listed; with the
-    identity listed, the list is then the group the generators generate.
-    Returns the permutations of the generators."""
+    identity listed, the list is then the group the generators generate."""
     n = len(next(iter(by_perm), ()))
     one = identity_perm(n)
     if by_perm.get(one) != (0, one):
@@ -245,8 +235,8 @@ def _closure_generators(by_perm) -> tuple[tuple[int, ...], ...]:
         while work:
             (x, p), ts = work.pop()
             # the semidirect product, canonicalised, inlined: the switching
-            # set of t is pulled back through p, pushed through p's inverse
-            lo, hi = _push_tables(inverse(p))
+            # set of t is pulled back through p
+            lo, hi = _pull_tables(p)
             for y, r in ts:
                 q = compose(p, r)
                 z = x ^ lo[y & low] ^ hi[y >> h]
@@ -256,7 +246,6 @@ def _closure_generators(by_perm) -> tuple[tuple[int, ...], ...]:
                 if q not in reached:
                     reached[q] = c
                     work.append((c, tuple(gens)))
-    return tuple(r for _, r in gens)
 
 
 @lru_cache(maxsize=8)
@@ -274,7 +263,7 @@ def _automorphism_edge_maps(g: Graph):
 def _switching_class(g: Graph, z: int):
     """What every signature with syndrome z shares, found once per
     switching class: the automorphisms p of g that lift (those that fix z),
-    each as (X, p, push tables), with X the switching part of its lift on
+    each as (X, p, pull tables), with X the switching part of its lift on
     the chord representative ``chord_mask(g, z)`` and the tables that pull
     vertex masks back through p."""
     b = chord_mask(g, z)
@@ -288,21 +277,19 @@ def _switching_class(g: Graph, z: int):
             moved = 0
             for j in bbits:
                 moved |= pull[j]
-            lifts.append((forest_preimage(g, b ^ moved), p,
-                          _push_tables(inverse(p))))
+            lifts.append((forest_preimage(g, b ^ moved), p, _pull_tables(p)))
     return tuple(lifts)
 
 
 @lru_cache(maxsize=64)
-def _class_group(g: Graph, z: int):
-    """Permutations that generate SwAut of every signature with syndrome z,
-    from one closure check on the chord representative, and the histogram
-    of its element orders: the group of any other signature of the class
-    is its conjugate by the switching between them, with the same
-    permutations."""
+def _class_group(g: Graph, z: int) -> Counter:
+    """The histogram of element orders of SwAut of every signature with
+    syndrome z, after one closure check on the chord representative: the
+    group of any other signature of the class is its conjugate by the
+    switching between them, with the same permutations."""
     lifts = _switching_class(g, z)
-    return (_closure_generators({p: (x, p) for x, p, _ in lifts}),
-            Counter(perm_order(p) for _, p, _ in lifts))
+    _check_closure({p: (x, p) for x, p, _ in lifts})
+    return Counter(perm_order(p) for _, p, _ in lifts)
 
 
 @lru_cache(maxsize=8)
@@ -417,7 +404,8 @@ def _conjugation(alpha: tuple[int, ...]):
     permutation) pairs: the mask is moved by alpha, the switching set
     relabelled, and the permutation becomes alpha^-1 p alpha. alpha is
     inverted once."""
-    ai, (lo, hi) = inverse(alpha), _push_tables(alpha)
+    ai = inverse(alpha)
+    lo, hi = _pull_tables(ai)
     h = (len(alpha) + 1) // 2
     low = (1 << h) - 1
 

@@ -73,10 +73,16 @@ MUTANTS = (
            ("tests/test_coloring.py::"
             "test_color_at_two_refused_past_eleven_vertices",)),
     Mutant("degree order dropped from the colouring backtrack", COLORING,
-           "order = sorted(range(n), key=g.degree, reverse=True)",
-           "order = list(range(n))",
+           "for v in sorted(range(g.vertex_count), key=g.degree, "
+           "reverse=True):",
+           "for v in range(g.vertex_count):",
            ("tests/test_coloring.py::"
             "test_color_fails_fast_on_a_clique_beside_a_long_path",)),
+    Mutant("component counts summed, not multiplied", COLORING,
+           "        total *= extend(0)\n", "        total += extend(0)\n",
+           ("tests/test_coloring.py::"
+            "test_color_counts_each_component_on_its_own",
+            "tests/test_coloring.py::test_expansion_matches_the_backtrack")),
     Mutant("size check after the forest", CLUSTERING,
            "    if g.vertex_count > MAX_SEARCH_VERTICES:\n"
            "        raise SearchSizeError(\"graph too large for exact chromatic "
@@ -201,8 +207,8 @@ MUTANTS = (
            ("tests/test_groups.py::"
             "test_switching_group_rejects_bad_elements",)),
     Mutant("Aut closure check skipped", GROUPS,
-           "self.generators = _closure_generators(self.by_perm)",
-           "self.generators = tuple(self.by_perm)[1:]",
+           "            _check_closure(self.by_perm)\n",
+           "            pass\n",
            ("tests/test_groups.py::test_switching_group_rejects_bad_elements",
             "tests/test_groups.py::"
             "test_switching_group_accepts_exactly_the_subgroups",
@@ -212,11 +218,9 @@ MUTANTS = (
            "(size == n and x ^ full < x)", "(size == n and x ^ full > x)",
            ("tests/test_groups.py::"
             "test_coset_representatives_switch_at_most_half_the_vertices",)),
-    Mutant("every switching group abelian", GROUPS,
-           "        return all(compose(a, b) == compose(b, a)\n"
-           "                   for a, b in "
-           "itertools.combinations(self.generators, 2))\n",
-           "        return True\n",
+    Mutant("catalog key read in element order, not sorted", GROUPS,
+           "key = (g.order, tuple(sorted(g.order_histogram.items())))",
+           "key = (g.order, tuple(g.order_histogram.items()))",
            ("tests/test_groups.py::test_cayley_tables_match_oracle",
             "tests/test_groups.py::test_aut_and_swaut_tables")),
     Mutant("argv matcher keeping --k a string", CLI,

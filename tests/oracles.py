@@ -693,6 +693,37 @@ def hexagon_of_vertex(g, v):
     return Cycle.from_vertices(g, order)
 
 
+def _pair_circle_mask(pairs):
+    """Edge mask of the circle of the Petersen graph through the vertices
+    v_ij named by pairs, in order."""
+    g, lab = petersen()
+    verts = [lab.vertex(i, j) for i, j in pairs]
+    return sum(1 << g.index_of(u, v)
+               for u, v in zip(verts, verts[1:] + verts[:1]))
+
+
+def closed_form_pentagon_masks():
+    """The 12 pentagons of the Petersen graph, the Kneser graph K(5,2):
+    ab-cd-ea-bc-de, one for each cyclic order (a b c d e) of {1..5} up to
+    reversal (a = 1, b < e)."""
+    return {_pair_circle_mask(((a, b), (c, d), (e, a), (b, c), (d, e)))
+            for a, b, c, d, e in ((1, *rest) for rest in
+                                  itertools.permutations(range(2, 6)))
+            if b < e}
+
+
+def closed_form_hexagon_masks():
+    """The 10 hexagons of the Petersen graph: xp-yq-xr-yp-xq-yr, one for
+    each pair {x, y}, with {p, q, r} the other three; its vertices are those
+    that meet {x, y} once."""
+    out = set()
+    for x, y in itertools.combinations(range(1, 6), 2):
+        p, q, r = sorted(set(range(1, 6)) - {x, y})
+        out.add(_pair_circle_mask(((x, p), (y, q), (x, r), (y, p), (x, q),
+                                   (y, r))))
+    return out
+
+
 def edge_distance(g, e, f):
     """Distance between edges in the line graph (adjacent edges: 1)."""
     if set(e) == set(f):

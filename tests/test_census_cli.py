@@ -230,7 +230,7 @@ def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
     from signedpetersen import coloring, groups
     preimages, closures, counted = [], [], []
     forest_preimage, count = groups.forest_preimage, coloring._count
-    closure = groups._closure_generators
+    closure = groups._check_closure
 
     def counted_preimage(g, d):
         preimages.append(d)
@@ -247,7 +247,7 @@ def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
     g = petersen()[0]
     assert run_cli(capsys, "group", "--mask", format_mask(rep_masks[0]))[0] == 0
     monkeypatch.setattr(groups, "forest_preimage", counted_preimage)
-    monkeypatch.setattr(groups, "_closure_generators", counted_closure)
+    monkeypatch.setattr(groups, "_check_closure", counted_closure)
     monkeypatch.setattr(coloring, "_count", counted_count)
     groups._switching_class.cache_clear()
     groups._class_group.cache_clear()
@@ -272,14 +272,14 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
                                                              rep_masks,
                                                              tmp_path):
     # A warm group --coset-table query on a P2,2 mask reads one lift list
-    # and runs one closure check, that of its Aut; SwAut's generators come
-    # from the class cache. A cluster query and T10 read the cluster number
+    # and runs one closure check, that of its Aut; SwAut's order histogram
+    # comes from the class cache. A cluster query and T10 read the cluster number
     # from the positive forest: no witness circle, and no graph built on
     # the components.
     from functools import lru_cache
     from signedpetersen import groups
     lifted, closures, cycles, built = [], [], [], []
-    lifts, closure = groups._lifts.__wrapped__, groups._closure_generators
+    lifts, closure = groups._lifts.__wrapped__, groups._check_closure
     tree_cycle, graph_init = graphs.tree_cycle, Graph.__init__
 
     def counted_lifts(s):
@@ -302,7 +302,7 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
     assert run_cli(capsys, "group", "--mask", format_mask(m),
                    "--coset-table")[0] == 0
     monkeypatch.setattr(groups, "_lifts", lru_cache(maxsize=8)(counted_lifts))
-    monkeypatch.setattr(groups, "_closure_generators", counted_closure)
+    monkeypatch.setattr(groups, "_check_closure", counted_closure)
     for module in (graphs, clustering, signed):
         monkeypatch.setattr(module, "tree_cycle", counted_cycle)
     monkeypatch.setattr(Graph, "__init__", counted_init)

@@ -294,21 +294,61 @@ def test_color_at_two_refused_past_eleven_vertices(capsys, tmp_path,
         "zero-free chromatic number 2\n")
 
 
-def test_color_fails_fast_on_a_clique_beside_a_long_path(tmp_path):
-    # all positive: a 10-vertex path beside a K6, which has no colouring at
-    # k = 2; in index order the first-stop search walked every colouring of
-    # the path before each K6 failure, and by degree the clique fails first
-    edges = [(i, i + 1) for i in range(9)] + \
-        list(itertools.combinations(range(10, 16), 2))
-    path = tmp_path / "path_k6.txt"
+def color_k1_run(tmp_path, n, edges):
+    """`color --k 1 --file` on the all-positive graph, in a subprocess with
+    a timeout: (exit code, stdout, stderr)."""
+    path = tmp_path / "graph.txt"
     path.write_text(serialize_signed_graph(
-        SignedGraph(Graph.from_edges(16, edges), 0)))
+        SignedGraph(Graph.from_edges(n, edges), 0)))
     src = str(Path(signedpetersen.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "signedpetersen.cli", "color", "--k", "1",
          "--file", str(path)], capture_output=True, text=True, env=env,
-        timeout=20)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        2, "", "error: chromatic number exceeds the k <= 2 budget\n")
+        timeout=10)
+    return done.returncode, done.stdout, done.stderr
+
+
+BUDGET_FAILURE = (2, "", "error: chromatic number exceeds the k <= 2 budget\n")
+
+
+def test_color_fails_fast_on_a_clique_beside_a_long_path(tmp_path):
+    # all positive: a 10-vertex path beside a K6, which has no colouring at
+    # k = 2, and the same with the path joined to the K6 by the edge
+    # (9, 10); in index order the first-stop search walked every colouring
+    # of the path before each K6 failure, and by degree the clique fails
+    # first. The joined graph is one component, so only the degree order
+    # keeps it short.
+    k6 = list(itertools.combinations(range(10, 16), 2))
+    path = [(i, i + 1) for i in range(9)]
+    for edges in (path + k6, path + [(9, 10)] + k6):
+        assert color_k1_run(tmp_path, 16, edges) == BUDGET_FAILURE
+
+
+def test_color_counts_each_component_on_its_own(tmp_path):
+    # all positive: K5,5 on 0-9 beside a K6 on 10-15, all of degree 5, so
+    # the degree order keeps index order; a search over the whole graph
+    # walked every colouring of the K5,5 before each K6 failure at k = 2
+    k55 = [(a, b) for a in range(5) for b in range(5, 10)]
+    k6 = list(itertools.combinations(range(10, 16), 2))
+    assert color_k1_run(tmp_path, 16, k55 + k6) == BUDGET_FAILURE
+    s = SignedGraph(Graph.from_edges(16, k55 + k6), 0)
+    assert _count(s, 2, False, first=True) == 0
+    # the count of a disjoint union is the product of its components'
+    # brute-force counts: a signed pentagon, a signed K4 and an isolated
+    # vertex
+    c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    k4 = list(itertools.combinations(range(4), 2))
+    parts = [SignedGraph(Graph.from_edges(5, c5), 0b00100),
+             SignedGraph(Graph.from_edges(4, k4), 0b100110),
+             SignedGraph(Graph(1, ()), 0)]
+    union = SignedGraph(Graph.from_edges(10, c5 + [(u + 5, v + 5)
+                                                   for u, v in k4]),
+                        0b00100 | 0b100110 << 5)
+    for k in range(3):
+        for zf in (False, True):
+            want = 1
+            for part in parts:
+                want *= brute_count(part, k, zf)
+            assert _count(union, k, zf) == want, (k, zf)

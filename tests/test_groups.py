@@ -1,19 +1,22 @@
 import functools
 import itertools
+import math
 import operator
 import random
+from collections import Counter
 
 import pytest
 
+from signedpetersen.census import build_table
 from signedpetersen.expected import (AUT_LABELS, AUT_ORDERS, CLASS_NAMES,
                                      COPIES, SWAUT_LABELS, SWAUT_ORDERS,
                                      SWITCHING_CLASSES)
 from signedpetersen.graphs import (Graph, SearchSizeError, automorphism_images,
-                                   chord_mask, cut_space)
-from signedpetersen.groups import (CosetError, GroupAxiomError,
+                                   bits, chord_mask, cut_space)
+from signedpetersen.groups import (_CATALOG, CosetError, GroupAxiomError,
                                    SwitchingGroup, SwitchingPermutation,
-                                   _default_reps, aut_signed,
-                                   compose, coset_system,
+                                   _automorphism_edge_maps, _default_reps,
+                                   aut_signed, compose, coset_system,
                                    edge_permutation, format_cycles,
                                    identify_group, identity_perm,
                                    induced_permutation, inverse, orbit_counts,
@@ -173,24 +176,8 @@ def test_non_associative_tables_are_rejected():
     CayleyGroup(range(120), lambda a, b: (a + b) % 120)
 
 
-def test_identify_group_reference_constructions():
-    assert identify_group(perm_group((0,), degree=1)) == "1"
-    assert identify_group(perm_group((1, 0), degree=2)) == "Z2"
-    assert identify_group(perm_group((1, 2, 3, 0), degree=4)) == "Z4"
-    assert identify_group(
-        perm_group((1, 0, 2, 3), (0, 1, 3, 2), degree=4)) == "V4"
-    assert identify_group(perm_group((1, 0, 2), (0, 2, 1), degree=3)) == "S3"
-    # D4: rotation + reflection of a square
-    assert identify_group(
-        perm_group((1, 2, 3, 0), (1, 0, 3, 2), degree=4)) == "D4"
-    assert identify_group(
-        perm_group((1, 0, 2, 3), (1, 2, 3, 0), degree=4)) == "S4"
-    a5 = perm_group((1, 2, 0, 3, 4), (1, 2, 3, 4, 0), degree=5)
-    assert a5.order == 60 and identify_group(a5) == "A5"
-    s5 = perm_group((1, 0, 2, 3, 4), (1, 2, 3, 4, 0), degree=5)
-    assert s5.order == 120 and identify_group(s5) == "S5"
-    # Q8 from quaternion unit multiplication; separated from D4 by having a
-    # single involution
+def quaternion_group():
+    """Q8 from quaternion unit multiplication, on its Cayley table."""
     units = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     base = {("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
             ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
@@ -211,18 +198,85 @@ def test_identify_group_reference_constructions():
             sign, out = -sign, out[1:]
         return out if sign > 0 else "-" + out
 
-    q8 = CayleyGroup(units, qmul)
-    assert identify_group(q8) == "Q8"
-    d4 = perm_group((1, 2, 3, 0), (1, 0, 3, 2), degree=4)
-    assert q8.order == d4.order == 8
-    assert q8.order_histogram != d4.order_histogram
+    return CayleyGroup(units, qmul)
+
+
+def reference_groups():
+    """One group of each catalog label, built from generators or a
+    multiplication rule and checked on its Cayley table."""
+    return {
+        "1": perm_group((0,), degree=1),
+        "Z2": perm_group((1, 0), degree=2),
+        "Z4": perm_group((1, 2, 3, 0), degree=4),
+        "V4": perm_group((1, 0, 2, 3), (0, 1, 3, 2), degree=4),
+        "S3": perm_group((1, 0, 2), (0, 2, 1), degree=3),
+        # D4: rotation + reflection of a square
+        "D4": perm_group((1, 2, 3, 0), (1, 0, 3, 2), degree=4),
+        "Q8": quaternion_group(),
+        "S4": perm_group((1, 0, 2, 3), (1, 2, 3, 0), degree=4),
+        "A5": perm_group((1, 2, 0, 3, 4), (1, 2, 3, 4, 0), degree=5),
+        "S5": perm_group((1, 0, 2, 3, 4), (1, 2, 3, 4, 0), degree=5),
+    }
+
+
+def test_identify_group_reference_constructions():
+    groups = reference_groups()
+    assert [g.order for g in groups.values()] == \
+        [1, 2, 4, 4, 6, 8, 8, 24, 60, 120]
+    for label, g in groups.items():
+        assert identify_group(g) == label
+    # Q8 is separated from D4 by having a single involution
+    assert groups["Q8"].order_histogram != groups["D4"].order_histogram
+
+
+def cyclic_factorizations(n, least=2):
+    """Each way to write n as a product of factors of at least least, in
+    increasing order: Z_{n1} x ... x Z_{nk} runs over every abelian group
+    of order n, some more than once."""
+    if n == 1:
+        yield ()
+    for f in range(least, n + 1):
+        if n % f == 0:
+            for rest in cyclic_factorizations(n // f, f):
+                yield (f, *rest)
+
+
+def abelian_histogram(factors):
+    """Element-order histogram of Z_{n1} x ... x Z_{nk}: an element's order
+    is the lcm of its coordinates' orders n_i / gcd(a_i, n_i)."""
+    return Counter(
+        functools.reduce(math.lcm, (n // math.gcd(a, n)
+                                    for a, n in zip(coords, factors)), 1)
+        for coords in itertools.product(*map(range, factors)))
+
+
+def test_catalog_histograms_settle_commutativity():
+    # identify_group keys on order and element-order histogram alone; that
+    # names commutativity too, since no abelian group shares the histogram
+    # of a non-abelian catalog entry
+    groups = reference_groups()
+    abelian = 0
+    for (order, hist), label in _CATALOG.items():
+        g = groups[label]
+        assert (g.order, tuple(sorted(g.order_histogram.items()))) == \
+            (order, hist)
+        hists = {tuple(sorted(abelian_histogram(f).items()))
+                 for f in cyclic_factorizations(order)}
+        assert (hist in hists) == g.is_abelian(), label
+        abelian += g.is_abelian()
+    assert abelian == 4  # 1, Z2, Z4 and V4
+    # every abelian group of order 8, none of them D4 or Q8
+    assert {tuple(sorted(abelian_histogram(f).items()))
+            for f in cyclic_factorizations(8)} == {
+        ((1, 1), (2, 1), (4, 2), (8, 4)), ((1, 1), (2, 3), (4, 4)),
+        ((1, 1), (2, 7))}
 
 
 def test_identify_group_names_no_group_above_order_120(monkeypatch):
     # the elementary abelian group of order 128 is "other" before its
-    # commutativity or element orders are read
+    # element orders are read
     big = CayleyGroup(range(128), operator.xor)
-    monkeypatch.setattr(big, "is_abelian", None)
+    monkeypatch.setattr(big, "element_order", None)
     assert identify_group(big) == "other"
 
 
@@ -252,6 +306,31 @@ def test_orbit_counts(reps):
         copies, classes = orbit_counts(s)
         assert copies == COPIES[i], CLASS_NAMES[i]
         assert classes == SWITCHING_CLASSES[i], CLASS_NAMES[i]
+
+
+def test_burnside_counts_the_six_classes(pg):
+    # Aut(P) acts on the 64 cycle-space syndromes through each
+    # automorphism's column images; the fixed points sum to 6 * |Aut P|,
+    # and the orbit sizes are the census row "switching classes"
+    g, _ = pg
+    maps = _automorphism_edge_maps(g)
+
+    def act(cols, z):
+        image = 0
+        for t in bits(z):
+            image ^= cols[t]
+        return image
+
+    syndromes = range(1 << len(g.chords))
+    assert len(syndromes) == 64 and len(maps) == 120
+    fixed = sum(act(cols, z) == z for _, _, cols in maps for z in syndromes)
+    assert (fixed, fixed // len(maps)) == (720, 6)
+    orbits = {frozenset(act(cols, z) for _, _, cols in maps)
+              for z in syndromes}
+    sizes = sorted(map(len, orbits))
+    assert sizes == [1, 1, 2, 15, 15, 30]
+    assert sizes == sorted(dict(build_table("census").rows)
+                           ["switching classes"])
 
 
 def test_switching_scans_refuse_what_they_cannot_scan():
@@ -502,9 +581,9 @@ def test_cayley_tables_match_oracle(pg, reps):
         for group in (aut, w):
             oracle = oracle_group(group.elements)
             assert oracle.elements == group.elements, s.mask
-            assert (group.order, group.order_histogram, group.is_abelian(),
+            assert (group.order, group.order_histogram,
                     identify_group(group)) == \
-                (oracle.order, oracle.order_histogram, oracle.is_abelian(),
+                (oracle.order, oracle.order_histogram,
                  identify_group(oracle)), s.mask
         assert aut.is_subgroup(w)
         # orbit-stabilizer counts against the orders of the built groups

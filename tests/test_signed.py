@@ -11,9 +11,10 @@ from signedpetersen.signed import (SIX_ORDER, BalanceResult, SignedGraph,
                                    petersen_hexagon_masks, petersen_invariants,
                                    petersen_pentagon_masks, switch)
 
-from oracles import (adjacency, edge_sign, minimal_representative,
-                     negative_circle_counts, sign_of_circle,
-                     switching_equivalence)
+from oracles import (adjacency, closed_form_hexagon_masks,
+                     closed_form_pentagon_masks, edge_sign,
+                     minimal_representative, negative_circle_counts,
+                     sign_of_circle, switching_equivalence)
 
 
 def test_signed_graph_construction(pg):
@@ -113,6 +114,16 @@ def test_pentagon_hexagon_masks():
     for i in range(15):
         assert sum(1 for m in petersen_pentagon_masks() if m >> i & 1) == 4
         assert sum(1 for m in petersen_hexagon_masks() if m >> i & 1) == 4
+
+
+def test_pentagons_and_hexagons_have_closed_forms():
+    # on the pairs of {1..5}: ab-cd-ea-bc-de per cyclic order up to
+    # reversal, and xp-yq-xr-yp-xq-yr per pair {x, y}
+    pentagons = closed_form_pentagon_masks()
+    hexagons = closed_form_hexagon_masks()
+    assert (len(pentagons), len(hexagons)) == (12, 10)
+    assert pentagons == set(petersen_pentagon_masks())
+    assert hexagons == set(petersen_hexagon_masks())
 
 
 def test_classify_six(reps, rep_masks):
