@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification difference, 2 input error.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from functools import lru_cache
 from types import SimpleNamespace
@@ -16,10 +15,15 @@ from . import io as io_mod
 from .clustering import cluster_number, inclusterability_index
 from .coloring import chromatic_numbers, count_colorations
 from .frustration import frustration_index, frustration_number
-from .graphs import bits, petersen
+from .graphs import PETERSEN_PAIRS, bits, petersen
 from .groups import (aut_signed, coset_system, format_cycles, identify_group,
                      induced_permutation, swaut)
 from .signed import SignedGraph, petersen_invariants
+
+
+# The label "ij" of each Petersen vertex v_ij, in the lexicographic order of
+# the pairs: the labels of a switching set read off its bits come out sorted.
+_LABELS = tuple(f"{a}{b}" for a, b in PETERSEN_PAIRS)
 
 
 def _load(args) -> SignedGraph:
@@ -61,11 +65,11 @@ def cmd_group(args) -> int:
     print(f"swaut order {sw.order} label {identify_group(sw)}")
     if args.coset_table:
         system = coset_system(sw, aut)
-        labels, reps = _names()[0], system.representatives
+        reps = system.representatives
         print(f"cosets {len(reps)} "
               f"conjugation-closed {system.closed_under_conjugation}")
         print("\n".join(
-            f"rep {i}: switch {{{','.join([labels[v] for v in bits(x)])}}} "
+            f"rep {i}: switch {{{','.join([_LABELS[v] for v in bits(x)])}}} "
             f"perm {_vertex_perm_name(p)}" for i, (x, p) in enumerate(reps)))
     return 0
 
@@ -73,20 +77,22 @@ def cmd_group(args) -> int:
 def _vertex_perm_name(perm) -> str:
     """Cycle notation on {1..5} when the vertex permutation is induced from
     one, else the raw image vector."""
-    return _names()[1].get(tuple(perm)) or str(list(perm))
+    return _perm_name(tuple(perm))
 
 
-@lru_cache(maxsize=1)
-def _names():
-    """The label "ij" of each Petersen vertex v_ij, numbered in the
-    lexicographic order of the pairs, so that the labels of a switching set
-    read off its bits come out sorted; and the cycle notation of each of
-    the 120 permutations of {1..5}, keyed by the vertex permutation of the
-    Petersen graph it induces."""
-    _, lab = petersen()
-    return (tuple(f"{a}{b}" for a, b in lab.pair_of),
-            {induced_permutation(lab, base): format_cycles(base)
-             for base in itertools.permutations(range(1, 6))})
+@lru_cache(maxsize=256)
+def _perm_name(perm: tuple[int, ...]) -> str:
+    """``_vertex_perm_name`` of one permutation, once: it is induced, if at
+    all, from the permutation of {1..5} that sends i to the one element
+    shared by the images of the pairs that hold i."""
+    lab = petersen()[1]
+    shared = [set.intersection(*(set(lab.pair_of[w]) for w, p
+                                 in zip(perm, lab.pair_of) if i in p))
+              for i in range(1, 6)]
+    base = tuple(min(x, default=0) for x in shared)
+    if set(base) == {1, 2, 3, 4, 5} and induced_permutation(lab, base) == perm:
+        return format_cycles(base)
+    return str(list(perm))
 
 
 def cmd_color(args) -> int:

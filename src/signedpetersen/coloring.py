@@ -138,17 +138,18 @@ def _class_count(g: Graph, z: int, k: int, zero_free: bool,
 
 def chromatic_numbers(s: SignedGraph) -> tuple[int, int]:
     """(chi, chi_star): least k admitting a proper coloration, with and
-    then without the zero color; ``_count`` stops at its first one where
-    k != 1 (a 0-vertex graph has one, the empty coloration)."""
+    then without the zero color; ``_count`` stops at its first one at
+    k = 2. chi = 0 exactly when there is no edge, since with the colors
+    {0} only every edge is improper."""
     z = _class_syndrome(s, 0)
 
     def least(zero_free: bool) -> int:
-        for k in range(1 if zero_free else 0, MAX_K + 1):
+        for k in range(1, MAX_K + 1):
             if _class_count(s.graph, z, k, zero_free, k != 1):
                 return k
         raise BudgetError("chromatic number exceeds the k <= 2 budget")
 
-    return least(False), least(True)
+    return least(False) if s.graph.edges else 0, least(True)
 
 
 def alpha_k(s: SignedGraph, k: int) -> int:

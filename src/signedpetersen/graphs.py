@@ -172,9 +172,8 @@ class Graph(_Record):
 
     @_cached
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """All adjacency-preserving vertex bijections, as image tuples in
-        the order the backtracking search finds them; searched once per
-        graph."""
+        """All adjacency-preserving vertex bijections, as image tuples,
+        sorted; searched once per graph."""
         return _automorphism_search(self)
 
     def is_connected(self) -> bool:
@@ -477,37 +476,38 @@ def automorphism_images(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Backtracking over vertices with degree filtering and full adjacency
-    consistency, both ways on neighbour bitmasks, against already-mapped
-    vertices."""
+    """Backtracking in spanning-forest order on neighbour bitmasks. The
+    candidates of a vertex, the unused ones of its degree adjacent to the
+    images of its earlier neighbours, are one mask; one is taken when its
+    used neighbours are exactly those images (adjacency both ways). Sorted,
+    the images are in the lexicographic order of a search in vertex order."""
     n = g.vertex_count
     if n > MAX_SEARCH_VERTICES:
         raise SearchSizeError(f"{n} vertices exceeds cap {MAX_SEARCH_VERTICES}")
-    degs = [g.degree(v) for v in range(n)]
     adj = [sum(1 << w for w, _ in nv) for nv in g.neighbours]
-    result = []
-    image = [-1] * n
-    used = [False] * n
+    order = [v for v, _, _ in g.spanning_forest]
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [[u for u, _ in g.neighbours[v] if pos[u] < i]
+               for i, v in enumerate(order)]
+    like = [sum(1 << w for w in range(n)
+                if adj[w].bit_count() == adj[v].bit_count()) for v in order]
+    result, image = [], [-1] * n
 
-    def extend(i):
+    def extend(i, used):
         if i == n:
             result.append(tuple(image))
             return
-        for w in range(n):
-            if used[w] or degs[w] != degs[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if (adj[i] >> j ^ adj[w] >> image[j]) & 1:
-                    ok = False
-                    break
-            if ok:
-                image[i] = w
-                used[w] = True
-                extend(i + 1)
-                used[w] = False
-        image[i] = -1
+        need, free = 0, like[i] & ~used
+        for u in earlier[i]:
+            need |= 1 << image[u]
+            free &= adj[image[u]]
+        while free:
+            low = free & -free
+            free ^= low
+            w = low.bit_length() - 1
+            if adj[w] & used == need:
+                image[order[i]] = w
+                extend(i + 1, used | low)
 
-    extend(0)
-    return tuple(result)
-
+    extend(0, 0)
+    return tuple(sorted(result))

@@ -118,8 +118,11 @@ _pair = partial(tuple.__new__, SwitchingPermutation)
 
 
 def edge_permutation(g: Graph, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Index map sending each edge to its image edge."""
-    return tuple(g.index_of(perm[u], perm[v]) for u, v in g.edges)
+    """Index map sending each edge to its image edge, the one edge at both
+    image ends (``Graph.index_of`` on the incidence masks, inlined)."""
+    inc = g.incidence
+    return tuple((inc[perm[u]] & inc[perm[v]]).bit_length() - 1
+                 for u, v in g.edges)
 
 
 # ---------------------------------------------------------------------------

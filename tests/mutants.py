@@ -83,6 +83,12 @@ MUTANTS = (
            ("tests/test_coloring.py::"
             "test_color_counts_each_component_on_its_own",
             "tests/test_coloring.py::test_expansion_matches_the_backtrack")),
+    Mutant("chi = 0 read off the vertices, not the edges", COLORING,
+           "least(False) if s.graph.edges else 0",
+           "least(False) if s.graph.vertex_count else 0",
+           ("tests/test_coloring.py::"
+            "test_chromatic_number_is_zero_exactly_without_edges",
+            "tests/test_coloring.py::test_colorations_match_brute_force")),
     Mutant("size check after the forest", CLUSTERING,
            "    if g.vertex_count > MAX_SEARCH_VERTICES:\n"
            "        raise SearchSizeError(\"graph too large for exact chromatic "
@@ -162,8 +168,7 @@ MUTANTS = (
            ("tests/test_graphs.py::"
             "test_index_of_finds_each_edge_and_no_other_pair",)),
     Mutant("automorphism search tests adjacency one way", GRAPHS,
-           "if (adj[i] >> j ^ adj[w] >> image[j]) & 1:",
-           "if adj[i] >> j & 1 and not adj[w] >> image[j] & 1:",
+           "if adj[w] & used == need:", "if adj[w] & need == need:",
            ("tests/test_graphs.py::"
             "test_automorphism_search_extends_only_partial_isomorphisms",)),
     Mutant("one-pass edge check without the order test", GRAPHS,
@@ -214,6 +219,10 @@ MUTANTS = (
             "test_switching_group_accepts_exactly_the_subgroups",
             "tests/test_census_cli.py::"
             "test_warm_group_and_cluster_compute_only_what_they_print")),
+    Mutant("image edge one index too high", GROUPS,
+           "(inc[perm[u]] & inc[perm[v]]).bit_length() - 1",
+           "(inc[perm[u]] & inc[perm[v]]).bit_length()",
+           ("tests/test_groups.py::test_edge_permutation",)),
     Mutant("coset tie-break inverted", GROUPS,
            "(size == n and x ^ full < x)", "(size == n and x ^ full > x)",
            ("tests/test_groups.py::"

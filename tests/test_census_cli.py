@@ -347,8 +347,9 @@ def test_classify_and_color_read_each_switching_class_once(capsys,
                                                           monkeypatch,
                                                           rep_masks):
     """On two switching-equivalent masks, classify runs the l search and
-    color --k 1 the k = 0 and k = 2 backtracks for the first only; the
-    second reads every line from the per-class caches."""
+    color --k 1 the k = 2 backtrack for the first only; the second reads
+    every line from the per-class caches. chi = 0 is read off the edge
+    list, so no k = 0 backtrack runs."""
     from signedpetersen import coloring
     walks, counted = [], []
     least_edges, count = signed.least_edges, coloring._count
@@ -382,7 +383,7 @@ def test_classify_and_color_read_each_switching_class_once(capsys,
     assert answers[:2] == answers[2:]
     assert answers[0].startswith("class P2,2\n")
     assert answers[1].endswith("zero-free chromatic number 2\n")
-    assert len(walks) == 1 and sorted(counted) == [0, 2]
+    assert len(walks) == 1 and counted == [2]
 
 
 def test_table_artifacts_render():
@@ -561,15 +562,55 @@ def test_cli_group(capsys, rep_masks):
 
 
 def test_vertex_perm_name(pg):
+    # each of the 120 permutations of {1..5}, from the vertex permutation it
+    # induces given as a list or a tuple
     g, lab = pg
-    from signedpetersen.groups import induced_permutation
+    from signedpetersen.groups import format_cycles, induced_permutation
     from oracles import parse_cycles
-    for text in ("()", "(12)(45)", "(145)", "(12345)"):
-        perm = induced_permutation(lab, parse_cycles(text))
-        assert cli._vertex_perm_name(list(perm)) == text
-    # a vertex permutation induced by no permutation of {1..5}
-    swapped = [1, 0] + list(range(2, 10))
-    assert cli._vertex_perm_name(swapped) == str(swapped)
+    for base in itertools.permutations(range(1, 6)):
+        perm = induced_permutation(lab, base)
+        for given_perm in (list(perm), perm):
+            name = cli._vertex_perm_name(given_perm)
+            assert name == format_cycles(base) and parse_cycles(name) == base
+    assert cli._vertex_perm_name(list(induced_permutation(
+        lab, parse_cycles("(12)(45)")))) == "(12)(45)"
+    # vertex vectors induced by no permutation of {1..5}: a transposition
+    # of two vertices, and a map of every vertex to vertex 0
+    for vector in ([1, 0] + list(range(2, 10)), [0] * 10):
+        assert cli._vertex_perm_name(vector) == str(vector)
+        assert cli._vertex_perm_name(tuple(vector)) == str(vector)
+
+
+def test_coset_table_names_only_the_printed_permutations(capsys, monkeypatch,
+                                                         rep_masks):
+    # a cold group --coset-table names each printed representative's
+    # permutation at most once, not all 120 of S5; warm, it names none
+    from signedpetersen import groups
+    named = []
+    format_cycles = cli.format_cycles
+
+    def counted_format(base):
+        named.append(base)
+        return format_cycles(base)
+
+    monkeypatch.setattr(cli, "format_cycles", counted_format)
+    caches = (cli._perm_name, graphs.petersen, groups._automorphism_edge_maps,
+              groups._switching_class, groups._class_group, groups._lifts)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "group", "--mask",
+                               format_mask(rep_masks[4]), "--coset-table")
+        reps = [ln for ln in out.splitlines() if ln.startswith("rep ")]
+        assert code == 0 and len(reps) == 10
+        assert 1 <= len(named) <= len(reps) and len(set(named)) == len(named)
+        named.clear()
+        assert run_cli(capsys, "group", "--mask", format_mask(rep_masks[4]),
+                       "--coset-table")[1] == out
+        assert named == []
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_cli_color_and_cluster(capsys, rep_masks):

@@ -168,6 +168,21 @@ def test_colorations_match_brute_force():
     assert beyond >= 2
 
 
+def test_chromatic_number_is_zero_exactly_without_edges():
+    # with the colour 0 alone every edge is improper: an edgeless graph of
+    # 0-6 vertices has chi 0, a one-edge graph of either sign, with an
+    # isolated vertex beside it or not, has none at k = 0 and chi 1
+    for n in range(7):
+        s = SignedGraph(Graph(n, ()), 0)
+        assert brute_count(s, 0, False) == count_colorations(s, 0) == 1
+        assert chromatic_numbers(s) == (0, 1), n
+    for n, mask in itertools.product((2, 3), (0, 1)):
+        s = SignedGraph(Graph(n, ((0, 1),)), mask)
+        assert brute_count(s, 0, False) == count_colorations(s, 0) == 0
+        assert brute_count(s, 1, False) and brute_count(s, 1, True)
+        assert chromatic_numbers(s) == (1, 1), (n, mask)
+
+
 def test_petersen_colorations_match_brute_force(reps):
     # at k = 1 every one of the 3^10 assignments (2^10 without zero), on the
     # six representatives and their negations; chi and chi* are the least k

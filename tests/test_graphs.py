@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 from collections import Counter
 
@@ -12,6 +13,7 @@ from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
                                    automorphism_images, cut_mask, cut_space,
                                    enumerate_cycles, petersen, syndrome,
                                    vertex_sets)
+from signedpetersen.groups import induced_permutation
 from signedpetersen.signed import SIX_ORDER, SignedGraph
 
 from oracles import (MatchingClass, adjacency, all_independent_sets,
@@ -307,23 +309,72 @@ def search_nodes(g):
 
 
 def partial_isomorphisms(g):
-    """The injective maps of each prefix 0..i-1 of the vertices, i = 0..n,
-    that keep degrees, adjacency and non-adjacency."""
+    """The injective maps of each prefix of the search's vertex order, the
+    spanning-forest order, that keep degrees, adjacency and non-adjacency:
+    the first i vertices of that order, i = 0..n."""
     adj, n = adjacency(g), g.vertex_count
+    order = [v for v, _, _ in g.spanning_forest]
     return sum(1 for i in range(n + 1)
                for image in itertools.permutations(range(n), i)
-               if all(len(adj[v]) == len(adj[w]) for v, w in enumerate(image))
-               and all((u in adj[v]) == (image[u] in adj[image[v]])
-                       for u, v in itertools.combinations(range(i), 2)))
+               if all(len(adj[v]) == len(adj[w]) for v, w in zip(order, image))
+               and all((order[a] in adj[order[b]]) == (image[a] in adj[image[b]])
+                       for a, b in itertools.combinations(range(i), 2)))
 
 
-def test_automorphism_search_extends_only_partial_isomorphisms():
-    # the search extends a partial map only while it keeps adjacency both
-    # ways; a test one way only finds the same automorphisms through more
-    # partial maps
+def test_automorphism_search_extends_only_partial_isomorphisms(pg):
+    # the search extends a partial map of a prefix of its own vertex order
+    # only while it keeps adjacency both ways; a test one way only finds the
+    # same automorphisms through more partial maps, on the seeded graphs
+    # (in spanning-forest order the symmetric ones here show no extra map).
+    # On the Petersen graph the count is pinned: 881 nodes (vertex order
+    # 0..9 took 1,091).
     pentagram = Graph.from_edges(5, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
-    for g in (pentagram, k33(), two_components()):
-        assert search_nodes(g) == partial_isomorphisms(g)
+    rng = random.Random(73)
+    seeded = [Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                   if rng.random() < 0.5])
+              for n in (5, 6, 6, 7, 7, 7)]
+    for g in (pentagram, k33(), two_components(), *seeded):
+        assert search_nodes(g) == partial_isomorphisms(g), g
+    assert search_nodes(pg[0]) == 881
+
+
+def cube():
+    return Graph.from_edges(8, [(v, v ^ 1 << b) for v in range(8)
+                                for b in range(3)])
+
+
+def brute_automorphisms(g):
+    """Every vertex permutation that maps the edge set onto itself, in
+    lexicographic order."""
+    edges = set(g.edges)
+    return tuple(p for p in itertools.permutations(range(g.vertex_count))
+                 if all((min(p[u], p[v]), max(p[u], p[v])) in edges
+                        for u, v in g.edges))
+
+
+def test_automorphism_search_matches_brute_force(pg):
+    # the same tuple, in lexicographic order, as trying every permutation:
+    # K1-K5, C5, the pentagram, K3,3, the 3-cube, three components, and
+    # seeded random graphs of up to seven vertices
+    pentagram = Graph.from_edges(5, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
+    fixed = [Graph.from_edges(n, itertools.combinations(range(n), 2))
+             for n in range(1, 6)]
+    fixed += [c5(), pentagram, k33(), cube(), two_components()]
+    rng = random.Random(71)
+    seeded = []
+    for i in range(48):
+        n = i % 8
+        density = rng.choice((0.2, 0.4, 0.6, 0.8))
+        seeded.append(Graph.from_edges(n, [
+            e for e in itertools.combinations(range(n), 2)
+            if rng.random() < density]))
+    for g in fixed + seeded:
+        assert automorphism_images(g) == brute_automorphisms(g), g
+    assert len(automorphism_images(cube())) == 48
+    g, lab = pg
+    assert automorphism_images(g) == tuple(sorted(
+        induced_permutation(lab, base)
+        for base in itertools.permutations(range(1, 6))))
 
 
 def test_search_size_guard():
