@@ -132,6 +132,22 @@ def test_cut(pg):
             g, [v for v in range(10) if x >> v & 1]))
 
 
+def pentagram():
+    return Graph.from_edges(5, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
+
+
+def seeded_graphs(seed, sizes):
+    """A random graph of each size, of a seeded edge density."""
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        density = rng.choice((0.2, 0.4, 0.6, 0.8))
+        out.append(Graph.from_edges(n, [
+            e for e in itertools.combinations(range(n), 2)
+            if rng.random() < density]))
+    return out
+
+
 def two_components():
     # a triangle and a path, plus the isolated vertex 6: three components
     return Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
@@ -317,7 +333,8 @@ def partial_isomorphisms(g):
     return sum(1 for i in range(n + 1)
                for image in itertools.permutations(range(n), i)
                if all(len(adj[v]) == len(adj[w]) for v, w in zip(order, image))
-               and all((order[a] in adj[order[b]]) == (image[a] in adj[image[b]])
+               and all((order[a] in adj[order[b]]) ==
+                       (image[a] in adj[image[b]])
                        for a, b in itertools.combinations(range(i), 2)))
 
 
@@ -328,12 +345,8 @@ def test_automorphism_search_extends_only_partial_isomorphisms(pg):
     # (in spanning-forest order the symmetric ones here show no extra map).
     # On the Petersen graph the count is pinned: 881 nodes (vertex order
     # 0..9 took 1,091).
-    pentagram = Graph.from_edges(5, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
-    rng = random.Random(73)
-    seeded = [Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
-                                   if rng.random() < 0.5])
-              for n in (5, 6, 6, 7, 7, 7)]
-    for g in (pentagram, k33(), two_components(), *seeded):
+    seeded = seeded_graphs(84, (5, 6, 6, 7, 7, 7))
+    for g in (pentagram(), k33(), two_components(), *seeded):
         assert search_nodes(g) == partial_isomorphisms(g), g
     assert search_nodes(pg[0]) == 881
 
@@ -356,19 +369,10 @@ def test_automorphism_search_matches_brute_force(pg):
     # the same tuple, in lexicographic order, as trying every permutation:
     # K1-K5, C5, the pentagram, K3,3, the 3-cube, three components, and
     # seeded random graphs of up to seven vertices
-    pentagram = Graph.from_edges(5, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
     fixed = [Graph.from_edges(n, itertools.combinations(range(n), 2))
              for n in range(1, 6)]
-    fixed += [c5(), pentagram, k33(), cube(), two_components()]
-    rng = random.Random(71)
-    seeded = []
-    for i in range(48):
-        n = i % 8
-        density = rng.choice((0.2, 0.4, 0.6, 0.8))
-        seeded.append(Graph.from_edges(n, [
-            e for e in itertools.combinations(range(n), 2)
-            if rng.random() < density]))
-    for g in fixed + seeded:
+    fixed += [c5(), pentagram(), k33(), cube(), two_components()]
+    for g in fixed + seeded_graphs(71, [i % 8 for i in range(48)]):
         assert automorphism_images(g) == brute_automorphisms(g), g
     assert len(automorphism_images(cube())) == 48
     g, lab = pg
