@@ -11,17 +11,16 @@ the bitmasks of the components that their negative edges reach. Every
 cycle of a subgraph is a cycle of the original graph, so the minimum
 number of edge deletions reaching clusterability is the size of a least
 set meeting every "bad" circle, one with exactly one negative edge.
-No circle is listed. Both questions read one breadth-first forest of the
-positive edges that are kept, and a negative edge inside one of its
-components closes a bad circle with the forest path between its ends. The
-forest of all positive edges is kept on the signed graph, so a ``cluster``
-query builds it once for both questions.
+No circle is listed and no partition built. Both questions read one
+breadth-first forest of the positive edges that are kept, and a negative
+edge inside one of its components closes a bad circle with the forest path
+between its ends. The forest of all positive edges is kept on the signed
+graph, so a ``cluster`` query builds it once for both questions.
 """
 
 from __future__ import annotations
 
-from .graphs import (MAX_SEARCH_VERTICES, SearchSizeError, bits,
-                     forest_paths, tree_cycle)
+from .graphs import MAX_SEARCH_VERTICES, SearchSizeError, bits, forest_paths
 from .signed import SignedGraph
 
 MAX_EDGES = 20
@@ -97,24 +96,15 @@ def _clusters(s: SignedGraph) -> list[int]:
     return classes
 
 
-def is_clusterable(s: SignedGraph):
-    """(flag, witness), from one spanning forest of the positive subgraph.
-    If ``bad_edge`` finds a negative edge inside one component, the witness
-    is that edge, closed by the forest path between its ends. Otherwise it
-    is the fewest-parts partition with positive edges inside parts and
-    negative edges across: the vertices of each colour class of
-    ``_clusters``."""
-    bad = bad_edge(s)
-    forest, comp, _ = s.positive_forest
-    if bad:
-        return False, tree_cycle(s.graph, forest, *bad)
-    return True, tuple(frozenset(v for v, c in enumerate(comp) if part >> c & 1)
-                       for part in _clusters(s))
+def is_clusterable(s: SignedGraph) -> bool:
+    """Davis's criterion: no negative edge inside a positive component
+    (``bad_edge``), which refuses more than MAX_SEARCH_VERTICES vertices."""
+    return bad_edge(s) is None
 
 
 def cluster_number(s: SignedGraph) -> int | None:
     """Minimum cluster count, None when unclusterable: the number of colour
-    classes of ``_clusters``. No witness is built either way."""
+    classes of ``_clusters``."""
     return None if bad_edge(s) else len(_clusters(s))
 
 

@@ -1,5 +1,6 @@
-"""Unsigned graph foundation: Petersen construction, cycles, cuts and the
-cycle-space syndrome, spanning forests, vertex sets and automorphisms.
+"""Unsigned graph foundation: Petersen construction, cycles as edge masks,
+cuts and the cycle-space syndrome, spanning forests, vertex sets and
+automorphisms.
 
 All graphs are simple and undirected, with vertices 0..n-1 and a canonical
 (lexicographically sorted) edge list so that edge indices are deterministic.
@@ -221,69 +222,32 @@ def petersen() -> tuple[Graph, PetersenLabeling]:
 # Cycles
 # ---------------------------------------------------------------------------
 
-class Cycle(_Record):
-    """A simple cycle: its vertices in canonical rotation and the edge mask
-    of its edges (bit i set when edge i lies on it)."""
-
-    _fields = ("vertices", "edge_mask")
-
-    def __init__(self, vertices: tuple[int, ...], edge_mask: int):
-        self.__dict__.update(vertices=vertices, edge_mask=edge_mask)
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-    @classmethod
-    def from_vertices(cls, g: Graph, verts) -> "Cycle":
-        verts = tuple(verts)
-        if len(verts) < 3 or len(set(verts)) != len(verts):
-            raise ValueError(f"not a cycle: {verts}")
-        mask = 0
-        for a, b in zip(verts, verts[1:] + verts[:1]):
-            i = g.index_of(a, b)
-            if i < 0:
-                raise ValueError(f"not a cycle: {a}-{b} is not an edge")
-            mask |= 1 << i
-        return cls(_canonical_rotation(verts), mask)
-
-
-def _canonical_rotation(verts: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate to start at the least vertex; orient so the second vertex is
-    smaller than the last."""
-    i = verts.index(min(verts))
-    rot = verts[i:] + verts[:i]
-    if rot[1] > rot[-1]:
-        rot = (rot[0],) + tuple(reversed(rot[1:]))
-    return rot
-
-
-def enumerate_cycles(g: Graph, max_len: int) -> list[Cycle]:
-    """All simple cycles of length <= max_len, each exactly once, in a
-    deterministic order (by length, then vertex sequence)."""
-    if max_len > g.vertex_count:
-        max_len = g.vertex_count
-    adj = [[w for w, _ in nv] for nv in g.neighbours]
+def enumerate_cycles(g: Graph, max_len: int) -> tuple[int, ...]:
+    """Edge masks of all simple cycles of length <= max_len, each exactly
+    once, by length and then by vertex sequence. A cycle is walked from its
+    least vertex towards the smaller of that vertex's two neighbours on it,
+    so each is met once, with its edge mask gathered on the way."""
+    max_len = min(max_len, g.vertex_count)
+    nbrs = g.neighbours
     found = []
 
-    def dfs(root, path, visited):
+    def dfs(root, path, visited, mask):
         last = path[-1]
-        for w in adj[last]:
+        for w, i in nbrs[last]:
             if w == root and len(path) >= 3:
-                if path[1] < path[-1]:  # fix orientation: one copy per cycle
-                    found.append(tuple(path))
+                if path[1] < last:  # fix orientation: one copy per cycle
+                    found.append((len(path), tuple(path), mask | 1 << i))
             elif w > root and w not in visited and len(path) < max_len:
                 visited.add(w)
                 path.append(w)
-                dfs(root, path, visited)
+                dfs(root, path, visited, mask | 1 << i)
                 path.pop()
                 visited.remove(w)
 
     for root in range(g.vertex_count):
-        dfs(root, [root], {root})
-    cycles = [Cycle.from_vertices(g, vs) for vs in found]
-    cycles.sort(key=lambda c: (c.length, c.vertices))
-    return cycles
+        dfs(root, [root], {root}, 0)
+    found.sort()
+    return tuple(mask for _, _, mask in found)
 
 
 def bfs_forest(g: Graph, skip: int = 0) -> tuple[tuple[int, int, int], ...]:
@@ -327,20 +291,6 @@ def forest_paths(g: Graph, skip: int):
             comp[v] = comp[parent]
             up[v] = up[parent] | 1 << i
     return forest, tuple(comp), tuple(up)
-
-
-def tree_cycle(g: Graph, forest, u: int, w: int) -> Cycle:
-    """Cycle through edge uw and the path between u and w in forest, given
-    as ``bfs_forest`` triples of a forest of g."""
-    parent = {v: p for v, p, _ in forest}
-    up = [u]
-    while parent[up[-1]] >= 0:
-        up.append(parent[up[-1]])
-    at = {v: i for i, v in enumerate(up)}
-    down = [w]
-    while down[-1] not in at:
-        down.append(parent[down[-1]])
-    return Cycle.from_vertices(g, up[:at[down[-1]]] + down[::-1])
 
 
 # ---------------------------------------------------------------------------

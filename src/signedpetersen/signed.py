@@ -1,5 +1,5 @@
-"""Signed graphs: switching, balance, circle signs, switching equivalence,
-and the six-way classifier for signatures of the Petersen graph.
+"""Signed graphs: switching, balance, circle signs and the six-way
+classifier for signatures of the Petersen graph.
 
 A signature is stored as its sign mask over the canonical edge order (bit i
 set when edge i is negative), which searches read bit by bit; a circle is
@@ -7,6 +7,8 @@ negative when the mask meets its edge mask in an odd number of edges
 (``odd_count``). A switching set is a vertex mask (bit v set
 when vertex v is switched); switching it acts on the sign mask by XOR with
 the edge mask of its cut, from ``graphs.cut_mask`` or ``graphs.cut_space``.
+Balance is one test, a yes or no: the sign mask is a cut exactly when its
+cycle-space syndrome is 0 (Harary). No circle or bipartition is built.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import enum
 from functools import lru_cache
 
 from .frustration import least_edges, least_vertices
-from .graphs import (Cycle, Graph, _Record, _cached, bits, chord_mask,
-                     cut_mask, enumerate_cycles, forest_paths, forest_preimage,
-                     petersen, syndrome, tree_cycle)
+from .graphs import (Graph, _Record, _cached, chord_mask, cut_mask,
+                     enumerate_cycles, forest_paths, petersen, syndrome)
 
 
 class SignedGraph(_Record):
@@ -51,35 +52,10 @@ def negate(s: SignedGraph) -> SignedGraph:
     return SignedGraph(s.graph, s.mask ^ ((1 << len(s.graph.edges)) - 1))
 
 
-class BalanceResult(_Record):
-    _fields = ("balanced", "bipartition", "negative_cycle")
-
-    def __init__(self, balanced: bool,
-                 bipartition: tuple[frozenset, frozenset] | None,
-                 negative_cycle: Cycle | None):
-        self.__dict__.update(balanced=balanced, bipartition=bipartition,
-                             negative_cycle=negative_cycle)
-
-    def __bool__(self):
-        return self.balanced
-
-
-def is_balanced(s: SignedGraph) -> BalanceResult:
+def is_balanced(s: SignedGraph) -> bool:
     """A signature is balanced exactly when its negative edges form a cut
-    (Harary): X = forest_preimage(mask), the one candidate vertex set, must
-    have the mask as its cut. Balanced signatures get the
-    bipartition (V - X, X), positive edges inside a side; unbalanced ones
-    get a negative cycle, the edge of least index where cut(X) and the mask
-    differ (never a forest edge) closed by the forest paths from its ends."""
-    g = s.graph
-    x = forest_preimage(g, s.mask)
-    off = s.mask ^ cut_mask(g, x)
-    if not off:
-        neg = frozenset(bits(x))
-        return BalanceResult(True, (frozenset(range(g.vertex_count)) - neg, neg),
-                             None)
-    u, w = g.edges[(off & -off).bit_length() - 1]
-    return BalanceResult(False, None, tree_cycle(g, g.spanning_forest, u, w))
+    (Harary), that is when the sign mask has cycle-space syndrome 0."""
+    return not syndrome(s.graph, s.mask)
 
 
 def odd_count(mask: int, circles) -> int:
@@ -119,13 +95,13 @@ SIX_FINGERPRINT = {
 @lru_cache(maxsize=1)
 def petersen_pentagon_masks() -> tuple[int, ...]:
     g, _ = petersen()
-    return tuple(c.edge_mask for c in enumerate_cycles(g, 5) if c.length == 5)
+    return tuple(m for m in enumerate_cycles(g, 5) if m.bit_count() == 5)
 
 
 @lru_cache(maxsize=1)
 def petersen_hexagon_masks() -> tuple[int, ...]:
     g, _ = petersen()
-    return tuple(c.edge_mask for c in enumerate_cycles(g, 6) if c.length == 6)
+    return tuple(m for m in enumerate_cycles(g, 6) if m.bit_count() == 6)
 
 
 @lru_cache(maxsize=64)

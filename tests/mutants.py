@@ -42,7 +42,7 @@ class Mutant(NamedTuple):
 
 IO, COLORING = "src/signedpetersen/io.py", "src/signedpetersen/coloring.py"
 CLUSTERING = "src/signedpetersen/clustering.py"
-GRAPHS = "src/signedpetersen/graphs.py"
+GRAPHS, SIGNED = "src/signedpetersen/graphs.py", "src/signedpetersen/signed.py"
 FRUSTRATION = "src/signedpetersen/frustration.py"
 GROUPS, CLI = "src/signedpetersen/groups.py", "src/signedpetersen/cli.py"
 
@@ -123,11 +123,6 @@ MUTANTS = (
            ("tests/test_census_cli.py::test_cli_cluster_general_graph_files",
             "tests/test_cli_golden.py::"
             "test_group_and_cluster_digests_over_the_six_classes")),
-    Mutant("unclusterable cluster query builds the witness", CLUSTERING,
-           "return None if bad_edge(s) else",
-           "return None if not is_clusterable(s)[0] else",
-           ("tests/test_census_cli.py::"
-            "test_warm_group_and_cluster_compute_only_what_they_print",)),
     Mutant("cluster colouring tests the component, not its neighbours",
            CLUSTERING,
            "if not classes[j] & adj[c]:", "if not classes[j] & 1 << c:",
@@ -171,6 +166,21 @@ MUTANTS = (
            "if adj[w] & used == need:", "if adj[w] & need == need:",
            ("tests/test_graphs.py::"
             "test_automorphism_search_extends_only_partial_isomorphisms",)),
+    Mutant("cycle orientation check dropped", GRAPHS,
+           "if path[1] < last:  # fix orientation: one copy per cycle",
+           "if True:",
+           ("tests/test_graphs.py::test_cycle_census",
+            "tests/test_graphs.py::"
+            "test_enumerate_cycles_matches_the_cycle_listing",
+            "tests/test_signed.py::test_pentagon_hexagon_masks")),
+    Mutant("balance read off the mask, not the syndrome", SIGNED,
+           "return not syndrome(s.graph, s.mask)", "return not s.mask",
+           ("tests/test_signed.py::"
+            "test_is_balanced_matches_the_witness_on_every_petersen_signature",
+            "tests/test_signed.py::"
+            "test_is_balanced_matches_the_witness_on_seeded_graphs_and_twins",
+            "tests/test_properties.py::"
+            "test_balance_agrees_with_frustration_zero")),
     Mutant("one-pass edge check without the order test", GRAPHS,
            "if not (last < e and 0 <= u < v < vertex_count):",
            "if not (0 <= u < v < vertex_count):",

@@ -1,27 +1,148 @@
 """Reference routes the tests compare the program with, each computing a
 value the program also computes the slow and direct way, and the helpers
-only the tests use: edge and circle signs, the edge-list writer, groups
-checked on their Cayley tables, cycle notation, products, conjugates and
-actions of switching permutations, the coset product, matchings with their
-classes found two ways, a minimum vertex colouring, and the maximum
-inclusterability."""
+only the tests use: circles as vertex sequences with their edge masks, the
+balance and clusterability witnesses (a bipartition or a negative circle, a
+clustering partition or a circle with one negative edge), edge and circle
+signs, the edge-list writer, groups checked on their Cayley tables, cycle
+notation, products, conjugates and actions of switching permutations, the
+coset product, matchings with their classes found two ways, a minimum
+vertex colouring, and the maximum inclusterability."""
 
 import enum
 import itertools
 from functools import lru_cache
 
+from signedpetersen.clustering import _clusters, bad_edge
 from signedpetersen.coloring import _count, count_colorations
-from signedpetersen.graphs import (MAX_SEARCH_VERTICES, Cycle, Graph,
-                                   SearchSizeError, automorphism_images, bits,
-                                   cut_mask, cut_space, enumerate_cycles,
-                                   forest_preimage, petersen, span_basis,
-                                   syndrome, tree_cycle)
+from signedpetersen.graphs import (MAX_SEARCH_VERTICES, Graph, SearchSizeError,
+                                   _Record, automorphism_images, bits,
+                                   cut_mask, cut_space, forest_preimage,
+                                   petersen, span_basis, syndrome)
 from signedpetersen.groups import (CosetError, CosetSystem, FiniteGroup,
                                    GroupAxiomError, SwitchingGroup,
                                    SwitchingPermutation, _automorphism_edge_maps,
                                    _default_reps, compose,
                                    edge_permutation, identity_perm, inverse)
 from signedpetersen.signed import SignedGraph, switch
+
+
+class Cycle(_Record):
+    """A simple cycle: its vertices in canonical rotation and the edge mask
+    of its edges (bit i set when edge i lies on it)."""
+
+    _fields = ("vertices", "edge_mask")
+
+    def __init__(self, vertices: tuple[int, ...], edge_mask: int):
+        self.__dict__.update(vertices=vertices, edge_mask=edge_mask)
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices)
+
+    @classmethod
+    def from_vertices(cls, g: Graph, verts) -> "Cycle":
+        verts = tuple(verts)
+        if len(verts) < 3 or len(set(verts)) != len(verts):
+            raise ValueError(f"not a cycle: {verts}")
+        mask = 0
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            i = g.index_of(a, b)
+            if i < 0:
+                raise ValueError(f"not a cycle: {a}-{b} is not an edge")
+            mask |= 1 << i
+        return cls(_canonical_rotation(verts), mask)
+
+
+def _canonical_rotation(verts: tuple[int, ...]) -> tuple[int, ...]:
+    """Rotate to start at the least vertex; orient so the second vertex is
+    smaller than the last."""
+    i = verts.index(min(verts))
+    rot = verts[i:] + verts[:i]
+    if rot[1] > rot[-1]:
+        rot = (rot[0],) + tuple(reversed(rot[1:]))
+    return rot
+
+
+def list_cycles(g: Graph, max_len: int) -> list[Cycle]:
+    """All simple cycles of length <= max_len, each exactly once, sorted by
+    length and then vertex sequence: each closed path found, in either
+    direction, is put in canonical rotation and kept once."""
+    adj = adjacency(g)
+    found = set()
+
+    def dfs(path):
+        for w in adj[path[-1]]:
+            if w == path[0] and len(path) >= 3:
+                found.add(Cycle.from_vertices(g, path))
+            elif w > path[0] and w not in path and len(path) < max_len:
+                dfs(path + [w])
+
+    for root in range(g.vertex_count):
+        dfs([root])
+    return sorted(found, key=lambda c: (c.length, c.vertices))
+
+
+def tree_cycle(g: Graph, forest, u: int, w: int) -> Cycle:
+    """Cycle through edge uw and the path between u and w in forest, given
+    as ``bfs_forest`` triples of a forest of g."""
+    parent = {v: p for v, p, _ in forest}
+    up = [u]
+    while parent[up[-1]] >= 0:
+        up.append(parent[up[-1]])
+    at = {v: i for i, v in enumerate(up)}
+    down = [w]
+    while down[-1] not in at:
+        down.append(parent[down[-1]])
+    return Cycle.from_vertices(g, up[:at[down[-1]]] + down[::-1])
+
+
+class BalanceResult(_Record):
+    """Balance with its witness: the bipartition (positive side, negative
+    side) of a balanced signature, or a negative circle."""
+
+    _fields = ("balanced", "bipartition", "negative_cycle")
+
+    def __init__(self, balanced: bool,
+                 bipartition: tuple[frozenset, frozenset] | None,
+                 negative_cycle: Cycle | None):
+        self.__dict__.update(balanced=balanced, bipartition=bipartition,
+                             negative_cycle=negative_cycle)
+
+    def __bool__(self):
+        return self.balanced
+
+
+def balance_witness(s) -> BalanceResult:
+    """Balance by the cut of the forest preimage, not by the syndrome: a
+    signature is balanced exactly when its negative edges form a cut
+    (Harary), and X = forest_preimage(mask), the one candidate vertex set,
+    must have the mask as its cut. Balanced signatures get the bipartition
+    (V - X, X), positive edges inside a side; unbalanced ones get a
+    negative circle, the edge of least index where cut(X) and the mask
+    differ (never a forest edge) closed by the forest paths from its ends."""
+    g = s.graph
+    x = forest_preimage(g, s.mask)
+    off = s.mask ^ cut_mask(g, x)
+    if not off:
+        neg = frozenset(bits(x))
+        return BalanceResult(True, (frozenset(range(g.vertex_count)) - neg, neg),
+                             None)
+    u, w = g.edges[(off & -off).bit_length() - 1]
+    return BalanceResult(False, None, tree_cycle(g, g.spanning_forest, u, w))
+
+
+def cluster_witness(s):
+    """(flag, witness) from the program's own pieces, its positive forest,
+    ``bad_edge`` and ``_clusters``: a negative edge inside one positive
+    component, closed by the forest path between its ends, or the
+    fewest-parts partition with positive edges inside parts and negative
+    edges across, the vertices of each colour class of ``_clusters``."""
+    bad = bad_edge(s)
+    forest, comp, _ = s.positive_forest
+    if bad:
+        return False, tree_cycle(s.graph, forest, *bad)
+    return True, tuple(frozenset(v for v, c in enumerate(comp) if part >> c & 1)
+                       for part in _clusters(s))
 
 
 def cut(g, x):
@@ -81,7 +202,7 @@ def negative_circle_counts(s, lengths):
     listing."""
     lengths = set(lengths)
     counts = {k: 0 for k in lengths}
-    for c in enumerate_cycles(s.graph, max(lengths)):
+    for c in list_cycles(s.graph, max(lengths)):
         if c.length in lengths and sign_of_circle(s, c) < 0:
             counts[c.length] += 1
     return counts
@@ -308,7 +429,7 @@ def scan_lifts(s):
 @lru_cache(maxsize=8)
 def circle_masks(g):
     """Edge mask of every circle of g, once each."""
-    return tuple(c.edge_mask for c in enumerate_cycles(g, g.vertex_count))
+    return tuple(c.edge_mask for c in list_cycles(g, g.vertex_count))
 
 
 def bad_cycles(circles, neg_mask):
@@ -385,7 +506,7 @@ def minimum_coloring(g: Graph) -> list[int]:
 
 
 def clusterability_by_positive_graph(s):
-    """``is_clusterable`` from the spanning forest of a separate graph of
+    """``cluster_witness`` from the spanning forest of a separate graph of
     the positive edges: the least negative edge inside a positive
     component, closed by the forest path, or the fewest-parts partition
     from ``minimum_coloring`` of a separate graph of the negative edges on
@@ -419,7 +540,7 @@ def circle_hitting_sets(s):
     meeting every negative circle of s, from a fresh cycle listing: by
     Harary, deleting such a set balances s. The negative edges meet every
     negative circle, so their number caps both searches."""
-    negative = [c for c in enumerate_cycles(s.graph, s.graph.vertex_count)
+    negative = [c for c in list_cycles(s.graph, s.graph.vertex_count)
                 if sign_of_circle(s, c) < 0]
     cap = s.mask.bit_count()
     return (min_hitting_mask([c.edge_mask for c in negative], cap),

@@ -161,14 +161,14 @@ def test_criterion_09_property_suite(pg, reps):
         ok &= petersen_invariants(mask)[2] == \
             petersen_l0_by_spans(syndrome(g, mask))
         for c in cycles[:8]:
-            before = (c.edge_mask & mask).bit_count() & 1
-            after = (c.edge_mask & (mask ^ cut)).bit_count() & 1
+            before = (c & mask).bit_count() & 1
+            after = (c & (mask ^ cut)).bit_count() & 1
             ok &= before == after
     from signedpetersen.clustering import is_clusterable
     for _ in range(1000):
         s = SignedGraph(g, rng.randrange(1 << 15))
-        bad = any((c.edge_mask & s.mask).bit_count() == 1 for c in cycles)
-        ok &= is_clusterable(s)[0] == (not bad)
+        bad = any((c & s.mask).bit_count() == 1 for c in cycles)
+        ok &= is_clusterable(s) is not bad
     for _ in range(10):
         s = SignedGraph(g, rng.randrange(1 << 15))
         z = sum(1 << v for v in rng.sample(range(10), 5))

@@ -274,13 +274,12 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
     # A warm group --coset-table query on a P2,2 mask reads one lift list
     # and runs one closure check, that of its Aut; SwAut's order histogram
     # comes from the class cache. A cluster query and T10 read the cluster number
-    # from the positive forest: no witness circle, and no graph built on
-    # the components.
+    # from the positive forest, with no graph built on the components.
     from functools import lru_cache
     from signedpetersen import groups
-    lifted, closures, cycles, built = [], [], [], []
+    lifted, closures, built = [], [], []
     lifts, closure = groups._lifts.__wrapped__, groups._check_closure
-    tree_cycle, graph_init = graphs.tree_cycle, Graph.__init__
+    graph_init = Graph.__init__
 
     def counted_lifts(s):
         lifted.append(s.mask)
@@ -289,10 +288,6 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
     def counted_closure(by_perm):
         closures.append(len(by_perm))
         return closure(by_perm)
-
-    def counted_cycle(*args):
-        cycles.append(args)
-        return tree_cycle(*args)
 
     def counted_init(self, *args):
         built.append(args)
@@ -303,8 +298,6 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
                    "--coset-table")[0] == 0
     monkeypatch.setattr(groups, "_lifts", lru_cache(maxsize=8)(counted_lifts))
     monkeypatch.setattr(groups, "_check_closure", counted_closure)
-    for module in (graphs, clustering, signed):
-        monkeypatch.setattr(module, "tree_cycle", counted_cycle)
     monkeypatch.setattr(Graph, "__init__", counted_init)
     for x in (0b11, 0b1010010110):
         mask = m ^ cut_mask(g, x)
@@ -326,12 +319,8 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
                 assert run_cli(capsys, "cluster", "--mask", format_mask(x)) \
                     == (0, f"clusterable yes clusters "
                            f"{expected.CLUSTER_NUMBER[j]}\n", "")
-    assert cycles == [] and built == []
+    assert built == []
     assert build_table("T10").rows[0][1] == expected.CLUSTER_NUMBER
-    assert cycles == []
-    # the witness is still built where it is asked for
-    assert not clustering.is_clusterable(SignedGraph(g, m))[0]
-    assert len(cycles) == 1
     # the count needs no graph on the components: all-negative K16 has 16
     path = tmp_path / "k16.txt"
     path.write_text(serialize_signed_graph(SignedGraph(

@@ -8,14 +8,14 @@ from signedpetersen.clustering import (cluster_number, inclusterability_index,
                                        is_clusterable)
 from signedpetersen.expected import (CLUSTER_NUMBER, INCLUSTERABILITY,
                                      T10_COLUMNS)
-from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
-                                   enumerate_cycles)
+from signedpetersen.graphs import Graph, SearchSizeError
 from signedpetersen.signed import SignedGraph, negate
 
-from oracles import (MAX_INCLUSTERABILITY, adjacency, bad_cycles,
-                     circle_masks, clusterability_by_positive_graph,
-                     edge_index, edge_sign, inclusterability_by_circles,
-                     max_inclusterability, sign_of_circle)
+from oracles import (MAX_INCLUSTERABILITY, Cycle, adjacency, bad_cycles,
+                     circle_masks, cluster_witness,
+                     clusterability_by_positive_graph, edge_index, edge_sign,
+                     inclusterability_by_circles, max_inclusterability,
+                     sign_of_circle)
 
 
 def delete_edges(s, drop):
@@ -37,12 +37,20 @@ def t10_signatures(reps):
     return out
 
 
+def clusterable_by_the_positive_graph(s):
+    """Clusterability read off a separate graph of the positive edges, not
+    off ``bad_edge`` as ``is_clusterable`` reads it, so that a deletion set
+    is checked by a route of its own."""
+    return clusterability_by_positive_graph(s)[0]
+
+
 def test_clusterability_witnesses(pg, reps):
     g, _ = pg
-    ok, partition = is_clusterable(SignedGraph(g, 0))
+    ok, partition = cluster_witness(SignedGraph(g, 0))
     assert ok and len(partition) == 1
     for s in t10_signatures(reps):
-        ok, witness = is_clusterable(s)
+        ok, witness = cluster_witness(s)
+        assert is_clusterable(s) is ok
         if ok:
             # positive edges inside clusters, negative edges across
             owner = {}
@@ -52,7 +60,9 @@ def test_clusterability_witnesses(pg, reps):
             for u, v in s.graph.edges:
                 assert (owner[u] == owner[v]) == (edge_sign(s, u, v) > 0)
         else:
-            # witness is a circle with exactly one negative edge
+            # witness is a circle with exactly one negative edge, built
+            # where it is asked for
+            assert isinstance(witness, Cycle)
             assert sign_of_circle(s, witness) == -1
             assert (witness.edge_mask & s.mask).bit_count() == 1
 
@@ -63,7 +73,7 @@ def test_table_t10(reps):
     for i, s in enumerate(sigs):
         assert cluster_number(s) == CLUSTER_NUMBER[i], T10_COLUMNS[i]
         assert inclusterability_index(s)[0] == INCLUSTERABILITY[i], T10_COLUMNS[i]
-        assert is_clusterable(s)[0] == (CLUSTER_NUMBER[i] is not None)
+        assert is_clusterable(s) is (CLUSTER_NUMBER[i] is not None)
 
 
 def fewest_clusters(s):
@@ -107,8 +117,8 @@ def test_cluster_number_against_set_partitions(reps):
     for s in sigs:
         expected = fewest_clusters(s)
         assert cluster_number(s) == expected, s
-        ok, parts = is_clusterable(s)
-        assert ok == (expected is not None)
+        ok, parts = cluster_witness(s)
+        assert is_clusterable(s) is ok is (expected is not None)
         if ok:
             part_of = {v: i for i, p in enumerate(parts) for v in p}
             assert sum(map(len, parts)) == len(part_of) == s.graph.vertex_count
@@ -121,16 +131,17 @@ def test_cluster_number_against_set_partitions(reps):
 
 def test_inclusterability_witness(reps):
     for s in t10_signatures(reps):
-        if is_clusterable(s)[0]:
+        if is_clusterable(s):
             continue
         q, dels = inclusterability_index(s)
         assert len(dels) == q > 0
-        assert is_clusterable(delete_edges(s, dels))[0]
+        assert clusterable_by_the_positive_graph(delete_edges(s, dels))
         # minimality: no smaller deletion set works
         edges = list(s.graph.edges)
         import itertools
         for smaller in itertools.combinations(edges, q - 1):
-            assert not is_clusterable(delete_edges(s, smaller))[0]
+            assert not clusterable_by_the_positive_graph(
+                delete_edges(s, smaller))
 
 
 def test_one_negative_edge_criterion():
@@ -141,10 +152,9 @@ def test_one_negative_edge_criterion():
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
     for g in (k4, c5, k33):
-        cycles = enumerate_cycles(g, g.vertex_count)
         for mask in range(1 << len(g.edges)):
-            bad = any((c.edge_mask & mask).bit_count() == 1 for c in cycles)
-            assert is_clusterable(SignedGraph(g, mask))[0] == (not bad), mask
+            bad = bad_cycles(circle_masks(g), mask)
+            assert is_clusterable(SignedGraph(g, mask)) is not bool(bad), mask
 
 
 def test_max_inclusterability(pg):
@@ -176,7 +186,8 @@ def test_forest_witness_against_cycle_listing():
         density = rng.random()
         s = SignedGraph(g, sum(1 << i for i in range(len(g.edges))
                                if rng.random() < density))
-        ok, witness = is_clusterable(s)
+        ok, witness = cluster_witness(s)
+        assert is_clusterable(s) is ok
         if ok:
             part_of = {v: i for i, p in enumerate(witness) for v in p}
             assert sorted(part_of) == list(range(n))
@@ -187,9 +198,7 @@ def test_forest_witness_against_cycle_listing():
             assert (witness.edge_mask & s.mask).bit_count() == 1
             large_unclusterable += len(g.edges) > 20
         if n <= 12:
-            bad = any((c.edge_mask & s.mask).bit_count() == 1
-                      for c in enumerate_cycles(g, n))
-            assert ok == (not bad)
+            assert ok is not bool(bad_cycles(circle_masks(g), s.mask))
     assert large_unclusterable >= 10
 
 
@@ -212,15 +221,16 @@ def check_against_listing_routes(s):
     deletion set against those circles (by Davis, deleting it leaves a
     clusterable signature exactly when it meets all of them), the
     clusterability witness against the forest of a separate positive graph
-    and the colouring of a separate graph on its components, and the
-    cluster number against the witness."""
+    and the colouring of a separate graph on its components, the yes or no
+    against both witnesses, and the cluster number against the witness."""
     g = s.graph
     q, dels = inclusterability_index(s)
     assert q == len(dels) == inclusterability_by_circles(s).bit_count()
     hit = sum(1 << edge_index(g)[e] for e in dels)
     assert all(c & hit for c in bad_cycles(circle_masks(g), s.mask))
-    ok, witness = is_clusterable(s)
+    ok, witness = cluster_witness(s)
     assert (ok, witness) == clusterability_by_positive_graph(s)
+    assert is_clusterable(s) is ok
     assert cluster_number(s) == (len(witness) if ok else None)
 
 
@@ -255,5 +265,6 @@ def test_index_and_witness_match_the_listing_routes_on_seeded_graphs():
         s = SignedGraph(g, sum(1 << i for i in range(len(g.edges))
                                if rng.random() < density))
         check_against_listing_routes(s)
-        assert is_clusterable(delete_edges(s, inclusterability_index(s)[1]))[0]
+        assert clusterable_by_the_positive_graph(
+            delete_edges(s, inclusterability_index(s)[1]))
     assert dense == 120 and disconnected >= 120

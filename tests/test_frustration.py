@@ -15,10 +15,10 @@ from signedpetersen.frustration import (_edges_by_cuts, _edges_by_syndromes,
                                         least_vertices)
 from signedpetersen.graphs import (Graph, SearchSizeError, chord_mask,
                                    cut_space, petersen, syndrome)
-from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
+from signedpetersen.signed import SignedGraph, negate, switch
 
-from oracles import (circle_hitting_sets, delete_vertices, deletion_tables,
-                     edge_syndromes, independent_sets)
+from oracles import (balance_witness, circle_hitting_sets, delete_vertices,
+                     deletion_tables, edge_syndromes, independent_sets)
 
 
 def k4_signed(mask):
@@ -41,8 +41,8 @@ def test_six_class_values(reps):
         # switching, so flipping exactly those signs balances
         flipped = SignedGraph(s.graph, s.mask ^ sum(
             1 << s.graph.index_of(u, v) for u, v in we))
-        assert len(we) == l and is_balanced(flipped)
-        assert len(wv) == l0 and is_balanced(delete_vertices(s, wv))
+        assert len(we) == l and balance_witness(flipped)
+        assert len(wv) == l0 and balance_witness(delete_vertices(s, wv))
 
 
 def cut_dominance_check(s):
@@ -109,7 +109,7 @@ def test_balanced_without_matches_deleting_the_vertices():
         for w in (0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
             dropped = [v for v in range(n) if w >> v & 1]
             assert balanced_without(g, s.mask, w) == \
-                bool(is_balanced(delete_vertices(s, dropped))), (s, w)
+                bool(balance_witness(delete_vertices(s, dropped))), (s, w)
 
 
 def test_balanced_without_matches_the_deletion_tables():
@@ -132,7 +132,7 @@ def test_alpha_k_matches_the_per_set_count(pg):
         for k in (0, 1, 2):
             assert alpha_k(s, k) == sum(
                 1 for w in independent_sets(g, k)
-                if is_balanced(delete_vertices(s, w))), (mask, k)
+                if balance_witness(delete_vertices(s, w))), (mask, k)
 
 
 def test_frustration_number_of_all_negative_complete_graphs():
@@ -265,14 +265,14 @@ def test_circle_routes_match_cut_walk_and_subset_search():
         l = by_cuts.bit_count()
         assert by_syndromes.bit_count() == by_edge_circles.bit_count() == l, s
         for witness in (by_edge_circles, by_syndromes, by_cuts):
-            assert is_balanced(SignedGraph(g, s.mask ^ witness))
+            assert balance_witness(SignedGraph(g, s.mask ^ witness))
         assert len(frustration_index(s)[1]) == l
         by_subsets = least_vertices(g, s.mask)
         l0 = by_subsets.bit_count()
         assert by_vertex_circles.bit_count() == l0 <= l, s
         for witness in (by_vertex_circles, by_subsets):
             dropped = [v for v in range(g.vertex_count) if witness >> v & 1]
-            assert is_balanced(delete_vertices(s, dropped))
+            assert balance_witness(delete_vertices(s, dropped))
         assert len(frustration_number(s)[1]) == l0
 
 

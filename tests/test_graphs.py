@@ -9,19 +9,19 @@ from signedpetersen import graphs
 from signedpetersen.census import standard_mask
 from signedpetersen.coloring import _independent_sets
 from signedpetersen.clustering import cluster_number
-from signedpetersen.graphs import (Cycle, Graph, SearchSizeError,
+from signedpetersen.graphs import (Graph, SearchSizeError,
                                    automorphism_images, cut_mask, cut_space,
                                    enumerate_cycles, petersen, syndrome,
                                    vertex_sets)
 from signedpetersen.groups import induced_permutation
 from signedpetersen.signed import SIX_ORDER, SignedGraph
 
-from oracles import (MatchingClass, adjacency, all_independent_sets,
+from oracles import (Cycle, MatchingClass, adjacency, all_independent_sets,
                      all_matchings, classify_matching, closed_neighborhood,
                      cut, cut_preimage, deletion_tables, distances,
                      edge_distance, edge_index, geometric_matching_class,
                      hexagon_of_vertex, independent_sets, is_petersen,
-                     minimum_coloring)
+                     list_cycles, minimum_coloring)
 
 
 def k4():
@@ -94,17 +94,19 @@ def test_cycle_canonical_rotation(pg):
 
 
 def test_cycle_census(pg):
+    # each cycle once: an edge mask per cycle, its length its bit count
     g, _ = pg
-    pent = [c for c in enumerate_cycles(g, 5)]
-    assert len(pent) == 12 and all(c.length == 5 for c in pent)
-    hexes = [c for c in enumerate_cycles(g, 6) if c.length == 6]
+    pent = enumerate_cycles(g, 5)
+    assert len(pent) == 12 and all(m.bit_count() == 5 for m in pent)
+    hexes = [m for m in enumerate_cycles(g, 6) if m.bit_count() == 6]
     assert len(hexes) == 10
-    by_len = Counter(c.length for c in enumerate_cycles(g, 10))
+    by_len = Counter(m.bit_count() for m in enumerate_cycles(g, 10))
     assert by_len == {5: 12, 6: 10, 8: 15, 9: 20}
-    assert sum(by_len.values()) == 57
+    assert sum(by_len.values()) == len(set(enumerate_cycles(g, 10))) == 57
     # small-graph oracles
     assert len(enumerate_cycles(k4(), 4)) == 7
     assert len(enumerate_cycles(c5(), 5)) == 1
+    assert len(list_cycles(g, 10)) == 57
 
 
 def test_hexagon_of_vertex(pg):
@@ -379,6 +381,23 @@ def test_automorphism_search_matches_brute_force(pg):
     assert automorphism_images(g) == tuple(sorted(
         induced_permutation(lab, base)
         for base in itertools.permutations(range(1, 6))))
+
+
+def test_enumerate_cycles_matches_the_cycle_listing():
+    # the program's masks against the oracle's circles, in the same order
+    # (by length, then canonical vertex sequence), at every length cap: K3-K5,
+    # C5, the pentagram, K3,3, the 3-cube, three components, and seeded
+    # random graphs of up to eight vertices
+    fixed = [Graph.from_edges(n, itertools.combinations(range(n), 2))
+             for n in range(3, 6)]
+    fixed += [c5(), pentagram(), k33(), cube(), two_components()]
+    for g in fixed + seeded_graphs(29, [3 + i % 6 for i in range(60)]):
+        for cap in range(g.vertex_count + 2):
+            assert enumerate_cycles(g, cap) == tuple(
+                c.edge_mask for c in list_cycles(g, cap)), (g, cap)
+    # the 3-cube: six squares, sixteen hexagons, six octagons
+    assert Counter(m.bit_count() for m in enumerate_cycles(cube(), 8)) == \
+        {4: 6, 6: 16, 8: 6}
 
 
 def test_search_size_guard():

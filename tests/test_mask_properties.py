@@ -6,11 +6,12 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedpetersen.graphs import Cycle, Graph, enumerate_cycles
+from signedpetersen.graphs import Graph
 from signedpetersen.io import parse_signed_graph
 from signedpetersen.signed import SignedGraph, is_balanced, negate, switch
 
-from oracles import cut, edge_sign, serialize_signed_graph, sign_of_circle
+from oracles import (Cycle, balance_witness, cut, edge_sign, list_cycles,
+                     serialize_signed_graph, sign_of_circle)
 
 # Derandomized and with no example database, so every run draws the same
 # examples.
@@ -43,14 +44,15 @@ def test_balance_against_cycles_and_switchings(s):
     g = s.graph
     n = g.vertex_count
     all_cycles_positive = all(sign_of_circle(s, c) > 0
-                              for c in enumerate_cycles(g, n))
+                              for c in list_cycles(g, n))
     # balanced exactly when some switching makes every edge positive
     some_switching_positive = any(
         s.mask == sum(1 << i for i in cut(g, [v for v in range(n)
                                               if x >> v & 1]))
         for x in range(1 << n))
-    res = is_balanced(s)
-    assert bool(res) == all_cycles_positive == some_switching_positive
+    res = balance_witness(s)
+    assert is_balanced(s) == res.balanced == all_cycles_positive == \
+        some_switching_positive
     if res:
         pos, neg = res.bipartition
         assert pos | neg == frozenset(range(n)) and not pos & neg
@@ -73,7 +75,7 @@ def test_switch_is_an_involution_preserving_circle_signs(s, data):
     assert switch(t, x) == s
     xs = [v for v in range(n) if x >> v & 1]
     assert t.mask ^ s.mask == sum(1 << i for i in cut(s.graph, xs))
-    for c in enumerate_cycles(s.graph, n):
+    for c in list_cycles(s.graph, n):
         assert sign_of_circle(t, c) == sign_of_circle(s, c)
 
 
@@ -82,7 +84,7 @@ def test_switch_is_an_involution_preserving_circle_signs(s, data):
 def test_negate_flips_exactly_the_odd_cycles(s):
     t = negate(s)
     assert negate(t) == s
-    for c in enumerate_cycles(s.graph, s.graph.vertex_count):
+    for c in list_cycles(s.graph, s.graph.vertex_count):
         flipped = sign_of_circle(t, c) != sign_of_circle(s, c)
         assert flipped == (c.length % 2 == 1)
 

@@ -4,7 +4,8 @@ and a package import that leaves ``dataclasses`` and ``inspect`` unloaded.
 A switching permutation is not a record but the (switch_mask, perm) tuple
 with its fields named: it shares the records' equality, hash, repr and
 immutability by fields, is unequal to every record, and equals its plain
-pair."""
+pair. The circle and the balance witness of the oracles are records of the
+same kind."""
 
 import ast
 import os
@@ -16,11 +17,12 @@ import pytest
 
 import signedpetersen
 from signedpetersen.census import TableArtifact
-from signedpetersen.graphs import (Cycle, Graph, PetersenLabeling, _Record,
-                                   petersen)
+from signedpetersen.graphs import Graph, PetersenLabeling, _Record, petersen
 from signedpetersen.groups import (CosetSystem, SwitchingPermutation,
                                    coset_system)
-from signedpetersen.signed import BalanceResult, SignedGraph
+from signedpetersen.signed import SignedGraph
+
+from oracles import BalanceResult, Cycle
 
 PATH3 = ((0, 1), (1, 2))
 

@@ -4,17 +4,17 @@ import pytest
 
 from signedpetersen.expected import (CLASS_NAMES, NEGATIVE_HEXAGONS,
                                      NEGATIVE_PENTAGONS)
-from signedpetersen.graphs import Graph, cut_space, enumerate_cycles
-from signedpetersen.signed import (SIX_ORDER, BalanceResult, SignedGraph,
-                                   classify_six,
+from signedpetersen.graphs import Graph, cut_mask, cut_space, petersen
+from signedpetersen.signed import (SIX_ORDER, SignedGraph, classify_six,
                                    classify_six_mask, is_balanced, negate,
                                    petersen_hexagon_masks, petersen_invariants,
                                    petersen_pentagon_masks, switch)
 
-from oracles import (adjacency, closed_form_hexagon_masks,
-                     closed_form_pentagon_masks, edge_sign,
+from oracles import (adjacency, balance_witness, closed_form_hexagon_masks,
+                     closed_form_pentagon_masks, edge_sign, list_cycles,
                      minimal_representative, negative_circle_counts,
                      sign_of_circle, switching_equivalence)
+from test_graphs import seeded_graphs
 
 
 def test_signed_graph_construction(pg):
@@ -44,7 +44,7 @@ def test_switching_function(pg):
 def test_switch_preserves_circle_signs(pg):
     g, _ = pg
     rng = random.Random(7)
-    cycles = enumerate_cycles(g, 6)
+    cycles = list_cycles(g, 6)
     for _ in range(25):
         s = SignedGraph(g, rng.randrange(1 << 15))
         z = sum(1 << v for v in rng.sample(range(10), rng.randrange(11)))
@@ -57,20 +57,63 @@ def test_switch_preserves_circle_signs(pg):
     assert switch(switch(s, z), z) == s
 
 
-def test_is_balanced_witnesses(pg):
+def test_balance_witnesses(pg):
     g, _ = pg
-    res = is_balanced(SignedGraph(g, 0))
+    res = balance_witness(SignedGraph(g, 0))
     assert res and res.bipartition == (frozenset(range(10)), frozenset())
     # switch of all-positive is balanced, bipartition = the switched set
-    res = is_balanced(switch(SignedGraph(g, 0), 0b1010010))
+    res = balance_witness(switch(SignedGraph(g, 0), 0b1010010))
     assert res
     pos, neg = res.bipartition
     assert neg == frozenset({1, 4, 6})
     # one negative edge is unbalanced with a genuinely negative cycle witness
     s = SignedGraph(g, 1)
-    res = is_balanced(s)
+    res = balance_witness(s)
     assert not res and res.bipartition is None
     assert sign_of_circle(s, res.negative_cycle) == -1
+
+
+def check_balance(s):
+    """is_balanced against the cut of the forest preimage, whose witness is
+    checked too: on balanced signatures the cut of the negative side is the
+    sign mask, on unbalanced ones the circle is negative. Returns the
+    flag."""
+    res = balance_witness(s)
+    assert is_balanced(s) is res.balanced, s
+    g = s.graph
+    if res.balanced:
+        pos, neg = res.bipartition
+        assert pos | neg == frozenset(range(g.vertex_count)) and not pos & neg
+        assert cut_mask(g, sum(1 << v for v in neg)) == s.mask, s
+        assert res.negative_cycle is None
+    else:
+        assert sign_of_circle(s, res.negative_cycle) == -1, s
+    return res.balanced
+
+
+def test_is_balanced_matches_the_witness_on_every_petersen_signature():
+    g = petersen()[0]
+    balanced = sum(check_balance(SignedGraph(g, mask))
+                   for mask in range(1 << 15))
+    assert balanced == 512  # one switching class, the 2^9 cuts
+
+
+def test_is_balanced_matches_the_witness_on_seeded_graphs_and_twins():
+    # each seeded graph with a random signature, a random cut (balanced)
+    # and each of those switched by a random vertex set
+    rng = random.Random(47)
+    balanced = switched = 0
+    for g in seeded_graphs(53, [i % 10 for i in range(150)]):
+        n = g.vertex_count
+        for mask in (rng.getrandbits(len(g.edges)),
+                     cut_mask(g, rng.getrandbits(n))):
+            s = SignedGraph(g, mask)
+            twin = switch(s, rng.getrandbits(n))
+            flag = check_balance(s)
+            assert check_balance(twin) == flag
+            balanced += flag
+            switched += flag and twin.mask != 0
+    assert balanced >= 150 and switched >= 100
 
 
 def test_switching_equivalence(pg):

@@ -65,6 +65,10 @@ def test_u_conjugate_aliases():
 
 
 def test_all_81_product_cells():
+    # a cell for each ordered pair of the nine representatives other than
+    # the identity
+    assert len(U_KEYS + W_KEYS) == 9
+    assert set(P32_CELLS) == set(itertools.product(U_KEYS + W_KEYS, repeat=2))
     reps, stab = build_p32_reps()
     for (rk, ck), (sign, wkey, nu) in P32_CELLS.items():
         prod = sp_multiply(reps[rk], reps[ck])

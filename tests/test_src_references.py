@@ -7,7 +7,9 @@ only from outside ``src``, each for its reason; the other functions the
 benchmark's tracer wraps by name are called in ``src`` as well. A public
 constructor stays referenced by its use in ``src`` (``petersen`` builds
 its graph with ``Graph.from_edges``). Every module-level import is read by
-its module."""
+its module. The test helpers (``oracles``, ``p32_tables``) are held to the
+same rule among the tests: each of their definitions is read by some test
+module, so code moved out of ``src`` cannot rot there unread."""
 
 import ast
 from pathlib import Path
@@ -15,12 +17,15 @@ from pathlib import Path
 import signedpetersen
 
 SRC = Path(signedpetersen.__file__).parent
+TESTS = Path(__file__).parent
+HELPERS = ("oracles.py", "p32_tables.py")
 
 KEPT = {
     "is_balanced": "the benchmark's tracer wraps it by name "
-                   "(signed.is_balanced)",
-    "is_clusterable": "the benchmark's tracer wraps it by name; the tests "
-                      "read its witnesses",
+                   "(signed.is_balanced); public API: balance as a yes or no",
+    "is_clusterable": "the benchmark's tracer wraps it by name "
+                      "(clustering.is_clusterable); public API: "
+                      "clusterability as a yes or no",
     "EXPECTED_ROWS": "the benchmark checks each table's output against it",
     "switch": "public API: switching a vertex set, the paper's basic "
               "operation",
@@ -61,19 +66,28 @@ def references(tree):
             yield node.id, node, True
 
 
-def unreferenced(src=SRC):
-    """Each definition in src that is referenced nowhere else, as
-    "file: name"."""
+def unreferenced(src=SRC, defining=None, hooks=()):
+    """Each definition in src (only in the files named in defining, when
+    given) that is referenced nowhere in src outside its own definition,
+    as "file: name". A method also counts as referenced when one of the
+    files in hooks reads its name as an attribute: it overrides a hook that
+    those files call."""
     trees = {p: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
     refs = {}
     for tree in trees.values():
         for name, node, plain in references(tree):
             refs.setdefault(name, []).append((id(node), plain))
+    hooked = {name for p in hooks
+              for name, _, plain in references(ast.parse(p.read_text()))
+              if not plain}
     for path, tree in trees.items():
+        if defining is not None and path.name not in defining:
+            continue
         for name, node, is_method in definitions(tree):
             own = {id(n) for n in ast.walk(node)}
-            if not any(ref not in own and not (is_method and plain)
-                       for ref, plain in refs.get(name, ())):
+            if not (is_method and name in hooked) and not any(
+                    ref not in own and not (is_method and plain)
+                    for ref, plain in refs.get(name, ())):
                 yield f"{path.name}: {name}"
 
 
@@ -112,6 +126,23 @@ def test_the_guard_sees_a_helper_that_only_tests_call(tmp_path):
                  "class _Box:\n    def unused(self):\n        pass\n")
     assert set(unreferenced(tmp_path)) >= {
         "graphs.py: _helper", "graphs.py: _Box", "graphs.py: unused"}
+
+
+def test_every_test_helper_is_read_by_the_tests():
+    # a method that overrides a hook the program calls, such as
+    # CayleyGroup._check, counts as read
+    assert list(unreferenced(TESTS, HELPERS, SRC.glob("*.py"))) == []
+
+
+def test_the_guard_sees_a_test_helper_that_no_test_reads(tmp_path):
+    for path in TESTS.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "oracles.py", "a") as fh:
+        fh.write("\n\ndef _orphan(g):\n    return _orphan\n\n"
+                 "class _Box:\n    def _check(self):\n        pass\n\n"
+                 "    def unused(self):\n        pass\n")
+    assert set(unreferenced(tmp_path, HELPERS, SRC.glob("*.py"))) == {
+        "oracles.py: _orphan", "oracles.py: _Box", "oracles.py: unused"}
 
 
 def test_every_src_import_is_read():
