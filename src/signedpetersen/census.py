@@ -15,22 +15,22 @@ from .frustration import frustration_number
 from .graphs import _Record, chord_mask, cut_space, petersen
 from .groups import aut_signed, identify_group, orbit_counts, swaut
 from .io import format_mask
-from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph, SixType,
+from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph,
                      classify_six_mask, negate, odd_count,
                      petersen_invariants, petersen_pentagon_masks)
 
 
-def standard_representative(t: SixType) -> SignedGraph:
+def standard_representative(t: str) -> SignedGraph:
     """The standard minimal signature of a class, from the embedded
     negative-edge lists."""
     return SignedGraph(petersen()[0], standard_mask(t))
 
 
 @lru_cache(maxsize=None)
-def standard_mask(t: SixType) -> int:
+def standard_mask(t: str) -> int:
     g, lab = petersen()
     mask = 0
-    for a, b in expected.STANDARD_NEGATIVE_EDGES[t.value]:
+    for a, b in expected.STANDARD_NEGATIVE_EDGES[t]:
         u = lab.vertex(int(a[0]), int(a[1]))
         v = lab.vertex(int(b[0]), int(b[1]))
         mask |= 1 << g.index_of(u, v)
@@ -260,5 +260,5 @@ def _census_checks(columns, rows) -> list[str]:
     return diffs + _row_diffs(
         "census [representative mask]",
         [f"{col} {text}" for col, text in zip(columns, texts)],
-        [(classify_six_mask(m).value, m.bit_count()) for m in masks],
+        [(classify_six_mask(m), m.bit_count()) for m in masks],
         list(zip(columns, expected.FRUSTRATION_INDEX)))

@@ -49,7 +49,7 @@ def cmd_classify(args) -> int:
         print(f"frustration number {frustration_number(s)[0]}")
         return 0
     six, l, l0, pentagons, hexagons = petersen_invariants(s.mask)
-    print(f"class {six.value}")
+    print(f"class {six}")
     print(f"frustration index {l}")
     print(f"frustration number {l0}")
     print(f"negative pentagons {pentagons}")

@@ -3,9 +3,9 @@ automorphism and switching-automorphism groups of signed graphs, coset
 representative systems, and isomorphism-type identification of small groups.
 
 An automorphism lifts to a switching automorphism exactly when it fixes
-the cycle-space syndrome of the sign mask, so the scan tests that first.
-Groups of switching automorphisms are checked by closure under generators
-and read as permutation groups, so no Cayley table is built.
+the cycle-space syndrome of the sign mask, so each switching class is
+scanned and closure-checked once (``_switching_class``). Groups of switching
+automorphisms are read as permutation groups: no Cayley table is built.
 
 Conventions. Permutations are image tuples over vertex ids and compose left
 to right: compose(p, q) applies p first. A switching automorphism has one
@@ -115,14 +115,6 @@ exact switching set (vertex bitmask) and a vertex permutation, acting
 switch-first."""
 # a pair from a 2-tuple, without the namedtuple's Python-level __new__
 _pair = partial(tuple.__new__, SwitchingPermutation)
-
-
-def edge_permutation(g: Graph, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Index map sending each edge to its image edge, the one edge at both
-    image ends (``Graph.index_of`` on the incidence masks, inlined)."""
-    inc = g.incidence
-    return tuple((inc[perm[u]] & inc[perm[v]]).bit_length() - 1
-                 for u, v in g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +245,14 @@ def _check_closure(by_perm) -> None:
 
 @lru_cache(maxsize=8)
 def _automorphism_edge_maps(g: Graph):
-    """Each automorphism p of g, built once per graph, with its pullback
-    of sign masks, the OR of pull[j] over the set bits j, and its action on
-    syndromes: cols[t] is the syndrome of the pullback of the t-th chord."""
-    maps = ((p, edge_permutation(g, inverse(p))) for p in automorphism_images(g))
-    return tuple((p, tuple(1 << i for i in inv),
-                  tuple(g.syndromes[inv[e]] for e in g.chords))
-                 for p, inv in maps)
+    """Each automorphism p of g, built once per graph, with the edges it
+    carries onto the chords: pulled[t] is the one edge at both preimages of
+    the ends of the t-th chord (``Graph.index_of``, inlined)."""
+    inc, chords = g.incidence, [g.edges[e] for e in g.chords]
+    maps = ((p, inverse(p)) for p in automorphism_images(g))
+    return tuple((p, tuple((inc[ai[u]] & inc[ai[v]]).bit_length() - 1
+                           for u, v in chords))
+                 for p, ai in maps)
 
 
 @lru_cache(maxsize=64)
@@ -267,32 +260,22 @@ def _switching_class(g: Graph, z: int):
     """What every signature with syndrome z shares, found once per
     switching class: the automorphisms p of g that lift (those that fix z),
     each as (X, p, pull tables), with X the switching part of its lift on
-    the chord representative ``chord_mask(g, z)`` and the tables that pull
-    vertex masks back through p."""
-    b = chord_mask(g, z)
-    zbits, bbits = tuple(bits(z)), tuple(bits(b))
+    the chord representative b = ``chord_mask(g, z)`` (the chords of z) and
+    the tables that pull vertex masks back through p; and SwAut's histogram
+    of element orders, after one closure check on b. SwAut of any other
+    signature of the class is conjugate to it by a switching."""
+    b, zbits, syndromes = chord_mask(g, z), tuple(bits(z)), g.syndromes
     lifts = []
-    for p, pull, cols in _automorphism_edge_maps(g):
-        image = 0
+    for p, pulled in _automorphism_edge_maps(g):
+        image = moved = 0
         for t in zbits:
-            image ^= cols[t]
+            image ^= syndromes[pulled[t]]
         if image == z:
-            moved = 0
-            for j in bbits:
-                moved |= pull[j]
+            for t in zbits:
+                moved |= 1 << pulled[t]
             lifts.append((forest_preimage(g, b ^ moved), p, _pull_tables(p)))
-    return tuple(lifts)
-
-
-@lru_cache(maxsize=64)
-def _class_group(g: Graph, z: int) -> Counter:
-    """The histogram of element orders of SwAut of every signature with
-    syndrome z, after one closure check on the chord representative: the
-    group of any other signature of the class is its conjugate by the
-    switching between them, with the same permutations."""
-    lifts = _switching_class(g, z)
     _check_closure({p: (x, p) for x, p, _ in lifts})
-    return Counter(perm_order(p) for _, p, _ in lifts)
+    return tuple(lifts), Counter(perm_order(p) for _, p, _ in lifts)
 
 
 @lru_cache(maxsize=8)
@@ -316,7 +299,7 @@ def _lifts(s: SignedGraph) -> tuple[SwitchingPermutation, ...]:
     full, h = (1 << g.vertex_count) - 1, (g.vertex_count + 1) // 2
     low, high = y & (1 << h) - 1, y >> h
     out = []
-    for x, p, (lo, hi) in _switching_class(g, z):
+    for x, p, (lo, hi) in _switching_class(g, z)[0]:
         x ^= y ^ lo[low] ^ hi[high]
         out.append(_pair((x ^ full if x & 1 else x, p)))
     return tuple(out)
@@ -332,16 +315,17 @@ def swaut(s: SignedGraph) -> SwitchingGroup:
     """Switching automorphism group: the stabilizer of the switching class
     of s inside the automorphism group of the underlying graph. Each
     automorphism that lifts contributes its lift with vertex 0
-    unswitched."""
+    unswitched; the order histogram is its class's."""
     g = s.graph
-    return SwitchingGroup(_lifts(s), _class_group(g, syndrome(g, s.mask)))
+    return SwitchingGroup(_lifts(s),
+                          _switching_class(g, syndrome(g, s.mask))[1])
 
 
 def orbit_counts(s: SignedGraph) -> tuple[int, int]:
     """(isomorphic copies, switching-equivalence classes in the orbit), by
     orbit-stabilizer: the order of Aut of the underlying graph divided by
     the number of automorphisms that fix the sign mask, and by the number
-    that lift, one list per switching class. No group is built."""
+    that lift, closure-checked once per switching class."""
     lifts, aut = _lifts(s), len(_automorphism_edge_maps(s.graph))
     fixed = sum(1 for x, _ in lifts if x == 0)
     return aut // fixed, aut // len(lifts)

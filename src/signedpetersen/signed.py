@@ -9,13 +9,14 @@ when vertex v is switched); switching it acts on the sign mask by XOR with
 the edge mask of its cut, from ``graphs.cut_mask`` or ``graphs.cut_space``.
 Balance is one test, a yes or no: the sign mask is a cut exactly when its
 cycle-space syndrome is 0 (Harary). No circle or bipartition is built.
+A Petersen class is its name, a string of ``expected.CLASS_NAMES``.
 """
 
 from __future__ import annotations
 
-import enum
 from functools import lru_cache
 
+from . import expected
 from .frustration import least_edges, least_vertices
 from .graphs import (Graph, _Record, _cached, chord_mask, cut_mask,
                      enumerate_cycles, forest_paths, petersen, syndrome)
@@ -67,29 +68,12 @@ def odd_count(mask: int, circles) -> int:
 # Petersen-specific machinery
 # ---------------------------------------------------------------------------
 
-class SixType(enum.Enum):
-    """The six switching-isomorphism classes of Petersen signatures, in
-    fixed column order."""
-
-    PLUS_P = "+P"
-    P1 = "P1"
-    P22 = "P2,2"
-    P23 = "P2,3"
-    P32 = "P3,2"
-    P33 = "P3,3"
-
-
-SIX_ORDER = tuple(SixType)
-
-# Fingerprint (frustration index, negative pentagon count) per class.
-SIX_FINGERPRINT = {
-    (0, 0): SixType.PLUS_P,
-    (1, 4): SixType.P1,
-    (2, 6): SixType.P22,
-    (2, 8): SixType.P23,
-    (3, 6): SixType.P32,
-    (3, 12): SixType.P33,
-}
+# The six switching-isomorphism classes of Petersen signatures are their
+# names, in fixed column order, and each is told by its fingerprint
+# (frustration index, negative pentagon count).
+SIX_ORDER = expected.CLASS_NAMES
+SIX_FINGERPRINT = dict(zip(((0, 0), (1, 4), (2, 6), (2, 8), (3, 6), (3, 12)),
+                           SIX_ORDER))
 
 
 @lru_cache(maxsize=1)
@@ -105,7 +89,7 @@ def petersen_hexagon_masks() -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _class_invariants(z: int) -> tuple[SixType, int, int, int, int]:
+def _class_invariants(z: int) -> tuple[str, int, int, int, int]:
     """(class, l, l0, negative pentagons, negative hexagons) of the Petersen
     switching class with syndrome z, read off its chord representative by
     the generic searches of ``frustration``."""
@@ -118,17 +102,17 @@ def _class_invariants(z: int) -> tuple[SixType, int, int, int, int]:
             odd_count(base, petersen_hexagon_masks()))
 
 
-def petersen_invariants(mask: int) -> tuple[SixType, int, int, int, int]:
+def petersen_invariants(mask: int) -> tuple[str, int, int, int, int]:
     """``_class_invariants`` of a 15-bit Petersen sign mask."""
     return _class_invariants(syndrome(petersen()[0], mask))
 
 
-def classify_six(s: SignedGraph) -> SixType:
+def classify_six(s: SignedGraph) -> str:
     g, _ = petersen()
     if s.graph != g:
         raise ValueError("classifier requires the canonical Petersen graph")
     return classify_six_mask(s.mask)
 
 
-def classify_six_mask(mask: int) -> SixType:
+def classify_six_mask(mask: int) -> str:
     return petersen_invariants(mask)[0]

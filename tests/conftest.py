@@ -2,7 +2,7 @@ import pytest
 
 from signedpetersen.census import standard_mask, standard_representative
 from signedpetersen.graphs import petersen
-from signedpetersen.signed import SIX_ORDER, SignedGraph
+from signedpetersen.signed import SIX_ORDER
 
 
 @pytest.fixture(scope="session")

@@ -230,9 +230,16 @@ MUTANTS = (
             "tests/test_census_cli.py::"
             "test_warm_group_and_cluster_compute_only_what_they_print")),
     Mutant("image edge one index too high", GROUPS,
-           "(inc[perm[u]] & inc[perm[v]]).bit_length() - 1",
-           "(inc[perm[u]] & inc[perm[v]]).bit_length()",
-           ("tests/test_groups.py::test_edge_permutation",)),
+           "(inc[ai[u]] & inc[ai[v]]).bit_length() - 1",
+           "(inc[ai[u]] & inc[ai[v]]).bit_length()",
+           ("tests/test_groups.py::"
+            "test_chord_images_match_the_edge_permutation",
+            "tests/test_cli_golden.py::"
+            "test_group_and_cluster_digests_over_the_six_classes")),
+    Mutant("class scan skips the closure check", GROUPS,
+           "    _check_closure({p: (x, p) for x, p, _ in lifts})\n", "",
+           ("tests/test_groups.py::"
+            "test_orbit_counts_refuse_a_class_scan_that_is_not_a_group",)),
     Mutant("coset tie-break inverted", GROUPS,
            "(size == n and x ^ full < x)", "(size == n and x ^ full > x)",
            ("tests/test_groups.py::"

@@ -20,9 +20,8 @@ from signedpetersen.graphs import (MAX_SEARCH_VERTICES, Graph, SearchSizeError,
                                    petersen, span_basis, syndrome)
 from signedpetersen.groups import (CosetError, CosetSystem, FiniteGroup,
                                    GroupAxiomError, SwitchingGroup,
-                                   SwitchingPermutation, _automorphism_edge_maps,
-                                   _default_reps, compose,
-                                   edge_permutation, identity_perm, inverse)
+                                   SwitchingPermutation, _default_reps,
+                                   compose, identity_perm, inverse)
 from signedpetersen.signed import SignedGraph, switch
 
 
@@ -404,6 +403,13 @@ class CayleyGroup(FiniteGroup):
                    for i in range(n) for j in range(i + 1, n))
 
 
+def edge_permutation(g, perm):
+    """Index map sending each edge to its image edge, looked up by its
+    sorted ends."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    return tuple(index[tuple(sorted((perm[u], perm[v])))] for u, v in g.edges)
+
+
 def graph_automorphisms(g):
     """All graph automorphisms, as switching permutations with empty
     switching part."""
@@ -585,22 +591,34 @@ def edge_syndromes(g):
 
 def syndrome_lifts(s):
     """Each automorphism p of the underlying graph that lifts, as the pair
-    (switching part of its lift, p), scanned for the signature itself: p lifts
-    when it fixes the syndrome of the mask, and then the part is read off
-    the forest from the mask xor its pullback through p."""
+    (switching part of its lift, p), scanned for the signature itself, over
+    every negative edge: p lifts when it fixes the syndrome of the mask, and
+    then the part is read off the forest from the mask xor its pullback
+    through p."""
     g, mask = s.graph, s.mask
-    z = syndrome(g, mask)
-    zbits, mbits = tuple(bits(z)), tuple(bits(mask))
+    z, mbits = syndrome(g, mask), tuple(bits(mask))
     out = []
-    for p, pull, cols in _automorphism_edge_maps(g):
+    for p, pull, cols in edge_pullbacks(g):
         image = 0
-        for t in zbits:
-            image ^= cols[t]
+        for j in mbits:
+            image ^= cols[j]
         if image == z:
             moved = 0
             for j in mbits:
                 moved |= pull[j]
             out.append((forest_preimage(g, mask ^ moved), p))
+    return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def edge_pullbacks(g):
+    """Each automorphism p of g with the pullback of single edges through
+    it: bit j of a sign mask moves to pull[j], whose syndrome is cols[j]."""
+    out = []
+    for p in automorphism_images(g):
+        inv = edge_permutation(g, inverse(p))
+        out.append((p, tuple(1 << i for i in inv),
+                    tuple(g.syndromes[i] for i in inv)))
     return tuple(out)
 
 

@@ -10,8 +10,7 @@ from signedpetersen.clustering import cluster_number, inclusterability_index
 from signedpetersen.coloring import (_count, chi3_difference,
                                      chromatic_numbers, count_colorations)
 from signedpetersen.frustration import frustration_index, frustration_number
-from signedpetersen.graphs import (cut_space, enumerate_cycles, petersen,
-                                   syndrome)
+from signedpetersen.graphs import cut_space, enumerate_cycles, syndrome
 from signedpetersen.groups import (aut_signed, coset_system, identify_group,
                                    orbit_counts, swaut)
 from signedpetersen.signed import (SignedGraph, negate, petersen_invariants,

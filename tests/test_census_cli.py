@@ -148,11 +148,12 @@ def test_census_walk_runs_once_through_the_module_attribute(capsys,
 
 
 def test_verify_all_does_group_work_once(monkeypatch):
-    """verify_all scans the Petersen automorphisms once, builds their 120
-    edge maps once, and builds each representative's lifts once, from one
-    scan of its switching class: the twelve T4 groups and the T5 orbit
-    counts read them. The groups are checked by closure under generators:
-    ``groups`` defines no Cayley table, and no group built holds one. T3
+    """verify_all scans the Petersen automorphisms once, reads their 120
+    chord images once, and builds each representative's lifts once, from
+    one scan of its switching class, which runs the class's one closure
+    check: the twelve T4 groups and the T5 orbit counts read them. The
+    groups are checked by closure under generators: ``groups`` defines no
+    Cayley table, and no group built holds one. T3
     tests balance on vertex masks, and T9 and the difference formula on
     syndrome spans, so no per-graph balance test runs."""
     from signedpetersen import census, coloring, graphs, groups, signed
@@ -161,17 +162,23 @@ def test_verify_all_does_group_work_once(monkeypatch):
         [], [], [], [], [], [], [])
     search, init, build = (graphs._automorphism_search,
                            groups.FiniteGroup.__init__, census.build_table)
-    edge_permutation = groups.edge_permutation
-    lifts = groups._lifts.__wrapped__
+    edge_maps_of = groups._automorphism_edge_maps.__wrapped__
+    lifts, closure = groups._lifts.__wrapped__, groups._check_closure
+    closures = []
     is_balanced = signed.is_balanced
 
     def counted_search(g):
         scans.append(g)
         return search(g)
 
-    def counted_edge_permutation(g, perm):
-        edge_maps.append(perm)
-        return edge_permutation(g, perm)
+    def counted_edge_maps(g):
+        maps = edge_maps_of(g)
+        edge_maps.append(maps)
+        return maps
+
+    def counted_closure(by_perm):
+        closures.append((current[-1], len(by_perm)))
+        return closure(by_perm)
 
     def counted_lifts(s):
         lifted.append(s.mask)
@@ -193,14 +200,15 @@ def test_verify_all_does_group_work_once(monkeypatch):
     monkeypatch.setattr(graphs, "_automorphism_search", counted_search)
     monkeypatch.setattr(groups.FiniteGroup, "__init__", counted_init)
     monkeypatch.setattr(census, "build_table", tracked_build)
-    monkeypatch.setattr(groups, "edge_permutation", counted_edge_permutation)
+    monkeypatch.setattr(groups, "_automorphism_edge_maps",
+                        lru_cache(maxsize=8)(counted_edge_maps))
+    monkeypatch.setattr(groups, "_check_closure", counted_closure)
     monkeypatch.setattr(groups, "_lifts", lru_cache(maxsize=8)(counted_lifts))
     monkeypatch.setattr(signed, "is_balanced", counted_is_balanced)
     # a fresh graph, automorphisms unscanned, syndromes, edge maps,
     # switching classes and independent-set table unbuilt
     caches = (graphs.petersen, groups._automorphism_edge_maps,
-              groups._switching_class, groups._class_group,
-              coloring._independent_sets)
+              groups._switching_class, coloring._independent_sets)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -209,8 +217,14 @@ def test_verify_all_does_group_work_once(monkeypatch):
         for cache in caches:
             cache.cache_clear()
     assert len(scans) == 1 and is_petersen(scans[0])
-    assert len(edge_maps) == 120 and len(set(edge_maps)) == 120
+    assert len(edge_maps) == 1 and len(edge_maps[0]) == 120
+    assert {len(pulled) for _, pulled in edge_maps[0]} == {6}
     assert sorted(lifted) == sorted(standard_mask(t) for t in SIX_ORDER)
+    # one closure check per class and one per Aut, all within T4; the
+    # six SwAut take their class's histogram unchecked
+    assert {table for table, _ in closures} == {"T4_orders"}
+    assert sorted(order for _, order in closures) == \
+        sorted(expected.AUT_ORDERS + expected.SWAUT_ORDERS)
     assert {table for table, _ in built} == {"T4_orders"}
     orders = [order for _, order in built]
     assert sorted(orders) == sorted(expected.AUT_ORDERS + expected.SWAUT_ORDERS)
@@ -223,10 +237,10 @@ def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
                                                        rep_masks):
     """The first group query of a switching class scans the automorphisms
     once for the class (one forest preimage per lift) and runs the one
-    closure check of its SwAut; every query then reads one forest preimage,
-    the switching that carries the class's chord representative to the
-    mask, and checks only its own Aut. color --k 1 counts without the
-    backtrack at k = 1."""
+    closure check of its SwAut there, before the check of its Aut; every
+    query then reads one forest preimage, the switching that carries the
+    class's chord representative to the mask, and checks only its own
+    Aut. color --k 1 counts without the backtrack at k = 1."""
     from signedpetersen import coloring, groups
     preimages, closures, counted = [], [], []
     forest_preimage, count = groups.forest_preimage, coloring._count
@@ -250,7 +264,6 @@ def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
     monkeypatch.setattr(groups, "_check_closure", counted_closure)
     monkeypatch.setattr(coloring, "_count", counted_count)
     groups._switching_class.cache_clear()
-    groups._class_group.cache_clear()
     for i, m in enumerate(rep_masks):
         name = expected.CLASS_NAMES[i]
         for first, mask in ((True, m), (False, m ^ cut_mask(g, 0b0110010))):
@@ -258,10 +271,12 @@ def test_warm_group_and_color_read_the_syndrome_tables(capsys, monkeypatch,
             preimages.clear()
             closures.clear()
             h = format_mask(mask)
-            assert run_cli(capsys, "group", "--mask", h)[0] == 0
+            code, out, _ = run_cli(capsys, "group", "--mask", h)
+            assert code == 0, name
             assert len(preimages) == 1 + first * expected.SWAUT_ORDERS[i], name
-            # the Aut of the mask, then SwAut once per class
-            assert closures[1:] == first * [expected.SWAUT_ORDERS[i]], name
+            # SwAut once per class, then the Aut of the mask
+            assert closures[:-1] == first * [expected.SWAUT_ORDERS[i]], name
+            assert closures[-1] == int(out.split()[2]), name
         for flags in ((), ("--zero-free",)):
             assert run_cli(capsys, "color", "--mask", h, "--k", "1", *flags)[0] == 0
     assert 1 not in counted
@@ -582,7 +597,7 @@ def test_coset_table_names_only_the_printed_permutations(capsys, monkeypatch,
 
     monkeypatch.setattr(cli, "format_cycles", counted_format)
     caches = (cli._perm_name, graphs.petersen, groups._automorphism_edge_maps,
-              groups._switching_class, groups._class_group, groups._lifts)
+              groups._switching_class, groups._lifts)
     for cache in caches:
         cache.cache_clear()
     try:

@@ -11,8 +11,7 @@ from signedpetersen.coloring import _independent_sets
 from signedpetersen.clustering import cluster_number
 from signedpetersen.graphs import (Graph, SearchSizeError,
                                    automorphism_images, cut_mask, cut_space,
-                                   enumerate_cycles, petersen, syndrome,
-                                   vertex_sets)
+                                   enumerate_cycles, syndrome, vertex_sets)
 from signedpetersen.groups import induced_permutation
 from signedpetersen.signed import SIX_ORDER, SignedGraph
 

@@ -17,14 +17,13 @@ from signedpetersen.groups import (_CATALOG, CosetError, GroupAxiomError,
                                    SwitchingGroup, SwitchingPermutation,
                                    _automorphism_edge_maps, _default_reps,
                                    aut_signed, compose, coset_system,
-                                   edge_permutation, format_cycles,
-                                   identify_group, identity_perm,
+                                   format_cycles, identify_group, identity_perm,
                                    induced_permutation, inverse, orbit_counts,
                                    swaut)
 from signedpetersen.signed import SignedGraph, negate, switch
 
 from oracles import (CayleyGroup, adjacency, closed_neighborhood, cut,
-                     cut_preimage,
+                     cut_preimage, edge_permutation,
                      general_product, graph_automorphisms,
                      is_conjugation_closed, parse_cycles, pullback,
                      reference_coset_system, rep_for_mask, scan_lifts, sp_act,
@@ -133,6 +132,24 @@ def test_edge_permutation(pg):
     for i, (u, v) in enumerate(g.edges):
         x, y = sorted((perm[u], perm[v]))
         assert g.edges[ep[i]] == (x, y)
+
+
+def test_chord_images_match_the_edge_permutation(pg):
+    # pulled[t] is the edge that an automorphism carries onto the t-th
+    # chord: the oracle's edge map of the inverse permutation, read at the
+    # chords, for every automorphism of P, K4, K3,3, the 3-cube, the
+    # pentagram and seeded connected graphs
+    from test_graphs import cube, k33, pentagram, seeded_graphs
+    k4 = Graph.from_edges(4, itertools.combinations(range(4), 2))
+    seeded = [g for g in seeded_graphs(53, [4 + i % 5 for i in range(40)])
+              if g.is_connected()]
+    assert len(seeded) >= 20
+    for g in (pg[0], k4, k33(), cube(), pentagram(), *seeded):
+        maps = _automorphism_edge_maps(g)
+        assert [p for p, _ in maps] == list(automorphism_images(g))
+        for p, pulled in maps:
+            image = edge_permutation(g, inverse(p))
+            assert pulled == tuple(image[e] for e in g.chords), (g, p)
 
 
 # --------------------------------------------------------------------------
@@ -310,22 +327,24 @@ def test_orbit_counts(reps):
 
 def test_burnside_counts_the_six_classes(pg):
     # Aut(P) acts on the 64 cycle-space syndromes through each
-    # automorphism's column images; the fixed points sum to 6 * |Aut P|,
-    # and the orbit sizes are the census row "switching classes"
+    # automorphism's chord images: z goes to the xor of the syndromes of
+    # the edges carried onto its chords. The fixed points sum to
+    # 6 * |Aut P|, and the orbit sizes are the census row "switching
+    # classes"
     g, _ = pg
     maps = _automorphism_edge_maps(g)
 
-    def act(cols, z):
+    def act(pulled, z):
         image = 0
         for t in bits(z):
-            image ^= cols[t]
+            image ^= g.syndromes[pulled[t]]
         return image
 
     syndromes = range(1 << len(g.chords))
     assert len(syndromes) == 64 and len(maps) == 120
-    fixed = sum(act(cols, z) == z for _, _, cols in maps for z in syndromes)
+    fixed = sum(act(pulled, z) == z for _, pulled in maps for z in syndromes)
     assert (fixed, fixed // len(maps)) == (720, 6)
-    orbits = {frozenset(act(cols, z) for _, _, cols in maps)
+    orbits = {frozenset(act(pulled, z) for _, pulled in maps)
               for z in syndromes}
     sizes = sorted(map(len, orbits))
     assert sizes == [1, 1, 2, 15, 15, 30]
@@ -609,6 +628,33 @@ def test_switching_group_rejects_bad_elements(sw6):
     for bad in (elements[1:], []):
         with pytest.raises(GroupAxiomError, match="identity"):
             SwitchingGroup(bad)
+
+
+def test_orbit_counts_refuse_a_class_scan_that_is_not_a_group(monkeypatch,
+                                                              reps):
+    # T5 builds no group, but its lifts come from the class scan, which
+    # checks them by closure: one corrupted forest preimage in the scan of
+    # +P (the third read; the first is the mask's own switching, the
+    # second the identity's lift) makes orbit_counts refuse
+    from signedpetersen import groups
+    forest_preimage, calls = groups.forest_preimage, []
+
+    def corrupted(g, d):
+        calls.append(d)
+        x = forest_preimage(g, d)
+        return x ^ 0b10 if len(calls) == 3 else x
+
+    monkeypatch.setattr(groups, "forest_preimage", corrupted)
+    caches = (groups._switching_class, groups._lifts)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.raises(GroupAxiomError, match="not closed"):
+            orbit_counts(reps[0])
+        assert len(calls) == 1 + AUT_ORDERS[0]
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_switching_group_accepts_exactly_the_subgroups(sw6):

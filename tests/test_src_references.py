@@ -7,9 +7,10 @@ only from outside ``src``, each for its reason; the other functions the
 benchmark's tracer wraps by name are called in ``src`` as well. A public
 constructor stays referenced by its use in ``src`` (``petersen`` builds
 its graph with ``Graph.from_edges``). Every module-level import is read by
-its module. The test helpers (``oracles``, ``p32_tables``) are held to the
-same rule among the tests: each of their definitions is read by some test
-module, so code moved out of ``src`` cannot rot there unread."""
+its module, in ``src`` and in the tests alike. The test helpers
+(``oracles``, ``p32_tables``) are held to the same rule among the tests:
+each of their definitions is read by some test module, so code moved out
+of ``src`` cannot rot there unread."""
 
 import ast
 from pathlib import Path
@@ -92,8 +93,9 @@ def unreferenced(src=SRC, defining=None, hooks=()):
 
 
 def unused_imports(src=SRC):
-    """Each name that a module-level import in src binds (``__future__``
-    aside) and its module never reads, as "file: name". A plain name read
+    """Each name that a module-level import in the modules of the directory
+    src binds (``__future__`` aside) and its module never reads, as "file:
+    name". A plain name read
     counts, and so does a string equal to the name, as in ``__all__``."""
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -149,6 +151,10 @@ def test_every_src_import_is_read():
     assert list(unused_imports()) == []
 
 
+def test_every_test_import_is_read():
+    assert list(unused_imports(TESTS)) == []
+
+
 def test_the_guard_sees_an_import_left_behind(tmp_path):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
@@ -156,3 +162,12 @@ def test_the_guard_sees_an_import_left_behind(tmp_path):
         fh.write("\nimport os.path\nfrom .graphs import cut_space as cs\n")
     assert set(unused_imports(tmp_path)) == {"signed.py: os",
                                              "signed.py: cs"}
+
+
+def test_the_guard_sees_an_import_left_behind_in_the_tests(tmp_path):
+    for path in TESTS.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "conftest.py", "a") as fh:
+        fh.write("\nimport itertools\nfrom oracles import pullback as pb\n")
+    assert set(unused_imports(tmp_path)) == {"conftest.py: itertools",
+                                             "conftest.py: pb"}
