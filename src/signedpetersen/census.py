@@ -17,7 +17,7 @@ from .groups import aut_signed, identify_group, orbit_counts, swaut
 from .io import format_mask
 from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph,
                      classify_six_mask, negate, odd_count,
-                     petersen_invariants, petersen_pentagon_masks)
+                     petersen_circle_masks, petersen_invariants)
 
 
 def standard_representative(t: str) -> SignedGraph:
@@ -59,7 +59,7 @@ def run_census() -> list[tuple]:
     switchings of a base signature, shares its class, and contributes its
     minimum-weight members to the minimal count; each class keeps its least
     minimal mask."""
-    pentagons = petersen_pentagon_masks()
+    pentagons = petersen_circle_masks()[0]
     columns = {t: [0, 0, 0, 1 << 15] for t in SIX_ORDER}
     for orbit in _switching_orbits():
         weights = [m.bit_count() for m in orbit]
@@ -148,7 +148,7 @@ def _colorations_column(s: SignedGraph) -> tuple:
 def _clustering_columns() -> list[tuple]:
     """T10's twelve columns: each class representative, then its negation."""
     reps = [standard_representative(t) for t in SIX_ORDER]
-    return [(cluster_number(x), inclusterability_index(x)[0])
+    return [(cluster_number(x), inclusterability_index(x))
             for s in reps for x in (s, negate(s))]
 
 
@@ -165,7 +165,7 @@ _TABLES = {
            _each_class(lambda s: petersen_invariants(s.mask)[1:2]),
            (("frustration index", expected.FRUSTRATION_INDEX),)),
     "T3": (expected.CLASS_NAMES,
-           _each_class(lambda s: frustration_number(s)[:1]),
+           _each_class(lambda s: (frustration_number(s),)),
            (("frustration number", expected.FRUSTRATION_NUMBER),)),
     "T4_orders": (expected.CLASS_NAMES, _each_class(_groups_column),
                   (("aut order", expected.AUT_ORDERS),

@@ -45,8 +45,8 @@ def cmd_table(args) -> int:
 def cmd_classify(args) -> int:
     s = _load(args)
     if s.graph != petersen()[0]:
-        print(f"frustration index {frustration_index(s)[0]}")
-        print(f"frustration number {frustration_number(s)[0]}")
+        print(f"frustration index {frustration_index(s)}")
+        print(f"frustration number {frustration_number(s)}")
         return 0
     six, l, l0, pentagons, hexagons = petersen_invariants(s.mask)
     print(f"class {six}")
@@ -64,10 +64,8 @@ def cmd_group(args) -> int:
     print(f"aut order {aut.order} label {identify_group(aut)}")
     print(f"swaut order {sw.order} label {identify_group(sw)}")
     if args.coset_table:
-        system = coset_system(sw, aut)
-        reps = system.representatives
-        print(f"cosets {len(reps)} "
-              f"conjugation-closed {system.closed_under_conjugation}")
+        reps, closed = coset_system(sw, aut)
+        print(f"cosets {len(reps)} conjugation-closed {closed}")
         print("\n".join(
             f"rep {i}: switch {{{','.join([_LABELS[v] for v in bits(x)])}}} "
             f"perm {_vertex_perm_name(p)}" for i, (x, p) in enumerate(reps)))
@@ -111,7 +109,7 @@ def cmd_cluster(args) -> int:
     s = _load(args)
     clusters = cluster_number(s)
     if clusters is None:
-        print(f"clusterable no inclusterability {inclusterability_index(s)[0]}")
+        print(f"clusterable no inclusterability {inclusterability_index(s)}")
     else:
         print(f"clusterable yes clusters {clusters}")
     return 0

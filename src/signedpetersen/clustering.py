@@ -108,14 +108,14 @@ def cluster_number(s: SignedGraph) -> int | None:
     return None if bad_edge(s) else len(_clusters(s))
 
 
-def inclusterability_index(s: SignedGraph):
-    """(q, deletion set): minimum number of edge deletions reaching
-    clusterability. Each round collects every bad circle that the current
-    least deletion set H misses, one per kept negative edge inside a
-    component of the forest of kept positive edges, and solves again for
-    the least set meeting all the circles found. A round that finds none
-    ends the search: H then meets every bad circle, and no smaller set
-    meets even those found. Deleting every negative edge always succeeds,
+def inclusterability_index(s: SignedGraph) -> int:
+    """q, the minimum number of edge deletions reaching clusterability.
+    Each round collects every bad circle that the current least deletion
+    set H misses, one per kept negative edge inside a component of the
+    forest of kept positive edges, and solves again for the least set
+    meeting all the circles found. A round that finds none ends the search:
+    H then meets every bad circle, and no smaller set meets even those
+    found, so q is its size. Deleting every negative edge always succeeds,
     so q is at most their number."""
     g = s.graph
     if len(g.edges) > MAX_EDGES:
@@ -128,7 +128,7 @@ def inclusterability_index(s: SignedGraph):
         missed = [up[u] ^ up[w] | 1 << i for i in bits(s.mask & ~hit)
                   for u, w in (g.edges[i],) if comp[u] == comp[w]]
         if not missed:
-            return hit.bit_count(), frozenset(g.edges[i] for i in bits(hit))
+            return hit.bit_count()
         targets += missed
         k = hit.bit_count()
         while (hit := _hit(targets, k)) is None:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, bits,
-                     chord_mask, cut_space, span_reduce, syndrome, vertex_sets)
+from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, chord_mask,
+                     cut_space, span_reduce, syndrome, vertex_sets)
 
 
 def _edges_by_syndromes(g: Graph, z: int) -> int:
@@ -123,21 +123,19 @@ def least_vertices(g: Graph, mask: int) -> int:
     return _vertices_by_colourings(g, mask)
 
 
-def frustration_index(s) -> tuple[int, frozenset]:
+def frustration_index(s) -> int:
     """Fewest edges whose deletion, or sign flip, balances the signed graph
-    s, with such an edge set as witness. On a disconnected graph this is the
-    sum over the components."""
+    s; ``least_edges`` gives such an edge set. On a disconnected graph this
+    is the sum over the components."""
     g = s.graph
     if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for switching enumeration")
-    best = least_edges(g, syndrome(g, s.mask))
-    return best.bit_count(), frozenset(g.edges[i] for i in bits(best))
+    return least_edges(g, syndrome(g, s.mask)).bit_count()
 
 
-def frustration_number(s) -> tuple[int, frozenset]:
-    """Fewest vertex deletions leaving the signed graph s balanced, with
-    such a vertex set as witness."""
+def frustration_number(s) -> int:
+    """Fewest vertex deletions leaving the signed graph s balanced;
+    ``least_vertices`` gives such a vertex set."""
     if s.graph.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for vertex-subset search")
-    best = least_vertices(s.graph, s.mask)
-    return best.bit_count(), frozenset(bits(best))
+    return least_vertices(s.graph, s.mask).bit_count()

@@ -171,12 +171,6 @@ class Graph(_Record):
                 below[parent] ^= below[v]
         return tuple(out)
 
-    @_cached
-    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """All adjacency-preserving vertex bijections, as image tuples,
-        sorted; searched once per graph."""
-        return _automorphism_search(self)
-
     def is_connected(self) -> bool:
         return sum(1 for _, parent, _ in self.spanning_forest if parent < 0) <= 1
 
@@ -208,8 +202,8 @@ class PetersenLabeling(_Record):
 def petersen() -> tuple[Graph, PetersenLabeling]:
     """Petersen graph on the canonical pair labeling: v_{ij} ~ v_{kl} iff
     the pairs {i,j} and {k,l} are disjoint. Every call returns the same
-    frozen graph, so what it caches (automorphisms, incidence, spanning
-    forest) is computed once per process."""
+    frozen graph, so what it caches (incidence, spanning forest, syndromes)
+    and the caches keyed by it are computed once per process."""
     edges = []
     for a in range(10):
         for b in range(a + 1, 10):
@@ -420,9 +414,10 @@ def vertex_sets(g: Graph, independent: bool = False):
 # ---------------------------------------------------------------------------
 
 def automorphism_images(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All adjacency-preserving vertex bijections of g, as image tuples
-    (``Graph.automorphisms``)."""
-    return g.automorphisms
+    """All adjacency-preserving vertex bijections of g, as image tuples,
+    sorted, searched on each call: ``groups._automorphism_edge_maps`` keeps
+    them once per graph."""
+    return _automorphism_search(g)
 
 
 def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:

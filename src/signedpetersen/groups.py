@@ -26,8 +26,8 @@ from collections import Counter, namedtuple
 from functools import lru_cache, partial
 
 from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, _cached,
-                     _Record, automorphism_images, bits, chord_mask,
-                     forest_preimage, syndrome)
+                     automorphism_images, bits, chord_mask, forest_preimage,
+                     syndrome)
 from .signed import SignedGraph
 
 # ---------------------------------------------------------------------------
@@ -279,16 +279,17 @@ def _switching_class(g: Graph, z: int):
 
 
 @lru_cache(maxsize=8)
-def _lifts(s: SignedGraph) -> tuple[SwitchingPermutation, ...]:
-    """Each automorphism p of the underlying graph that lifts, as the pair
-    (X, p) with X the switching part of its lift, vertex 0 unswitched, and
-    X = 0 when p preserves the signs. They are carried from the chord
-    representative b of the switching class: with Y the switching that
-    takes b to the mask, X is X_b xor Y xor the pullback of Y through p,
-    canonicalised. The lift is unique only on a connected graph, and the
-    scan is capped at MAX_SEARCH_VERTICES vertices, so anything else is
-    refused first. ``aut_signed``, ``swaut`` and ``orbit_counts`` read
-    it."""
+def _lifts(s: SignedGraph) -> tuple[tuple[SwitchingPermutation, ...], Counter]:
+    """(lifts, histogram): each automorphism p of the underlying graph that
+    lifts, as the pair (X, p) with X the switching part of its lift, vertex
+    0 unswitched, and X = 0 when p preserves the signs; and SwAut's
+    histogram of element orders, its switching class's. The lifts are
+    carried from the chord representative b of the class: with Y the
+    switching that takes b to the mask, X is X_b xor Y xor the pullback of
+    Y through p, canonicalised. The lift is unique only on a connected
+    graph, and the scan is capped at MAX_SEARCH_VERTICES vertices, so
+    anything else is refused first. ``aut_signed``, ``swaut`` and
+    ``orbit_counts`` read it."""
     g, mask = s.graph, s.mask
     if g.vertex_count > MAX_SEARCH_VERTICES:
         raise SearchSizeError("graph too large for switching scan")
@@ -298,27 +299,26 @@ def _lifts(s: SignedGraph) -> tuple[SwitchingPermutation, ...]:
     y = forest_preimage(g, mask ^ chord_mask(g, z))
     full, h = (1 << g.vertex_count) - 1, (g.vertex_count + 1) // 2
     low, high = y & (1 << h) - 1, y >> h
+    lifts, histogram = _switching_class(g, z)
     out = []
-    for x, p, (lo, hi) in _switching_class(g, z)[0]:
+    for x, p, (lo, hi) in lifts:
         x ^= y ^ lo[low] ^ hi[high]
         out.append(_pair((x ^ full if x & 1 else x, p)))
-    return tuple(out)
+    return tuple(out), histogram
 
 
 def aut_signed(s: SignedGraph) -> SwitchingGroup:
     """Sign-preserving automorphisms: the stabilizer of the sign mask
     inside the automorphism group of the underlying graph."""
-    return SwitchingGroup(e for e in _lifts(s) if not e[0])
+    return SwitchingGroup(e for e in _lifts(s)[0] if not e[0])
 
 
 def swaut(s: SignedGraph) -> SwitchingGroup:
     """Switching automorphism group: the stabilizer of the switching class
     of s inside the automorphism group of the underlying graph. Each
     automorphism that lifts contributes its lift with vertex 0
-    unswitched; the order histogram is its class's."""
-    g = s.graph
-    return SwitchingGroup(_lifts(s),
-                          _switching_class(g, syndrome(g, s.mask))[1])
+    unswitched; the order histogram, its class's, comes with the lifts."""
+    return SwitchingGroup(*_lifts(s))
 
 
 def orbit_counts(s: SignedGraph) -> tuple[int, int]:
@@ -326,7 +326,7 @@ def orbit_counts(s: SignedGraph) -> tuple[int, int]:
     orbit-stabilizer: the order of Aut of the underlying graph divided by
     the number of automorphisms that fix the sign mask, and by the number
     that lift, closure-checked once per switching class."""
-    lifts, aut = _lifts(s), len(_automorphism_edge_maps(s.graph))
+    lifts, aut = _lifts(s)[0], len(_automorphism_edge_maps(s.graph))
     fixed = sum(1 for x, _ in lifts if x == 0)
     return aut // fixed, aut // len(lifts)
 
@@ -339,24 +339,12 @@ class CosetError(ValueError):
     pass
 
 
-class CosetSystem(_Record):
-    """Coset representatives, with exact switching sets, of a subgroup."""
-
-    _fields = ("group", "subgroup", "representatives",
-               "closed_under_conjugation")
-
-    def __init__(self, group: SwitchingGroup, subgroup: SwitchingGroup,
-                 representatives: tuple[SwitchingPermutation, ...],
-                 closed_under_conjugation: bool):
-        self.__dict__.update(group=group, subgroup=subgroup,
-                             representatives=representatives,
-                             closed_under_conjugation=closed_under_conjugation)
-
-
-def coset_system(group: SwitchingGroup,
-                 subgroup: SwitchingGroup) -> CosetSystem:
-    """Left-coset representatives of the subgroup (trivial switching parts)
-    inside a switching automorphism group.
+def coset_system(group: SwitchingGroup, subgroup: SwitchingGroup
+                 ) -> tuple[tuple[SwitchingPermutation, ...], bool]:
+    """(representatives, closed under conjugation): left-coset
+    representatives of the subgroup (trivial switching parts) inside a
+    switching automorphism group, and whether the subgroup's conjugations
+    carry the system onto itself.
 
     All elements of one left coset share the same switching class, so cosets
     are keyed by canonical switching mask. One exact representative is
@@ -382,7 +370,7 @@ def coset_system(group: SwitchingGroup,
     if not closed and (alternative := _closed_reps(cosets, conjugations, n)):
         reps = alternative
         closed = _is_conjugation_closed(reps, conjugations)
-    return CosetSystem(group, subgroup, tuple(reps), closed)
+    return tuple(reps), closed
 
 
 @lru_cache(maxsize=512)

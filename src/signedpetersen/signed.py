@@ -77,15 +77,12 @@ SIX_FINGERPRINT = dict(zip(((0, 0), (1, 4), (2, 6), (2, 8), (3, 6), (3, 12)),
 
 
 @lru_cache(maxsize=1)
-def petersen_pentagon_masks() -> tuple[int, ...]:
-    g, _ = petersen()
-    return tuple(m for m in enumerate_cycles(g, 5) if m.bit_count() == 5)
-
-
-@lru_cache(maxsize=1)
-def petersen_hexagon_masks() -> tuple[int, ...]:
-    g, _ = petersen()
-    return tuple(m for m in enumerate_cycles(g, 6) if m.bit_count() == 6)
+def petersen_circle_masks() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(pentagons, hexagons) of the Petersen graph as edge masks, split by
+    length from one walk of its circles up to length 6: the girth is 5."""
+    cycles = enumerate_cycles(petersen()[0], 6)
+    return (tuple(m for m in cycles if m.bit_count() == 5),
+            tuple(m for m in cycles if m.bit_count() == 6))
 
 
 @lru_cache(maxsize=64)
@@ -97,9 +94,10 @@ def _class_invariants(z: int) -> tuple[str, int, int, int, int]:
     base = chord_mask(g, z)
     l = least_edges(g, z).bit_count()
     l0 = least_vertices(g, base).bit_count()
-    pentagons = odd_count(base, petersen_pentagon_masks())
+    pentagon_masks, hexagon_masks = petersen_circle_masks()
+    pentagons = odd_count(base, pentagon_masks)
     return (SIX_FINGERPRINT[(l, pentagons)], l, l0, pentagons,
-            odd_count(base, petersen_hexagon_masks()))
+            odd_count(base, hexagon_masks))
 
 
 def petersen_invariants(mask: int) -> tuple[str, int, int, int, int]:

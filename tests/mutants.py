@@ -141,6 +141,14 @@ MUTANTS = (
            ("tests/test_clustering.py::"
             "test_index_and_witness_match_the_listing_routes_on_every_"
             "petersen_signature",)),
+    Mutant("inclusterability counts the circles, not the deletions",
+           CLUSTERING,
+           "            return hit.bit_count()\n",
+           "            return len(targets)\n",
+           ("tests/test_clustering.py::test_table_t10",
+            "tests/test_clustering.py::test_inclusterability_witness",
+            "tests/test_clustering.py::"
+            "test_index_and_witness_match_the_listing_routes_on_seeded_graphs")),
     Mutant("vertex sets grown in reverse", GRAPHS,
            "for v in range(w.bit_length(), n):",
            "for v in reversed(range(w.bit_length(), n)):",
@@ -181,6 +189,13 @@ MUTANTS = (
             "test_is_balanced_matches_the_witness_on_seeded_graphs_and_twins",
             "tests/test_properties.py::"
             "test_balance_agrees_with_frustration_zero")),
+    Mutant("hexagons split off the walk with the pentagons", SIGNED,
+           "tuple(m for m in cycles if m.bit_count() == 6)",
+           "tuple(m for m in cycles if m.bit_count() >= 5)",
+           ("tests/test_signed.py::test_pentagon_hexagon_masks",
+            "tests/test_signed.py::"
+            "test_pentagons_and_hexagons_have_closed_forms",
+            "tests/test_census_cli.py::test_table_t1_values")),
     Mutant("one-pass edge check without the order test", GRAPHS,
            "if not (last < e and 0 <= u < v < vertex_count):",
            "if not (0 <= u < v < vertex_count):",
@@ -197,6 +212,20 @@ MUTANTS = (
            "    return r <= len(g.edges) - r\n",
            ("tests/test_frustration.py::"
             "test_least_edges_searches_syndromes_below_the_cut_dimension",)),
+    Mutant("frustration index counts the chord representative", FRUSTRATION,
+           "    return least_edges(g, syndrome(g, s.mask)).bit_count()\n",
+           "    return chord_mask(g, syndrome(g, s.mask)).bit_count()\n",
+           ("tests/test_frustration.py::test_index_matches_brute_force",
+            "tests/test_frustration.py::"
+            "test_circle_routes_match_cut_walk_and_subset_search")),
+    Mutant("frustration number counts the least edges", FRUSTRATION,
+           "    return least_vertices(s.graph, s.mask).bit_count()\n",
+           "    return least_edges(s.graph, syndrome(s.graph, s.mask))"
+           ".bit_count()\n",
+           ("tests/test_frustration.py::"
+            "test_frustration_number_of_all_negative_complete_graphs",
+            "tests/test_frustration.py::"
+            "test_circle_routes_match_cut_walk_and_subset_search")),
     Mutant("comment test read off the line", IO,
            'if not parts or parts[0][0] == "#":',
            'if not parts or ln[0] == "#":',
@@ -240,6 +269,21 @@ MUTANTS = (
            "    _check_closure({p: (x, p) for x, p, _ in lifts})\n", "",
            ("tests/test_groups.py::"
             "test_orbit_counts_refuse_a_class_scan_that_is_not_a_group",)),
+    Mutant("lifts handed to swaut without the class histogram", GROUPS,
+           "    return tuple(out), histogram\n",
+           "    return tuple(out), None\n",
+           ("tests/test_census_cli.py::test_verify_all_does_group_work_once",
+            "tests/test_census_cli.py::"
+            "test_warm_group_and_cluster_compute_only_what_they_print")),
+    Mutant("coset system keeps the unclosed default", GROUPS,
+           "    if not closed and (alternative := _closed_reps(cosets, "
+           "conjugations, n)):\n"
+           "        reps = alternative\n",
+           "    if not closed and (alternative := _closed_reps(cosets, "
+           "conjugations, n)):\n"
+           "        pass\n",
+           ("tests/test_groups.py::"
+            "test_coset_systems_match_the_element_reference",)),
     Mutant("coset tie-break inverted", GROUPS,
            "(size == n and x ^ full < x)", "(size == n and x ^ full > x)",
            ("tests/test_groups.py::"

@@ -18,7 +18,7 @@ from signedpetersen.graphs import (MAX_SEARCH_VERTICES, Graph, SearchSizeError,
                                    _Record, automorphism_images, bits,
                                    cut_mask, cut_space, forest_preimage,
                                    petersen, span_basis, syndrome)
-from signedpetersen.groups import (CosetError, CosetSystem, FiniteGroup,
+from signedpetersen.groups import (CosetError, FiniteGroup,
                                    GroupAxiomError, SwitchingGroup,
                                    SwitchingPermutation, _default_reps,
                                    compose, identity_perm, inverse)
@@ -677,10 +677,11 @@ def sp_act(a, s):
 
 
 def reference_coset_system(group, subgroup):
-    """Left-coset representatives of the subgroup inside a switching
-    automorphism group, element by element: the default choice, and when
-    it is not closed under conjugation by the subgroup, a closed choice
-    propagated around each orbit of cosets by ``sp_conjugate``."""
+    """(representatives, closed under conjugation) of the subgroup's left
+    cosets inside a switching automorphism group, element by element: the
+    default choice, and when it is not closed under conjugation by the
+    subgroup, a closed choice propagated around each orbit of cosets by
+    ``sp_conjugate``."""
     if not subgroup.is_subgroup(group):
         raise CosetError("not a subgroup")
     if any(e.switch_mask for e in subgroup.elements):
@@ -695,7 +696,7 @@ def reference_coset_system(group, subgroup):
         if alternative is not None:
             reps = alternative
             closed = is_conjugation_closed(reps, subgroup)
-    return CosetSystem(group, subgroup, tuple(reps), closed)
+    return tuple(reps), closed
 
 
 def is_conjugation_closed(reps, subgroup):
@@ -738,43 +739,45 @@ def closed_reps(cosets, subgroup):
     return [chosen[mask] for mask in sorted(chosen)]
 
 
-def rep_for_mask(system, canonical_mask):
-    """Index of the representative of the coset with the given canonical
-    switching mask."""
-    for i, r in enumerate(system.representatives):
+def rep_for_mask(reps, canonical_mask):
+    """Index, among the representatives reps, of the one of the coset with
+    the given canonical switching mask."""
+    for i, r in enumerate(reps):
         if sp_canonical(r).switch_mask == canonical_mask:
             return i
     raise CosetError(f"no representative for switching class {canonical_mask:#x}")
 
 
-def general_product(system, x, y):
+def general_product(system, subgroup, x, y):
     """Product of x = rep_i * alpha and y = rep_j * beta computed through the
     coset representatives: returns (sign, rep index, nu, alpha*beta) with nu
     in the subgroup, and cross-checks against direct multiplication.
 
-    Requires a conjugation-closed representative system.
+    system is the (representatives, closed) pair of ``coset_system`` for
+    the subgroup, and must be conjugation-closed.
     """
-    if not system.closed_under_conjugation:
+    reps, closed = system
+    if not closed:
         raise CosetError("representative system is not conjugation-closed")
     i, alpha = x
     j, beta = y
-    rx, ry = system.representatives[i], system.representatives[j]
-    if alpha not in system.subgroup.index or beta not in system.subgroup.index:
+    rx, ry = reps[i], reps[j]
+    if alpha not in subgroup.index or beta not in subgroup.index:
         raise CosetError("cofactors must lie in the subgroup")
 
     # Raw switching set of the product: X xor the pullback of Y through
     # (gamma_X alpha).
     ga = compose(rx.perm, alpha.perm)
     u_raw = rx.switch_mask ^ pullback(ry.switch_mask, ga)
-    k = rep_for_mask(system, sp_canonical(SwitchingPermutation(u_raw, ga)).switch_mask)
-    ru = system.representatives[k]
+    k = rep_for_mask(reps, sp_canonical(SwitchingPermutation(u_raw, ga)).switch_mask)
+    ru = reps[k]
     sign = 1 if u_raw == ru.switch_mask else -1
 
     # nu = gamma_U^-1 * gamma_X * (gamma_Y conjugated by alpha^-1)
     gy_conj = compose(compose(alpha.perm, ry.perm), inverse(alpha.perm))
     nu_perm = compose(compose(inverse(ru.perm), rx.perm), gy_conj)
     nu = SwitchingPermutation(0, nu_perm)
-    if nu not in system.subgroup.index:
+    if nu not in subgroup.index:
         raise CosetError("nu fell outside the subgroup")
     ab = SwitchingPermutation(0, compose(alpha.perm, beta.perm))
 
@@ -922,7 +925,8 @@ def classify_matching(g, m):
 
     def mask(pairs):
         return sum(1 << index[min(u, v), max(u, v)] for u, v in pairs)
-    orbit = {mask((a[u], a[v]) for u, v in edges) for a in g.automorphisms}
+    orbit = {mask((a[u], a[v]) for u, v in edges)
+             for a in automorphism_images(g)}
     vertex = {f"{i}{j}": v for v, (i, j) in enumerate(lab.pair_of)}
     for c, member in MATCHING_MEMBERS.items():
         if mask((vertex[x], vertex[y]) for x, y in member) in orbit:

@@ -286,19 +286,25 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
                                                              monkeypatch,
                                                              rep_masks,
                                                              tmp_path):
-    # A warm group --coset-table query on a P2,2 mask reads one lift list
-    # and runs one closure check, that of its Aut; SwAut's order histogram
-    # comes from the class cache. A cluster query and T10 read the cluster number
-    # from the positive forest, with no graph built on the components.
+    # A warm group --coset-table query on a P2,2 mask reads one lift list,
+    # looks its switching class up once and runs one closure check, that of
+    # its Aut; SwAut's order histogram comes with the lifts from the class
+    # cache. A cluster query and T10 read the cluster number from the
+    # positive forest, with no graph built on the components.
     from functools import lru_cache
     from signedpetersen import groups
-    lifted, closures, built = [], [], []
+    lifted, closures, built, looked_up = [], [], [], []
     lifts, closure = groups._lifts.__wrapped__, groups._check_closure
+    switching_class = groups._switching_class
     graph_init = Graph.__init__
 
     def counted_lifts(s):
         lifted.append(s.mask)
         return lifts(s)
+
+    def counted_class(g, z):
+        looked_up.append(z)
+        return switching_class(g, z)
 
     def counted_closure(by_perm):
         closures.append(len(by_perm))
@@ -313,16 +319,19 @@ def test_warm_group_and_cluster_compute_only_what_they_print(capsys,
                    "--coset-table")[0] == 0
     monkeypatch.setattr(groups, "_lifts", lru_cache(maxsize=8)(counted_lifts))
     monkeypatch.setattr(groups, "_check_closure", counted_closure)
+    monkeypatch.setattr(groups, "_switching_class", counted_class)
     monkeypatch.setattr(Graph, "__init__", counted_init)
     for x in (0b11, 0b1010010110):
         mask = m ^ cut_mask(g, x)
         lifted.clear()
         closures.clear()
+        looked_up.clear()
         code, out, _ = run_cli(capsys, "group", "--mask", format_mask(mask),
                                "--coset-table")
         assert code == 0 and "swaut order 4 label V4" in out
         aut_order = int(out.split()[2])
         assert lifted == [mask] and closures == [aut_order]
+        assert looked_up == [syndrome(g, m)]
     for mask in rep_masks[1:4]:
         assert run_cli(capsys, "cluster", "--mask", format_mask(mask)) == \
             (0, f"clusterable no inclusterability "
@@ -533,8 +542,8 @@ def test_cli_classify_matches_generic_searches(capsys, rep_masks, pg):
         s = SignedGraph(g, mask)
         assert code == 0
         assert out.splitlines()[1:3] == [
-            f"frustration index {frustration_index(s)[0]}",
-            f"frustration number {frustration_number(s)[0]}"]
+            f"frustration index {frustration_index(s)}",
+            f"frustration number {frustration_number(s)}"]
 
 
 def test_cli_classify_file(capsys, tmp_path, pg):

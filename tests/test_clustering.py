@@ -13,17 +13,16 @@ from signedpetersen.signed import SignedGraph, negate
 
 from oracles import (MAX_INCLUSTERABILITY, Cycle, adjacency, bad_cycles,
                      circle_masks, cluster_witness,
-                     clusterability_by_positive_graph, edge_index, edge_sign,
+                     clusterability_by_positive_graph, edge_sign,
                      inclusterability_by_circles, max_inclusterability,
                      sign_of_circle)
 
 
 def delete_edges(s, drop):
-    """The signed graph s without the edges in drop."""
-    dropset = {tuple(sorted(e)) for e in drop}
+    """The signed graph s without the edges in the edge mask drop."""
     edges, mask = [], 0
     for i, e in enumerate(s.graph.edges):
-        if e not in dropset:
+        if not drop >> i & 1:
             mask |= (s.mask >> i & 1) << len(edges)
             edges.append(e)
     return SignedGraph(Graph(s.graph.vertex_count, tuple(edges)), mask)
@@ -72,7 +71,7 @@ def test_table_t10(reps):
     assert len(sigs) == len(T10_COLUMNS) == 12
     for i, s in enumerate(sigs):
         assert cluster_number(s) == CLUSTER_NUMBER[i], T10_COLUMNS[i]
-        assert inclusterability_index(s)[0] == INCLUSTERABILITY[i], T10_COLUMNS[i]
+        assert inclusterability_index(s) == INCLUSTERABILITY[i], T10_COLUMNS[i]
         assert is_clusterable(s) is (CLUSTER_NUMBER[i] is not None)
 
 
@@ -133,15 +132,16 @@ def test_inclusterability_witness(reps):
     for s in t10_signatures(reps):
         if is_clusterable(s):
             continue
-        q, dels = inclusterability_index(s)
-        assert len(dels) == q > 0
+        # the least set meeting every listed bad circle
+        dels = inclusterability_by_circles(s)
+        q = inclusterability_index(s)
+        assert dels.bit_count() == q > 0
         assert clusterable_by_the_positive_graph(delete_edges(s, dels))
         # minimality: no smaller deletion set works
-        edges = list(s.graph.edges)
-        import itertools
-        for smaller in itertools.combinations(edges, q - 1):
+        singles = [1 << i for i in range(len(s.graph.edges))]
+        for smaller in itertools.combinations(singles, q - 1):
             assert not clusterable_by_the_positive_graph(
-                delete_edges(s, smaller))
+                delete_edges(s, sum(smaller)))
 
 
 def test_one_negative_edge_criterion():
@@ -166,8 +166,8 @@ def test_max_inclusterability(pg):
 def test_delete_edges(pg):
     g, _ = pg
     s = SignedGraph(g, 0b111)
-    t = delete_edges(s, [g.edges[0]])
-    assert len(t.graph.edges) == 14
+    t = delete_edges(s, 0b1)
+    assert len(t.graph.edges) == 14 and t.mask == 0b11
     assert t.graph.vertex_count == 10
 
 
@@ -217,21 +217,19 @@ def test_oversized_graph_refused_before_the_forest(monkeypatch):
 
 
 def check_against_listing_routes(s):
-    """The index against a least hitting set of every listed bad circle, its
-    deletion set against those circles (by Davis, deleting it leaves a
-    clusterable signature exactly when it meets all of them), the
-    clusterability witness against the forest of a separate positive graph
-    and the colouring of a separate graph on its components, the yes or no
-    against both witnesses, and the cluster number against the witness."""
-    g = s.graph
-    q, dels = inclusterability_index(s)
-    assert q == len(dels) == inclusterability_by_circles(s).bit_count()
-    hit = sum(1 << edge_index(g)[e] for e in dels)
-    assert all(c & hit for c in bad_cycles(circle_masks(g), s.mask))
+    """The index against the size of a least hitting set of every listed bad
+    circle (by Davis, deleting a set leaves a clusterable signature exactly
+    when it meets all of them), the clusterability witness against the
+    forest of a separate positive graph and the colouring of a separate
+    graph on its components, the yes or no against both witnesses, and the
+    cluster number against the witness. Returns the hitting set."""
+    hit = inclusterability_by_circles(s)
+    assert inclusterability_index(s) == hit.bit_count()
     ok, witness = cluster_witness(s)
     assert (ok, witness) == clusterability_by_positive_graph(s)
     assert is_clusterable(s) is ok
     assert cluster_number(s) == (len(witness) if ok else None)
+    return hit
 
 
 def test_index_and_witness_match_the_listing_routes_on_every_petersen_signature(pg):
@@ -264,7 +262,6 @@ def test_index_and_witness_match_the_listing_routes_on_seeded_graphs():
         density = rng.random()
         s = SignedGraph(g, sum(1 << i for i in range(len(g.edges))
                                if rng.random() < density))
-        check_against_listing_routes(s)
         assert clusterable_by_the_positive_graph(
-            delete_edges(s, inclusterability_index(s)[1]))
+            delete_edges(s, check_against_listing_routes(s)))
     assert dense == 120 and disconnected >= 120

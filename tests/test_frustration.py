@@ -13,7 +13,7 @@ from signedpetersen.frustration import (_edges_by_cuts, _edges_by_syndromes,
                                         balanced_without, frustration_index,
                                         frustration_number, least_edges,
                                         least_vertices)
-from signedpetersen.graphs import (Graph, SearchSizeError, chord_mask,
+from signedpetersen.graphs import (Graph, SearchSizeError, bits, chord_mask,
                                    cut_space, petersen, syndrome)
 from signedpetersen.signed import SignedGraph, negate, switch
 
@@ -33,16 +33,18 @@ def k33_signed(mask):
 
 def test_six_class_values(reps):
     for i, s in enumerate(reps):
-        l, we = frustration_index(s)
-        l0, wv = frustration_number(s)
+        g = s.graph
+        l, l0 = frustration_index(s), frustration_number(s)
         assert l == FRUSTRATION_INDEX[i], CLASS_NAMES[i]
         assert l0 == FRUSTRATION_NUMBER[i], CLASS_NAMES[i]
-        # witness checks: the edge witness is a negative set of some
+        # witness checks: the least edge mask is a negative set of some
         # switching, so flipping exactly those signs balances
-        flipped = SignedGraph(s.graph, s.mask ^ sum(
-            1 << s.graph.index_of(u, v) for u, v in we))
-        assert len(we) == l and balance_witness(flipped)
-        assert len(wv) == l0 and balance_witness(delete_vertices(s, wv))
+        we = least_edges(g, syndrome(g, s.mask))
+        wv = least_vertices(g, s.mask)
+        assert we.bit_count() == l and balance_witness(
+            SignedGraph(g, s.mask ^ we))
+        assert wv.bit_count() == l0 and balance_witness(
+            delete_vertices(s, bits(wv)))
 
 
 def cut_dominance_check(s):
@@ -58,11 +60,11 @@ def cut_dominance_check(s):
 def test_reports_and_minimality(reps):
     for s in reps:
         # standard reps are minimal
-        assert frustration_index(s)[0] == s.mask.bit_count()
+        assert frustration_index(s) == s.mask.bit_count()
         assert cut_dominance_check(s) is None
     # a non-minimal signature has a dominated cut
     bad = negate(reps[0])  # all 15 edges negative, l = 3
-    assert frustration_index(bad)[0] < bad.mask.bit_count()
+    assert frustration_index(bad) < bad.mask.bit_count()
     x = cut_dominance_check(bad)
     assert x is not None
     assert switch(bad, x).mask.bit_count() < bad.mask.bit_count()
@@ -71,11 +73,11 @@ def test_reports_and_minimality(reps):
 def test_small_graph_oracles():
     # one negative edge on K4: l = l0 = 1
     s = k4_signed(1)
-    assert frustration_index(s)[0] == 1
-    assert frustration_number(s)[0] == 1
+    assert frustration_index(s) == 1
+    assert frustration_number(s) == 1
     # all-negative K4 is antibalanced-like: l = 2
     s = k4_signed(0b111111)
-    assert frustration_index(s)[0] == 2
+    assert frustration_index(s) == 2
 
 
 def test_l0_equals_l_on_small_cubic_graphs():
@@ -84,7 +86,7 @@ def test_l0_equals_l_on_small_cubic_graphs():
     for make, m in ((k4_signed, 6), (k33_signed, 9)):
         for mask in range(1 << m):
             s = make(mask)
-            assert frustration_index(s)[0] == frustration_number(s)[0], mask
+            assert frustration_index(s) == frustration_number(s), mask
 
 
 def test_alpha_k(reps):
@@ -140,8 +142,10 @@ def test_frustration_number_of_all_negative_complete_graphs():
     # three left make a negative triangle
     for n in (12, 16):
         g = Graph.from_edges(n, itertools.combinations(range(n), 2))
-        l0, dropped = frustration_number(SignedGraph(g, (1 << len(g.edges)) - 1))
-        assert l0 == len(dropped) == n - 2
+        s = SignedGraph(g, (1 << len(g.edges)) - 1)
+        dropped = least_vertices(g, s.mask)
+        assert frustration_number(s) == dropped.bit_count() == n - 2
+        assert balance_witness(delete_vertices(s, bits(dropped)))
 
 
 def test_delete_vertices(pg):
@@ -182,9 +186,11 @@ def test_index_matches_brute_force():
         masks = range(1 << m) if m <= 6 else rng.sample(range(1 << m), 40)
         for mask in masks:
             s = SignedGraph(g, mask)
-            l, we = frustration_index(s)
+            l = frustration_index(s)
             assert l == brute_force_index(s), (g, mask)
-            assert len(we) == l
+            we = least_edges(g, syndrome(g, mask))
+            assert we.bit_count() == l
+            assert balance_witness(SignedGraph(g, mask ^ we))
 
 
 def test_disconnected_is_sum_of_components():
@@ -197,9 +203,9 @@ def test_disconnected_is_sum_of_components():
     for m1 in range(1 << 6):
         for m2 in (0, 1, 0b11111, 0b10101):
             s = SignedGraph(both, m1 | m2 << 6)
-            parts = (frustration_index(SignedGraph(k4, m1))[0] +
-                     frustration_index(SignedGraph(c5, m2))[0])
-            assert frustration_index(s)[0] == parts
+            parts = (frustration_index(SignedGraph(k4, m1)) +
+                     frustration_index(SignedGraph(c5, m2)))
+            assert frustration_index(s) == parts
 
 
 def parity_graphs():
@@ -266,14 +272,14 @@ def test_circle_routes_match_cut_walk_and_subset_search():
         assert by_syndromes.bit_count() == by_edge_circles.bit_count() == l, s
         for witness in (by_edge_circles, by_syndromes, by_cuts):
             assert balance_witness(SignedGraph(g, s.mask ^ witness))
-        assert len(frustration_index(s)[1]) == l
+        assert frustration_index(s) == l
         by_subsets = least_vertices(g, s.mask)
         l0 = by_subsets.bit_count()
         assert by_vertex_circles.bit_count() == l0 <= l, s
         for witness in (by_vertex_circles, by_subsets):
             dropped = [v for v in range(g.vertex_count) if witness >> v & 1]
             assert balance_witness(delete_vertices(s, dropped))
-        assert len(frustration_number(s)[1]) == l0
+        assert frustration_number(s) == l0
 
 
 def test_least_edges_searches_syndromes_below_the_cut_dimension(monkeypatch):

@@ -18,8 +18,8 @@ from signedpetersen.coloring import (_count, chromatic_numbers,
 from signedpetersen.frustration import frustration_number
 from signedpetersen.graphs import enumerate_cycles, syndrome
 from signedpetersen.signed import (SIX_FINGERPRINT, SignedGraph, is_balanced,
-                                   petersen_hexagon_masks, petersen_invariants,
-                                   petersen_pentagon_masks, switch)
+                                   petersen_circle_masks, petersen_invariants,
+                                   switch)
 
 from oracles import (balanced_expansion_check, minimal_representative,
                      petersen_l0_by_spans, switching_orbits)
@@ -59,7 +59,7 @@ def test_switching_invariance_of_frustration_index(pg, orbits):
         l = rep.mask.bit_count()
         assert l == min(m.bit_count() for m in orbit)
         pentagons = sum((orbit[0] & c).bit_count() & 1
-                        for c in petersen_pentagon_masks())
+                        for c in petersen_circle_masks()[0])
         six = SIX_FINGERPRINT[(l, pentagons)]
         assert [petersen_invariants(m)[1] for m in orbit] == [l] * 512
         assert {petersen_invariants(m)[0] for m in orbit} == {six}
@@ -74,7 +74,7 @@ def test_switching_invariance_of_frustration_number(pg, orbits):
     for orbit in orbits:
         l0 = petersen_l0_by_spans(syndrome(g, orbit[0]))
         assert [petersen_invariants(m)[2] for m in orbit] == [l0] * 512
-        assert frustration_number(SignedGraph(g, rng.choice(orbit)))[0] == l0
+        assert frustration_number(SignedGraph(g, rng.choice(orbit))) == l0
 
 
 def test_switching_invariance_of_circle_signs(pg):
@@ -82,8 +82,7 @@ def test_switching_invariance_of_circle_signs(pg):
     # count, so it is switching invariant too. The program's counts match
     # the direct ones on every mask.
     rows = [petersen_invariants(mask) for mask in ALL_MASKS]
-    for at, circles in ((3, petersen_pentagon_masks()),
-                        (4, petersen_hexagon_masks())):
+    for at, circles in zip((3, 4), petersen_circle_masks()):
         counts = [sum((mask & c).bit_count() & 1 for c in circles)
                   for mask in ALL_MASKS]
         assert_switching_invariant(counts, pg[0])

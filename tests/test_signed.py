@@ -4,11 +4,13 @@ import pytest
 
 from signedpetersen.expected import (CLASS_NAMES, NEGATIVE_HEXAGONS,
                                      NEGATIVE_PENTAGONS)
-from signedpetersen.graphs import Graph, cut_mask, cut_space, petersen
+from signedpetersen import signed
+from signedpetersen.graphs import (Graph, cut_mask, cut_space,
+                                   enumerate_cycles, petersen)
 from signedpetersen.signed import (SIX_ORDER, SignedGraph, classify_six,
                                    classify_six_mask, is_balanced, negate,
-                                   petersen_hexagon_masks, petersen_invariants,
-                                   petersen_pentagon_masks, switch)
+                                   petersen_circle_masks, petersen_invariants,
+                                   switch)
 
 from oracles import (adjacency, balance_witness, closed_form_hexagon_masks,
                      closed_form_pentagon_masks, edge_sign, list_cycles,
@@ -148,15 +150,25 @@ def test_cut_masks_form_xor_space(pg):
     assert sum(1 for m in masks if m.bit_count() == 3) >= 9
 
 
-def test_pentagon_hexagon_masks():
-    assert len(petersen_pentagon_masks()) == 12
-    assert len(petersen_hexagon_masks()) == 10
-    assert all(m.bit_count() == 5 for m in petersen_pentagon_masks())
-    assert all(m.bit_count() == 6 for m in petersen_hexagon_masks())
+def test_pentagon_hexagon_masks(pg, monkeypatch):
+    # both tables come from one walk of the cycles up to length 6
+    walks = []
+    monkeypatch.setattr(signed, "enumerate_cycles",
+                        lambda g, n: walks.append(n) or enumerate_cycles(g, n))
+    petersen_circle_masks.cache_clear()
+    pentagons, hexagons = petersen_circle_masks()
+    assert petersen_circle_masks() == (pentagons, hexagons) and walks == [6]
+    assert len(pentagons) == 12
+    assert len(hexagons) == 10
+    assert all(m.bit_count() == 5 for m in pentagons)
+    assert all(m.bit_count() == 6 for m in hexagons)
     # every edge lies on exactly 4 pentagons and 4 hexagons
     for i in range(15):
-        assert sum(1 for m in petersen_pentagon_masks() if m >> i & 1) == 4
-        assert sum(1 for m in petersen_hexagon_masks() if m >> i & 1) == 4
+        assert sum(1 for m in pentagons if m >> i & 1) == 4
+        assert sum(1 for m in hexagons if m >> i & 1) == 4
+    # the oracle's listing, in its order: by length, then vertex sequence
+    listed = list_cycles(pg[0], 6)
+    assert pentagons + hexagons == tuple(c.edge_mask for c in listed)
 
 
 def test_pentagons_and_hexagons_have_closed_forms():
@@ -165,8 +177,7 @@ def test_pentagons_and_hexagons_have_closed_forms():
     pentagons = closed_form_pentagon_masks()
     hexagons = closed_form_hexagon_masks()
     assert (len(pentagons), len(hexagons)) == (12, 10)
-    assert pentagons == set(petersen_pentagon_masks())
-    assert hexagons == set(petersen_hexagon_masks())
+    assert (pentagons, hexagons) == tuple(map(set, petersen_circle_masks()))
 
 
 def test_classify_six(reps, rep_masks):
