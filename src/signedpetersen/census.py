@@ -12,7 +12,7 @@ from .clustering import cluster_number, inclusterability_index
 from .coloring import (alpha_k, chi3_difference, chromatic_numbers,
                        count_colorations)
 from .frustration import frustration_number
-from .graphs import _Record, chord_mask, cut_space, petersen
+from .graphs import PETERSEN_LABELS, _Record, chord_mask, cut_space, petersen
 from .groups import aut_signed, identify_group, orbit_counts, swaut
 from .io import format_mask
 from .signed import (SIX_FINGERPRINT, SIX_ORDER, SignedGraph,
@@ -28,11 +28,12 @@ def standard_representative(t: str) -> SignedGraph:
 
 @lru_cache(maxsize=None)
 def standard_mask(t: str) -> int:
-    g, lab = petersen()
+    """Sign mask of the standard representative of class t, whose negative
+    edges are pairs of vertex labels "ij", found in ``PETERSEN_LABELS``."""
+    g = petersen()[0]
     mask = 0
     for a, b in expected.STANDARD_NEGATIVE_EDGES[t]:
-        u = lab.vertex(int(a[0]), int(a[1]))
-        v = lab.vertex(int(b[0]), int(b[1]))
+        u, v = PETERSEN_LABELS.index(a), PETERSEN_LABELS.index(b)
         mask |= 1 << g.index_of(u, v)
     return mask
 

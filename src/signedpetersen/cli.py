@@ -15,15 +15,10 @@ from . import io as io_mod
 from .clustering import cluster_number, inclusterability_index
 from .coloring import chromatic_numbers, count_colorations
 from .frustration import frustration_index, frustration_number
-from .graphs import PETERSEN_PAIRS, bits, petersen
+from .graphs import PETERSEN_LABELS, PETERSEN_PAIRS, bits, petersen
 from .groups import (aut_signed, coset_system, format_cycles, identify_group,
                      induced_permutation, swaut)
 from .signed import SignedGraph, petersen_invariants
-
-
-# The label "ij" of each Petersen vertex v_ij, in the lexicographic order of
-# the pairs: the labels of a switching set read off its bits come out sorted.
-_LABELS = tuple(f"{a}{b}" for a, b in PETERSEN_PAIRS)
 
 
 def _load(args) -> SignedGraph:
@@ -66,29 +61,23 @@ def cmd_group(args) -> int:
     if args.coset_table:
         reps, closed = coset_system(sw, aut)
         print(f"cosets {len(reps)} conjugation-closed {closed}")
-        print("\n".join(
-            f"rep {i}: switch {{{','.join([_LABELS[v] for v in bits(x)])}}} "
-            f"perm {_vertex_perm_name(p)}" for i, (x, p) in enumerate(reps)))
+        for i, (x, p) in enumerate(reps):
+            labels = ",".join([PETERSEN_LABELS[v] for v in bits(x)])
+            print(f"rep {i}: switch {{{labels}}} perm {_perm_name(p)}")
     return 0
-
-
-def _vertex_perm_name(perm) -> str:
-    """Cycle notation on {1..5} when the vertex permutation is induced from
-    one, else the raw image vector."""
-    return _perm_name(tuple(perm))
 
 
 @lru_cache(maxsize=256)
 def _perm_name(perm: tuple[int, ...]) -> str:
-    """``_vertex_perm_name`` of one permutation, once: it is induced, if at
-    all, from the permutation of {1..5} that sends i to the one element
-    shared by the images of the pairs that hold i."""
-    lab = petersen()[1]
-    shared = [set.intersection(*(set(lab.pair_of[w]) for w, p
-                                 in zip(perm, lab.pair_of) if i in p))
+    """Cycle notation on {1..5} when the vertex permutation is induced from
+    one, else the raw image vector; worked out once per permutation. It is
+    induced, if at all, from the permutation of {1..5} that sends i to the
+    one element shared by the images of the pairs that hold i."""
+    shared = [set.intersection(*(set(PETERSEN_PAIRS[w]) for w, p
+                                 in zip(perm, PETERSEN_PAIRS) if i in p))
               for i in range(1, 6)]
     base = tuple(min(x, default=0) for x in shared)
-    if set(base) == {1, 2, 3, 4, 5} and induced_permutation(lab, base) == perm:
+    if set(base) == {1, 2, 3, 4, 5} and induced_permutation(base) == perm:
         return format_cycles(base)
     return str(list(perm))
 

@@ -178,38 +178,21 @@ class Graph(_Record):
 # Petersen graph
 # ---------------------------------------------------------------------------
 
-# 2-subsets of {1..5} in lexicographic order; subset i is vertex i.
+# The 2-subsets {i, j} of {1..5} in lexicographic order: vertex v is v_ij
+# with (i, j) = PETERSEN_PAIRS[v], and its label "ij" is PETERSEN_LABELS[v].
 PETERSEN_PAIRS = tuple(itertools.combinations(range(1, 6), 2))
-
-
-class PetersenLabeling(_Record):
-    """Bijection between vertex ids 0..9 and the 2-subsets of {1..5}."""
-
-    _fields = ("pair_of",)
-
-    def __init__(self, pair_of: tuple[tuple[int, int], ...] = PETERSEN_PAIRS):
-        self.__dict__["pair_of"] = pair_of
-
-    @_cached
-    def vertex_of(self) -> dict[frozenset, int]:
-        return {frozenset(p): i for i, p in enumerate(self.pair_of)}
-
-    def vertex(self, i: int, j: int) -> int:
-        return self.vertex_of[frozenset((i, j))]
+PETERSEN_LABELS = tuple(f"{i}{j}" for i, j in PETERSEN_PAIRS)
 
 
 @lru_cache(maxsize=1)
-def petersen() -> tuple[Graph, PetersenLabeling]:
-    """Petersen graph on the canonical pair labeling: v_{ij} ~ v_{kl} iff
-    the pairs {i,j} and {k,l} are disjoint. Every call returns the same
-    frozen graph, so what it caches (incidence, spanning forest, syndromes)
-    and the caches keyed by it are computed once per process."""
-    edges = []
-    for a in range(10):
-        for b in range(a + 1, 10):
-            if not set(PETERSEN_PAIRS[a]) & set(PETERSEN_PAIRS[b]):
-                edges.append((a, b))
-    return Graph.from_edges(10, edges), PetersenLabeling()
+def petersen() -> tuple[Graph, tuple[tuple[int, int], ...]]:
+    """Petersen graph on ``PETERSEN_PAIRS``, with those pairs: v_{ij} ~
+    v_{kl} iff the pairs {i,j} and {k,l} are disjoint. Every call returns the
+    same frozen graph, so what it caches (incidence, spanning forest,
+    syndromes) and the caches keyed by it are computed once per process."""
+    edges = [(a, b) for a, b in itertools.combinations(range(10), 2)
+             if not set(PETERSEN_PAIRS[a]) & set(PETERSEN_PAIRS[b])]
+    return Graph.from_edges(10, edges), PETERSEN_PAIRS
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +398,12 @@ def vertex_sets(g: Graph, independent: bool = False):
 
 def automorphism_images(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All adjacency-preserving vertex bijections of g, as image tuples,
-    sorted, searched on each call: ``groups._automorphism_edge_maps`` keeps
-    them once per graph."""
-    return _automorphism_search(g)
-
-
-def _automorphism_search(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Backtracking in spanning-forest order on neighbour bitmasks. The
-    candidates of a vertex, the unused ones of its degree adjacent to the
-    images of its earlier neighbours, are one mask; one is taken when its
-    used neighbours are exactly those images (adjacency both ways). Sorted,
-    the images are in the lexicographic order of a search in vertex order."""
+    sorted, searched on each call (``groups._automorphism_edge_maps`` keeps
+    them once per graph) by backtracking in spanning-forest order on
+    neighbour bitmasks. A vertex's candidates, the unused ones of its degree
+    adjacent to the images of its earlier neighbours, are one mask; one is
+    taken when its used neighbours are exactly those images (adjacency both
+    ways); sorted, they come in the order a vertex-order search finds them."""
     n = g.vertex_count
     if n > MAX_SEARCH_VERTICES:
         raise SearchSizeError(f"{n} vertices exceeds cap {MAX_SEARCH_VERTICES}")

@@ -25,9 +25,9 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache, partial
 
-from .graphs import (Graph, MAX_SEARCH_VERTICES, SearchSizeError, _cached,
-                     automorphism_images, bits, chord_mask, forest_preimage,
-                     syndrome)
+from .graphs import (PETERSEN_PAIRS, Graph, MAX_SEARCH_VERTICES,
+                     SearchSizeError, _cached, automorphism_images, bits,
+                     chord_mask, forest_preimage, syndrome)
 from .signed import SignedGraph
 
 # ---------------------------------------------------------------------------
@@ -98,11 +98,12 @@ def format_cycles(base: tuple[int, ...]) -> str:
     return "".join(parts) or "()"
 
 
-def induced_permutation(labeling, base: tuple[int, ...]) -> tuple[int, ...]:
+def induced_permutation(base: tuple[int, ...]) -> tuple[int, ...]:
     """Vertex permutation of the Petersen graph induced by a permutation of
-    {1..5}: v_{ij} goes to v_{i^base j^base}."""
-    return tuple(labeling.vertex(base[i - 1], base[j - 1])
-                 for i, j in labeling.pair_of)
+    {1..5}: v_{ij} goes to v_{i^base j^base}, the vertex of the image pair,
+    sorted, in ``PETERSEN_PAIRS``."""
+    images = (sorted((base[i - 1], base[j - 1])) for i, j in PETERSEN_PAIRS)
+    return tuple(PETERSEN_PAIRS.index(tuple(pair)) for pair in images)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Edge-list format: a header line ``n <vertex_count>``, then one edge per
 line as ``u v +`` or ``u v -`` with 0-based vertex ids (unsigned graphs may
 omit the sign column, defaulting to +). A file is read raw, decoded as
 UTF-8 and split where ``str.splitlines`` splits, so a file and its text
-give the same graph.
+give the same graph, except above ``MAX_SEARCH_VERTICES`` vertices: there
+``load_signed_graph`` gives an edgeless stand-in and parses no edge line.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ def read_header(lines) -> int:
 
 
 def parse_signed_graph(text: str) -> SignedGraph:
+    """The signed graph of an edge-list text, every edge line parsed at any
+    vertex count, unlike ``load_signed_graph``."""
     lines = iter(text.splitlines())
     return _parse_edges(read_header(lines), lines)
 
@@ -81,11 +84,11 @@ def _parse_edges(n: int, lines) -> SignedGraph:
 
 def load_signed_graph(path: str) -> SignedGraph:
     """The signed graph of an edge-list file, as ``parse_signed_graph``
-    reads its text. The first 8,192 bytes come in one raw read; a shorter
-    file is decoded and split at once. Every command refuses more than
-    ``MAX_SEARCH_VERTICES`` vertices with its own message, so a larger
-    header gives the edgeless graph on that many vertices, and no edge
-    line is parsed."""
+    reads its text, but for a header of more than ``MAX_SEARCH_VERTICES``
+    vertices: every command refuses that many with its own message, so the
+    file then gives the edgeless graph on them, and no edge line is parsed.
+    The first 8,192 bytes come in one raw read; a shorter file is decoded
+    and split at once."""
     try:
         with open(path, "rb", buffering=0) as fh:
             data = b""

@@ -45,6 +45,7 @@ CLUSTERING = "src/signedpetersen/clustering.py"
 GRAPHS, SIGNED = "src/signedpetersen/graphs.py", "src/signedpetersen/signed.py"
 FRUSTRATION = "src/signedpetersen/frustration.py"
 GROUPS, CLI = "src/signedpetersen/groups.py", "src/signedpetersen/cli.py"
+CENSUS = "src/signedpetersen/census.py"
 
 MUTANTS = (
     Mutant("rest of a long file never read", IO,
@@ -174,6 +175,21 @@ MUTANTS = (
            "if adj[w] & used == need:", "if adj[w] & need == need:",
            ("tests/test_graphs.py::"
             "test_automorphism_search_extends_only_partial_isomorphisms",)),
+    Mutant("induced permutation looks up the image pair unsorted", GROUPS,
+           "images = (sorted((base[i - 1], base[j - 1])) for",
+           "images = ((base[i - 1], base[j - 1]) for",
+           ("tests/test_groups.py::test_induced_permutation",
+            "tests/test_census_cli.py::test_vertex_perm_name")),
+    Mutant("standard mask looks its labels up with the digits reversed",
+           CENSUS,
+           "PETERSEN_LABELS.index(a), PETERSEN_LABELS.index(b)",
+           "PETERSEN_LABELS.index(a[::-1]), PETERSEN_LABELS.index(b[::-1])",
+           ("tests/test_graphs.py::"
+            "test_matching_classes_are_the_geometric_classes",
+            "tests/test_groups.py::test_burnside_counts_the_six_classes")),
+    Mutant("permutation named without the induced check", CLI,
+           " and induced_permutation(base) == perm:", ":",
+           ("tests/test_census_cli.py::test_vertex_perm_name",)),
     Mutant("cycle orientation check dropped", GRAPHS,
            "if path[1] < last:  # fix orientation: one copy per cycle",
            "if True:",

@@ -14,7 +14,8 @@ from functools import lru_cache
 
 from signedpetersen.clustering import _clusters, bad_edge
 from signedpetersen.coloring import _count, count_colorations
-from signedpetersen.graphs import (MAX_SEARCH_VERTICES, Graph, SearchSizeError,
+from signedpetersen.graphs import (MAX_SEARCH_VERTICES, PETERSEN_LABELS,
+                                   PETERSEN_PAIRS, Graph, SearchSizeError,
                                    _Record, automorphism_images, bits,
                                    cut_mask, cut_space, forest_preimage,
                                    petersen, span_basis, syndrome)
@@ -205,6 +206,31 @@ def negative_circle_counts(s, lengths):
         if c.length in lengths and sign_of_circle(s, c) < 0:
             counts[c.length] += 1
     return counts
+
+
+def closed_walk_gaps(s, lengths):
+    """tr|A|^k - tr A_sigma^k for each k in lengths, from the signed
+    adjacency matrix A_sigma of s (the sign of each edge, 0 off the edges)
+    and its absolute value |A|: each closed walk of length k counts 1 in
+    both traces, with its sign in the second, so the gap is twice the
+    number of negative closed walks. No cycle is listed."""
+    n = s.graph.vertex_count
+    signed = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(s.graph.edges):
+        signed[u][v] = signed[v][u] = -1 if s.mask >> i & 1 else 1
+    unsigned = [[abs(x) for x in row] for row in signed]
+
+    def times(a, b):
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+                for row in a]
+    p = q = [[int(i == j) for j in range(n)] for i in range(n)]
+    gaps = {}
+    for k in range(1, max(lengths) + 1):
+        p, q = times(p, signed), times(q, unsigned)
+        if k in lengths:
+            gaps[k] = sum(q[i][i] - p[i][i] for i in range(n))
+    return gaps
 
 
 def delete_vertices(s, w):
@@ -838,8 +864,8 @@ def hexagon_of_vertex(g, v):
 def _pair_circle_mask(pairs):
     """Edge mask of the circle of the Petersen graph through the vertices
     v_ij named by pairs, in order."""
-    g, lab = petersen()
-    verts = [lab.vertex(i, j) for i, j in pairs]
+    g = petersen()[0]
+    verts = [PETERSEN_PAIRS.index(tuple(sorted(p))) for p in pairs]
     return sum(1 << g.index_of(u, v)
                for u, v in zip(verts, verts[1:] + verts[:1]))
 
@@ -915,8 +941,7 @@ def classify_matching(g, m):
     """Automorphism class of a matching m, given as vertex pairs, of the
     Petersen graph: the class whose member lies in the orbit of m's edge
     mask under the automorphisms."""
-    pg, lab = petersen()
-    if g != pg:
+    if g != petersen()[0]:
         raise ValueError("matching classes are defined on the Petersen graph")
     edges = {(min(u, v), max(u, v)) for u, v in m}
     index = edge_index(g)
@@ -927,9 +952,9 @@ def classify_matching(g, m):
         return sum(1 << index[min(u, v), max(u, v)] for u, v in pairs)
     orbit = {mask((a[u], a[v]) for u, v in edges)
              for a in automorphism_images(g)}
-    vertex = {f"{i}{j}": v for v, (i, j) in enumerate(lab.pair_of)}
+    vertex = PETERSEN_LABELS.index
     for c, member in MATCHING_MEMBERS.items():
-        if mask((vertex[x], vertex[y]) for x, y in member) in orbit:
+        if mask((vertex(x), vertex(y)) for x, y in member) in orbit:
             return c
     raise ValueError(f"{sorted(edges)} is not a matching")
 

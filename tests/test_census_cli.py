@@ -160,7 +160,7 @@ def test_verify_all_does_group_work_once(monkeypatch):
     from functools import lru_cache
     scans, edge_maps, lifted, built, tables, balance, current = (
         [], [], [], [], [], [], [])
-    search, init, build = (graphs._automorphism_search,
+    search, init, build = (groups.automorphism_images,
                            groups.FiniteGroup.__init__, census.build_table)
     edge_maps_of = groups._automorphism_edge_maps.__wrapped__
     lifts, closure = groups._lifts.__wrapped__, groups._check_closure
@@ -197,7 +197,7 @@ def test_verify_all_does_group_work_once(monkeypatch):
         current.append(table_id)
         return build(table_id)
 
-    monkeypatch.setattr(graphs, "_automorphism_search", counted_search)
+    monkeypatch.setattr(groups, "automorphism_images", counted_search)
     monkeypatch.setattr(groups.FiniteGroup, "__init__", counted_init)
     monkeypatch.setattr(census, "build_table", tracked_build)
     monkeypatch.setattr(groups, "_automorphism_edge_maps",
@@ -574,22 +574,19 @@ def test_cli_group(capsys, rep_masks):
     assert sum(1 for ln in out.splitlines() if ln.startswith("rep ")) == 10
 
 
-def test_vertex_perm_name(pg):
+def test_vertex_perm_name():
     # each of the 120 permutations of {1..5}, from the vertex permutation it
-    # induces given as a list or a tuple
-    g, lab = pg
+    # induces
     from signedpetersen.groups import format_cycles, induced_permutation
     from oracles import parse_cycles
     for base in itertools.permutations(range(1, 6)):
-        perm = induced_permutation(lab, base)
-        for given_perm in (list(perm), perm):
-            name = cli._vertex_perm_name(given_perm)
-            assert name == format_cycles(base) and parse_cycles(name) == base
+        name = cli._perm_name(induced_permutation(base))
+        assert name == format_cycles(base) and parse_cycles(name) == base
     # vertex vectors induced by no permutation of {1..5}: a transposition
-    # of two vertices, and a map of every vertex to vertex 0
-    for vector in ([1, 0] + list(range(2, 10)), [0] * 10):
-        assert cli._vertex_perm_name(vector) == str(vector)
-        assert cli._vertex_perm_name(tuple(vector)) == str(vector)
+    # of two vertices, a map of every vertex to vertex 0, and the identity
+    # with an eleventh vertex, whose first ten entries alone are induced
+    for vector in ([1, 0] + list(range(2, 10)), [0] * 10, list(range(11))):
+        assert cli._perm_name(tuple(vector)) == str(vector)
 
 
 def test_coset_table_names_only_the_printed_permutations(capsys, monkeypatch,

@@ -54,9 +54,9 @@ def golden_commands() -> list[list[str]]:
                  ["cluster", "--mask", hx],
                  ["color", "--mask", hx, "--k", "1"],
                  ["color", "--mask", hx, "--k", "1", "--zero-free"]]
-    g, lab = petersen()
+    g = petersen()[0]
     relabel = SwitchingPermutation(
-        0, induced_permutation(lab, parse_cycles("(132)(45)")))
+        0, induced_permutation(parse_cycles("(132)(45)")))
     for m in masks:
         switched = m ^ cut_mask(g, 0b1001010010)
         relabelled = sp_act(relabel, SignedGraph(g, m)).mask

@@ -9,9 +9,10 @@ from signedpetersen import graphs
 from signedpetersen.census import standard_mask
 from signedpetersen.coloring import _independent_sets
 from signedpetersen.clustering import cluster_number
-from signedpetersen.graphs import (Graph, SearchSizeError,
-                                   automorphism_images, cut_mask, cut_space,
-                                   enumerate_cycles, syndrome, vertex_sets)
+from signedpetersen.graphs import (PETERSEN_LABELS, PETERSEN_PAIRS, Graph,
+                                   SearchSizeError, automorphism_images,
+                                   cut_mask, cut_space, enumerate_cycles,
+                                   syndrome, vertex_sets)
 from signedpetersen.groups import induced_permutation
 from signedpetersen.signed import SIX_ORDER, SignedGraph
 
@@ -47,7 +48,7 @@ def test_graph_validation():
 
 
 def test_petersen_basics(pg):
-    g, lab = pg
+    g, pairs = pg
     assert g.vertex_count == 10
     assert len(g.edges) == 15
     assert all(g.degree(v) == 3 for v in range(10))
@@ -56,7 +57,7 @@ def test_petersen_basics(pg):
     # vertices are disjoint 2-subsets of {1..5}; adjacency iff disjoint
     for u in range(10):
         for v in range(u + 1, 10):
-            disjoint = not set(lab.pair_of[u]) & set(lab.pair_of[v])
+            disjoint = not set(pairs[u]) & set(pairs[v])
             assert (v in adjacency(g)[u]) == disjoint
     # diameter 2
     assert max(max(row) for row in distances(g)) == 2
@@ -73,13 +74,12 @@ def test_index_of_finds_each_edge_and_no_other_pair(pg):
 
 
 def test_petersen_labeling(pg):
-    _, lab = pg
-    assert lab.vertex(1, 2) == 0  # lex-least pair
-    assert lab.vertex(4, 5) == 9
-    assert lab.vertex(2, 1) == lab.vertex(1, 2)
-    for v in range(10):
-        i, j = sorted(lab.pair_of[v])
-        assert lab.vertex(i, j) == v
+    # vertex v is v_ij for the v-th 2-subset {i, j} of {1..5} in
+    # lexicographic order, labelled "ij"; petersen() hands back those pairs
+    assert pg[1] is PETERSEN_PAIRS
+    assert PETERSEN_PAIRS == tuple((i, j) for i in range(1, 6)
+                                   for j in range(i + 1, 6))
+    assert " ".join(PETERSEN_LABELS) == "12 13 14 15 23 24 25 34 35 45"
 
 
 def test_cycle_canonical_rotation(pg):
@@ -310,7 +310,7 @@ def test_automorphisms(pg):
 def search_nodes(g):
     """How many partial maps the automorphism search extends: the calls of
     its inner ``extend``, counted by a profile hook."""
-    extend = next(c for c in graphs._automorphism_search.__code__.co_consts
+    extend = next(c for c in graphs.automorphism_images.__code__.co_consts
                   if getattr(c, "co_name", "") == "extend")
     calls = 0
 
@@ -319,7 +319,7 @@ def search_nodes(g):
         calls += event == "call" and frame.f_code is extend
     sys.setprofile(profile)
     try:
-        graphs._automorphism_search(g)
+        graphs.automorphism_images(g)
     finally:
         sys.setprofile(None)
     return calls
@@ -376,9 +376,8 @@ def test_automorphism_search_matches_brute_force(pg):
     for g in fixed + seeded_graphs(71, [i % 8 for i in range(48)]):
         assert automorphism_images(g) == brute_automorphisms(g), g
     assert len(automorphism_images(cube())) == 48
-    g, lab = pg
-    assert automorphism_images(g) == tuple(sorted(
-        induced_permutation(lab, base)
+    assert automorphism_images(pg[0]) == tuple(sorted(
+        induced_permutation(base)
         for base in itertools.permutations(range(1, 6))))
 
 

@@ -7,12 +7,13 @@ from collections import Counter
 
 import pytest
 
-from signedpetersen.census import build_table
+from signedpetersen.census import build_table, standard_mask
 from signedpetersen.expected import (AUT_LABELS, AUT_ORDERS, CLASS_NAMES,
                                      COPIES, SWAUT_LABELS, SWAUT_ORDERS,
                                      SWITCHING_CLASSES)
-from signedpetersen.graphs import (Graph, SearchSizeError, automorphism_images,
-                                   bits, chord_mask, cut_space)
+from signedpetersen.graphs import (PETERSEN_PAIRS, Graph, SearchSizeError,
+                                   automorphism_images, bits, chord_mask,
+                                   cut_space, syndrome)
 from signedpetersen.groups import (_CATALOG, CosetError, GroupAxiomError,
                                    SwitchingGroup, SwitchingPermutation,
                                    _automorphism_edge_maps, _default_reps,
@@ -20,7 +21,8 @@ from signedpetersen.groups import (_CATALOG, CosetError, GroupAxiomError,
                                    format_cycles, identify_group, identity_perm,
                                    induced_permutation, inverse, orbit_counts,
                                    swaut)
-from signedpetersen.signed import SignedGraph, negate, switch
+from signedpetersen.signed import (SignedGraph, _class_invariants, negate,
+                                   switch)
 
 from oracles import (CayleyGroup, adjacency, closed_neighborhood, cut,
                      cut_preimage, edge_permutation,
@@ -56,11 +58,12 @@ def test_compose_convention():
 
 
 def test_induced_permutation(pg):
-    g, lab = pg
+    g = pg[0]
     base = parse_cycles("(12345)")
-    perm = induced_permutation(lab, base)
-    # v_{12} must map to v_{23}
-    assert perm[lab.vertex(1, 2)] == lab.vertex(2, 3)
+    perm = induced_permutation(base)
+    # v_{12} must map to v_{23}, and v_{45} to v_{15}: the image pair sorted
+    assert perm[PETERSEN_PAIRS.index((1, 2))] == PETERSEN_PAIRS.index((2, 3))
+    assert perm[PETERSEN_PAIRS.index((4, 5))] == PETERSEN_PAIRS.index((1, 5))
     # induced permutations are graph automorphisms
     for u, v in g.edges:
         assert perm[v] in adjacency(g)[perm[u]]
@@ -70,8 +73,8 @@ def test_induced_permutation(pg):
     pb = tuple(x - 1 for x in b)
     ab0 = compose(pa, pb)
     ab = tuple(x + 1 for x in ab0)
-    assert induced_permutation(lab, ab) == compose(
-        induced_permutation(lab, a), induced_permutation(lab, b))
+    assert induced_permutation(ab) == compose(
+        induced_permutation(a), induced_permutation(b))
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +333,9 @@ def test_burnside_counts_the_six_classes(pg):
     # automorphism's chord images: z goes to the xor of the syndromes of
     # the edges carried onto its chords. The fixed points sum to
     # 6 * |Aut P|, and the orbit sizes are the census row "switching
-    # classes"
+    # classes". Each orbit carries one class name, the six orbits six
+    # names, and the syndrome of each standard representative lies in the
+    # orbit of its name
     g, _ = pg
     maps = _automorphism_edge_maps(g)
 
@@ -350,6 +355,14 @@ def test_burnside_counts_the_six_classes(pg):
     assert sizes == [1, 1, 2, 15, 15, 30]
     assert sizes == sorted(dict(build_table("census").rows)
                            ["switching classes"])
+    named = {}
+    for orbit in orbits:
+        names = {_class_invariants(z)[0] for z in orbit}
+        assert len(names) == 1, sorted(orbit)
+        named[names.pop()] = orbit
+    assert sorted(named) == sorted(CLASS_NAMES)
+    for t in CLASS_NAMES:
+        assert syndrome(g, standard_mask(t)) in named[t], t
 
 
 def test_switching_scans_refuse_what_they_cannot_scan():
@@ -478,10 +491,10 @@ def sampled_signatures(pg, reps):
     """Three masks of each of the 64 switching classes, and the six
     standard masks with their relabelled twins."""
     from signedpetersen.census import _switching_orbits
-    g, lab = pg
+    g = pg[0]
     rng = random.Random(17)
     relabel = SwitchingPermutation(
-        0, induced_permutation(lab, parse_cycles("(132)(45)")))
+        0, induced_permutation(parse_cycles("(132)(45)")))
     signatures = [SignedGraph(g, m) for orbit in _switching_orbits()
                   for m in [orbit[0]] + rng.sample(orbit[1:], 2)]
     assert len(signatures) == 3 * 64
@@ -679,12 +692,12 @@ def test_switching_group_accepts_exactly_the_subgroups(sw6):
 
 
 def test_lift_permutation(pg, reps):
-    g, lab = pg
+    g = pg[0]
     s32, s33 = reps[4], reps[5]
     # P3,2 projects onto the even permutations only
     present = absent = 0
     for base in itertools.permutations(range(1, 6)):
-        e = lift_permutation(s32, induced_permutation(lab, base))
+        e = lift_permutation(s32, induced_permutation(base))
         if e is None:
             absent += 1
         else:
@@ -692,14 +705,14 @@ def test_lift_permutation(pg, reps):
     assert (present, absent) == (60, 60)
     # P3,3 projects onto everything; lifts match the neighborhood formula
     for base in itertools.permutations(range(1, 6)):
-        xi = induced_permutation(lab, base)
+        xi = induced_permutation(base)
         e = lift_permutation(s33, xi)
         assert e is not None and e.perm == xi
         if base[4] == 5:
             assert e.switch_mask == 0
         else:
             j = base.index(5) + 1
-            v = lab.vertex(j, 5)
+            v = PETERSEN_PAIRS.index((j, 5))
             x = sum(1 << u for u in closed_neighborhood(g, v))
             want = sp_canonical(SwitchingPermutation(x, xi))
             assert e == want

@@ -17,8 +17,7 @@ import pytest
 
 import signedpetersen
 from signedpetersen.census import TableArtifact
-from signedpetersen.graphs import (Graph, PetersenLabeling, _Record,
-                                   automorphism_images, petersen)
+from signedpetersen.graphs import Graph, _Record, automorphism_images
 from signedpetersen.groups import SwitchingPermutation
 from signedpetersen.signed import SignedGraph
 
@@ -34,8 +33,6 @@ def cases():
     g = Graph(3, PATH3)
     return {
         Graph: (g, Graph(3, PATH3), Graph(4, PATH3)),
-        PetersenLabeling: (PetersenLabeling(), PetersenLabeling(),
-                           PetersenLabeling(tuple(reversed(petersen()[1].pair_of)))),
         Cycle: (Cycle((0, 1, 2), 7), Cycle((0, 1, 2), 7), Cycle((0, 2, 1), 7)),
         SignedGraph: (SignedGraph(g, 1), SignedGraph(Graph(3, PATH3), 1),
                       SignedGraph(g, 2)),
@@ -51,10 +48,9 @@ def cases():
     }
 
 
-RECORD_CLASSES = (Graph, PetersenLabeling, Cycle, SignedGraph, BalanceResult,
-                  TableArtifact)
-FIELD_CLASSES = RECORD_CLASSES[:5] + (SwitchingPermutation,) + \
-    RECORD_CLASSES[5:]
+RECORD_CLASSES = (Graph, Cycle, SignedGraph, BalanceResult, TableArtifact)
+FIELD_CLASSES = RECORD_CLASSES[:4] + (SwitchingPermutation,) + \
+    RECORD_CLASSES[4:]
 field_ids = pytest.mark.parametrize("cls", FIELD_CLASSES,
                                     ids=[c.__name__ for c in FIELD_CLASSES])
 
@@ -171,8 +167,6 @@ def test_cached_properties_are_kept_out_of_equality():
     assert {"neighbours", "incidence"} <= g.__dict__.keys()
     fresh = Graph(3, PATH3)
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
-    lab = PetersenLabeling()
-    assert lab.vertex(4, 5) == 9 and lab.vertex_of is lab.vertex_of
 
 
 def tracer_modules() -> set[str]:

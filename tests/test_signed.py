@@ -5,7 +5,7 @@ import pytest
 from signedpetersen.expected import (CLASS_NAMES, NEGATIVE_HEXAGONS,
                                      NEGATIVE_PENTAGONS)
 from signedpetersen import signed
-from signedpetersen.graphs import (Graph, cut_mask, cut_space,
+from signedpetersen.graphs import (Graph, chord_mask, cut_mask, cut_space,
                                    enumerate_cycles, petersen)
 from signedpetersen.signed import (SIX_ORDER, SignedGraph, classify_six,
                                    classify_six_mask, is_balanced, negate,
@@ -13,9 +13,10 @@ from signedpetersen.signed import (SIX_ORDER, SignedGraph, classify_six,
                                    switch)
 
 from oracles import (adjacency, balance_witness, closed_form_hexagon_masks,
-                     closed_form_pentagon_masks, edge_sign, list_cycles,
-                     minimal_representative, negative_circle_counts,
-                     sign_of_circle, switching_equivalence)
+                     closed_form_pentagon_masks, closed_walk_gaps, edge_sign,
+                     list_cycles, minimal_representative,
+                     negative_circle_counts, sign_of_circle,
+                     switching_equivalence)
 from test_graphs import seeded_graphs
 
 
@@ -137,6 +138,20 @@ def test_negative_circle_counts_table(reps):
         counts = negative_circle_counts(s, {5, 6})
         assert counts[5] == NEGATIVE_PENTAGONS[i], CLASS_NAMES[i]
         assert counts[6] == NEGATIVE_HEXAGONS[i], CLASS_NAMES[i]
+
+
+def test_negative_circle_counts_by_closed_walks(pg):
+    # a second route to T1 for every syndrome z, from the traces of powers
+    # of A_sigma and |A| alone: on a graph of girth 5, the closed walks of
+    # length 5 are the pentagons (10 per pentagon: a start and a direction),
+    # and those of length 6 are the hexagons (12 each) and walks that use
+    # each edge an even number of times, which are positive
+    g = pg[0]
+    for z in range(64):
+        gaps = closed_walk_gaps(SignedGraph(g, chord_mask(g, z)), {5, 6})
+        assert gaps[5] % 20 == 0 and gaps[6] % 24 == 0, z
+        assert (gaps[5] // 20, gaps[6] // 24) == \
+            petersen_invariants(chord_mask(g, z))[3:], z
 
 
 def test_cut_masks_form_xor_space(pg):

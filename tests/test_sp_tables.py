@@ -4,7 +4,7 @@ elements."""
 
 import itertools
 
-from signedpetersen.graphs import petersen
+from signedpetersen.graphs import PETERSEN_LABELS, PETERSEN_PAIRS, petersen
 from signedpetersen.groups import (SwitchingPermutation, aut_signed,
                                    induced_permutation)
 
@@ -18,16 +18,14 @@ from p32_tables import (P32_CELLS, P32_CORRECTED_CELLS, P32_PUBLISHED_VARIANTS,
 def build_p32_reps():
     """The ten coset representatives: identity, the three conjugates of the
     2-switch element u, and the six conjugates of the 4-switch element w."""
-    g, lab = petersen()
-
-    def vmask(pairs):
-        return sum(1 << lab.vertex(int(p[0]), int(p[1])) for p in pairs)
+    def vmask(labels):
+        return sum(1 << PETERSEN_LABELS.index(label) for label in labels)
 
     u = SwitchingPermutation(vmask(P32_W_SET),
-                             induced_permutation(lab, parse_cycles(P32_U_PERM)))
+                             induced_permutation(parse_cycles(P32_U_PERM)))
     w = SwitchingPermutation(vmask(P32_Z_SET),
-                             induced_permutation(lab, parse_cycles(P32_W_PERM)))
-    stab = {c: induced_permutation(lab, parse_cycles(c)) for c in P32_STABILIZER}
+                             induced_permutation(parse_cycles(P32_W_PERM)))
+    stab = {c: induced_permutation(parse_cycles(c)) for c in P32_STABILIZER}
 
     reps = {"e": sp_identity(10), "u": u, "w": w}
     for c in P32_STABILIZER[1:]:
@@ -37,10 +35,11 @@ def build_p32_reps():
 
 
 def p32_signature():
-    g, lab = petersen()
+    g = petersen()[0]
     mask = 0
     for i, j, k, l in ((1, 4, 2, 5), (3, 4, 1, 5), (2, 4, 3, 5)):
-        mask |= 1 << g.index_of(*sorted((lab.vertex(i, j), lab.vertex(k, l))))
+        mask |= 1 << g.index_of(PETERSEN_PAIRS.index((i, j)),
+                                PETERSEN_PAIRS.index((k, l)))
     from signedpetersen.signed import SignedGraph
     return SignedGraph(g, mask)
 
@@ -119,23 +118,23 @@ def test_worked_products():
 def test_p33_multiplication_rules(reps):
     """The five-coset group multiplies by closed-form rules; check every
     instance against direct products."""
-    g, lab = petersen()
+    g = petersen()[0]
     s33 = reps[5]
     aut = aut_signed(s33)
 
     def rep(i):
         if i == 0:
             return sp_identity(10)
-        v = lab.vertex(i, 5)
+        v = PETERSEN_PAIRS.index((i, 5))
         return SwitchingPermutation(sum(1 << u for u in closed_neighborhood(g, v)),
-                                    induced_permutation(lab, parse_cycles(f"({i}5)")))
+                                    induced_permutation(parse_cycles(f"({i}5)")))
 
     r = {i: rep(i) for i in range(5)}
     base_of = {}
     for p in itertools.permutations(range(1, 6)):
-        base_of[induced_permutation(lab, p)] = p
+        base_of[induced_permutation(p)] = p
 
-    switch_of_v = {i: sum(1 << u for u in closed_neighborhood(g, lab.vertex(i, 5)))
+    switch_of_v = {i: sum(1 << u for u in closed_neighborhood(g, PETERSEN_PAIRS.index((i, 5))))
                    for i in range(1, 5)}
 
     for i in range(5):
@@ -157,8 +156,7 @@ def test_p33_multiplication_rules(reps):
                         rhs = ab
                     else:
                         jp = ainv[j - 1]
-                        tri = induced_permutation(
-                            lab, parse_cycles(f"({i}{jp}5)"))
+                        tri = induced_permutation(parse_cycles(f"({i}{jp}5)"))
                         rhs = sp_negate(sp_multiply(
                             SwitchingPermutation(switch_of_v[jp], tri), ab))
                     assert lhs == rhs, (i, base_of[a.perm], j, base_of[b.perm])
