@@ -17,7 +17,7 @@ from .coloring import chromatic_numbers, count_colorations
 from .frustration import frustration_index, frustration_number
 from .graphs import PETERSEN_LABELS, PETERSEN_PAIRS, bits, petersen
 from .groups import (aut_signed, coset_system, format_cycles, identify_group,
-                     induced_permutation, swaut)
+                     swaut)
 from .signed import SignedGraph, petersen_invariants
 
 
@@ -72,12 +72,15 @@ def _perm_name(perm: tuple[int, ...]) -> str:
     """Cycle notation on {1..5} when the vertex permutation is induced from
     one, else the raw image vector; worked out once per permutation. It is
     induced, if at all, from the permutation of {1..5} that sends i to the
-    one element shared by the images of the pairs that hold i."""
+    one element shared by the images of the pairs that hold i. When that
+    base is a permutation and every vertex has an image, the image of the
+    pair {i, j} holds base i and base j, so it is that pair: perm is
+    induced."""
     shared = [set.intersection(*(set(PETERSEN_PAIRS[w]) for w, p
                                  in zip(perm, PETERSEN_PAIRS) if i in p))
               for i in range(1, 6)]
     base = tuple(min(x, default=0) for x in shared)
-    if set(base) == {1, 2, 3, 4, 5} and induced_permutation(base) == perm:
+    if set(base) == {1, 2, 3, 4, 5} and len(perm) == len(PETERSEN_PAIRS):
         return format_cycles(base)
     return str(list(perm))
 

@@ -175,11 +175,6 @@ MUTANTS = (
            "if adj[w] & used == need:", "if adj[w] & need == need:",
            ("tests/test_graphs.py::"
             "test_automorphism_search_extends_only_partial_isomorphisms",)),
-    Mutant("induced permutation looks up the image pair unsorted", GROUPS,
-           "images = (sorted((base[i - 1], base[j - 1])) for",
-           "images = ((base[i - 1], base[j - 1]) for",
-           ("tests/test_groups.py::test_induced_permutation",
-            "tests/test_census_cli.py::test_vertex_perm_name")),
     Mutant("standard mask looks its labels up with the digits reversed",
            CENSUS,
            "PETERSEN_LABELS.index(a), PETERSEN_LABELS.index(b)",
@@ -187,8 +182,8 @@ MUTANTS = (
            ("tests/test_graphs.py::"
             "test_matching_classes_are_the_geometric_classes",
             "tests/test_groups.py::test_burnside_counts_the_six_classes")),
-    Mutant("permutation named without the induced check", CLI,
-           " and induced_permutation(base) == perm:", ":",
+    Mutant("permutation named without the length check", CLI,
+           " and len(perm) == len(PETERSEN_PAIRS):", ":",
            ("tests/test_census_cli.py::test_vertex_perm_name",)),
     Mutant("cycle orientation check dropped", GRAPHS,
            "if path[1] < last:  # fix orientation: one copy per cycle",
@@ -274,6 +269,20 @@ MUTANTS = (
             "test_switching_group_accepts_exactly_the_subgroups",
             "tests/test_census_cli.py::"
             "test_warm_group_and_cluster_compute_only_what_they_print")),
+    Mutant("a group given no histogram skips its closure check", GROUPS,
+           "        if not histogram:\n"
+           "            _check_closure(self.by_perm)\n"
+           "            histogram = Counter(map(perm_order, self.by_perm))\n",
+           "        if not histogram:\n"
+           "            histogram = Counter(map(perm_order, self.by_perm))\n"
+           "        else:\n"
+           "            _check_closure(self.by_perm)\n",
+           ("tests/test_groups.py::test_switching_group_rejects_bad_elements",
+            "tests/test_census_cli.py::test_verify_all_does_group_work_once")),
+    Mutant("subgroup test compares permutations only", GROUPS,
+           "all(other.by_perm.get(e[1]) == e for e in self.elements)",
+           "all(e[1] in other.by_perm for e in self.elements)",
+           ("tests/test_groups.py::test_subgroup_test_compares_whole_pairs",)),
     Mutant("image edge one index too high", GROUPS,
            "(inc[ai[u]] & inc[ai[v]]).bit_length() - 1",
            "(inc[ai[u]] & inc[ai[v]]).bit_length()",

@@ -4,13 +4,15 @@ only the tests use: circles as vertex sequences with their edge masks, the
 balance and clusterability witnesses (a bipartition or a negative circle, a
 clustering partition or a circle with one negative edge), edge and circle
 signs, the edge-list writer, groups checked on their Cayley tables, cycle
-notation, products, conjugates and actions of switching permutations, the
-coset product, matchings with their classes found two ways, a minimum
-vertex colouring, and the maximum inclusterability."""
+notation and the Petersen vertex permutation it induces, products,
+conjugates and actions of switching permutations, the coset product,
+matchings with their classes found two ways, a minimum vertex colouring,
+and the maximum inclusterability."""
 
 import enum
 import itertools
-from functools import lru_cache
+from collections import Counter
+from functools import cached_property, lru_cache
 
 from signedpetersen.clustering import _clusters, bad_edge
 from signedpetersen.coloring import _count, count_colorations
@@ -19,10 +21,10 @@ from signedpetersen.graphs import (MAX_SEARCH_VERTICES, PETERSEN_LABELS,
                                    _Record, automorphism_images, bits,
                                    cut_mask, cut_space, forest_preimage,
                                    petersen, span_basis, syndrome)
-from signedpetersen.groups import (CosetError, FiniteGroup,
-                                   GroupAxiomError, SwitchingGroup,
-                                   SwitchingPermutation, _default_reps,
-                                   compose, identity_perm, inverse)
+from signedpetersen.groups import (CosetError, GroupAxiomError,
+                                   SwitchingGroup, SwitchingPermutation,
+                                   _default_reps, compose, identity_perm,
+                                   inverse)
 from signedpetersen.signed import SignedGraph, switch
 
 
@@ -341,20 +343,30 @@ def sp_inverse(a):
     return SwitchingPermutation(pullback(a.switch_mask, inv), inv)
 
 
-class CayleyGroup(FiniteGroup):
-    """Elements with a product, checked on the Cayley table: closure, an
-    identity, inverses, and Light's associativity test. Element orders and
-    commutativity are read off the table."""
+class CayleyGroup:
+    """Elements without repeats, each with its index, and a product,
+    checked on the Cayley table: closure, an identity, inverses, and
+    Light's associativity test. Element orders and commutativity are read
+    off the table; the histogram of element orders only when asked for."""
 
     def __init__(self, elements, mul):
+        self.elements = list(elements)
+        self.index = dict(zip(self.elements, range(len(self.elements))))
+        if len(self.index) != len(self.elements):
+            raise GroupAxiomError("repeated elements")
         self.mul = mul
-        super().__init__(elements)
-
-    def _check(self) -> None:
         self.table = self._cayley_table()
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
         self._check_associativity()
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @cached_property
+    def order_histogram(self) -> Counter:
+        return Counter(map(self.element_order, range(self.order)))
 
     def _cayley_table(self) -> list[list[int]]:
         """Row a, column b: the index of mul(a, b), which must be listed."""
@@ -671,6 +683,14 @@ def parse_cycles(text, degree=5):
     return tuple(images)
 
 
+def induced_permutation(base):
+    """Vertex permutation of the Petersen graph induced by a permutation of
+    {1..5}: v_{ij} goes to v_{i^base j^base}, the vertex of the image pair,
+    sorted, in ``PETERSEN_PAIRS``."""
+    images = (sorted((base[i - 1], base[j - 1])) for i, j in PETERSEN_PAIRS)
+    return tuple(PETERSEN_PAIRS.index(tuple(pair)) for pair in images)
+
+
 def sp_multiply(a, b):
     """Semidirect product: the switching set of b is pulled back through the
     permutation of a, then combined by symmetric difference."""
@@ -788,7 +808,7 @@ def general_product(system, subgroup, x, y):
     i, alpha = x
     j, beta = y
     rx, ry = reps[i], reps[j]
-    if alpha not in subgroup.index or beta not in subgroup.index:
+    if alpha not in subgroup.elements or beta not in subgroup.elements:
         raise CosetError("cofactors must lie in the subgroup")
 
     # Raw switching set of the product: X xor the pullback of Y through
@@ -803,7 +823,7 @@ def general_product(system, subgroup, x, y):
     gy_conj = compose(compose(alpha.perm, ry.perm), inverse(alpha.perm))
     nu_perm = compose(compose(inverse(ru.perm), rx.perm), gy_conj)
     nu = SwitchingPermutation(0, nu_perm)
-    if nu not in subgroup.index:
+    if nu not in subgroup.elements:
         raise CosetError("nu fell outside the subgroup")
     ab = SwitchingPermutation(0, compose(alpha.perm, beta.perm))
 

@@ -21,7 +21,8 @@ from signedpetersen.frustration import frustration_index, frustration_number
 from signedpetersen.io import (InputError, format_mask, load_signed_graph,
                                parse_mask, parse_signed_graph, read_header)
 from signedpetersen.signed import SIX_ORDER, SignedGraph, classify_six_mask
-from signedpetersen.graphs import Graph, cut_mask, petersen, syndrome
+from signedpetersen.graphs import (Graph, automorphism_images, cut_mask,
+                                   petersen, syndrome)
 
 from oracles import (circle_hitting_sets, inclusterability_by_circles,
                      is_petersen, serialize_signed_graph)
@@ -184,8 +185,8 @@ def test_verify_all_does_group_work_once(monkeypatch):
         lifted.append(s.mask)
         return lifts(s)
 
-    def counted_init(self, elements):
-        init(self, elements)
+    def counted_init(self, elements, histogram=None):
+        init(self, elements, histogram)
         built.append((current[-1], self.order))
         tables.extend(name for name in vars(self) if "table" in name)
 
@@ -575,17 +576,21 @@ def test_cli_group(capsys, rep_masks):
 
 
 def test_vertex_perm_name():
-    # each of the 120 permutations of {1..5}, from the vertex permutation it
-    # induces
-    from signedpetersen.groups import format_cycles, induced_permutation
-    from oracles import parse_cycles
-    for base in itertools.permutations(range(1, 6)):
-        name = cli._perm_name(induced_permutation(base))
-        assert name == format_cycles(base) and parse_cycles(name) == base
+    # each of the 120 automorphisms of P that the search finds, named in
+    # cycle notation, a different name each, by the permutation of {1..5}
+    # that induces it
+    from oracles import induced_permutation, parse_cycles
+    names = {cli._perm_name(perm): perm
+             for perm in automorphism_images(petersen()[0])}
+    assert len(names) == 120
+    for name, perm in names.items():
+        assert induced_permutation(parse_cycles(name)) == perm, name
     # vertex vectors induced by no permutation of {1..5}: a transposition
-    # of two vertices, a map of every vertex to vertex 0, and the identity
-    # with an eleventh vertex, whose first ten entries alone are induced
-    for vector in ([1, 0] + list(range(2, 10)), [0] * 10, list(range(11))):
+    # of two vertices, a map of every vertex to vertex 0, the identity with
+    # an eleventh vertex, whose first ten entries alone are induced, and
+    # the identity without its tenth
+    for vector in ([1, 0] + list(range(2, 10)), [0] * 10, list(range(11)),
+                   list(range(9))):
         assert cli._perm_name(tuple(vector)) == str(vector)
 
 

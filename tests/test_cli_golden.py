@@ -32,11 +32,11 @@ from pathlib import Path
 
 from signedpetersen import census, cli
 from signedpetersen.graphs import cut_mask, cut_space, petersen
-from signedpetersen.groups import SwitchingPermutation, induced_permutation
+from signedpetersen.groups import SwitchingPermutation
 from signedpetersen.io import format_mask
 from signedpetersen.signed import SIX_ORDER, SignedGraph
 
-from oracles import parse_cycles, sp_act
+from oracles import induced_permutation, parse_cycles, sp_act
 
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
 PARSER_FIXTURE = Path(__file__).parent / "data" / "cli_parser_golden.json"

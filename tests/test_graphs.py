@@ -13,15 +13,15 @@ from signedpetersen.graphs import (PETERSEN_LABELS, PETERSEN_PAIRS, Graph,
                                    SearchSizeError, automorphism_images,
                                    cut_mask, cut_space, enumerate_cycles,
                                    syndrome, vertex_sets)
-from signedpetersen.groups import induced_permutation
 from signedpetersen.signed import SIX_ORDER, SignedGraph
 
 from oracles import (Cycle, MatchingClass, adjacency, all_independent_sets,
                      all_matchings, classify_matching, closed_neighborhood,
                      cut, cut_preimage, deletion_tables, distances,
                      edge_distance, edge_index, geometric_matching_class,
-                     hexagon_of_vertex, independent_sets, is_petersen,
-                     list_cycles, minimum_coloring)
+                     hexagon_of_vertex, independent_sets,
+                     induced_permutation, is_petersen, list_cycles,
+                     minimum_coloring)
 
 
 def k4():

@@ -19,15 +19,15 @@ from signedpetersen.groups import (_CATALOG, CosetError, GroupAxiomError,
                                    _automorphism_edge_maps, _default_reps,
                                    aut_signed, compose, coset_system,
                                    format_cycles, identify_group, identity_perm,
-                                   induced_permutation, inverse, orbit_counts,
-                                   swaut)
+                                   inverse, orbit_counts, swaut)
 from signedpetersen.signed import (SignedGraph, _class_invariants, negate,
                                    switch)
 
 from oracles import (CayleyGroup, adjacency, closed_neighborhood, cut,
                      cut_preimage, edge_permutation,
                      general_product, graph_automorphisms,
-                     is_conjugation_closed, parse_cycles, pullback,
+                     induced_permutation, is_conjugation_closed,
+                     parse_cycles, pullback,
                      reference_coset_system, rep_for_mask, scan_lifts, sp_act,
                      sp_canonical, sp_conjugate, sp_identity, sp_inverse,
                      sp_multiply, sp_negate, syndrome_lifts)
@@ -739,7 +739,7 @@ def decompose(reps, subgroup, x):
         sign, t = -1, SwitchingPermutation(0, t.perm)
     else:
         raise CosetError("element not in representative * subgroup")
-    if t not in subgroup.index:
+    if t not in subgroup.elements:
         raise CosetError("residual permutation outside the subgroup")
     return sign, k, t
 
@@ -781,6 +781,19 @@ def test_coset_system_errors(aut6, sw6):
         rep_for_mask(reps, 0x155)
 
 
+def test_subgroup_test_compares_whole_pairs(reps):
+    # switching vertex 0 keeps the switching class, so every permutation
+    # of Aut(s) lifts into SwAut of the switched signature; but there a
+    # permutation that moves vertex 0 lifts with a nonempty switching set,
+    # so Aut(s), whose lifts switch nothing, is not a subgroup of it
+    for i, s in enumerate(reps):
+        aut, w = aut_signed(s), swaut(switch(s, 0b1))
+        assert all(e.perm in w.by_perm for e in aut.elements), CLASS_NAMES[i]
+        assert not aut.is_subgroup(w), CLASS_NAMES[i]
+        with pytest.raises(CosetError, match="not a subgroup"):
+            coset_system(w, aut)
+
+
 def test_general_product_all_pairs(aut6, sw6):
     for a, w in ((aut6[4], sw6[4]), (aut6[5], sw6[5])):
         system = coset_system(w, a)
@@ -795,7 +808,7 @@ def test_general_product_all_pairs(aut6, sw6):
                             system, a, (i, alpha), (j, beta))
                         assert sign in (1, -1)
                         assert 0 <= k < n
-                        assert nu in a.index and ab in a.index
+                        assert nu in a.elements and ab in a.elements
 
 
 def test_no_order10_complement_in_swaut_p32(aut6, sw6):
